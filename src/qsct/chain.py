@@ -187,17 +187,61 @@ def excitation_index(spec: ChainSpec, site: int, level: int) -> int:
     return basis_index(values, spec.d)
 
 
-class _TransferAmplitudes:
-    """End-to-end transfer amplitudes per excitation level, from one eigh call."""
+def _real_matmul(m: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """m @ z for real m and complex z, without promoting m to complex.
+
+    The real and imaginary parts of z are interleaved as twice the columns of
+    one real product, so no complex copy of the (register-sized) m is made.
+    """
+    z = np.ascontiguousarray(z, dtype=np.complex128)
+    pairs = z.reshape(z.shape[0], -1).view(np.float64)
+    return (m @ pairs).view(np.complex128).reshape((m.shape[0],) + z.shape[1:])
+
+
+class Spectrum:
+    """Eigenvalues and real eigenvectors of one chain Hamiltonian.
+
+    H is real symmetric (theta (x) theta + beta (x) beta has no imaginary part),
+    so a single real eigh diagonalises it and every evolution of an experiment
+    is a phase rotation in this eigenbasis. Build one per experiment and pass
+    it along; nothing caches it beyond that.
+    """
 
     def __init__(self, spec: ChainSpec):
         h = build_hamiltonian(spec)
-        self.eigvals, eigvecs = np.linalg.eigh(h)
-        self.weights = np.empty((spec.d - 1, spec.dim), dtype=np.complex128)
+        if np.any(h.imag):
+            raise ValueError("chain Hamiltonian has a non-zero imaginary part")
+        self.eigvals, self.eigvecs = np.linalg.eigh(h.real)
+
+    def _phases(self, t: float) -> np.ndarray:
+        return np.exp(-1j * t * self.eigvals)
+
+    def evolve(self, ket: np.ndarray, t: float) -> np.ndarray:
+        """exp(-i t H) ket; at t = 0 the ket itself, exactly."""
+        ket = np.asarray(ket, dtype=np.complex128)
+        if t == 0.0:
+            return ket.copy()
+        coeffs = _real_matmul(self.eigvecs.T, ket)
+        return _real_matmul(self.eigvecs, self._phases(t) * coeffs)
+
+    def unitary(self, t: float) -> np.ndarray:
+        """exp(-i t H) as a dense matrix."""
+        return _real_matmul(self.eigvecs, self._phases(t)[:, None] * self.eigvecs.T)
+
+
+class _TransferAmplitudes:
+    """End-to-end transfer amplitudes per excitation level of one chain."""
+
+    def __init__(self, spec: ChainSpec, spectrum: Spectrum | None = None):
+        if spectrum is None:
+            spectrum = Spectrum(spec)
+        self.eigvals = spectrum.eigvals
+        eigvecs = spectrum.eigvecs
+        self.weights = np.empty((spec.d - 1, spec.dim))
         for level in range(1, spec.d):
             src = excitation_index(spec, 1, level)
             dst = excitation_index(spec, spec.n, level)
-            self.weights[level - 1] = eigvecs[dst, :] * eigvecs[src, :].conj()
+            self.weights[level - 1] = eigvecs[dst, :] * eigvecs[src, :]
 
     def complex_amplitudes(self, t: np.ndarray | float) -> np.ndarray:
         """<e_N | U_t | e_1> per level; shape (d-1,) + shape of t."""
@@ -226,17 +270,25 @@ def find_pst_time(
     t_max: float = 2.0 * math.pi,
     grid_points: int = 2000,
     tol: float = 1e-10,
+    spectrum: Spectrum | None = None,
 ) -> tuple[float, float]:
     """Locate the time maximizing the worst-level transfer amplitude.
 
     Coarse scan over [0, t_max] followed by golden-section refinement of the
     best bracket; ties resolve to the earliest time. Returns (t_star, amplitude).
+    Pass the chain's spectrum when the caller already has one. Raises
+    FloatingPointError when the phases exp(-i lambda t) overflow on the window.
     """
-    if t_max <= 0:
-        raise ValueError("t_max must be positive")
+    if not (0.0 < t_max < math.inf):
+        raise ValueError("t_max must be positive and finite")
     if grid_points < 3:
         raise ValueError("grid needs at least 3 points")
-    amps = _TransferAmplitudes(spec)
+    amps = _TransferAmplitudes(spec, spectrum)
+    if not math.isfinite(float(np.max(np.abs(amps.eigvals))) * t_max):
+        raise FloatingPointError(
+            f"transfer phases overflow on [0, {t_max!r}] for the chain d={spec.d}, "
+            f"nodes={spec.n}, couplings={spec.couplings.tolist()}"
+        )
     ts = np.linspace(0.0, t_max, grid_points)
     vals = amps.worst_level(ts)
     best = int(np.argmax(vals))

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .chain import ChainSpec, _TransferAmplitudes, find_pst_time
+from .chain import ChainSpec, Spectrum, _TransferAmplitudes, find_pst_time
 from .protocol import (
     ConfigError,
     ExperimentConfig,
@@ -59,18 +59,32 @@ def _fail(field: str, reason: str) -> ConfigError:
     return ConfigError(f"{field}: {reason}")
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _finite(value, field: str) -> float:
+    """float(value), refusing the NaN and Infinity that Python's json accepts."""
+    try:
+        number = float(value)
+    except OverflowError:       # an integer literal beyond the double range
+        number = math.inf
+    if not math.isfinite(number):
+        raise _fail(field, f"expected a finite number, got {value!r}")
+    return number
+
+
 def _as_complex(value, field: str) -> complex:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(value)
-    if (isinstance(value, list) and len(value) == 2
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)):
-        return complex(value[0], value[1])
+    if _is_real(value):
+        return complex(_finite(value, field))
+    if isinstance(value, list) and len(value) == 2 and all(_is_real(v) for v in value):
+        return complex(_finite(value[0], field), _finite(value[1], field))
     raise _fail(field, "expected a real number or an [re, im] pair")
 
 
 def _as_number(value, field: str) -> float:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
+    if _is_real(value):
+        return _finite(value, field)
     raise _fail(field, "expected a number")
 
 
@@ -264,6 +278,9 @@ def _run_one(config: ExperimentConfig, out_dir: Path, plot_script: bool = False)
 
 
 def _cmd_run(args) -> int:
+    if args.jobs < 1:
+        print(f"config error: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
+        return 2
     config_path = Path(args.config)
     try:
         raw = json.loads(config_path.read_text(encoding="utf-8"))
@@ -332,13 +349,15 @@ def _cmd_pst(args) -> int:
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    if args.tmax <= 0:
-        print("config error: tmax must be positive", file=sys.stderr)
+    if not (0.0 < args.tmax < math.inf):
+        print(f"config error: --tmax must be positive and finite, got {args.tmax}",
+              file=sys.stderr)
         return 2
     try:
-        t_star, worst = find_pst_time(spec, t_max=args.tmax)
-        amps = _TransferAmplitudes(spec).amplitudes(t_star)
-    except np.linalg.LinAlgError as exc:
+        spectrum = Spectrum(spec)
+        t_star, worst = find_pst_time(spec, t_max=args.tmax, spectrum=spectrum)
+        amps = _TransferAmplitudes(spec, spectrum).amplitudes(t_star)
+    except (np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     print(f"d            = {spec.d}")

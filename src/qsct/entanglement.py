@@ -51,28 +51,57 @@ def amplified_ccnr_margin(rho: np.ndarray, part: Bipartition) -> float:
     return lhs - float(np.sqrt(gap_a * gap_b))
 
 
+def _schmidt_coefficients(psi: np.ndarray, part: Bipartition) -> np.ndarray:
+    """Singular values of the dim_a x dim_b reshaped ket; validates the ket."""
+    psi = np.asarray(psi)
+    if psi.ndim != 1:
+        raise ValueError("expected a ket (a 1-d array)")
+    part.check(psi.shape[0])
+    norm = float(np.linalg.norm(psi))
+    if abs(norm - 1.0) > 1e-8:
+        raise ValueError(f"ket norm deviates from 1 by {abs(norm - 1.0):.3e}")
+    return np.linalg.svd(psi.reshape(part.dim_a, part.dim_b), compute_uv=False)
+
+
+def _pair_sum(x: np.ndarray) -> float:
+    """sum_{i<j} x_i x_j as an all-positive sum (no cancellation for x >= 0)."""
+    tail = np.cumsum(x[::-1])[::-1]  # tail[i] = x_i + x_{i+1} + ...
+    return float(x[:-1] @ tail[1:])
+
+
+def _concurrence_from_schmidt(s: np.ndarray) -> float:
+    q = s * s
+    q /= q.sum()
+    # With sum(q) == 1, 2 (1 - sum q^2) == 4 sum_{i<j} q_i q_j.  The cross-term
+    # sum is all-positive, so near-product states keep their ~1e-8 tail instead
+    # of losing it to cancellation against 1.
+    return float(2.0 * np.sqrt(max(0.0, _pair_sum(q))))
+
+
 def concurrence_pure(psi: np.ndarray, part: Bipartition) -> float:
     """sqrt(2 (1 - tr rho_A^2)) for a normalized ket.
 
     Evaluated through the Schmidt coefficients of the reshaped ket, which is
     exact at product states where the purity route amplifies roundoff.
     """
-    psi = np.asarray(psi)
-    if psi.ndim != 1:
-        raise ValueError("concurrence_pure expects a ket")
-    part.check(psi.shape[0])
-    norm = float(np.linalg.norm(psi))
-    if abs(norm - 1.0) > 1e-8:
-        raise ValueError(f"ket norm deviates from 1 by {abs(norm - 1.0):.3e}")
-    s = np.linalg.svd(psi.reshape(part.dim_a, part.dim_b), compute_uv=False)
+    return _concurrence_from_schmidt(_schmidt_coefficients(psi, part))
+
+
+def schmidt_measures(psi: np.ndarray, part: Bipartition) -> tuple[float, float, float]:
+    """(ccnr, amplified_ccnr_margin, concurrence_pure) of |psi><psi| from one small SVD.
+
+    With |psi> = sum_i s_i |a_i>|b_i> and q = s^2, the realigned |psi><psi| has
+    singular values s_i s_j, so ccnr = (sum s)^2. Subtracting rho_A (x) rho_B
+    leaves those i != j terms plus the k x k block diag(q) - q q^T, and both
+    marginal purity gaps equal 1 - sum q^2. The SVD is of the dim_a x dim_b
+    ket instead of the realigned dim_a^2 x dim_b^2 density matrix.
+    """
+    s = _schmidt_coefficients(psi, part)
     q = s * s
-    q /= q.sum()
-    # With sum(q) == 1, 2 (1 - sum q^2) == 4 sum_{i<j} q_i q_j.  The cross-term
-    # sum is all-positive, so near-product states keep their ~1e-8 tail instead
-    # of losing it to cancellation against 1.
-    tail = np.cumsum(q[::-1])[::-1]  # tail[i] = q_i + q_{i+1} + ...
-    cross = float(q[:-1] @ tail[1:])
-    return float(2.0 * np.sqrt(max(0.0, cross)))
+    total = float(s.sum())
+    lhs = 2.0 * _pair_sum(s) + trace_norm(np.diag(q) - np.outer(q, q))
+    gap = max(0.0, 1.0 - float(q @ q))
+    return total * total, lhs - gap, _concurrence_from_schmidt(s)
 
 
 def mixedness_indicator(rho: np.ndarray, part: Bipartition) -> float:

@@ -32,6 +32,7 @@ import numpy as np
 from .chain import (
     ChainSpec,
     QuantumState,
+    Spectrum,
     _TransferAmplitudes,
     build_hamiltonian,
     find_pst_time,
@@ -52,8 +53,9 @@ from .entanglement import (
     ccnr,
     concurrence_pure,
     entanglement_level,
+    schmidt_measures,
 )
-from .linalg import partial_trace
+from .linalg import partial_trace, partial_trace_pure
 
 NOISE_KINDS = ("phase_damping", "weyl")
 NOISE_TOPOLOGIES = ("global_after", "local_after", "interleaved")
@@ -166,21 +168,18 @@ def gamma_check(series, reference, tol: float) -> list[bool]:
 
 
 class _Runner:
-    """Shared machinery for one configuration: propagator, cut, measures."""
+    """Shared machinery for one configuration: evolution, cut, measures.
 
-    def __init__(self, config: ExperimentConfig):
+    Needs config.t_total resolved; see _prepare.
+    """
+
+    def __init__(self, config: ExperimentConfig, spectrum: Spectrum):
         self.config = config
         self.spec = config.chain
-        self.h = build_hamiltonian(self.spec)
-        self.transfer = _TransferAmplitudes(self.spec)
-        if config.t_total is not None:
-            self.t_total = float(config.t_total)
-        else:
-            self.t_total = find_pst_time(self.spec)[0]
-        self.dt = self.t_total / config.steps
-        eigvals, eigvecs = np.linalg.eigh(self.h)
-        self._eigvals, self._eigvecs = eigvals, eigvecs
-        self.u_step = (eigvecs * np.exp(-1j * eigvals * self.dt)) @ eigvecs.conj().T
+        self.spectrum = spectrum
+        self.transfer = _TransferAmplitudes(self.spec, spectrum)
+        self.dt = float(config.t_total) / config.steps
+        self.psi0 = initial_state(config).data
         d, n = self.spec.d, self.spec.n
         if config.bipartition == "endpoints":
             self.part = Bipartition(d, d)
@@ -189,6 +188,10 @@ class _Runner:
             self.part = Bipartition(d**cut, d ** (n - cut))
         self.excited_weight = float(np.sum(np.abs(config.input_amplitudes[1:]) ** 2))
 
+    def ket(self, step: int) -> np.ndarray:
+        """Noiseless register ket after `step` steps, from the spectrum's phases."""
+        return self.spectrum.evolve(self.psi0, step * self.dt)
+
     def aligned_input(self, t: float) -> np.ndarray:
         """Input amplitudes with the excited levels rotated by the transfer phase."""
         phase = float(np.angle(self.transfer.complex_amplitudes(t)[0]))
@@ -196,22 +199,35 @@ class _Runner:
         chi[1:] *= np.exp(1j * phase)
         return chi
 
-    def measure(self, step: int, t: float, rho: np.ndarray, ket: np.ndarray | None = None) -> TransferRecord:
-        d, n = self.spec.d, self.spec.n
-        dims = self.spec.dims
+    def _measures(self, rho: np.ndarray) -> tuple[float, float, float]:
+        """(ccnr, amplified margin, entanglement level) of a state on self.part."""
+        return (
+            ccnr(rho, self.part),
+            amplified_ccnr_margin(rho, self.part),
+            entanglement_level(rho, self.part),
+        )
+
+    def measure_ket(self, step: int, ket: np.ndarray) -> TransferRecord:
+        """Record of a pure register state, measured without forming |ket><ket|."""
+        dims, last = self.spec.dims, self.spec.n - 1
         if self.config.bipartition == "endpoints":
-            rho_pair = partial_trace(rho, dims, keep=[0, n - 1])
-            ccnr_value = ccnr(rho_pair, self.part)
-            margin = amplified_ccnr_margin(rho_pair, self.part)
-            level = entanglement_level(rho_pair, self.part)
+            values = self._measures(partial_trace_pure(ket, dims, keep=[0, last]))
         else:
-            ccnr_value = ccnr(rho, self.part)
-            margin = amplified_ccnr_margin(rho, self.part)
-            if ket is not None:
-                level = concurrence_pure(ket, self.part)
-            else:
-                level = entanglement_level(rho, self.part)
-        rho_last = partial_trace(rho, dims, keep=[n - 1])
+            values = schmidt_measures(ket, self.part)
+        return self._record(step, values, partial_trace_pure(ket, dims, keep=[last]))
+
+    def measure_rho(self, step: int, rho: np.ndarray) -> TransferRecord:
+        """Record of a register density matrix."""
+        dims, last = self.spec.dims, self.spec.n - 1
+        if self.config.bipartition == "endpoints":
+            values = self._measures(partial_trace(rho, dims, keep=[0, last]))
+        else:
+            values = self._measures(rho)
+        return self._record(step, values, partial_trace(rho, dims, keep=[last]))
+
+    def _record(self, step: int, values: tuple[float, float, float],
+                rho_last: np.ndarray) -> TransferRecord:
+        t = step * self.dt
         if self.excited_weight > 1e-15:
             arrived = float(np.sum(np.diag(rho_last).real[1:]))
             transfer_probability = arrived / self.excited_weight
@@ -219,6 +235,7 @@ class _Runner:
             transfer_probability = 0.0
         chi = self.aligned_input(t)
         fidelity = float((chi.conj() @ rho_last @ chi).real)
+        ccnr_value, margin, level = values
         return TransferRecord(
             step=step,
             time=t,
@@ -258,16 +275,31 @@ def strip_noise(config: ExperimentConfig) -> ExperimentConfig:
     return replace(config, noise=None)
 
 
-def run_noiseless(config: ExperimentConfig) -> list[TransferRecord]:
-    """Pure-state stepwise evolution; steps+1 records at times k * t_total / steps."""
+def _prepare(
+    config: ExperimentConfig, spectrum: Spectrum | None
+) -> tuple[ExperimentConfig, Spectrum]:
+    """Diagonalise the chain unless a spectrum is given, and fill in t_total
+    from the transfer-time search when the config leaves it open."""
+    if spectrum is None:
+        spectrum = Spectrum(config.chain)
+    if config.t_total is None:
+        config = replace(config, t_total=find_pst_time(config.chain, spectrum=spectrum)[0])
+    return config, spectrum
+
+
+def run_noiseless(
+    config: ExperimentConfig, spectrum: Spectrum | None = None
+) -> list[TransferRecord]:
+    """Pure-state stepwise evolution; steps+1 records at times k * t_total / steps.
+
+    Every record is measured from the ket; pass the chain's spectrum when the
+    caller already has one.
+    """
     if config.noise is not None:
         config = strip_noise(config)
-    runner = _Runner(config)
-    ket = initial_state(config).data
-    records = [runner.measure(0, 0.0, np.outer(ket, ket.conj()), ket)]
-    for k in range(1, config.steps + 1):
-        ket = runner.u_step @ ket
-        records.append(runner.measure(k, k * runner.dt, np.outer(ket, ket.conj()), ket))
+    config, spectrum = _prepare(config, spectrum)
+    runner = _Runner(config, spectrum)
+    records = [runner.measure_ket(k, runner.ket(k)) for k in range(config.steps + 1)]
     flags = gamma_check(
         [r.concurrence for r in records],
         [r.concurrence for r in records],
@@ -281,28 +313,34 @@ def run_noiseless(config: ExperimentConfig) -> list[TransferRecord]:
 def run_noisy(
     config: ExperimentConfig,
     reference: list[TransferRecord] | None = None,
+    spectrum: Spectrum | None = None,
 ) -> list[TransferRecord]:
     """Density-matrix stepwise evolution with the configured noise placement.
 
     The gamma flag compares each step's entanglement level against the
-    noiseless reference profile (computed here when not supplied).
+    noiseless reference profile (computed here when not supplied). Records
+    before the first channel application are pure and measured from the ket,
+    exactly as in the noiseless run.
     """
     if config.noise is None:
         raise ConfigError("noise section is required for a noisy run")
+    config, spectrum = _prepare(config, spectrum)
     if reference is None:
-        reference = run_noiseless(strip_noise(config))
+        reference = run_noiseless(config, spectrum)
     if len(reference) != config.steps + 1:
         raise ValueError("reference profile does not match the step count")
-    runner = _Runner(config)
+    runner = _Runner(config, spectrum)
     channel, timing = _noise_channel(config)
-    ket = initial_state(config).data
-    rho = np.outer(ket, ket.conj())
-    records = [runner.measure(0, 0.0, rho)]
-    for k in range(1, config.steps + 1):
-        rho = runner.u_step @ rho @ runner.u_step.conj().T
-        if timing == "interleaved" or k == config.steps:
-            rho = apply_channel(rho, channel)
-        records.append(runner.measure(k, k * runner.dt, rho))
+    first = 1 if timing == "interleaved" else config.steps
+    records = [runner.measure_ket(k, runner.ket(k)) for k in range(first)]
+    ket = runner.ket(first)
+    rho = apply_channel(np.outer(ket, ket.conj()), channel)
+    records.append(runner.measure_rho(first, rho))
+    if first < config.steps:
+        u_step = spectrum.unitary(runner.dt)
+        for k in range(first + 1, config.steps + 1):
+            rho = apply_channel(u_step @ rho @ u_step.conj().T, channel)
+            records.append(runner.measure_rho(k, rho))
     flags = gamma_check(
         [r.concurrence for r in records],
         [r.concurrence for r in reference],
@@ -316,11 +354,16 @@ def run_noisy(
 def run_experiment(
     config: ExperimentConfig,
 ) -> tuple[list[TransferRecord], list[TransferRecord] | None]:
-    """Dispatch on the noise section; returns (records, noiseless reference or None)."""
+    """Dispatch on the noise section; returns (records, noiseless reference or None).
+
+    The chain is diagonalised once, and the transfer time searched at most
+    once; the noiseless reference and the noisy run share both.
+    """
+    config, spectrum = _prepare(config, None)
+    reference = run_noiseless(config, spectrum)
     if config.noise is None:
-        return run_noiseless(config), None
-    reference = run_noiseless(strip_noise(config))
-    return run_noisy(config, reference), reference
+        return reference, None
+    return run_noisy(config, reference, spectrum), reference
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from qsct.chain import (
     ChainSpec,
     QuantumState,
+    Spectrum,
     basis_index,
     build_hamiltonian,
     commutator_defect,
@@ -215,8 +216,9 @@ def test_find_pst_time_coarse_grid_still_returns():
 
 
 def test_find_pst_time_rejects_bad_window():
-    with pytest.raises(ValueError):
-        find_pst_time(ChainSpec(d=2, n=2), t_max=0.0)
+    for t_max in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            find_pst_time(ChainSpec(d=2, n=2), t_max=t_max)
 
 
 def test_quantum_state_validation():
@@ -240,3 +242,48 @@ def test_quantum_state_to_density():
     ket[1] = 1.0
     rho = QuantumState.pure(ket, (2, 2)).to_density().data
     assert np.array_equal(rho, np.outer(ket, ket.conj()))
+
+
+def test_spectrum_evolution_matches_propagator():
+    rng = np.random.default_rng(7)
+    for d, n in ((2, 2), (2, 5), (3, 3), (4, 3)):
+        spec = ChainSpec(d=d, n=n)
+        h = build_hamiltonian(spec)
+        spectrum = Spectrum(spec)
+        psi = rng.normal(size=spec.dim) + 1j * rng.normal(size=spec.dim)
+        psi /= np.linalg.norm(psi)
+        assert np.array_equal(spectrum.evolve(psi, 0.0), psi)
+        for t in (0.3, math.pi / 7, math.pi, 5.5):
+            u = propagator(h, t)
+            assert np.max(np.abs(spectrum.evolve(psi, t) - u @ psi)) <= 1e-12
+            assert np.max(np.abs(spectrum.unitary(t) - u)) <= 1e-12
+
+
+def test_spectrum_rejects_complex_hamiltonian(monkeypatch):
+    spec = ChainSpec(d=2, n=2)
+    h = build_hamiltonian(spec)
+    h[1, 2] += 1e-3j
+    h[2, 1] -= 1e-3j
+    monkeypatch.setattr("qsct.chain.build_hamiltonian", lambda _spec: h)
+    with pytest.raises(ValueError, match="imaginary"):
+        Spectrum(spec)
+
+
+def test_find_pst_time_reuses_given_spectrum(monkeypatch):
+    spec = ChainSpec(d=3, n=3)
+    spectrum = Spectrum(spec)
+    expect = find_pst_time(spec)
+
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("find_pst_time diagonalised again")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    assert find_pst_time(spec, spectrum=spectrum) == expect
+
+
+def test_find_pst_time_overflowing_phases_name_the_chain():
+    spec = ChainSpec(d=2, n=3, couplings=[1e308, 1e308])
+    with pytest.raises(FloatingPointError, match=r"d=2, nodes=3, couplings=\[1e\+308, 1e\+308\]"):
+        find_pst_time(spec)
+    with pytest.raises(FloatingPointError, match="nodes=5"):
+        find_pst_time(ChainSpec(d=2, n=5), t_max=1e308)

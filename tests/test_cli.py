@@ -221,3 +221,68 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as info:
         main(["run"])  # missing required arguments
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize("topology", ["local_after", "global_after"])
+def test_rows_before_the_channel_equal_the_reference(tmp_path, topology):
+    config = dict(BASE_CONFIG, chain={"d": 2, "nodes": 4}, bipartition=2,
+                  input_amplitudes=[[0.6, 0.0], [0.0, 0.8]],
+                  noise={"kind": "phase_damping", "topology": topology, "p": 0.7})
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(_write_config(tmp_path, config)), "--out", str(out)]) == 0
+    results = (out / "results.csv").read_bytes().splitlines()
+    reference = (out / "reference.csv").read_bytes().splitlines()
+    assert len(results) == len(reference) == 10
+    assert results[:-1] == reference[:-1]
+    assert results[-1] != reference[-1]
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("field, config", [
+    ("input_amplitudes", dict(BASE_CONFIG, input_amplitudes=[NAN, 1.0, 0.0])),
+    ("input_amplitudes", dict(BASE_CONFIG, input_amplitudes=[[1.0, 0.0], [0.0, INF], 0.0])),
+    ("chain.couplings", dict(BASE_CONFIG, chain={"d": 3, "nodes": 3, "couplings": [NAN, 1.0]})),
+    ("noise.p", dict(NOISY_CONFIG, noise=dict(NOISY_CONFIG["noise"], p=NAN))),
+    ("noise.pi", dict(BASE_CONFIG, noise={"kind": "weyl", "topology": "local_after",
+                                          "pi": [[1.0, 0.0, 0.0], [0.0, NAN, 0.0],
+                                                 [0.0, 0.0, 0.0]]})),
+    ("t_total", dict(BASE_CONFIG, t_total=INF)),
+    ("gamma_tolerance", dict(BASE_CONFIG, gamma_tolerance=INF)),
+])
+def test_run_rejects_non_finite_numbers(tmp_path, capsys, field, config):
+    cfg = _write_config(tmp_path, config)
+    assert "NaN" in cfg.read_text() or "Infinity" in cfg.read_text()
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert f"{field}: expected a finite number" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "results.csv").exists()
+
+
+def test_run_non_finite_pst_scan_exit_code(tmp_path, capsys):
+    config = dict(BASE_CONFIG, chain={"d": 2, "nodes": 3, "couplings": [1e308, 1e308]},
+                  input_amplitudes=[0.6, 0.8])
+    cfg = _write_config(tmp_path, config)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    assert "d=2, nodes=3" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "results.csv").exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_run_rejects_jobs_below_one(tmp_path, capsys, jobs):
+    cfg = _write_config(tmp_path, BASE_CONFIG)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                 "--jobs", jobs]) == 2
+    assert "--jobs" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("tmax", ["nan", "inf", "-1"])
+def test_pst_rejects_bad_tmax(capsys, tmax):
+    assert main(["pst", "--d", "2", "--nodes", "3", "--tmax", tmax]) == 2
+    assert "--tmax" in capsys.readouterr().err
+
+
+def test_pst_overflowing_phases_exit_code(capsys):
+    assert main(["pst", "--d", "2", "--nodes", "5", "--tmax", "1e308"]) == 3
+    assert "nodes=5" in capsys.readouterr().err

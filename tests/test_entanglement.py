@@ -14,8 +14,9 @@ from qsct.entanglement import (
     entanglement_report,
     fit_cosine_series,
     mixedness_indicator,
+    schmidt_measures,
 )
-from qsct.linalg import Bipartition, kron, partial_trace
+from qsct.linalg import Bipartition, kron, partial_trace, partial_trace_pure
 
 PAIR22 = Bipartition(2, 2)
 PAIR33 = Bipartition(3, 3)
@@ -246,3 +247,47 @@ def test_fit_cosine_series_rejects_duplicate_harmonics():
     a = np.linspace(0.0, 2.0 * math.pi, 11)
     with pytest.raises(ValueError):
         fit_cosine_series(zip(a, np.cos(a)), [2, 2])
+
+
+def _random_kets(rng, d, n):
+    """Two random register kets and one product ket across every cut."""
+    dim = d**n
+    kets = []
+    for _ in range(2):
+        psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        kets.append(psi / np.linalg.norm(psi))
+    site = rng.normal(size=d) + 1j * rng.normal(size=d)
+    product = np.ones(1, dtype=complex)
+    for _ in range(n):
+        product = np.kron(product, site / np.linalg.norm(site))
+    kets.append(product)
+    return kets
+
+
+def test_pure_route_matches_density_route():
+    rng = np.random.default_rng(20240611)
+    chains = [(2, n) for n in range(2, 7)] + [(3, n) for n in range(2, 5)] + [(4, 3)]
+    for d, n in chains:
+        dims = [d] * n
+        for psi in _random_kets(rng, d, n):
+            rho = np.outer(psi, psi.conj())
+            for cut in range(1, n):
+                part = Bipartition(d**cut, d ** (n - cut))
+                value, margin, level = schmidt_measures(psi, part)
+                assert value == pytest.approx(ccnr(rho, part), abs=1e-12)
+                assert margin == pytest.approx(amplified_ccnr_margin(rho, part), abs=1e-12)
+                assert level == pytest.approx(entanglement_level(rho, part), abs=1e-12)
+                assert level == concurrence_pure(psi, part)
+            for keep in ([0, n - 1], [n - 1]):
+                pure = partial_trace_pure(psi, dims, keep)
+                assert np.max(np.abs(pure - partial_trace(rho, dims, keep))) <= 1e-12
+
+
+def test_schmidt_measures_known_states():
+    value, margin, level = schmidt_measures(_bell(), PAIR22)
+    assert value == pytest.approx(2.0, abs=1e-14)
+    assert margin == pytest.approx(amplified_ccnr_margin(np.outer(_bell(), _bell().conj()), PAIR22),
+                                   abs=1e-14)
+    assert level == pytest.approx(1.0, abs=1e-14)
+    with pytest.raises(ValueError):
+        schmidt_measures(2.0 * _bell(), PAIR22)

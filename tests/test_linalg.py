@@ -6,6 +6,7 @@ from qsct.linalg import (
     kron,
     matexp_i,
     partial_trace,
+    partial_trace_pure,
     purity,
     realign,
     realign_inverse,
@@ -274,3 +275,24 @@ def test_bipartition_check():
     Bipartition(2, 3).check(6)
     with pytest.raises(ValueError):
         Bipartition(2, 3).check(5)
+
+
+def test_partial_trace_pure_matches_density_route():
+    rng = np.random.default_rng(31)
+    for dims, keep in (([2, 3, 2], [0, 2]), ([3, 3, 3], [1]), ([2, 2, 2, 2], [3, 0]),
+                       ([4, 2], [0, 1]), ([2, 4, 3], [2])):
+        psi = rng.normal(size=int(np.prod(dims))) + 1j * rng.normal(size=int(np.prod(dims)))
+        psi /= np.linalg.norm(psi)
+        expect = partial_trace(np.outer(psi, psi.conj()), dims, keep)
+        assert np.max(np.abs(partial_trace_pure(psi, dims, keep) - expect)) <= 1e-15
+
+
+def test_partial_trace_pure_rejects_bad_input():
+    psi = np.zeros(8, dtype=complex)
+    psi[0] = 1.0
+    with pytest.raises(ValueError):
+        partial_trace_pure(psi, [2, 2], keep=[0])
+    with pytest.raises(ValueError):
+        partial_trace_pure(psi, [2, 2, 2], keep=[3])
+    with pytest.raises(ValueError):
+        partial_trace_pure(np.outer(psi, psi), [2, 2, 2], keep=[0])

@@ -277,3 +277,33 @@ def test_average_fidelity_comparison_table():
     # the two columns genuinely disagree; both are reported
     for row in rows:
         assert abs(row["trace_formula"] - row["closed_profile"]) > 0.1
+
+
+@pytest.mark.parametrize("noise", [
+    None,
+    NoiseSpec(kind="phase_damping", topology="interleaved", p=0.6),
+    NoiseSpec(kind="phase_damping", topology="local_after", p=0.6),
+])
+@pytest.mark.parametrize("t_total", [None, 2.0])
+def test_one_register_eigh_per_experiment(monkeypatch, noise, t_total):
+    import qsct.protocol
+
+    cfg = _config(d=2, n=3, steps=4, bipartition="endpoints", noise=noise, t_total=t_total)
+    eigh, find = np.linalg.eigh, qsct.protocol.find_pst_time
+    register_eighs, searches = [], []
+
+    def counting_eigh(a, *args, **kwargs):
+        if np.shape(a)[-1] == cfg.chain.dim:
+            register_eighs.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    def counting_find(*args, **kwargs):
+        searches.append(args)
+        return find(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(qsct.protocol, "find_pst_time", counting_find)
+    records, reference = run_experiment(cfg)
+    assert len(register_eighs) == 1
+    assert len(searches) == (1 if t_total is None else 0)
+    assert (reference is None) == (noise is None)
