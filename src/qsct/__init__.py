@@ -2,14 +2,10 @@
 
 from .chain import (
     ChainSpec,
-    QuantumState,
     build_hamiltonian,
     commutator_defect,
     default_couplings,
-    embed_pair,
-    excitation_transfer_amplitude,
     find_pst_time,
-    propagator,
 )
 from .channels import (
     KrausChannel,
@@ -40,7 +36,6 @@ from .generators import GeneratorSet, beta, eta, generator_set, projector, theta
 from .linalg import (
     Bipartition,
     kron,
-    matexp_i,
     partial_trace,
     purity,
     realign,

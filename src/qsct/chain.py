@@ -15,13 +15,13 @@ factor: basis index = sum_s value_s * d^(N - s).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
 
 from .generators import beta, theta
-from .linalg import embed_operator, hermitian_defect, matexp_i
+from .linalg import embed_operator
 
 MAX_DIM = 4096
 
@@ -49,6 +49,8 @@ class ChainSpec:
             self.couplings = np.asarray(self.couplings, dtype=float)
             if self.couplings.shape != (self.n - 1,):
                 raise ValueError(f"need {self.n - 1} couplings, got {self.couplings.shape}")
+            if not np.all(np.isfinite(self.couplings)):
+                raise ValueError(f"couplings must be finite, got {self.couplings.tolist()}")
 
     @property
     def dim(self) -> int:
@@ -59,65 +61,12 @@ class ChainSpec:
         return (self.d,) * self.n
 
 
-@dataclass
-class QuantumState:
-    """State of the full register, either a ket or a density matrix."""
-
-    kind: str
-    dims: list[int]
-    data: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        dim = int(np.prod(self.dims))
-        self.data = np.asarray(self.data, dtype=np.complex128)
-        if self.kind == "pure":
-            if self.data.shape != (dim,):
-                raise ValueError(f"ket shape {self.data.shape} does not match dims {self.dims}")
-            norm = float(np.linalg.norm(self.data))
-            if abs(norm - 1.0) > 1e-10:
-                raise ValueError(f"ket norm deviates from 1 by {abs(norm - 1.0):.3e}")
-        elif self.kind == "mixed":
-            if self.data.shape != (dim, dim):
-                raise ValueError(f"operator shape {self.data.shape} does not match dims {self.dims}")
-            if hermitian_defect(self.data) > 1e-10:
-                raise ValueError("density matrix is not Hermitian")
-            tr = np.trace(self.data).real
-            if abs(tr - 1.0) > 1e-8:
-                raise ValueError(f"density matrix trace deviates from 1 by {abs(tr - 1.0):.3e}")
-        else:
-            raise ValueError(f"unknown state kind {self.kind!r}")
-
-    @classmethod
-    def pure(cls, vector: np.ndarray, dims: list[int]) -> "QuantumState":
-        return cls(kind="pure", dims=list(dims), data=vector)
-
-    @classmethod
-    def density(cls, matrix: np.ndarray, dims: list[int]) -> "QuantumState":
-        return cls(kind="mixed", dims=list(dims), data=matrix)
-
-    def to_density(self) -> np.ndarray:
-        if self.kind == "pure":
-            return np.outer(self.data, self.data.conj())
-        return self.data
-
-
 def default_couplings(n: int) -> np.ndarray:
     """Engineered profile J_i = sqrt(i (n - i)) / 2, i = 1..n-1."""
     if n < 2:
         raise ValueError("chain needs at least 2 sites")
     i = np.arange(1, n, dtype=float)
     return np.sqrt(i * (n - i)) / 2.0
-
-
-def embed_pair(op_left: np.ndarray, op_right: np.ndarray, site: int, spec: ChainSpec) -> np.ndarray:
-    """Place a two-site operator on sites (site, site+1), 1-based, identity elsewhere."""
-    if not (1 <= site <= spec.n - 1):
-        raise ValueError(f"bond site must lie in 1..{spec.n - 1}, got {site}")
-    d = spec.d
-    if op_left.shape != (d, d) or op_right.shape != (d, d):
-        raise ValueError("pair operators must match the local dimension")
-    factors = [np.eye(d ** (site - 1)), np.kron(op_left, op_right), np.eye(d ** (spec.n - site - 1))]
-    return reduce(np.kron, factors)
 
 
 def _bond_term(d: int) -> np.ndarray:
@@ -161,11 +110,6 @@ def commutator_defect(spec: ChainSpec) -> list[float]:
         comm = h @ counter - counter @ h
         out.append(float(np.linalg.norm(comm)))
     return out
-
-
-def propagator(h: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i t H) of a Hermitian Hamiltonian."""
-    return matexp_i(h, t)
 
 
 def basis_index(values: list[int], d: int) -> int:
@@ -255,14 +199,6 @@ class _TransferAmplitudes:
 
     def worst_level(self, t: np.ndarray | float) -> np.ndarray:
         return self.amplitudes(t).min(axis=0)
-
-
-def excitation_transfer_amplitude(spec: ChainSpec, t: float, level: int = 1) -> float:
-    """|<e_N| exp(-i t H) |e_1>| for one excitation level."""
-    if not (1 <= level <= spec.d - 1):
-        raise ValueError(f"level must lie in 1..{spec.d - 1}, got {level}")
-    amp = _TransferAmplitudes(spec).amplitudes(float(t))
-    return float(amp[level - 1])
 
 
 def find_pst_time(

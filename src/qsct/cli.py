@@ -20,7 +20,9 @@ import hashlib
 import json
 import math
 import os
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -261,14 +263,18 @@ print("wrote transfer.png")
 
 
 def _run_one(config: ExperimentConfig, out_dir: Path, plot_script: bool = False) -> list[str]:
-    """Execute one experiment and write its CSV outputs. Returns the file names."""
-    out_dir.mkdir(parents=True, exist_ok=True)
+    """Execute one experiment and write its CSV outputs. Returns the file names.
+
+    Both record sets are checked before either file is written.
+    """
     records, reference = run_experiment(config)
     _check_finite(records)
+    if reference is not None:
+        _check_finite(reference)
+    out_dir.mkdir(parents=True, exist_ok=True)
     names = ["results.csv"]
     _atomic_write(out_dir / "results.csv", _records_csv(records))
     if reference is not None:
-        _check_finite(reference)
         _atomic_write(out_dir / "reference.csv", _records_csv(reference))
         names.append("reference.csv")
     if plot_script:
@@ -305,11 +311,13 @@ def _cmd_run(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
 
-    if isinstance(raw, list):
-        dirs = [out_dir / f"point-{i:03d}" for i in range(len(configs))]
-    else:
-        dirs = [out_dir]
-
+    # A sweep runs its points in a staging directory inside --out and moves
+    # their files into point-NNN/ only after every point has succeeded, so a
+    # failing point leaves no partial output behind.
+    sweep = isinstance(raw, list)
+    points = [f"point-{i:03d}" for i in range(len(configs))] if sweep else [""]
+    stage = Path(tempfile.mkdtemp(prefix=".sweep-", dir=out_dir)) if sweep else out_dir
+    dirs = [stage / point for point in points]
     want_plot = [args.plot_script] * len(configs)
     try:
         if args.jobs > 1 and len(configs) > 1:
@@ -317,17 +325,20 @@ def _cmd_run(args) -> int:
                 names = list(pool.map(_run_one, configs, dirs, want_plot))
         else:
             names = [_run_one(c, d, w) for c, d, w in zip(configs, dirs, want_plot)]
-    except np.linalg.LinAlgError as exc:
+        if sweep:
+            for point, files in zip(points, names):
+                (out_dir / point).mkdir(exist_ok=True)
+                for name in files:
+                    os.replace(stage / point / name, out_dir / point / name)
+    except (np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except FloatingPointError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
+    finally:
+        if sweep:
+            shutil.rmtree(stage, ignore_errors=True)
 
-    output_paths = []
-    for d, files in zip(dirs, names):
-        for name in files:
-            output_paths.append(str((d / name).relative_to(out_dir)))
+    output_paths = [str(Path(point) / name)
+                    for point, files in zip(points, names) for name in files]
     manifest = {
         "tool_version": __version__,
         "config_digest": config_digest(raw),

@@ -69,9 +69,14 @@ def _pair_sum(x: np.ndarray) -> float:
     return float(x[:-1] @ tail[1:])
 
 
-def _concurrence_from_schmidt(s: np.ndarray) -> float:
+def _schmidt_weights(s: np.ndarray) -> np.ndarray:
+    """Eigenvalues q = s^2 of rho_A, renormalized to sum to 1."""
     q = s * s
     q /= q.sum()
+    return q
+
+
+def _concurrence_from_weights(q: np.ndarray) -> float:
     # With sum(q) == 1, 2 (1 - sum q^2) == 4 sum_{i<j} q_i q_j.  The cross-term
     # sum is all-positive, so near-product states keep their ~1e-8 tail instead
     # of losing it to cancellation against 1.
@@ -84,7 +89,13 @@ def concurrence_pure(psi: np.ndarray, part: Bipartition) -> float:
     Evaluated through the Schmidt coefficients of the reshaped ket, which is
     exact at product states where the purity route amplifies roundoff.
     """
-    return _concurrence_from_schmidt(_schmidt_coefficients(psi, part))
+    return _concurrence_from_weights(_schmidt_weights(_schmidt_coefficients(psi, part)))
+
+
+def concurrence_and_purity(psi: np.ndarray, part: Bipartition) -> tuple[float, float]:
+    """(concurrence_pure, tr rho_A^2) of a normalized ket from one Schmidt SVD."""
+    q = _schmidt_weights(_schmidt_coefficients(psi, part))
+    return _concurrence_from_weights(q), float(q @ q)
 
 
 def schmidt_measures(psi: np.ndarray, part: Bipartition) -> tuple[float, float, float]:
@@ -101,7 +112,7 @@ def schmidt_measures(psi: np.ndarray, part: Bipartition) -> tuple[float, float, 
     total = float(s.sum())
     lhs = 2.0 * _pair_sum(s) + trace_norm(np.diag(q) - np.outer(q, q))
     gap = max(0.0, 1.0 - float(q @ q))
-    return total * total, lhs - gap, _concurrence_from_schmidt(s)
+    return total * total, lhs - gap, _concurrence_from_weights(_schmidt_weights(s))
 
 
 def mixedness_indicator(rho: np.ndarray, part: Bipartition) -> float:
@@ -164,22 +175,15 @@ def _check_amplitudes(*amps: float) -> None:
 
 def closed_form_l2_d2(alpha: float, beta: float, a):
     """Two-site, two-level transfer profile
-    (1/4) (4 a^4 + 3 b^4 + 8 a^2 b^2 cos 2a + b^4 cos 4a); broadcasts over a."""
-    _check_amplitudes(alpha, beta)
-    a = np.asarray(a, dtype=float)
-    a2, b2 = alpha * alpha, beta * beta
-    out = 0.25 * (
-        4.0 * a2 * a2
-        + 3.0 * b2 * b2
-        + 8.0 * a2 * b2 * np.cos(2.0 * a)
-        + b2 * b2 * np.cos(4.0 * a)
-    )
-    return out if out.ndim else float(out)
+    (1/4) (4 a^4 + 3 b^4 + 8 a^2 b^2 cos 2a + b^4 cos 4a): the three-level
+    profile with no weight on the second excited level."""
+    return closed_form_l2_d3(alpha, beta, 0.0, a)
 
 
 def closed_form_l2_d3(alpha: float, beta: float, gamma: float, a):
-    """Two-site, three-level transfer profile; the excited weight b^2 + g^2
-    plays the role the single excited level plays for d = 2."""
+    """Two-site transfer profile in the excited weight w = b^2 + g^2,
+    (1/4) (4 a^4 + 3 w^2 + 8 a^2 w cos 2a + w^2 cos 4a); broadcasts over a.
+    gamma = 0 gives the two-level profile."""
     _check_amplitudes(alpha, beta, gamma)
     a = np.asarray(a, dtype=float)
     a2 = alpha * alpha

@@ -2,8 +2,9 @@
 
 Everything works on plain numpy arrays (complex128, row-major, dense). The
 operating envelope is full-register dimensions up to a few thousand, where
-LAPACK through numpy is the only backend worth having. Matrix exponentials
-go through Hermitian eigendecomposition only; there is no series fallback.
+LAPACK through numpy is the only backend worth having. There are no matrix
+exponentials here: chain evolution is a phase rotation in the eigenbasis of
+the chain Hamiltonian, which `qsct.chain.Spectrum` owns.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-HERMITIAN_TOL = 1e-12
 TRACE_TOL = 1e-8
 
 
@@ -29,10 +29,6 @@ class Bipartition(NamedTuple):
             raise ValueError(
                 f"bipartition {self.dim_a}x{self.dim_b} does not factor dimension {dim}"
             )
-
-
-def as_complex(a: np.ndarray) -> np.ndarray:
-    return np.asarray(a, dtype=np.complex128)
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
@@ -158,20 +154,6 @@ def embed_operator(op: np.ndarray, site: int, dims: Sequence[int]) -> np.ndarray
     left = int(np.prod(dims[:site])) if site else 1
     right = int(np.prod(dims[site + 1:])) if site + 1 < len(dims) else 1
     return np.kron(np.kron(np.eye(left), op), np.eye(right))
-
-
-def matexp_i(h: np.ndarray, s: float) -> np.ndarray:
-    """exp(-i * s * h) for Hermitian h, via eigendecomposition.
-
-    Rejects non-Hermitian input instead of symmetrizing it.
-    """
-    h = np.asarray(h)
-    defect = hermitian_defect(h)
-    if defect > HERMITIAN_TOL:
-        raise ValueError(f"matrix is not Hermitian (defect {defect:.3e})")
-    w, v = np.linalg.eigh(h)
-    phases = np.exp(-1j * s * w)
-    return (v * phases) @ v.conj().T
 
 
 def purity(rho: np.ndarray) -> float:

@@ -6,18 +6,25 @@ import pytest
 
 from qsct.chain import (
     ChainSpec,
-    QuantumState,
     Spectrum,
+    _TransferAmplitudes,
     basis_index,
     build_hamiltonian,
     commutator_defect,
     default_couplings,
-    embed_pair,
     excitation_index,
-    excitation_transfer_amplitude,
     find_pst_time,
-    propagator,
 )
+
+
+def _complex_propagator(h, t):
+    """exp(-i t H) from a complex eigh of H: an oracle that shares nothing with Spectrum."""
+    w, v = np.linalg.eigh(h)
+    return (v * np.exp(-1j * t * w)) @ v.conj().T
+
+
+def _transfer_amplitude(spec, t, level):
+    return float(_TransferAmplitudes(spec).amplitudes(t)[level - 1])
 
 
 def test_default_couplings_n2():
@@ -53,27 +60,6 @@ def test_chain_spec_validation():
         ChainSpec(d=2, n=2, couplings=[0.5, 0.5])
     with pytest.raises(ValueError):
         ChainSpec(d=4, n=7)  # 16384 > dimension cap
-
-
-def test_embed_pair_placement():
-    a = np.array([[0, 1], [1, 0]], dtype=complex)
-    b = np.diag([1.0, -1.0]).astype(complex)
-    two = ChainSpec(d=2, n=2)
-    assert np.array_equal(embed_pair(a, b, 1, two), np.kron(a, b))
-    three = ChainSpec(d=2, n=3)
-    assert np.array_equal(embed_pair(a, b, 2, three), np.kron(np.eye(2), np.kron(a, b)))
-    with pytest.raises(ValueError):
-        embed_pair(a, b, 3, three)
-    with pytest.raises(ValueError):
-        embed_pair(np.eye(3), b, 1, three)
-
-
-def test_embed_pair_preserves_hermiticity():
-    rng = np.random.default_rng(6)
-    m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    h = m + m.conj().T
-    out = embed_pair(h, h, 1, ChainSpec(d=2, n=3))
-    assert np.max(np.abs(out - out.conj().T)) < 1e-15
 
 
 def test_hamiltonian_d2_n2_entries():
@@ -138,20 +124,54 @@ def test_vacuum_annihilated():
 
 
 def test_propagator_identity_at_zero():
-    h = build_hamiltonian(ChainSpec(d=2, n=3))
-    assert np.allclose(propagator(h, 0.0), np.eye(8), atol=1e-14)
+    spectrum = Spectrum(ChainSpec(d=2, n=3))
+    assert np.allclose(spectrum.unitary(0.0), np.eye(8), atol=1e-14)
+    psi = np.arange(8) / np.linalg.norm(np.arange(8))
+    assert np.array_equal(spectrum.evolve(psi, 0.0), psi)
 
 
 def test_propagator_semigroup():
-    h = build_hamiltonian(ChainSpec(d=3, n=2))
-    u = propagator(h, 0.4) @ propagator(h, 0.9)
-    assert np.allclose(u, propagator(h, 1.3), atol=1e-12)
+    spectrum = Spectrum(ChainSpec(d=3, n=2))
+    u = spectrum.unitary(0.4) @ spectrum.unitary(0.9)
+    assert np.allclose(u, spectrum.unitary(1.3), atol=1e-12)
+    psi = np.eye(9)[5]
+    step = spectrum.evolve(spectrum.evolve(psi, 0.4), 0.9)
+    assert np.allclose(step, spectrum.evolve(psi, 1.3), atol=1e-12)
 
 
 def test_propagator_full_swap_at_pi():
-    h = build_hamiltonian(ChainSpec(d=2, n=2))
-    u = propagator(h, math.pi)
+    spectrum = Spectrum(ChainSpec(d=2, n=2))
+    u = spectrum.unitary(math.pi)
     assert abs(u[1, 2]) == pytest.approx(1.0, abs=1e-12)  # |10> -> |01| amplitude
+    assert abs(spectrum.evolve(np.eye(4)[2], math.pi)[1]) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_spectrum_unitary_zero_couplings():
+    spectrum = Spectrum(ChainSpec(d=3, n=2, couplings=[0.0]))
+    assert np.allclose(spectrum.unitary(1.7), np.eye(9), atol=1e-15)
+
+
+def test_spectrum_unitary_two_site_closed_form():
+    # on span{|01>, |10>} H = sigma_x / 2; |00> and |11> are annihilated
+    spectrum = Spectrum(ChainSpec(d=2, n=2))
+    for t in (0.3, 1.1, math.pi, 4.0):
+        c, s = math.cos(t / 2.0), math.sin(t / 2.0)
+        expect = np.array([[1, 0, 0, 0], [0, c, -1j * s, 0],
+                           [0, -1j * s, c, 0], [0, 0, 0, 1]])
+        assert np.max(np.abs(spectrum.unitary(t) - expect)) <= 1e-14
+
+
+def test_spectrum_unitary_group_property():
+    spectrum = Spectrum(ChainSpec(d=3, n=3, couplings=[0.37, 1.9]))
+    u = spectrum.unitary(0.37) @ spectrum.unitary(-0.37)
+    assert np.allclose(u, np.eye(27), atol=1e-12)
+    assert np.allclose(spectrum.unitary(0.5).conj().T, spectrum.unitary(-0.5), atol=1e-12)
+
+
+def test_spectrum_unitary_is_unitary():
+    spectrum = Spectrum(ChainSpec(d=2, n=5, couplings=[0.3, 1.2, 0.8, 2.1]))
+    u = spectrum.unitary(2.3)
+    assert np.max(np.abs(u.conj().T @ u - np.eye(32))) < 1e-12
 
 
 def test_excitation_index():
@@ -167,19 +187,17 @@ def test_excitation_index():
 def test_transfer_amplitude_zero_at_t0():
     for n in (2, 3, 4):
         spec = ChainSpec(d=2, n=n)
-        assert excitation_transfer_amplitude(spec, 0.0, 1) < 1e-15
+        assert _transfer_amplitude(spec, 0.0, 1) < 1e-15
 
 
 def test_transfer_amplitude_qubit_at_pi():
     for n in (2, 3, 4, 5):
         spec = ChainSpec(d=2, n=n)
-        assert excitation_transfer_amplitude(spec, math.pi, 1) == pytest.approx(1.0, abs=1e-6)
+        assert _transfer_amplitude(spec, math.pi, 1) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_transfer_phase_pattern():
     # end-to-end amplitude at t=pi carries phase (-i)^(N-1), same for every level
-    from qsct.chain import _TransferAmplitudes
-
     for d, n in ((2, 2), (2, 3), (3, 4), (3, 5)):
         spec = ChainSpec(d=d, n=n)
         amp = _TransferAmplitudes(spec).complex_amplitudes(math.pi)
@@ -206,7 +224,7 @@ def test_find_pst_time_qutrit_levels():
     t_star, amplitude = find_pst_time(ChainSpec(d=3, n=4))
     assert amplitude >= 1.0 - 1e-6
     for level in (1, 2):
-        assert excitation_transfer_amplitude(ChainSpec(d=3, n=4), t_star, level) >= 1.0 - 1e-6
+        assert _transfer_amplitude(ChainSpec(d=3, n=4), t_star, level) >= 1.0 - 1e-6
 
 
 def test_find_pst_time_coarse_grid_still_returns():
@@ -221,29 +239,6 @@ def test_find_pst_time_rejects_bad_window():
             find_pst_time(ChainSpec(d=2, n=2), t_max=t_max)
 
 
-def test_quantum_state_validation():
-    ket = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
-    state = QuantumState.pure(ket, (2, 2))
-    assert state.kind == "pure"
-    with pytest.raises(ValueError):
-        QuantumState.pure(2.0 * ket, (2, 2))
-    with pytest.raises(ValueError):
-        QuantumState.pure(ket, (2, 3))
-    rho = np.outer(ket, ket.conj())
-    assert QuantumState.density(rho, (2, 2)).kind == "mixed"
-    with pytest.raises(ValueError):
-        QuantumState.density(2.0 * rho, (2, 2))
-    with pytest.raises(ValueError):
-        QuantumState.density(rho + 0.1j * np.eye(4), (2, 2))
-
-
-def test_quantum_state_to_density():
-    ket = np.zeros(4, dtype=complex)
-    ket[1] = 1.0
-    rho = QuantumState.pure(ket, (2, 2)).to_density().data
-    assert np.array_equal(rho, np.outer(ket, ket.conj()))
-
-
 def test_spectrum_evolution_matches_propagator():
     rng = np.random.default_rng(7)
     for d, n in ((2, 2), (2, 5), (3, 3), (4, 3)):
@@ -254,7 +249,7 @@ def test_spectrum_evolution_matches_propagator():
         psi /= np.linalg.norm(psi)
         assert np.array_equal(spectrum.evolve(psi, 0.0), psi)
         for t in (0.3, math.pi / 7, math.pi, 5.5):
-            u = propagator(h, t)
+            u = _complex_propagator(h, t)
             assert np.max(np.abs(spectrum.evolve(psi, t) - u @ psi)) <= 1e-12
             assert np.max(np.abs(spectrum.unitary(t) - u)) <= 1e-12
 

@@ -286,3 +286,39 @@ def test_pst_rejects_bad_tmax(capsys, tmax):
 def test_pst_overflowing_phases_exit_code(capsys):
     assert main(["pst", "--d", "2", "--nodes", "5", "--tmax", "1e308"]) == 3
     assert "nodes=5" in capsys.readouterr().err
+
+
+OVERFLOWING_CONFIG = dict(BASE_CONFIG, chain={"d": 2, "nodes": 3, "couplings": [1e308, 1e308]},
+                          input_amplitudes=[0.6, 0.8])
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_failing_sweep_leaves_no_partial_output(tmp_path, capsys, jobs):
+    out = tmp_path / "out"
+    cfg = _write_config(tmp_path, [BASE_CONFIG, OVERFLOWING_CONFIG])
+    assert main(["run", "--config", str(cfg), "--out", str(out), "--jobs", jobs]) == 3
+    assert "d=2, nodes=3" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+    # an earlier successful sweep in the same directory is left as it was
+    good = _write_config(tmp_path, [BASE_CONFIG, NOISY_CONFIG], name="good.json")
+    assert main(["run", "--config", str(good), "--out", str(out), "--jobs", jobs]) == 0
+    before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    assert main(["run", "--config", str(cfg), "--out", str(out), "--jobs", jobs]) == 3
+    after = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    assert after == before
+
+
+def test_non_finite_reference_writes_no_results(tmp_path, monkeypatch, capsys):
+    from qsct.protocol import run_experiment
+
+    def bad_reference(config):
+        records, reference = run_experiment(config)
+        reference[-1].ccnr = math.nan
+        return records, reference
+
+    monkeypatch.setattr("qsct.cli.run_experiment", bad_reference)
+    cfg = _write_config(tmp_path, NOISY_CONFIG)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    assert "non-finite value in step 8" in capsys.readouterr().err
+    assert list((tmp_path / "out").iterdir()) == []

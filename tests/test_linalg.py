@@ -4,7 +4,6 @@ import pytest
 from qsct.linalg import (
     Bipartition,
     kron,
-    matexp_i,
     partial_trace,
     partial_trace_pure,
     purity,
@@ -219,37 +218,6 @@ def test_partial_trace_rejects_bad_sites():
         partial_trace(np.eye(4) / 4, [2, 2], keep=[])
     with pytest.raises(ValueError):
         partial_trace(np.eye(6) / 6, [2, 2], keep=[0])
-
-
-def test_matexp_zero_hamiltonian():
-    assert np.allclose(matexp_i(np.zeros((3, 3)), 1.7), np.eye(3), atol=1e-15)
-
-
-def test_matexp_pauli_z_pi():
-    z = np.diag([1.0, -1.0]).astype(complex)
-    assert np.allclose(matexp_i(z, np.pi), np.diag([-1.0, -1.0]), atol=1e-14)
-
-
-def test_matexp_group_property():
-    rng = np.random.default_rng(4)
-    m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    h = m + m.conj().T
-    u = matexp_i(h, 0.37) @ matexp_i(h, -0.37)
-    assert np.allclose(u, np.eye(4), atol=1e-12)
-    assert np.allclose(matexp_i(h, 0.5).conj().T, matexp_i(h, -0.5), atol=1e-12)
-
-
-def test_matexp_unitarity():
-    rng = np.random.default_rng(8)
-    m = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-    h = m + m.conj().T
-    u = matexp_i(h, 2.3)
-    assert np.max(np.abs(u.conj().T @ u - np.eye(5))) < 1e-10
-
-
-def test_matexp_rejects_non_hermitian():
-    with pytest.raises(ValueError):
-        matexp_i(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
 
 
 def test_purity_values():

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from qsct.chain import ChainSpec
-from qsct.linalg import partial_trace
+from qsct.chain import ChainSpec, build_hamiltonian, find_pst_time
+from qsct.channels import average_fidelity, embed_channel, phase_damping
+from qsct.entanglement import concurrence_pure
+from qsct.linalg import Bipartition, partial_trace
 from qsct.protocol import (
     ConfigError,
     ExperimentConfig,
@@ -29,9 +31,8 @@ def _config(d=3, n=2, **kwargs):
 
 
 def test_initial_state_layout():
-    state = initial_state(_config(d=3, n=3))
-    assert state.kind == "pure"
-    ket = state.data
+    ket = initial_state(_config(d=3, n=3))
+    assert ket.shape == (27,)
     assert ket[0] == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-15)
     assert ket[9] == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-15)   # |100>
     assert ket[18] == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-15)  # |200>
@@ -66,6 +67,22 @@ def test_noise_spec_validation():
         NoiseSpec(kind="phase_damping", topology="interleaved", p=1.5)
     with pytest.raises(ConfigError, match="noise.pi"):
         NoiseSpec(kind="weyl", topology="interleaved")
+
+
+NON_FINITE_BUILDERS = {
+    "couplings": lambda bad: ChainSpec(d=3, n=3, couplings=[0.5, bad]),
+    "input_amplitudes": lambda bad: _config(input_amplitudes=np.array([1.0, 0.0, bad])),
+    "noise.pi": lambda bad: NoiseSpec(kind="weyl", topology="interleaved",
+                                      pi=[[1.0, 0.0, 0.0], [0.0, bad, 0.0], [0.0, 0.0, 0.0]]),
+    "t_total": lambda bad: _config(t_total=bad),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("field", list(NON_FINITE_BUILDERS))
+def test_library_rejects_non_finite_values(field, bad):
+    with pytest.raises(ValueError, match=field):
+        NON_FINITE_BUILDERS[field](bad)
 
 
 def test_gamma_check_basics():
@@ -123,7 +140,7 @@ def test_record_bounds_invariant():
 
 def test_first_last_reduced_state_exact_at_t0():
     cfg = _config(d=2, n=4, bipartition="endpoints", steps=4)
-    ket = initial_state(cfg).data
+    ket = initial_state(cfg)
     rho = np.outer(ket, ket.conj())
     pair = partial_trace(rho, [2, 2, 2, 2], keep=[0, 3])
     ground = np.zeros((2, 2), dtype=complex)
@@ -265,6 +282,35 @@ def test_conformance_closed_forms_disagree_with_both_quantities():
     report = conformance_closed_forms()
     for d in ("2", "3"):
         assert report["l2_summary"][d]["best"]["deviation"] > 0.01
+
+
+def test_conformance_columns_match_complex_eigh_oracle():
+    # independent route: complex eigh of H, and the purity from rho_A = M M^dagger
+    report = conformance_closed_forms()
+    oracle = {}
+    for d in (2, 3):
+        w, v = np.linalg.eigh(build_hamiltonian(ChainSpec(d=d, n=2)))
+        oracle[d] = (w, v)
+    for row in report["l2_rows"]:
+        d = row["d"]
+        w, v = oracle[d]
+        ket0 = np.kron(np.asarray(row["amplitudes"], dtype=complex), np.eye(d)[0])
+        for label, t in (("a=t", row["a"]), ("a=2t", row["a"] / 2.0)):
+            ket = v @ (np.exp(-1j * w * t) * (v.conj().T @ ket0))
+            m = ket.reshape(d, d)
+            rho_a = m @ m.conj().T
+            concurrence = concurrence_pure(ket, Bipartition(d, d))
+            assert abs(row[f"purity[{label}]"] - np.vdot(rho_a, rho_a).real) <= 1e-13
+            assert abs(row[f"concurrence[{label}]"] - concurrence) <= 1e-13
+
+
+def test_average_fidelity_table_matches_complex_eigh_oracle():
+    spec = ChainSpec(d=3, n=2)
+    w, v = np.linalg.eigh(build_hamiltonian(spec))
+    u = (v * np.exp(-1j * find_pst_time(spec)[0] * w)) @ v.conj().T
+    for row in average_fidelity_comparison():
+        channel = embed_channel(phase_damping(3, row["p"]), (0, 1), spec.dims)
+        assert abs(row["trace_formula"] - average_fidelity(u, channel)) <= 1e-13
 
 
 def test_average_fidelity_comparison_table():
