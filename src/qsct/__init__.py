@@ -9,16 +9,20 @@ from .chain import (
 )
 from .channels import (
     KrausChannel,
+    WeylTable,
     analytic_favg_2qutrit,
     apply_channel,
+    apply_weyl_table,
     average_fidelity,
     average_fidelity_monte_carlo,
     embed_channel,
     gate_x,
     gate_z,
     phase_damping,
+    phase_damping_table,
     root_of_unity,
     weyl_channel,
+    weyl_table,
 )
 from .entanglement import (
     EntanglementReport,

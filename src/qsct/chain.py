@@ -24,6 +24,8 @@ from .generators import beta, theta
 from .linalg import embed_operator
 
 MAX_DIM = 4096
+# largest phase error, in radians, that exp(-i E t) may carry: about |E t| eps
+PHASE_TOL = 1e-6
 
 
 @dataclass
@@ -149,6 +151,10 @@ class Spectrum:
     so a single real eigh diagonalises it and every evolution of an experiment
     is a phase rotation in this eigenbasis. Build one per experiment and pass
     it along; nothing caches it beyond that.
+
+    A phase exp(-i E t) is only known to about |E t| eps radians; every time
+    the spectrum evolves to, and every transfer-time search window, is
+    checked against PHASE_TOL (check_time).
     """
 
     def __init__(self, spec: ChainSpec):
@@ -156,8 +162,21 @@ class Spectrum:
         if np.any(h.imag):
             raise ValueError("chain Hamiltonian has a non-zero imaginary part")
         self.eigvals, self.eigvecs = np.linalg.eigh(h.real)
+        self._phase_error_rate = float(np.max(np.abs(self.eigvals))) * np.finfo(float).eps
+        self._chain = f"d={spec.d}, nodes={spec.n}, couplings={spec.couplings.tolist()}"
+
+    def check_time(self, t: float) -> None:
+        """Raise FloatingPointError naming the chain when the phases at time t
+        carry more than PHASE_TOL radians of rounding error (or overflow)."""
+        if not (self._phase_error_rate * abs(t) <= PHASE_TOL):
+            raise FloatingPointError(
+                f"transfer phases exp(-i E t) lose their precision at t = {t!r} "
+                f"(max|E| t eps = {self._phase_error_rate * abs(t):.3e} rad > {PHASE_TOL:g}) "
+                f"for the chain {self._chain}"
+            )
 
     def _phases(self, t: float) -> np.ndarray:
+        self.check_time(t)
         return np.exp(-1j * t * self.eigvals)
 
     def evolve(self, ket: np.ndarray, t: float) -> np.ndarray:
@@ -213,18 +232,17 @@ def find_pst_time(
     Coarse scan over [0, t_max] followed by golden-section refinement of the
     best bracket; ties resolve to the earliest time. Returns (t_star, amplitude).
     Pass the chain's spectrum when the caller already has one. Raises
-    FloatingPointError when the phases exp(-i lambda t) overflow on the window.
+    FloatingPointError when the phases exp(-i lambda t) lose their precision
+    on the window (Spectrum.check_time).
     """
     if not (0.0 < t_max < math.inf):
         raise ValueError("t_max must be positive and finite")
     if grid_points < 3:
         raise ValueError("grid needs at least 3 points")
+    if spectrum is None:
+        spectrum = Spectrum(spec)
+    spectrum.check_time(t_max)
     amps = _TransferAmplitudes(spec, spectrum)
-    if not math.isfinite(float(np.max(np.abs(amps.eigvals))) * t_max):
-        raise FloatingPointError(
-            f"transfer phases overflow on [0, {t_max!r}] for the chain d={spec.d}, "
-            f"nodes={spec.n}, couplings={spec.couplings.tolist()}"
-        )
     ts = np.linspace(0.0, t_max, grid_points)
     vals = amps.worst_level(ts)
     best = int(np.argmax(vals))
@@ -238,7 +256,12 @@ def find_pst_time(
 
 
 def _golden_max(f, lo: float, hi: float, tol: float) -> float:
-    """Golden-section maximization on a bracket; returns the midpoint at tol width."""
+    """Golden-section maximization on a bracket; returns the midpoint at tol width.
+
+    The width never goes below a few ulps of the bracket's end, where it
+    could no longer shrink.
+    """
+    tol = max(tol, 4.0 * math.ulp(max(abs(lo), abs(hi))))
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - inv_phi * (b - a)

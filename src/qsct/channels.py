@@ -1,13 +1,28 @@
-"""Qudit gates, Kraus channels, and average gate fidelity.
+"""Qudit gates, noise channels, and average gate fidelity.
 
 The shift and clock gates X|j> = |j+1 mod d>, Z = diag(1, w, ..., w^{d-1})
-with w = exp(2 pi i / d) satisfy Z X = w X Z. Phase damping uses binomially
-weighted clock powers
+with w = exp(2 pi i / d) satisfy Z X = w X Z. Both noise kinds are
+random-unitary channels over the Weyl operators Z^n X^m, given by a d x d
+probability table pi_{m,n}. Phase damping is the table whose only row is
+m = 0, holding binomially weighted clock powers
 
-    E_i = sqrt( C(d-1, i) ((1-p)/2)^i ((1+p)/2)^{d-1-i} ) Z^i,  i = 0..d-1,
+    pi_{0,i} = C(d-1, i) ((1-p)/2)^i ((1+p)/2)^{d-1-i},  i = 0..d-1,
 
-so p = 1 is the identity channel; a general probability table pi_{m,n} over
-Z^n X^m gives the random-unitary family these channels sit inside.
+so p = 1 is the identity channel.
+
+A channel exists here in two forms. `KrausChannel` lists its Kraus
+operators sqrt(pi_{m,n}) Z^n X^m; `embed_channel` takes their cross product
+over sites and `apply_channel` sums E rho E^dagger. The average-fidelity
+formula and its Monte Carlo estimator need that list. `WeylTable` holds the
+same channel as one Hadamard mask per shift row m that carries weight:
+
+    (Z^n X^m) rho (Z^n X^m)^dagger [a, b] = w^{n (a-b)} rho[a-m, b-m],
+    E(rho)[a, b] = sum_m M_m[a, b] rho[a-m, b-m],
+    M_m[a, b]    = sum_n pi_{m,n} w^{n (a-b)}.
+
+`apply_weyl_table` applies it site by site on the reshaped density tensor,
+one roll and one elementwise product per row and site, and builds no Kraus
+operator; experiment runs use this form.
 """
 
 from __future__ import annotations
@@ -68,19 +83,42 @@ class KrausChannel:
             raise ValueError(f"channel is not trace preserving (defect {self.tp_defect:.3e})")
 
 
-def phase_damping(d: int, p: float) -> KrausChannel:
-    """Binomially weighted clock-power channel; p = 1 is the identity."""
+def _damping_weights(d: int, p: float) -> list[float]:
+    """Binomial weights of the clock powers Z^0 .. Z^{d-1} in phase damping."""
     if d < 2:
         raise ValueError("d must be at least 2")
     if not (0.0 <= p <= 1.0):
         raise ValueError(f"p must lie in [0, 1], got {p}")
-    z = gate_z(d)
     lo, hi = (1.0 - p) / 2.0, (1.0 + p) / 2.0
-    kraus = []
-    for i in range(d):
-        weight = comb(d - 1, i) * lo**i * hi ** (d - 1 - i)
-        kraus.append(np.sqrt(weight) * np.linalg.matrix_power(z, i))
+    return [comb(d - 1, i) * lo**i * hi ** (d - 1 - i) for i in range(d)]
+
+
+def phase_damping(d: int, p: float) -> KrausChannel:
+    """Binomially weighted clock-power channel; p = 1 is the identity."""
+    z = gate_z(d)
+    kraus = [np.sqrt(weight) * np.linalg.matrix_power(z, i)
+             for i, weight in enumerate(_damping_weights(d, p))]
     return KrausChannel(dim=d, kraus=kraus, label=f"phase-damping(d={d}, p={p})")
+
+
+def check_probability_table(pi, name: str = "pi") -> np.ndarray:
+    """pi as a float array, or ValueError naming `name` unless it is a square
+    table (at least 2 x 2) of finite probabilities summing to 1."""
+    try:
+        pi = np.asarray(pi, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a square matrix of numbers") from None
+    if pi.ndim != 2 or pi.shape[0] != pi.shape[1]:
+        raise ValueError(f"{name} must be a square matrix, got shape {pi.shape}")
+    if pi.shape[0] < 2:
+        raise ValueError(f"{name} must be at least 2x2")
+    if not np.all(np.isfinite(pi)):
+        raise ValueError(f"{name} must hold finite probabilities")
+    if np.any(pi < -1e-15) or np.any(pi > 1.0 + 1e-15):
+        raise ValueError(f"{name} entries must be probabilities")
+    if abs(pi.sum() - 1.0) > 1e-12:
+        raise ValueError(f"{name} must sum to 1, got {float(pi.sum())!r}")
+    return pi
 
 
 def weyl_channel(pi: np.ndarray) -> KrausChannel:
@@ -89,16 +127,8 @@ def weyl_channel(pi: np.ndarray) -> KrausChannel:
     pi is a d x d probability table; row index m selects the shift power,
     column index n the clock power.
     """
-    pi = np.asarray(pi, dtype=float)
-    if pi.ndim != 2 or pi.shape[0] != pi.shape[1]:
-        raise ValueError("pi must be a square matrix")
+    pi = check_probability_table(pi)
     d = pi.shape[0]
-    if d < 2:
-        raise ValueError("d must be at least 2")
-    if np.any(pi < -1e-15) or np.any(pi > 1.0 + 1e-15):
-        raise ValueError("pi entries must be probabilities")
-    if abs(pi.sum() - 1.0) > 1e-12:
-        raise ValueError(f"pi must sum to 1, got {pi.sum()!r}")
     x, z = gate_x(d), gate_z(d)
     x_pows = [np.linalg.matrix_power(x, m) for m in range(d)]
     z_pows = [np.linalg.matrix_power(z, n) for n in range(d)]
@@ -140,6 +170,74 @@ def apply_channel(rho: np.ndarray, ch: KrausChannel) -> np.ndarray:
     out = np.zeros_like(rho, dtype=np.complex128)
     for e in ch.kraus:
         out += e @ rho @ e.conj().T
+    return out
+
+
+@dataclass(frozen=True)
+class WeylTable:
+    """A Weyl-operator channel on one d-level factor as (shift, mask) pairs.
+
+    `shifts` lists the rows m of pi with non-zero weight and `masks` the
+    matching d x d Hadamard masks M_m[a, b] = sum_n pi_{m,n} w^{n (a-b)}.
+    """
+
+    d: int
+    shifts: tuple[int, ...]
+    masks: tuple[np.ndarray, ...] = field(repr=False)
+
+
+def weyl_table(pi) -> WeylTable:
+    """The channel sum_{m,n} pi_{m,n} (Z^n X^m) . (Z^n X^m)^dagger as masks.
+
+    M_m depends on a - b only, through the DFT f_m[k] = sum_n pi_{m,n} w^{n k};
+    each mask is a read-only circulant view of 2d - 1 samples of f_m, so a
+    full-register table costs O(d) memory per row rather than O(d^2).
+    """
+    pi = np.maximum(check_probability_table(pi), 0.0)
+    d = pi.shape[0]
+    shifts = tuple(int(m) for m in np.flatnonzero(pi.any(axis=1)))
+    spectra = np.fft.ifft(pi[list(shifts)], axis=1, norm="forward")
+    wrap = (np.arange(2 * d - 1) - (d - 1)) % d
+    # window[a, j] = f[(a + j - (d - 1)) mod d], so window[a, d - 1 - b] = f[(a - b) mod d]
+    masks = tuple(np.lib.stride_tricks.sliding_window_view(f[wrap], d)[:, ::-1]
+                  for f in spectra)
+    return WeylTable(d=d, shifts=shifts, masks=masks)
+
+
+def phase_damping_table(d: int, p: float) -> WeylTable:
+    """phase_damping(d, p) as a Weyl table: one row, m = 0, of binomial weights."""
+    weights = _damping_weights(d, p)
+    pi = np.zeros((d, d))
+    pi[0] = weights
+    return weyl_table(pi)
+
+
+def apply_weyl_table(rho: np.ndarray, table: WeylTable, dims) -> np.ndarray:
+    """An independent copy of the table's channel on every factor of a register
+    with factor dimensions `dims` (pass the register dimension alone for one
+    register-wide channel).
+
+    Per factor and per shift m: roll that factor's row and column index of the
+    density tensor by m, multiply by the mask, and add. O(len(shifts) dim^2)
+    per factor, and no Kraus operator is built; agrees with
+    apply_channel(rho, embed_channel(weyl_channel(pi), range(len(dims)), dims)).
+    """
+    if any(size != table.d for size in dims):
+        raise ValueError(f"register factors {tuple(dims)} do not all match the channel's {table.d}")
+    dim = int(np.prod(dims))
+    rho = np.asarray(rho)
+    if rho.shape != (dim, dim):
+        raise ValueError(f"state shape {rho.shape} does not match register dimension {dim}")
+    d = table.d
+    out = rho
+    for s in range(len(dims)):
+        left = d**s
+        tensor = out.reshape(left, d, dim // (left * d), left, d, dim // (left * d))
+        acc = np.zeros(tensor.shape, dtype=np.complex128)
+        for m, mask in zip(table.shifts, table.masks):
+            shifted = np.roll(tensor, (m, m), axis=(1, 4)) if m else tensor
+            acc += shifted * mask[:, None, None, :, None]
+        out = acc.reshape(dim, dim)
     return out
 
 

@@ -154,7 +154,7 @@ def parse_config(obj) -> ExperimentConfig:
             p = _as_number(p, "noise.p")
         pi = noise_obj.get("pi")
         if pi is not None:
-            if not isinstance(pi, list):
+            if not isinstance(pi, list) or not all(isinstance(row, list) for row in pi):
                 raise _fail("noise.pi", "expected a nested list of reals")
             pi = [[_as_number(v, "noise.pi") for v in row] for row in pi]
         noise = NoiseSpec(kind=kind, topology=topology, p=p, pi=pi)

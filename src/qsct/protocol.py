@@ -3,8 +3,9 @@
 An experiment prepares (sum_i alpha_i |i>) (x) |0...0>, evolves it in equal
 time steps as phase rotations in the chain's eigenbasis (chain.Spectrum), and
 records entanglement and transfer figures after every step. Noisy variants
-act on the density matrix with a Kraus channel whose placement is one of
-three layouts:
+act on the density matrix with a Weyl-table channel (channels.WeylTable,
+applied by channels.apply_weyl_table; no Kraus operators are built) whose
+placement is one of three layouts:
 
     global_after  - one full-register channel after the complete evolution
                     (the single-qudit channel family taken at dimension d^N)
@@ -32,13 +33,15 @@ import numpy as np
 
 from .chain import ChainSpec, Spectrum, _TransferAmplitudes, find_pst_time
 from .channels import (
-    KrausChannel,
+    WeylTable,
     analytic_favg_2qutrit,
-    apply_channel,
+    apply_weyl_table,
     average_fidelity,
+    check_probability_table,
     embed_channel,
     phase_damping,
-    weyl_channel,
+    phase_damping_table,
+    weyl_table,
 )
 from .entanglement import (
     Bipartition,
@@ -82,9 +85,10 @@ class NoiseSpec:
         if self.kind == "weyl":
             if self.pi is None:
                 raise ConfigError("noise.pi is required for weyl noise")
-            self.pi = np.asarray(self.pi, dtype=float)
-            if not np.all(np.isfinite(self.pi)):
-                raise ConfigError("noise.pi must hold finite probabilities")
+            try:
+                self.pi = check_probability_table(self.pi, name="noise.pi")
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
 
 
 @dataclass
@@ -112,7 +116,7 @@ class ExperimentConfig:
             raise ConfigError(
                 f"input_amplitudes are not normalized (norm deviates by {abs(norm - 1.0):.3e})"
             )
-        if int(self.steps) != self.steps or self.steps < 1:
+        if isinstance(self.steps, bool) or int(self.steps) != self.steps or self.steps < 1:
             raise ConfigError(f"steps must be a positive integer, got {self.steps}")
         self.steps = int(self.steps)
         if self.t_total is not None and not (0.0 < float(self.t_total) < math.inf):
@@ -127,8 +131,17 @@ class ExperimentConfig:
             if not (1 <= cut <= n - 1):
                 raise ConfigError(f"bipartition cut must lie in 1..{n - 1}, got {cut}")
             self.bipartition = cut
-        if not (float(self.gamma_tolerance) > 0.0):
-            raise ConfigError(f"gamma_tolerance must be positive, got {self.gamma_tolerance}")
+        if not (0.0 < float(self.gamma_tolerance) < math.inf):
+            raise ConfigError(
+                f"gamma_tolerance must be positive and finite, got {self.gamma_tolerance}"
+            )
+        if self.noise is not None and self.noise.kind == "weyl":
+            size = self.chain.dim if self.noise.topology == "global_after" else d
+            if self.noise.pi.shape != (size, size):
+                raise ConfigError(
+                    f"noise.pi must be {size}x{size} for {self.noise.topology} weyl noise "
+                    f"on {n} sites of dimension {d}, got {self.noise.pi.shape}"
+                )
         self.seed = int(self.seed)
 
 
@@ -246,28 +259,14 @@ class _Runner:
         )
 
 
-def _noise_channel(config: ExperimentConfig) -> tuple[KrausChannel, str]:
-    """Build the configured channel; returns (channel, timing in {after, interleaved})."""
-    noise = config.noise
-    spec = config.chain
-    timing = "interleaved" if noise.topology == "interleaved" else "after"
+def _noise_channel(config: ExperimentConfig) -> tuple[WeylTable, tuple[int, ...]]:
+    """The configured noise as a Weyl table, and the register factors it acts
+    on: every site, or for global_after the whole register as one factor."""
+    noise, spec = config.noise, config.chain
+    dims = (spec.dim,) if noise.topology == "global_after" else spec.dims
     if noise.kind == "phase_damping":
-        if noise.topology == "global_after":
-            return phase_damping(spec.dim, float(noise.p)), timing
-        local = phase_damping(spec.d, float(noise.p))
-        return embed_channel(local, list(range(spec.n)), spec.dims), timing
-    # weyl
-    pi = noise.pi
-    if noise.topology == "global_after":
-        if pi.shape != (spec.dim, spec.dim):
-            raise ConfigError(
-                f"noise.pi must be {spec.dim}x{spec.dim} for global_after weyl noise, got {pi.shape}"
-            )
-        return weyl_channel(pi), timing
-    if pi.shape != (spec.d, spec.d):
-        raise ConfigError(f"noise.pi must be {spec.d}x{spec.d}, got {pi.shape}")
-    local = weyl_channel(pi)
-    return embed_channel(local, list(range(spec.n)), spec.dims), timing
+        return phase_damping_table(dims[0], float(noise.p)), dims
+    return weyl_table(noise.pi), dims
 
 
 def strip_noise(config: ExperimentConfig) -> ExperimentConfig:
@@ -321,16 +320,16 @@ def run_noisy(
     if len(reference) != config.steps + 1:
         raise ValueError("reference profile does not match the step count")
     runner = _Runner(config, spectrum)
-    channel, timing = _noise_channel(config)
-    first = 1 if timing == "interleaved" else config.steps
+    table, dims = _noise_channel(config)
+    first = 1 if config.noise.topology == "interleaved" else config.steps
     records = [runner.measure_ket(k, runner.ket(k)) for k in range(first)]
     ket = runner.ket(first)
-    rho = apply_channel(np.outer(ket, ket.conj()), channel)
+    rho = apply_weyl_table(np.outer(ket, ket.conj()), table, dims)
     records.append(runner.measure_rho(first, rho))
     if first < config.steps:
         u_step = spectrum.unitary(runner.dt)
         for k in range(first + 1, config.steps + 1):
-            rho = apply_channel(u_step @ rho @ u_step.conj().T, channel)
+            rho = apply_weyl_table(u_step @ rho @ u_step.conj().T, table, dims)
             records.append(runner.measure_rho(k, rho))
     flags = gamma_check(
         [r.concurrence for r in records],

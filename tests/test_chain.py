@@ -282,3 +282,34 @@ def test_find_pst_time_overflowing_phases_name_the_chain():
         find_pst_time(spec)
     with pytest.raises(FloatingPointError, match="nodes=5"):
         find_pst_time(ChainSpec(d=2, n=5), t_max=1e308)
+
+
+def test_spectrum_refuses_phases_without_precision():
+    # |E t| ~ 1.4e308 leaves the phase exp(-i E t) undetermined by ~1e292 rad
+    spectrum = Spectrum(ChainSpec(d=2, n=3, couplings=[1e308, 1e308]))
+    ket = np.zeros(8, dtype=complex)
+    ket[4] = 1.0
+    for call in (lambda: spectrum.evolve(ket, 0.5), lambda: spectrum.unitary(0.5)):
+        with pytest.raises(FloatingPointError, match=r"d=2, nodes=3, couplings=\[1e\+308"):
+            call()
+    assert np.array_equal(spectrum.evolve(ket, 0.0), ket)
+
+
+def test_spectrum_phase_precision_threshold():
+    # the phase error |E t| eps may reach 1e-6 rad at the largest |E|
+    spectrum = Spectrum(ChainSpec(d=2, n=5))
+    limit = 1e-6 / (float(np.max(np.abs(spectrum.eigvals))) * np.finfo(float).eps)
+    spectrum.check_time(0.99 * limit)
+    spectrum.check_time(-0.99 * limit)
+    with pytest.raises(FloatingPointError, match="nodes=5"):
+        spectrum.check_time(1.01 * limit)
+    with pytest.raises(FloatingPointError, match="nodes=5"):
+        find_pst_time(ChainSpec(d=2, n=5), t_max=1.01 * limit)
+
+
+def test_find_pst_time_ends_on_a_wide_window():
+    # the golden-section bracket cannot shrink below the ulp of t ~ 1e6,
+    # which is above the default tol of 1e-10
+    t_star, amp = find_pst_time(ChainSpec(d=2, n=2), t_max=1e6)
+    assert 0.0 < t_star <= 1e6
+    assert amp == pytest.approx(1.0, abs=1e-6)

@@ -7,6 +7,7 @@ from qsct.channels import (
     KrausChannel,
     analytic_favg_2qutrit,
     apply_channel,
+    apply_weyl_table,
     average_fidelity,
     average_fidelity_monte_carlo,
     embed_channel,
@@ -14,8 +15,10 @@ from qsct.channels import (
     gate_z,
     haar_random_kets,
     phase_damping,
+    phase_damping_table,
     root_of_unity,
     weyl_channel,
+    weyl_table,
 )
 from qsct.linalg import partial_trace
 
@@ -246,3 +249,75 @@ def test_monte_carlo_deterministic_per_seed():
     a = average_fidelity_monte_carlo(u, ch, samples=500, seed=42)
     b = average_fidelity_monte_carlo(u, ch, samples=500, seed=42)
     assert a == b
+
+
+# ---------------------------------------------------------------------------
+# Weyl tables against the Kraus sum
+# ---------------------------------------------------------------------------
+
+STRUCTURED_SIZES = [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (4, 2)]
+
+
+def _random_density(dim, rng):
+    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = m @ m.conj().T
+    return rho / np.trace(rho).real
+
+
+def _tables(size, rng):
+    """Named probability tables on one factor of dimension `size`."""
+    full = rng.random((size, size))
+    sparse = rng.random((size, size))
+    sparse[1:size - 1] = 0.0            # only the first and last shift rows carry weight
+    shifted = np.zeros((size, size))
+    shifted[size - 1, 1] = 1.0          # all weight on one shift, m != 0
+    return {"full": full / full.sum(), "zero-rows": sparse / sparse.sum(), "shift": shifted}
+
+
+@pytest.mark.parametrize("d, n", STRUCTURED_SIZES)
+def test_weyl_table_matches_kraus_sum(d, n):
+    """Structured application against apply_channel(embed_channel(...)) for
+    phase damping (p = 0, 1 and between) and Weyl tables, on every site
+    (local topologies, also interleaved) and on the register as one factor
+    (global_after)."""
+    rng = np.random.default_rng(1000 * d + n)
+    dims, dim = (d,) * n, d**n
+    rho = _random_density(dim, rng)
+    sites = list(range(n))
+    cases = []
+    for p in (0.0, 0.37, 1.0):
+        cases.append((f"local p={p}", phase_damping_table(d, p),
+                      embed_channel(phase_damping(d, p), sites, dims), dims))
+        cases.append((f"global p={p}", phase_damping_table(dim, p), phase_damping(dim, p), (dim,)))
+    for name, pi in _tables(d, rng).items():
+        cases.append((f"local {name}", weyl_table(pi),
+                      embed_channel(weyl_channel(pi), sites, dims), dims))
+    for name, pi in _tables(dim, rng).items():
+        cases.append((f"global {name}", weyl_table(pi), weyl_channel(pi), (dim,)))
+    for label, table, kraus, factors in cases:
+        out = apply_weyl_table(rho, table, factors)
+        assert np.max(np.abs(out - apply_channel(rho, kraus))) <= 1e-13, label
+
+
+def test_weyl_table_keeps_only_weighted_rows():
+    table = phase_damping_table(3, 0.4)
+    assert table.shifts == (0,)
+    assert weyl_table(_tables(4, np.random.default_rng(0))["zero-rows"]).shifts == (0, 3)
+    assert np.array_equal(phase_damping_table(2, 1.0).masks[0], np.ones((2, 2)))
+
+
+def test_apply_weyl_table_rejects_mismatch():
+    table = phase_damping_table(2, 0.5)
+    with pytest.raises(ValueError):
+        apply_weyl_table(np.eye(8) / 8, phase_damping_table(3, 0.5), (2, 2, 2))
+    with pytest.raises(ValueError):
+        apply_weyl_table(np.eye(8) / 8, table, (2, 4))
+    with pytest.raises(ValueError):
+        apply_weyl_table(np.eye(4), table, (2, 2, 2))
+
+
+def test_weyl_table_rejects_bad_probabilities():
+    for bad in (np.full((2, 2), 0.5), [[1.2, -0.2], [0.0, 0.0]], [[1.0, 0.0]],
+                [[math.nan, 0.0], [0.0, 1.0]], [[1.0], [0.0, 0.0]]):
+        with pytest.raises(ValueError, match="pi"):
+            weyl_table(bad)

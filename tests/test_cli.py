@@ -322,3 +322,32 @@ def test_non_finite_reference_writes_no_results(tmp_path, monkeypatch, capsys):
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
     assert "non-finite value in step 8" in capsys.readouterr().err
     assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_run_refuses_lost_phase_precision(tmp_path, capsys):
+    # finite but meaningless phases: |E t| ~ 1e308 at t_total = 1
+    cfg = _write_config(tmp_path, dict(OVERFLOWING_CONFIG, t_total=1.0, steps=2))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert "lose their precision" in err and "d=2, nodes=3" in err
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+@pytest.mark.parametrize("pi, match", [
+    ([[0.5, 0.5], [0.5, 0.5]], "sum to 1"),
+    ([[1.5, -0.5], [0.0, 0.0]], "probabilities"),
+    ([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]], "2x2"),
+    ([1.0, 0.0], "nested list"),
+    ([[1.0], [0.0, 0.0]], "square"),
+])
+def test_run_refuses_bad_weyl_table_before_evolving(tmp_path, capsys, monkeypatch, pi, match):
+    def no_run(config):
+        raise AssertionError("evolution started")
+
+    monkeypatch.setattr("qsct.cli.run_experiment", no_run)
+    config = dict(OVERFLOWING_CONFIG, chain={"d": 2, "nodes": 3},
+                  noise={"kind": "weyl", "topology": "local_after", "pi": pi})
+    cfg = _write_config(tmp_path, config)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "noise.pi" in err and match in err

@@ -1,16 +1,26 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from qsct.chain import ChainSpec, build_hamiltonian, find_pst_time
-from qsct.channels import average_fidelity, embed_channel, phase_damping
+from qsct.chain import ChainSpec, Spectrum, build_hamiltonian, find_pst_time
+from qsct.channels import (
+    KrausChannel,
+    apply_channel,
+    average_fidelity,
+    embed_channel,
+    phase_damping,
+    weyl_channel,
+)
 from qsct.entanglement import concurrence_pure
 from qsct.linalg import Bipartition, partial_trace
 from qsct.protocol import (
     ConfigError,
     ExperimentConfig,
     NoiseSpec,
+    _Runner,
     average_fidelity_comparison,
     conformance_closed_forms,
     gamma_check,
@@ -54,6 +64,31 @@ def test_config_validation_messages():
         _config(bipartition="ends")
     with pytest.raises(ConfigError, match="gamma_tolerance"):
         _config(gamma_tolerance=0.0)
+
+
+def test_config_rejects_bool_steps():
+    # int(True) == 1 would otherwise pass as one step, as the CLI refuses it
+    with pytest.raises(ConfigError, match="steps"):
+        _config(steps=True)
+
+
+def test_config_rejects_non_finite_gamma_tolerance():
+    # an infinite tolerance would make every gamma flag pass
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ConfigError, match="gamma_tolerance"):
+            _config(gamma_tolerance=bad)
+
+
+@pytest.mark.parametrize("pi, topology, match", [
+    ([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 0.0]], "interleaved", "sum to 1"),
+    ([[1.5, -0.5, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]], "local_after", "probabilities"),
+    ([[1.0, 0.0], [0.0, 0.0]], "local_after", "3x3"),
+    (np.eye(3) / 3.0, "global_after", "9x9"),
+    ([[1.0, 0.0, 0.0], [0.0, 0.0]], "interleaved", "square"),
+])
+def test_weyl_table_refused_when_the_config_is_built(pi, topology, match):
+    with pytest.raises(ConfigError, match=f"noise.pi.*{match}"):
+        _config(noise=NoiseSpec(kind="weyl", topology=topology, pi=pi))
 
 
 def test_noise_spec_validation():
@@ -212,9 +247,9 @@ def test_noisy_weyl_channel_runs():
 def test_weyl_global_shape_checked():
     pi = np.zeros((3, 3))
     pi[0, 0] = 1.0
-    cfg = _config(steps=2, noise=NoiseSpec(kind="weyl", topology="global_after", pi=pi))
+    # refused when the config is built, before any evolution
     with pytest.raises(ConfigError, match="noise.pi"):
-        run_noisy(cfg)
+        _config(steps=2, noise=NoiseSpec(kind="weyl", topology="global_after", pi=pi))
 
 
 def test_p_sweep_fidelity_monotone_after_topologies():
@@ -353,3 +388,93 @@ def test_one_register_eigh_per_experiment(monkeypatch, noise, t_total):
     assert len(register_eighs) == 1
     assert len(searches) == (1 if t_total is None else 0)
     assert (reference is None) == (noise is None)
+
+
+# ---------------------------------------------------------------------------
+# Structured channels on the run path against a Kraus-sum evolution
+# ---------------------------------------------------------------------------
+
+NOISE_CASES = [(kind, topology) for kind in ("phase_damping", "weyl")
+               for topology in ("global_after", "local_after", "interleaved")]
+
+
+def _noise(kind, topology, chain, rng):
+    if kind == "phase_damping":
+        return NoiseSpec(kind=kind, topology=topology, p=0.6)
+    size = chain.dim if topology == "global_after" else chain.d
+    pi = rng.random((size, size))
+    pi[0, 0] += size * size
+    return NoiseSpec(kind=kind, topology=topology, pi=pi / pi.sum())
+
+
+def _kraus_run(config):
+    """The noisy run with full-register Kraus operators: embed_channel builds
+    the cross product and apply_channel sums E rho E^dagger."""
+    spec, noise = config.chain, config.noise
+    if noise.kind == "phase_damping":
+        local = phase_damping(spec.dim if noise.topology == "global_after" else spec.d, noise.p)
+    else:
+        local = weyl_channel(noise.pi)
+    channel = (local if noise.topology == "global_after"
+               else embed_channel(local, list(range(spec.n)), spec.dims))
+    spectrum = Spectrum(spec)
+    runner = _Runner(config, spectrum)
+    first = 1 if noise.topology == "interleaved" else config.steps
+    records = [runner.measure_ket(k, runner.ket(k)) for k in range(first)]
+    ket = runner.ket(first)
+    rho = apply_channel(np.outer(ket, ket.conj()), channel)
+    records.append(runner.measure_rho(first, rho))
+    u = spectrum.unitary(runner.dt)
+    for k in range(first + 1, config.steps + 1):
+        rho = apply_channel(u @ rho @ u.conj().T, channel)
+        records.append(runner.measure_rho(k, rho))
+    return records
+
+
+@pytest.mark.parametrize("kind, topology", NOISE_CASES)
+def test_run_experiment_matches_kraus_evolution(kind, topology):
+    # t_total = 2 rather than pi: at the transfer time the endpoint pair is
+    # near a product state, where the concurrence and the margin take the
+    # square root of a ~1e-16 purity gap and amplify rounding to ~1e-8
+    # whichever way the channel is applied.
+    rng = np.random.default_rng(17)
+    for d, n, cut in ((3, 2, "endpoints"), (2, 4, 2), (2, 4, "endpoints")):
+        chain = ChainSpec(d=d, n=n)
+        cfg = _config(d=d, n=n, steps=6, t_total=2.0, bipartition=cut,
+                      noise=_noise(kind, topology, chain, rng))
+        records, _ = run_experiment(cfg)
+        oracle = _kraus_run(cfg)
+        assert len(records) == len(oracle)
+        for got, want in zip(records, oracle):
+            for f in dataclasses.fields(got):
+                if f.name != "gamma_ok":
+                    assert getattr(got, f.name) == pytest.approx(getattr(want, f.name), abs=1e-10), (
+                        d, n, cut, got.step, f.name)
+
+
+@pytest.mark.parametrize("kind, topology", NOISE_CASES)
+def test_run_experiment_builds_no_kraus_channel(monkeypatch, kind, topology):
+    built = []
+    monkeypatch.setattr(KrausChannel, "__post_init__", lambda self: built.append(self.label))
+    chain = ChainSpec(d=3, n=2)
+    cfg = _config(steps=4, noise=_noise(kind, topology, chain, np.random.default_rng(0)))
+    run_experiment(cfg)
+    assert built == []
+
+
+@pytest.mark.parametrize("kind, topology, n", [
+    ("phase_damping", "global_after", 8),
+    ("weyl", "local_after", 6),
+])
+def test_noisy_run_memory_stays_small(kind, topology, n):
+    # A Kraus list for these configs would hold ~270 MB of operators.
+    chain = ChainSpec(d=2, n=n)
+    cfg = _config(d=2, n=n, steps=2, t_total=1.0, bipartition="endpoints",
+                  noise=_noise(kind, topology, chain, np.random.default_rng(1)))
+    tracemalloc.start()
+    try:
+        run_experiment(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20, peak
