@@ -15,6 +15,7 @@ factor: basis index = sum_s value_s * d^(N - s).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import reduce
 
@@ -28,31 +29,90 @@ MAX_DIM = 4096
 PHASE_TOL = 1e-6
 
 
+class ConfigError(ValueError):
+    """Invalid configuration; the message begins with the offending field."""
+
+
+def _is_number_type(value_type: type, kind: type) -> bool:
+    """A Python or numpy type of the numbers ABC kind; bool is no number here."""
+    return issubclass(value_type, kind) and not issubclass(value_type, bool)
+
+
+def as_int(value, field: str, what: str = "an integer") -> int:
+    """value as an int; ConfigError naming field unless it is an integer."""
+    if not _is_number_type(type(value), numbers.Integral):
+        raise ConfigError(f"{field}: expected {what}, got {value!r}")
+    return int(value)
+
+
+def as_real(value, field: str) -> float:
+    """value as a float; ConfigError naming field unless it is one finite real."""
+    if not _is_number_type(type(value), numbers.Real):
+        raise ConfigError(f"{field}: expected a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:       # an integer beyond the double range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{field}: expected a finite number, got {value!r}")
+    return number
+
+
+def as_array(value, field: str, dtype=float, what: str = "a list of numbers") -> np.ndarray:
+    """value (a nested list or an array) as a float array, or complex for
+    dtype=complex; ConfigError naming field unless every entry is a finite
+    real (complex) number: no bool, no str, no ragged nesting."""
+    kind = numbers.Complex if dtype is complex else numbers.Real
+    if isinstance(value, np.ndarray) and value.dtype.kind in ("iufc" if dtype is complex else "iuf"):
+        items = value
+    else:
+        items = np.asarray(value, dtype=object)
+        if not all(_is_number_type(t, kind) for t in set(map(type, items.flat))):
+            bad = next(x for x in items.flat if not _is_number_type(type(x), kind))
+            raise ConfigError(f"{field}: expected {what}, got {bad!r}")
+    try:
+        array = items.astype(dtype, copy=False)
+    except OverflowError:       # an integer beyond the double range
+        array = np.array(math.inf)
+    if not np.isfinite(array).all():
+        bad = array[~np.isfinite(array)][0].item()
+        raise ConfigError(f"{field}: expected a finite number, got {bad!r}")
+    return array
+
+
 @dataclass
 class ChainSpec:
-    """Uniform local dimension d on n sites, plus n-1 nearest-neighbor couplings."""
+    """Uniform local dimension d on n sites, plus n-1 nearest-neighbor couplings.
+
+    Refuses (ConfigError, naming the JSON field: chain.d, chain.nodes or
+    chain.couplings) anything but integers d, n >= 2 with d**n <= MAX_DIM and
+    n-1 finite real couplings.
+    """
 
     d: int
     n: int
     couplings: np.ndarray | None = None
 
     def __post_init__(self) -> None:
+        self.d = as_int(self.d, "chain.d")
         if self.d < 2:
-            raise ValueError("local dimension must be at least 2")
+            raise ConfigError(f"chain.d: local dimension must be at least 2, got {self.d}")
+        self.n = as_int(self.n, "chain.nodes")
         if self.n < 2:
-            raise ValueError("chain needs at least 2 sites")
-        if self.d ** self.n > MAX_DIM:
-            raise ValueError(
-                f"register dimension {self.d ** self.n} exceeds the supported {MAX_DIM}"
+            raise ConfigError(f"chain.nodes: chain needs at least 2 sites, got {self.n}")
+        # d >= 2, so d**n is past MAX_DIM long before n reaches its bit length
+        if self.d ** min(self.n, MAX_DIM.bit_length()) > MAX_DIM:
+            raise ConfigError(
+                f"chain.nodes: register dimension {self.d}**{self.n} exceeds the supported {MAX_DIM}"
             )
         if self.couplings is None:
             self.couplings = default_couplings(self.n)
         else:
-            self.couplings = np.asarray(self.couplings, dtype=float)
+            self.couplings = as_array(self.couplings, "chain.couplings")
             if self.couplings.shape != (self.n - 1,):
-                raise ValueError(f"need {self.n - 1} couplings, got {self.couplings.shape}")
-            if not np.all(np.isfinite(self.couplings)):
-                raise ValueError(f"couplings must be finite, got {self.couplings.tolist()}")
+                raise ConfigError(
+                    f"chain.couplings: need {self.n - 1} couplings, got shape {self.couplings.shape}"
+                )
 
     @property
     def dim(self) -> int:

@@ -34,6 +34,7 @@ from math import comb
 
 import numpy as np
 
+from .chain import ConfigError, as_array
 from .linalg import embed_operator
 
 TP_TOL = 1e-12
@@ -102,22 +103,18 @@ def phase_damping(d: int, p: float) -> KrausChannel:
 
 
 def check_probability_table(pi, name: str = "pi") -> np.ndarray:
-    """pi as a float array, or ValueError naming `name` unless it is a square
-    table (at least 2 x 2) of finite probabilities summing to 1."""
-    try:
-        pi = np.asarray(pi, dtype=float)
-    except (TypeError, ValueError):
-        raise ValueError(f"{name} must be a square matrix of numbers") from None
+    """pi as a float array, or ConfigError (a ValueError) naming `name` unless
+    it is a square table (at least 2 x 2) of finite probabilities summing to 1."""
+    what = "a square nested list of numbers"
+    pi = as_array(pi, name, what=what)
     if pi.ndim != 2 or pi.shape[0] != pi.shape[1]:
-        raise ValueError(f"{name} must be a square matrix, got shape {pi.shape}")
+        raise ConfigError(f"{name}: expected {what}, got shape {pi.shape}")
     if pi.shape[0] < 2:
-        raise ValueError(f"{name} must be at least 2x2")
-    if not np.all(np.isfinite(pi)):
-        raise ValueError(f"{name} must hold finite probabilities")
+        raise ConfigError(f"{name}: must be at least 2x2")
     if np.any(pi < -1e-15) or np.any(pi > 1.0 + 1e-15):
-        raise ValueError(f"{name} entries must be probabilities")
+        raise ConfigError(f"{name}: entries must be probabilities")
     if abs(pi.sum() - 1.0) > 1e-12:
-        raise ValueError(f"{name} must sum to 1, got {float(pi.sum())!r}")
+        raise ConfigError(f"{name}: must sum to 1, got {float(pi.sum())!r}")
     return pi
 
 

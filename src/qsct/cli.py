@@ -7,6 +7,13 @@ Three subcommands:
   pst          print the transfer time and per-level amplitudes for a chain
   conformance  write the closed-form comparison report (csv + md)
 
+A config is checked in one place: parse_config only decodes the JSON (object
+sections, known and required keys, chain.nodes as ChainSpec.n, [re, im]
+amplitude pairs, QSCT_SEED), and ChainSpec, NoiseSpec and ExperimentConfig
+check every field's type, finiteness and range, exactly as for a library
+caller. A refused field raises ConfigError, whose message begins with the
+field's JSON name.
+
 Exit codes: 0 success, 2 config or usage error, 3 numerical failure.
 """
 
@@ -14,7 +21,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
-import csv
+import dataclasses
 import datetime
 import hashlib
 import json
@@ -28,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .chain import ChainSpec, Spectrum, _TransferAmplitudes, find_pst_time
+from .chain import ChainSpec, Spectrum, _TransferAmplitudes, as_real, find_pst_time
 from .protocol import (
     ConfigError,
     ExperimentConfig,
@@ -49,144 +56,64 @@ RESULT_COLUMNS = (
     "gamma_ok",
 )
 
-_CONFIG_KEYS = {
-    "chain", "input_amplitudes", "steps", "t_total", "noise",
-    "bipartition", "gamma_tolerance", "seed",
+# JSON key -> dataclass field of each config section; only the chain's n is
+# renamed, to `nodes`
+_JSON_FIELDS = {
+    cls: {("nodes" if (cls, f.name) == (ChainSpec, "n") else f.name): f
+          for f in dataclasses.fields(cls)}
+    for cls in (ExperimentConfig, ChainSpec, NoiseSpec)
 }
-_CHAIN_KEYS = {"d", "nodes", "couplings"}
-_NOISE_KEYS = {"kind", "topology", "p", "pi"}
 
 
-def _fail(field: str, reason: str) -> ConfigError:
-    return ConfigError(f"{field}: {reason}")
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _finite(value, field: str) -> float:
-    """float(value), refusing the NaN and Infinity that Python's json accepts."""
-    try:
-        number = float(value)
-    except OverflowError:       # an integer literal beyond the double range
-        number = math.inf
-    if not math.isfinite(number):
-        raise _fail(field, f"expected a finite number, got {value!r}")
-    return number
-
-
-def _as_complex(value, field: str) -> complex:
-    if _is_real(value):
-        return complex(_finite(value, field))
-    if isinstance(value, list) and len(value) == 2 and all(_is_real(v) for v in value):
-        return complex(_finite(value[0], field), _finite(value[1], field))
-    raise _fail(field, "expected a real number or an [re, im] pair")
-
-
-def _as_number(value, field: str) -> float:
-    if _is_real(value):
-        return _finite(value, field)
-    raise _fail(field, "expected a number")
-
-
-def _as_int(value, field: str) -> int:
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise _fail(field, "expected an integer")
-
-
-def _check_keys(obj: dict, allowed: set, field: str) -> None:
-    unknown = sorted(set(obj) - allowed)
+def _fields(obj, cls, field: str) -> dict:
+    """The JSON object obj as keyword arguments of the dataclass cls, refusing
+    a non-object and any unknown or missing key."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{field}: expected a JSON object")
+    keys = _JSON_FIELDS[cls]
+    unknown = sorted(set(obj) - keys.keys())
     if unknown:
-        raise _fail(field, f"unknown keys {unknown}")
+        raise ConfigError(f"{field}: unknown keys {unknown}")
+    missing = [key for key, f in keys.items()
+               if key not in obj and f.default is dataclasses.MISSING]
+    if missing:
+        raise ConfigError(f"{field}: missing keys {missing}")
+    return {f.name: obj[key] for key, f in keys.items() if key in obj}
+
+
+def _decode_amplitude(value):
+    """An [re, im] pair as a complex number, its parts checked by the same
+    chain.as_real the dataclasses use; anything else as it is."""
+    if isinstance(value, list) and len(value) == 2:
+        return complex(*(as_real(part, "input_amplitudes") for part in value))
+    return value
 
 
 def parse_config(obj) -> ExperimentConfig:
-    """Build a validated ExperimentConfig from decoded JSON.
+    """Build an ExperimentConfig from decoded JSON.
 
-    Accepts amplitudes as plain reals or [re, im] pairs. A QSCT_SEED
-    environment variable, when set, overrides the configured seed.
+    Only what is specific to JSON is done here: the config and its sections
+    must be objects with no unknown and no missing keys, the chain's `nodes`
+    is the ChainSpec's `n`, and amplitudes may be [re, im] pairs. A QSCT_SEED
+    environment variable, when set, replaces the configured seed. Every
+    field's type, finiteness and range are checked by the dataclasses, which
+    raise ConfigError naming the field.
     """
-    if not isinstance(obj, dict):
-        raise _fail("config", "expected a JSON object")
-    _check_keys(obj, _CONFIG_KEYS, "config")
-
-    chain_obj = obj.get("chain")
-    if not isinstance(chain_obj, dict):
-        raise _fail("chain", "expected an object with d and nodes")
-    _check_keys(chain_obj, _CHAIN_KEYS, "chain")
-    if "d" not in chain_obj or "nodes" not in chain_obj:
-        raise _fail("chain", "both d and nodes are required")
-    couplings = chain_obj.get("couplings")
-    if couplings is not None:
-        if not isinstance(couplings, list):
-            raise _fail("chain.couplings", "expected a list of reals")
-        couplings = [_as_number(c, "chain.couplings") for c in couplings]
-    try:
-        chain = ChainSpec(
-            d=_as_int(chain_obj["d"], "chain.d"),
-            n=_as_int(chain_obj["nodes"], "chain.nodes"),
-            couplings=couplings,
-        )
-    except ValueError as exc:
-        raise _fail("chain", str(exc)) from exc
-
-    raw_amps = obj.get("input_amplitudes")
-    if not isinstance(raw_amps, list) or not raw_amps:
-        raise _fail("input_amplitudes", "expected a non-empty list")
-    amps = [_as_complex(v, "input_amplitudes") for v in raw_amps]
-
-    noise_obj = obj.get("noise")
-    noise = None
-    if noise_obj is not None:
-        if not isinstance(noise_obj, dict):
-            raise _fail("noise", "expected an object or null")
-        _check_keys(noise_obj, _NOISE_KEYS, "noise")
-        kind = noise_obj.get("kind")
-        topology = noise_obj.get("topology")
-        if not isinstance(kind, str):
-            raise _fail("noise.kind", "expected a string")
-        if not isinstance(topology, str):
-            raise _fail("noise.topology", "expected a string")
-        p = noise_obj.get("p")
-        if p is not None:
-            p = _as_number(p, "noise.p")
-        pi = noise_obj.get("pi")
-        if pi is not None:
-            if not isinstance(pi, list) or not all(isinstance(row, list) for row in pi):
-                raise _fail("noise.pi", "expected a nested list of reals")
-            pi = [[_as_number(v, "noise.pi") for v in row] for row in pi]
-        noise = NoiseSpec(kind=kind, topology=topology, p=p, pi=pi)
-
-    kwargs = {}
-    if "steps" in obj:
-        kwargs["steps"] = _as_int(obj["steps"], "steps")
-    if obj.get("t_total") is not None:
-        kwargs["t_total"] = _as_number(obj["t_total"], "t_total")
-    if "bipartition" in obj:
-        cut = obj["bipartition"]
-        if not (cut == "endpoints" or isinstance(cut, int)):
-            raise _fail("bipartition", "expected a cut index or \"endpoints\"")
-        kwargs["bipartition"] = cut
-    if "gamma_tolerance" in obj:
-        kwargs["gamma_tolerance"] = _as_number(obj["gamma_tolerance"], "gamma_tolerance")
-
-    seed = _as_int(obj.get("seed", 0), "seed")
+    kwargs = _fields(obj, ExperimentConfig, "config")
+    kwargs["chain"] = ChainSpec(**_fields(kwargs["chain"], ChainSpec, "chain"))
+    if kwargs.get("noise") is not None:
+        kwargs["noise"] = NoiseSpec(**_fields(kwargs["noise"], NoiseSpec, "noise"))
+    if isinstance(kwargs["input_amplitudes"], list):
+        kwargs["input_amplitudes"] = [_decode_amplitude(v) for v in kwargs["input_amplitudes"]]
+    config = ExperimentConfig(**kwargs)
     env_seed = os.environ.get("QSCT_SEED")
-    if env_seed is not None:
-        try:
-            seed = int(env_seed)
-        except ValueError as exc:
-            raise _fail("QSCT_SEED", f"not an integer: {env_seed!r}") from exc
-
-    return ExperimentConfig(
-        chain=chain,
-        input_amplitudes=amps,
-        noise=noise,
-        seed=seed,
-        **kwargs,
-    )
+    if env_seed is None:
+        return config
+    try:
+        seed = int(env_seed)
+    except ValueError as exc:
+        raise ConfigError(f"QSCT_SEED: not an integer: {env_seed!r}") from exc
+    return dataclasses.replace(config, seed=seed)
 
 
 def config_digest(obj) -> str:
@@ -293,7 +220,7 @@ def _cmd_run(args) -> int:
     except FileNotFoundError:
         print(f"config error: {config_path}: no such file", file=sys.stderr)
         return 2
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # a JSONDecodeError, or an integer past the digit limit
         print(f"config error: {config_path}: {exc}", file=sys.stderr)
         return 2
 
@@ -301,11 +228,7 @@ def _cmd_run(args) -> int:
     if not entries:
         print("config error: config: empty sweep", file=sys.stderr)
         return 2
-    try:
-        configs = [parse_config(entry) for entry in entries]
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    configs = [parse_config(entry) for entry in entries]
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -355,11 +278,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_pst(args) -> int:
-    try:
-        spec = ChainSpec(d=args.d, n=args.nodes)
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    spec = ChainSpec(d=args.d, n=args.nodes)
     if not (0.0 < args.tmax < math.inf):
         print(f"config error: --tmax must be positive and finite, got {args.tmax}",
               file=sys.stderr)

@@ -27,11 +27,20 @@ can always undo with a local phase gate, so the record aligns it away.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .chain import ChainSpec, Spectrum, _TransferAmplitudes, find_pst_time
+from .chain import (
+    ChainSpec,
+    ConfigError,
+    Spectrum,
+    _TransferAmplitudes,
+    as_array,
+    as_int,
+    as_real,
+    find_pst_time,
+)
 from .channels import (
     WeylTable,
     analytic_favg_2qutrit,
@@ -59,12 +68,13 @@ NOISE_KINDS = ("phase_damping", "weyl")
 NOISE_TOPOLOGIES = ("global_after", "local_after", "interleaved")
 
 
-class ConfigError(ValueError):
-    """Invalid experiment configuration; the message names the offending field."""
-
-
 @dataclass
 class NoiseSpec:
+    """Noise kind and placement. Phase damping reads the strength p in [0, 1]
+    and Weyl noise the probability table pi; a field the kind does not read
+    is refused rather than ignored. Every failed check raises ConfigError,
+    naming the JSON field (noise.kind, noise.topology, noise.p, noise.pi)."""
+
     kind: str
     topology: str
     p: float | None = None
@@ -72,27 +82,31 @@ class NoiseSpec:
 
     def __post_init__(self) -> None:
         if self.kind not in NOISE_KINDS:
-            raise ConfigError(f"noise.kind must be one of {NOISE_KINDS}, got {self.kind!r}")
+            raise ConfigError(f"noise.kind: expected one of {NOISE_KINDS}, got {self.kind!r}")
         if self.topology not in NOISE_TOPOLOGIES:
             raise ConfigError(
-                f"noise.topology must be one of {NOISE_TOPOLOGIES}, got {self.topology!r}"
+                f"noise.topology: expected one of {NOISE_TOPOLOGIES}, got {self.topology!r}"
             )
+        read, unread = ("p", "pi") if self.kind == "phase_damping" else ("pi", "p")
+        if getattr(self, read) is None:
+            raise ConfigError(f"noise.{read}: required for {self.kind} noise")
+        if getattr(self, unread) is not None:
+            raise ConfigError(f"noise.{unread}: not read by {self.kind} noise, leave it out")
         if self.kind == "phase_damping":
-            if self.p is None:
-                raise ConfigError("noise.p is required for phase_damping")
-            if not (0.0 <= float(self.p) <= 1.0):
-                raise ConfigError(f"noise.p must lie in [0, 1], got {self.p}")
-        if self.kind == "weyl":
-            if self.pi is None:
-                raise ConfigError("noise.pi is required for weyl noise")
-            try:
-                self.pi = check_probability_table(self.pi, name="noise.pi")
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from None
+            self.p = as_real(self.p, "noise.p")
+            if not (0.0 <= self.p <= 1.0):
+                raise ConfigError(f"noise.p: expected a strength in [0, 1], got {self.p}")
+        else:
+            self.pi = check_probability_table(self.pi, name="noise.pi")
 
 
 @dataclass
 class ExperimentConfig:
+    """One experiment. Every failed check raises ConfigError, naming the JSON
+    field (input_amplitudes, steps, t_total, bipartition, gamma_tolerance,
+    seed, or noise.pi for a table of the wrong size); the chain and the noise
+    check their own fields."""
+
     chain: ChainSpec
     input_amplitudes: np.ndarray
     steps: int = 16
@@ -103,46 +117,40 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        self.input_amplitudes = np.asarray(self.input_amplitudes, dtype=np.complex128)
         d, n = self.chain.d, self.chain.n
+        self.input_amplitudes = as_array(self.input_amplitudes, "input_amplitudes", dtype=complex)
         if self.input_amplitudes.shape != (d,):
             raise ConfigError(
-                f"input_amplitudes must have length {d}, got shape {self.input_amplitudes.shape}"
+                f"input_amplitudes: expected {d} amplitudes, got shape {self.input_amplitudes.shape}"
             )
-        if not np.all(np.isfinite(self.input_amplitudes)):
-            raise ConfigError("input_amplitudes must be finite")
         norm = float(np.linalg.norm(self.input_amplitudes))
         if abs(norm - 1.0) > 1e-10:
             raise ConfigError(
-                f"input_amplitudes are not normalized (norm deviates by {abs(norm - 1.0):.3e})"
+                f"input_amplitudes: not normalized (norm deviates by {abs(norm - 1.0):.3e})"
             )
-        if isinstance(self.steps, bool) or int(self.steps) != self.steps or self.steps < 1:
-            raise ConfigError(f"steps must be a positive integer, got {self.steps}")
-        self.steps = int(self.steps)
-        if self.t_total is not None and not (0.0 < float(self.t_total) < math.inf):
-            raise ConfigError(f"t_total must be positive and finite, got {self.t_total}")
-        if isinstance(self.bipartition, str):
-            if self.bipartition != "endpoints":
-                raise ConfigError(
-                    f"bipartition must be a cut index or 'endpoints', got {self.bipartition!r}"
-                )
-        else:
-            cut = int(self.bipartition)
-            if not (1 <= cut <= n - 1):
-                raise ConfigError(f"bipartition cut must lie in 1..{n - 1}, got {cut}")
-            self.bipartition = cut
-        if not (0.0 < float(self.gamma_tolerance) < math.inf):
-            raise ConfigError(
-                f"gamma_tolerance must be positive and finite, got {self.gamma_tolerance}"
-            )
+        self.steps = as_int(self.steps, "steps")
+        if self.steps < 1:
+            raise ConfigError(f"steps: expected a positive integer, got {self.steps}")
+        if self.t_total is not None:
+            self.t_total = as_real(self.t_total, "t_total")
+            if self.t_total <= 0.0:
+                raise ConfigError(f"t_total: expected a positive number, got {self.t_total}")
+        if not (isinstance(self.bipartition, str) and self.bipartition == "endpoints"):
+            self.bipartition = as_int(self.bipartition, "bipartition",
+                                      what="a cut index or 'endpoints'")
+            if not (1 <= self.bipartition <= n - 1):
+                raise ConfigError(f"bipartition: cut must lie in 1..{n - 1}, got {self.bipartition}")
+        self.gamma_tolerance = as_real(self.gamma_tolerance, "gamma_tolerance")
+        if self.gamma_tolerance <= 0.0:
+            raise ConfigError(f"gamma_tolerance: expected a positive number, got {self.gamma_tolerance}")
         if self.noise is not None and self.noise.kind == "weyl":
             size = self.chain.dim if self.noise.topology == "global_after" else d
             if self.noise.pi.shape != (size, size):
                 raise ConfigError(
-                    f"noise.pi must be {size}x{size} for {self.noise.topology} weyl noise "
+                    f"noise.pi: expected {size}x{size} for {self.noise.topology} weyl noise "
                     f"on {n} sites of dimension {d}, got {self.noise.pi.shape}"
                 )
-        self.seed = int(self.seed)
+        self.seed = as_int(self.seed, "seed")
 
 
 @dataclass

@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from qsct.chain import ChainSpec
 from qsct.cli import main
+from qsct.protocol import ConfigError, ExperimentConfig, NoiseSpec
 
 ROOT3 = 1.0 / math.sqrt(3.0)
 
@@ -351,3 +353,71 @@ def test_run_refuses_bad_weyl_table_before_evolving(tmp_path, capsys, monkeypatc
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert "noise.pi" in err and match in err
+
+
+# One validation layer: a bad value is refused by the dataclasses with a
+# message that begins with its JSON field, and `qsct run` on the same JSON
+# exits 2 with that message.
+PARITY_BASE = {"chain": {"d": 2, "nodes": 3}, "input_amplitudes": [0.6, 0.8], "steps": 4}
+PHASE_DAMPING = {"kind": "phase_damping", "topology": "interleaved", "p": 0.9}
+WEYL = {"kind": "weyl", "topology": "local_after", "pi": [[1.0, 0.0], [0.0, 0.0]]}
+
+
+def _chain(**fields):
+    return {"chain": dict(PARITY_BASE["chain"], **fields)}
+
+
+@pytest.mark.parametrize("field, change", [
+    ("chain.d", _chain(d=3.0)),
+    ("chain.d", _chain(d="3")),
+    ("chain.d", _chain(d=True)),
+    ("chain.nodes", _chain(nodes=3.5)),
+    ("chain.couplings", _chain(couplings="ab")),
+    ("chain.couplings", _chain(couplings=[True, 1])),
+    ("input_amplitudes", {"input_amplitudes": ["0.6", 0.8]}),
+    ("input_amplitudes", {"input_amplitudes": [[1, 2, 3], 0.8]}),
+    ("steps", {"steps": 2.0}),
+    ("steps", {"steps": "8"}),
+    ("t_total", {"t_total": "1"}),
+    ("t_total", {"t_total": True}),
+    ("bipartition", {"bipartition": True}),
+    ("bipartition", {"bipartition": 1.7}),
+    ("bipartition", {"bipartition": 0}),
+    ("gamma_tolerance", {"gamma_tolerance": True}),
+    ("seed", {"seed": 3.7}),
+    ("seed", {"seed": True}),
+    ("noise.p", {"noise": dict(PHASE_DAMPING, p="0.5")}),
+    ("noise.p", {"noise": dict(PHASE_DAMPING, p=True)}),
+    ("noise.pi", {"noise": dict(WEYL, pi=[["1", "0"], ["0", "0"]])}),
+    ("noise.pi", {"noise": dict(PHASE_DAMPING, pi=WEYL["pi"])}),
+    ("noise.p", {"noise": dict(WEYL, p=0.9)}),
+])
+def test_library_and_cli_refuse_alike(tmp_path, capsys, field, change):
+    config = dict(PARITY_BASE, **change)
+    rest = {k: v for k, v in config.items() if k not in ("chain", "noise")}
+    chain, noise = config["chain"], config.get("noise")
+    with pytest.raises(ConfigError) as refused:
+        ExperimentConfig(
+            chain=ChainSpec(d=chain["d"], n=chain["nodes"], couplings=chain.get("couplings")),
+            noise=None if noise is None else NoiseSpec(**noise),
+            **rest,
+        )
+    message = str(refused.value)
+    assert message.startswith(f"{field}: ")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(_write_config(tmp_path, config)), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (out / "results.csv").exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    # past Python's digit limit for int parsing, which json.loads enforces
+    ('{"chain": {"d": ' + "1" * 5000 + ', "nodes": 2}}', "digits"),
+    # refused without computing (or printing) 2**1000000000
+    (json.dumps(dict(BASE_CONFIG, chain={"d": 2, "nodes": 10**9})),
+     "chain.nodes: register dimension 2**1000000000 exceeds"),
+])
+def test_run_refuses_huge_integers(tmp_path, capsys, text, message):
+    cfg = _write_config(tmp_path, None, text=text)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
