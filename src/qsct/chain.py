@@ -6,10 +6,18 @@ generator pair:
     H = sum_i (J_i / 2) sum_{1 <= k < j <= d} [ theta^{kj}_i theta^{kj}_{i+1}
                                               + beta^{kj}_i beta^{kj}_{i+1} ]
 
-With J_i = sqrt(i (N - i)) / 2 a single excitation of any level hops on the
-tridiagonal angular-momentum matrix, and the end-to-end transfer amplitude
-reaches 1 at t = pi independent of N. Site 1 is the most significant tensor
-factor: basis index = sum_s value_s * d^(N - s).
+Each bond swaps a level k on one site with a level j on the next, so a single
+excitation of any level hops on the n x n tridiagonal matrix J with
+off-diagonals J_i, the same for every level, and the vacuum is annihilated.
+With J_i = sqrt(i (N - i)) / 2 that matrix is the angular-momentum J_x, and
+the end-to-end transfer amplitude reaches 1 at t = pi independent of N.
+Site 1 is the most significant tensor factor: basis index =
+sum_s value_s * d^(N - s).
+
+Spectrum diagonalises J and evolves every state of the single-excitation
+sector through its site amplitudes; the transfer-time search scans the same
+n eigenpairs. The dense register Hamiltonian (build_hamiltonian) is
+diagonalised only for a register evolution (Spectrum.unitary, evolve).
 """
 
 from __future__ import annotations
@@ -205,79 +213,115 @@ def _real_matmul(m: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 class Spectrum:
-    """Eigenvalues and real eigenvectors of one chain Hamiltonian.
+    """The spectrum of one chain: the single-excitation problem, and the
+    register Hamiltonian on demand.
 
-    H is real symmetric (theta (x) theta + beta (x) beta has no imaginary part),
-    so a single real eigh diagonalises it and every evolution of an experiment
-    is a phase rotation in this eigenbasis. Build one per experiment and pass
-    it along; nothing caches it beyond that.
+    An input sum_r alpha_r |r> (x) |0...0> never leaves span{vac} (+) the d-1
+    single-excitation copies, one per excited level r with the excitation on
+    site s = 1..n. H annihilates the vacuum and acts on every copy as the
+    same real symmetric tridiagonal n x n matrix J with off-diagonals
+    spec.couplings. One eigh of J (eigvals, eigvecs) therefore gives every
+    pure state of a run through the site amplitudes f(t) = exp(-i J t) e_1:
+    the register ket is alpha_0 |vac> + sum_{r,s} alpha_r f_s(t) |r on site s>.
+
+    The dense d^n x d^n register Hamiltonian is assembled and diagonalised
+    only when a register evolution is asked for (unitary, evolve), at most
+    once per Spectrum; a run asks for it only to step a density matrix under
+    interleaved noise. Build one Spectrum per experiment and pass it along;
+    nothing caches it beyond that.
 
     A phase exp(-i E t) is only known to about |E t| eps radians; every time
-    the spectrum evolves to, and every transfer-time search window, is
-    checked against PHASE_TOL (check_time).
+    is checked against PHASE_TOL on the eigenvalues that evolve it: the
+    sector's for site_amplitudes and the transfer-time search (check_time),
+    the register's for unitary and evolve.
     """
 
     def __init__(self, spec: ChainSpec):
-        h = build_hamiltonian(spec)
-        if np.any(h.imag):
-            raise ValueError("chain Hamiltonian has a non-zero imaginary part")
-        self.eigvals, self.eigvecs = np.linalg.eigh(h.real)
-        self._phase_error_rate = float(np.max(np.abs(self.eigvals))) * np.finfo(float).eps
+        self.spec = spec
+        j = np.diag(spec.couplings, 1)
+        self.eigvals, self.eigvecs = np.linalg.eigh(j + j.T)
+        self._register: tuple[np.ndarray, np.ndarray] | None = None
         self._chain = f"d={spec.d}, nodes={spec.n}, couplings={spec.couplings.tolist()}"
 
-    def check_time(self, t: float) -> None:
-        """Raise FloatingPointError naming the chain when the phases at time t
-        carry more than PHASE_TOL radians of rounding error (or overflow)."""
-        if not (self._phase_error_rate * abs(t) <= PHASE_TOL):
+    def _check(self, t: float, eigvals: np.ndarray) -> None:
+        error = float(np.max(np.abs(eigvals))) * np.finfo(float).eps * abs(t)
+        if not (error <= PHASE_TOL):
             raise FloatingPointError(
                 f"transfer phases exp(-i E t) lose their precision at t = {t!r} "
-                f"(max|E| t eps = {self._phase_error_rate * abs(t):.3e} rad > {PHASE_TOL:g}) "
+                f"(max|E| t eps = {error:.3e} rad > {PHASE_TOL:g}) "
                 f"for the chain {self._chain}"
             )
 
-    def _phases(self, t: float) -> np.ndarray:
+    def check_time(self, t: float) -> None:
+        """Raise FloatingPointError naming the chain when the sector phases at
+        time t carry more than PHASE_TOL radians of rounding error (or overflow)."""
+        self._check(t, self.eigvals)
+
+    def site_amplitudes(self, t: float) -> np.ndarray:
+        """f(t) = exp(-i J t) e_1: the amplitude on each site of an excitation
+        that starts on site 1, the same for every level; e_1 exactly at t = 0."""
+        if t == 0.0:
+            f = np.zeros(self.spec.n, dtype=np.complex128)
+            f[0] = 1.0
+            return f
         self.check_time(t)
-        return np.exp(-1j * t * self.eigvals)
+        return self.eigvecs @ (np.exp(-1j * t * self.eigvals) * self.eigvecs[0])
+
+    def _register_phases(self, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """(exp(-i E t), eigenvectors) of the register Hamiltonian, which is
+        assembled and diagonalised on the first call."""
+        if self._register is None:
+            h = build_hamiltonian(self.spec)
+            if np.any(h.imag):
+                raise ValueError("chain Hamiltonian has a non-zero imaginary part")
+            self._register = np.linalg.eigh(h.real)
+        eigvals, eigvecs = self._register
+        self._check(t, eigvals)
+        return np.exp(-1j * t * eigvals), eigvecs
 
     def evolve(self, ket: np.ndarray, t: float) -> np.ndarray:
-        """exp(-i t H) ket; at t = 0 the ket itself, exactly."""
+        """exp(-i t H) ket for any register ket; at t = 0 the ket itself, exactly."""
         ket = np.asarray(ket, dtype=np.complex128)
         if t == 0.0:
             return ket.copy()
-        coeffs = _real_matmul(self.eigvecs.T, ket)
-        return _real_matmul(self.eigvecs, self._phases(t) * coeffs)
+        phases, eigvecs = self._register_phases(t)
+        return _real_matmul(eigvecs, phases * _real_matmul(eigvecs.T, ket))
 
     def unitary(self, t: float) -> np.ndarray:
-        """exp(-i t H) as a dense matrix."""
-        return _real_matmul(self.eigvecs, self._phases(t)[:, None] * self.eigvecs.T)
+        """exp(-i t H) on the register, as a dense matrix."""
+        phases, eigvecs = self._register_phases(t)
+        return _real_matmul(eigvecs, phases[:, None] * eigvecs.T)
 
 
 class _TransferAmplitudes:
-    """End-to-end transfer amplitudes per excitation level of one chain."""
+    """End-to-end transfer amplitude <e_N| exp(-i J t) |e_1> of one chain.
+
+    Every excited level hops on the same J, so every level has this amplitude;
+    the per-level views broadcast it.
+    """
 
     def __init__(self, spec: ChainSpec, spectrum: Spectrum | None = None):
         if spectrum is None:
             spectrum = Spectrum(spec)
+        self.levels = spec.d - 1
         self.eigvals = spectrum.eigvals
-        eigvecs = spectrum.eigvecs
-        self.weights = np.empty((spec.d - 1, spec.dim))
-        for level in range(1, spec.d):
-            src = excitation_index(spec, 1, level)
-            dst = excitation_index(spec, spec.n, level)
-            self.weights[level - 1] = eigvecs[dst, :] * eigvecs[src, :]
+        self.weights = spectrum.eigvecs[-1] * spectrum.eigvecs[0]
+
+    def _amplitude(self, t: np.ndarray | float) -> np.ndarray:
+        phases = np.exp(-1j * np.multiply.outer(self.eigvals, np.asarray(t, dtype=float)))
+        return np.tensordot(self.weights, phases, axes=(0, 0))
 
     def complex_amplitudes(self, t: np.ndarray | float) -> np.ndarray:
-        """<e_N | U_t | e_1> per level; shape (d-1,) + shape of t."""
-        t = np.asarray(t, dtype=float)
-        phases = np.exp(-1j * np.multiply.outer(self.eigvals, t))
-        return np.tensordot(self.weights, phases, axes=(1, 0))
+        """<e_N | U_t | e_1> per level; shape (d-1,) + shape of t (a read-only view)."""
+        amplitude = self._amplitude(t)
+        return np.broadcast_to(amplitude, (self.levels,) + amplitude.shape)
 
     def amplitudes(self, t: np.ndarray | float) -> np.ndarray:
         """|<e_N | U_t | e_1>| per level; shape (d-1,) + shape of t."""
         return np.abs(self.complex_amplitudes(t))
 
     def worst_level(self, t: np.ndarray | float) -> np.ndarray:
-        return self.amplitudes(t).min(axis=0)
+        return np.abs(self._amplitude(t))
 
 
 def find_pst_time(
@@ -293,7 +337,10 @@ def find_pst_time(
     best bracket; ties resolve to the earliest time. Returns (t_star, amplitude).
     Pass the chain's spectrum when the caller already has one. Raises
     FloatingPointError when the phases exp(-i lambda t) lose their precision
-    on the window (Spectrum.check_time).
+    on the window (Spectrum.check_time), and then ValueError naming t_max when
+    the scan step t_max / (grid_points - 1) exceeds 2 pi / (max E - min E),
+    the period of the amplitude's fastest component: such a scan aliases and
+    could bracket any near-perfect revival in the window.
     """
     if not (0.0 < t_max < math.inf):
         raise ValueError("t_max must be positive and finite")
@@ -302,6 +349,15 @@ def find_pst_time(
     if spectrum is None:
         spectrum = Spectrum(spec)
     spectrum.check_time(t_max)
+    spread = float(spectrum.eigvals[-1] - spectrum.eigvals[0])
+    if t_max * spread > 2.0 * math.pi * (grid_points - 1):
+        raise ValueError(
+            f"t_max = {t_max!r} is too wide for {grid_points} scan points: the step "
+            f"{t_max / (grid_points - 1):.6g} exceeds 2 pi / (max E - min E) = "
+            f"{2.0 * math.pi / spread:.6g} for the chain {spectrum._chain}, so the scan "
+            f"would alias; the widest window it resolves is "
+            f"{2.0 * math.pi * (grid_points - 1) / spread:.6g}"
+        )
     amps = _TransferAmplitudes(spec, spectrum)
     ts = np.linspace(0.0, t_max, grid_points)
     vals = amps.worst_level(ts)

@@ -290,6 +290,9 @@ def _cmd_pst(args) -> int:
     except (np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except ValueError as exc:   # a window the scan would alias
+        print(f"config error: --tmax: {exc}", file=sys.stderr)
+        return 2
     print(f"d            = {spec.d}")
     print(f"nodes        = {spec.n}")
     print(f"t_star       = {t_star:.12g}")

@@ -3,8 +3,9 @@
 Everything works on plain numpy arrays (complex128, row-major, dense). The
 operating envelope is full-register dimensions up to a few thousand, where
 LAPACK through numpy is the only backend worth having. There are no matrix
-exponentials here: chain evolution is a phase rotation in the eigenbasis of
-the chain Hamiltonian, which `qsct.chain.Spectrum` owns.
+exponentials here: `qsct.chain.Spectrum` owns every evolution, the n x n
+single-excitation sector's and, where a density matrix must be stepped, the
+register's, each a phase rotation in its own eigenbasis.
 """
 
 from __future__ import annotations

@@ -1,16 +1,30 @@
 """State-transfer experiments: stepwise evolution, noise, and invariants.
 
 An experiment prepares (sum_i alpha_i |i>) (x) |0...0>, evolves it in equal
-time steps as phase rotations in the chain's eigenbasis (chain.Spectrum), and
-records entanglement and transfer figures after every step. Noisy variants
-act on the density matrix with a Weyl-table channel (channels.WeylTable,
-applied by channels.apply_weyl_table; no Kraus operators are built) whose
-placement is one of three layouts:
+time steps, and records entanglement and transfer figures after every step.
+The input never leaves the single-excitation sector, so a pure state is the
+site amplitudes f(t) = exp(-i J t) e_1 of chain.Spectrum (n numbers), and
+every pure record is measured from them without the register ket:
+
+    endpoint pair - |phi><phi| + w sum_{1<s<N} |f_s|^2 |00><00|, with
+                    phi = alpha_0 |00> + sum_r alpha_r (f_1 |r0> + f_N |0r>)
+                    and w the input's excited weight; on two sites the
+                    pair is the pure register, measured as cut 1
+    chain cut c   - the Schmidt measures of the ket's coefficient matrix on
+                    the sector bases of both sides, (1+(d-1)c) x (1+(d-1)(n-c))
+    last node     - |v><v| + w sum_{s<N} |f_s|^2 |0><0|, v = (alpha_0, alpha_r f_N)
+
+Noisy variants scatter the sector ket into the register ket at their first
+channel application and carry a density matrix from there, acted on by a
+Weyl-table channel (channels.WeylTable, applied by channels.apply_weyl_table;
+no Kraus operators are built) whose placement is one of three layouts:
 
     global_after  - one full-register channel after the complete evolution
                     (the single-qudit channel family taken at dimension d^N)
     local_after   - independent per-site channels after the complete evolution
-    interleaved   - per step: unitary, then the per-site channels
+    interleaved   - per step: the register unitary (Spectrum.unitary, a run's
+                    only diagonalisation of the register Hamiltonian), then
+                    the per-site channels
 
 Every record carries a gamma flag: the concurrence-style entanglement level
 is compared step by step against the noiseless profile of the same
@@ -35,7 +49,6 @@ from .chain import (
     ChainSpec,
     ConfigError,
     Spectrum,
-    _TransferAmplitudes,
     as_array,
     as_int,
     as_real,
@@ -62,7 +75,7 @@ from .entanglement import (
     fit_cosine_series,
     schmidt_measures,
 )
-from .linalg import partial_trace, partial_trace_pure
+from .linalg import partial_trace
 
 NOISE_KINDS = ("phase_damping", "weyl")
 NOISE_TOPOLOGIES = ("global_after", "local_after", "interleaved")
@@ -105,7 +118,8 @@ class ExperimentConfig:
     """One experiment. Every failed check raises ConfigError, naming the JSON
     field (input_amplitudes, steps, t_total, bipartition, gamma_tolerance,
     seed, or noise.pi for a table of the wrong size); the chain and the noise
-    check their own fields."""
+    check their own fields, and a chain or noise that is not a ChainSpec or
+    NoiseSpec is refused naming chain or noise."""
 
     chain: ChainSpec
     input_amplitudes: np.ndarray
@@ -117,6 +131,10 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.chain, ChainSpec):
+            raise ConfigError(f"chain: expected a ChainSpec, got {self.chain!r}")
+        if self.noise is not None and not isinstance(self.noise, NoiseSpec):
+            raise ConfigError(f"noise: expected a NoiseSpec or None, got {self.noise!r}")
         d, n = self.chain.d, self.chain.n
         self.input_amplitudes = as_array(self.input_amplitudes, "input_amplitudes", dtype=complex)
         if self.input_amplitudes.shape != (d,):
@@ -165,15 +183,33 @@ class TransferRecord:
     gamma_ok: bool = True
 
 
+def _register_ket(alpha: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """The register ket alpha_0 |vac> + sum_{r,s} alpha_r f_s |r on site s>
+    of input amplitudes alpha (d) and site amplitudes f (n)."""
+    d, n = len(alpha), len(f)
+    ket = np.zeros(d**n, dtype=np.complex128)
+    ket[0] = alpha[0]
+    # level r on site s (0-based) sits at index r d^(n-1-s)
+    ket[np.outer(np.arange(1, d), d ** np.arange(n - 1, -1, -1))] = np.outer(alpha[1:], f)
+    return ket
+
+
 def initial_state(config: ExperimentConfig) -> np.ndarray:
     """Register ket: the input qudit on site 1, every other site in its ground level."""
-    d, n = config.chain.d, config.chain.n
-    ket = config.input_amplitudes
-    for _ in range(n - 1):
-        ground = np.zeros(d, dtype=np.complex128)
-        ground[0] = 1.0
-        ket = np.kron(ket, ground)
-    return ket
+    return _register_ket(config.input_amplitudes, np.eye(config.chain.n)[0])
+
+
+def _cut_ket(alpha: np.ndarray, f: np.ndarray, cut: int) -> tuple[np.ndarray, Bipartition]:
+    """The register ket across the cut after site `cut`, on the sector bases of
+    both sides: (coefficients, Bipartition). Index 0 of either side is its
+    vacuum, then level r on each of its sites, level-major. The bases are
+    orthonormal, so the Schmidt coefficients are the register ket's."""
+    d, n = len(alpha), len(f)
+    m = np.zeros((1 + (d - 1) * cut, 1 + (d - 1) * (n - cut)), dtype=np.complex128)
+    m[0, 0] = alpha[0]
+    m[1:, 0] = np.outer(alpha[1:], f[:cut]).ravel()
+    m[0, 1:] = np.outer(alpha[1:], f[cut:]).ravel()
+    return m.ravel(), Bipartition(*m.shape)
 
 
 def gamma_check(series, reference, tol: float) -> list[bool]:
@@ -197,25 +233,24 @@ class _Runner:
         self.config = config
         self.spec = config.chain
         self.spectrum = spectrum
-        self.transfer = _TransferAmplitudes(self.spec, spectrum)
         self.dt = float(config.t_total) / config.steps
-        self.psi0 = initial_state(config)
+        self.alpha = config.input_amplitudes
         d, n = self.spec.d, self.spec.n
         if config.bipartition == "endpoints":
             self.part = Bipartition(d, d)
         else:
             cut = int(config.bipartition)
             self.part = Bipartition(d**cut, d ** (n - cut))
-        self.excited_weight = float(np.sum(np.abs(config.input_amplitudes[1:]) ** 2))
+        self.excited_weight = float(np.sum(np.abs(self.alpha[1:]) ** 2))
 
     def ket(self, step: int) -> np.ndarray:
-        """Noiseless register ket after `step` steps, from the spectrum's phases."""
-        return self.spectrum.evolve(self.psi0, step * self.dt)
+        """Noiseless register ket after `step` steps, scattered from the site amplitudes."""
+        return _register_ket(self.alpha, self.spectrum.site_amplitudes(step * self.dt))
 
     def aligned_input(self, t: float) -> np.ndarray:
         """Input amplitudes with the excited levels rotated by the transfer phase."""
-        phase = float(np.angle(self.transfer.complex_amplitudes(t)[0]))
-        chi = self.config.input_amplitudes.copy()
+        phase = float(np.angle(self.spectrum.site_amplitudes(t)[-1]))
+        chi = self.alpha.copy()
         chi[1:] *= np.exp(1j * phase)
         return chi
 
@@ -227,14 +262,27 @@ class _Runner:
             entanglement_level(rho, self.part),
         )
 
-    def measure_ket(self, step: int, ket: np.ndarray) -> TransferRecord:
-        """Record of a pure register state, measured without forming |ket><ket|."""
-        dims, last = self.spec.dims, self.spec.n - 1
-        if self.config.bipartition == "endpoints":
-            values = self._measures(partial_trace_pure(ket, dims, keep=[0, last]))
+    def measure_pure(self, step: int) -> TransferRecord:
+        """Record of the noiseless state after `step` steps, from its n site
+        amplitudes; each residual weight is a sum over the other sites."""
+        f = self.spectrum.site_amplitudes(step * self.dt)
+        excited, w = self.alpha[1:], self.excited_weight
+        cut = self.config.bipartition
+        if cut == "endpoints" and self.spec.n > 2:
+            phi = np.zeros((self.spec.d, self.spec.d), dtype=np.complex128)
+            phi[0, 0] = self.alpha[0]
+            phi[1:, 0] = excited * f[0]
+            phi[0, 1:] = excited * f[-1]
+            rho_pair = np.outer(phi.ravel(), phi.ravel().conj())
+            rho_pair[0, 0] += w * np.sum(np.abs(f[1:-1]) ** 2)
+            values = self._measures(rho_pair)
         else:
-            values = schmidt_measures(ket, self.part)
-        return self._record(step, values, partial_trace_pure(ket, dims, keep=[last]))
+            # on two sites the endpoint pair is the whole, pure register: cut 1
+            values = schmidt_measures(*_cut_ket(self.alpha, f, 1 if cut == "endpoints" else cut))
+        v = np.concatenate((self.alpha[:1], excited * f[-1]))
+        rho_last = np.outer(v, v.conj())
+        rho_last[0, 0] += w * np.sum(np.abs(f[:-1]) ** 2)
+        return self._record(step, values, rho_last)
 
     def measure_rho(self, step: int, rho: np.ndarray) -> TransferRecord:
         """Record of a register density matrix."""
@@ -285,11 +333,16 @@ def _prepare(
     config: ExperimentConfig, spectrum: Spectrum | None
 ) -> tuple[ExperimentConfig, Spectrum]:
     """Diagonalise the chain unless a spectrum is given, and fill in t_total
-    from the transfer-time search when the config leaves it open."""
+    from the transfer-time search when the config leaves it open; a chain
+    whose amplitude the default search window would alias needs t_total."""
     if spectrum is None:
         spectrum = Spectrum(config.chain)
     if config.t_total is None:
-        config = replace(config, t_total=find_pst_time(config.chain, spectrum=spectrum)[0])
+        try:
+            t_star, _ = find_pst_time(config.chain, spectrum=spectrum)
+        except ValueError as exc:
+            raise ConfigError(f"t_total: required for this chain, {exc}") from exc
+        config = replace(config, t_total=t_star)
     return config, spectrum
 
 
@@ -298,14 +351,14 @@ def run_noiseless(
 ) -> list[TransferRecord]:
     """Pure-state stepwise evolution; steps+1 records at times k * t_total / steps.
 
-    Every record is measured from the ket; pass the chain's spectrum when the
-    caller already has one.
+    Every record is measured from the site amplitudes; pass the chain's
+    spectrum when the caller already has one.
     """
     if config.noise is not None:
         config = strip_noise(config)
     config, spectrum = _prepare(config, spectrum)
     runner = _Runner(config, spectrum)
-    return [runner.measure_ket(k, runner.ket(k)) for k in range(config.steps + 1)]
+    return [runner.measure_pure(k) for k in range(config.steps + 1)]
 
 
 def run_noisy(
@@ -317,8 +370,9 @@ def run_noisy(
 
     The gamma flag compares each step's entanglement level against the
     noiseless reference profile (computed here when not supplied). Records
-    before the first channel application are pure and measured from the ket,
-    exactly as in the noiseless run.
+    before the first channel application are pure and measured from the site
+    amplitudes, exactly as in the noiseless run; the register ket is formed
+    just before that application.
     """
     if config.noise is None:
         raise ConfigError("noise section is required for a noisy run")
@@ -330,7 +384,7 @@ def run_noisy(
     runner = _Runner(config, spectrum)
     table, dims = _noise_channel(config)
     first = 1 if config.noise.topology == "interleaved" else config.steps
-    records = [runner.measure_ket(k, runner.ket(k)) for k in range(first)]
+    records = [runner.measure_pure(k) for k in range(first)]
     ket = runner.ket(first)
     rho = apply_weyl_table(np.outer(ket, ket.conj()), table, dims)
     records.append(runner.measure_rho(first, rho))
@@ -354,8 +408,8 @@ def run_experiment(
 ) -> tuple[list[TransferRecord], list[TransferRecord] | None]:
     """Dispatch on the noise section; returns (records, noiseless reference or None).
 
-    The chain is diagonalised once, and the transfer time searched at most
-    once; the noiseless reference and the noisy run share both.
+    The chain's sector is diagonalised once, and the transfer time searched
+    at most once; the noiseless reference and the noisy run share both.
     """
     config, spectrum = _prepare(config, None)
     reference = run_noiseless(config, spectrum)
@@ -401,13 +455,10 @@ def conformance_closed_forms(a_points: int = 41, l4_points: int = 320) -> dict:
     anchor_dev = 0.0
     deviations: dict[str, dict[str, dict[str, float]]] = {}
     for d, sets in amp_sets.items():
-        spec = ChainSpec(d=d, n=2)
-        spectrum = Spectrum(spec)
-        part = Bipartition(d, d)
+        spectrum = Spectrum(ChainSpec(d=d, n=2))
         dev = {"concurrence": {"a=t": 0.0, "a=2t": 0.0},
                "purity": {"a=t": 0.0, "a=2t": 0.0}}
         for amps in sets:
-            ket0 = initial_state(ExperimentConfig(chain=spec, input_amplitudes=amps))
             weights = (*amps, 0.0)[:3]  # (alpha, beta, gamma); gamma = 0 for d = 2
             closed0 = closed_form_l2_d3(*weights, 0.0)
             anchor_dev = max(anchor_dev, abs(closed0 - 1.0))
@@ -416,7 +467,7 @@ def conformance_closed_forms(a_points: int = 41, l4_points: int = 320) -> dict:
                 row = {"d": d, "amplitudes": tuple(float(x) for x in amps), "a": float(a),
                        "closed_form": float(closed)}
                 for label, t in (("a=t", a), ("a=2t", a / 2.0)):
-                    conc, pur = concurrence_and_purity(spectrum.evolve(ket0, t), part)
+                    conc, pur = concurrence_and_purity(*_cut_ket(amps, spectrum.site_amplitudes(t), 1))
                     row[f"concurrence[{label}]"] = conc
                     row[f"purity[{label}]"] = pur
                     dev["concurrence"][label] = max(dev["concurrence"][label], abs(closed - conc))
@@ -432,15 +483,12 @@ def conformance_closed_forms(a_points: int = 41, l4_points: int = 320) -> dict:
         }
 
     # four-site, three-level trace over the half-chain cut
-    spec = ChainSpec(d=3, n=4)
-    part = Bipartition(9, 9)
-    spectrum = Spectrum(spec)
+    spectrum = Spectrum(ChainSpec(d=3, n=4))
     amps = np.full(3, 1.0 / math.sqrt(3))
-    ket0 = initial_state(ExperimentConfig(chain=spec, input_amplitudes=amps))
     ts = np.linspace(0.0, 2.0 * math.pi, l4_points, endpoint=False)
     q_trace = np.empty(l4_points)
     for i, t in enumerate(ts):
-        _, pur = concurrence_and_purity(spectrum.evolve(ket0, t), part)
+        _, pur = concurrence_and_purity(*_cut_ket(amps, spectrum.site_amplitudes(t), 2))
         q_trace[i] = 2.0 * (1.0 - pur)
 
     fits = {}

@@ -260,8 +260,9 @@ def test_spectrum_rejects_complex_hamiltonian(monkeypatch):
     h[1, 2] += 1e-3j
     h[2, 1] -= 1e-3j
     monkeypatch.setattr("qsct.chain.build_hamiltonian", lambda _spec: h)
+    spectrum = Spectrum(spec)   # the sector needs no register Hamiltonian
     with pytest.raises(ValueError, match="imaginary"):
-        Spectrum(spec)
+        spectrum.unitary(0.1)
 
 
 def test_find_pst_time_reuses_given_spectrum(monkeypatch):
@@ -309,7 +310,57 @@ def test_spectrum_phase_precision_threshold():
 
 def test_find_pst_time_ends_on_a_wide_window():
     # the golden-section bracket cannot shrink below the ulp of t ~ 1e6,
-    # which is above the default tol of 1e-10
-    t_star, amp = find_pst_time(ChainSpec(d=2, n=2), t_max=1e6)
-    assert 0.0 < t_star <= 1e6
+    # which is above the default tol of 1e-10. The window ends on the revival
+    # t = (2k - 1) pi of |sin(t / 2)|, and k scan steps of 2 pi - pi / k (under
+    # the aliasing limit 2 pi / (max E - min E) = 2 pi) rise to it, so the
+    # best bracket is the last one.
+    k = 159155
+    t_max = (2 * k - 1) * math.pi
+    t_star, amp = find_pst_time(ChainSpec(d=2, n=2), t_max=t_max, grid_points=k + 1)
+    assert t_max - 2.0 * math.pi < t_star <= t_max
     assert amp == pytest.approx(1.0, abs=1e-6)
+
+
+def test_find_pst_time_refuses_an_aliasing_scan():
+    # d=4 n=5: eigenvalues -2..2, so the scan step may not exceed pi / 2
+    spec = ChainSpec(d=4, n=5)
+    with pytest.raises(ValueError, match=r"t_max = 1000000\.0 .*d=4, nodes=5"):
+        find_pst_time(spec, t_max=1e6)
+    limit = 2.0 * math.pi / 4.0 * 1999
+    find_pst_time(spec, t_max=0.999 * limit)
+    with pytest.raises(ValueError, match="t_max"):
+        find_pst_time(spec, t_max=1.001 * limit)
+    # a zero-coupling chain has no fastest component and never aliases
+    assert find_pst_time(ChainSpec(d=2, n=2, couplings=[0.0]), t_max=1e6)[1] == 0.0
+
+
+def test_site_amplitudes_match_the_register_evolution():
+    rng = np.random.default_rng(3)
+    for d, n in ((2, 2), (2, 5), (3, 4), (4, 3)):
+        spec = ChainSpec(d=d, n=n, couplings=rng.uniform(0.2, 2.0, n - 1))
+        spectrum = Spectrum(spec)
+        f0 = spectrum.site_amplitudes(0.0)
+        assert np.array_equal(f0, np.eye(n)[0])
+        for t in (0.4, math.pi, 7.3):
+            u = _complex_propagator(build_hamiltonian(spec), t)
+            f = spectrum.site_amplitudes(t)
+            for level in range(1, d):
+                column = u[:, excitation_index(spec, 1, level)]
+                expect = [column[excitation_index(spec, s, level)] for s in range(1, n + 1)]
+                assert np.max(np.abs(f - expect)) <= 1e-12
+            assert abs(np.linalg.norm(f) - 1.0) <= 1e-14
+
+
+def test_spectrum_builds_the_register_lazily_and_once(monkeypatch):
+    spec = ChainSpec(d=3, n=3)
+    built = []
+    original = build_hamiltonian
+    monkeypatch.setattr("qsct.chain.build_hamiltonian",
+                        lambda s: built.append(s) or original(s))
+    spectrum = Spectrum(spec)
+    spectrum.site_amplitudes(1.0)
+    find_pst_time(spec, spectrum=spectrum)
+    assert built == []
+    spectrum.unitary(0.5)
+    spectrum.evolve(np.eye(27)[9], 0.5)
+    assert built == [spec]

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -160,6 +163,24 @@ def test_run_plot_script_flag(tmp_path):
     script = (out / "plot_results.py").read_text()
     assert "matplotlib" in script
     assert "results.csv" in script
+    # run it on the written CSV against a stub matplotlib whose calls do nothing
+    stub = tmp_path / "stub" / "matplotlib"
+    stub.mkdir(parents=True)
+    (stub / "__init__.py").write_text("")
+    (stub / "pyplot.py").write_text(
+        "class _Any:\n"
+        "    def __getattr__(self, name):\n"
+        "        return lambda *args, **kwargs: None\n"
+        "    def __getitem__(self, index):\n"
+        "        return self\n"
+        "def subplots(*args, **kwargs):\n"
+        "    return _Any(), _Any()\n"
+    )
+    run = subprocess.run([sys.executable, str(out / "plot_results.py"), str(out / "results.csv")],
+                         cwd=tmp_path, capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(stub.parent)})
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "wrote transfer.png\n"
 
 
 def test_pst_output(capsys):
@@ -283,6 +304,24 @@ def test_run_rejects_jobs_below_one(tmp_path, capsys, jobs):
 def test_pst_rejects_bad_tmax(capsys, tmax):
     assert main(["pst", "--d", "2", "--nodes", "3", "--tmax", tmax]) == 2
     assert "--tmax" in capsys.readouterr().err
+
+
+def test_pst_refuses_an_aliasing_window(capsys):
+    # the 2000-point scan of [0, 1e6] steps 500, far above the amplitude's
+    # fastest period pi / 2, and would report a revival at 255337 pi
+    assert main(["pst", "--d", "4", "--nodes", "5", "--tmax", "1e6"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --tmax: ")
+    assert "alias" in err
+
+
+def test_run_refuses_a_transfer_search_that_would_alias(tmp_path, capsys):
+    config = dict(BASE_CONFIG, chain={"d": 2, "nodes": 3, "couplings": [1000.0, 1000.0]},
+                  input_amplitudes=[0.6, 0.8])
+    cfg = _write_config(tmp_path, config)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("config error: t_total: ")
+    assert not (tmp_path / "out" / "results.csv").exists()
 
 
 def test_pst_overflowing_phases_exit_code(capsys):

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qsct.chain import ChainSpec, Spectrum, build_hamiltonian, find_pst_time
+from qsct.chain import ChainSpec, build_hamiltonian, excitation_index, find_pst_time
 from qsct.channels import (
     KrausChannel,
     apply_channel,
@@ -14,13 +14,19 @@ from qsct.channels import (
     phase_damping,
     weyl_channel,
 )
-from qsct.entanglement import concurrence_pure
-from qsct.linalg import Bipartition, partial_trace
+from qsct.entanglement import (
+    amplified_ccnr_margin,
+    ccnr,
+    concurrence_pure,
+    entanglement_level,
+    schmidt_measures,
+)
+from qsct.linalg import Bipartition, partial_trace, partial_trace_pure
 from qsct.protocol import (
     ConfigError,
     ExperimentConfig,
     NoiseSpec,
-    _Runner,
+    TransferRecord,
     average_fidelity_comparison,
     conformance_closed_forms,
     gamma_check,
@@ -64,6 +70,17 @@ def test_config_validation_messages():
         _config(bipartition="ends")
     with pytest.raises(ConfigError, match="gamma_tolerance"):
         _config(gamma_tolerance=0.0)
+
+
+def test_config_refuses_a_chain_that_is_no_chain_spec():
+    with pytest.raises(ConfigError, match=r"^chain: expected a ChainSpec"):
+        ExperimentConfig(chain={"d": 2, "nodes": 3}, input_amplitudes=[1.0, 0.0])
+
+
+def test_config_refuses_a_noise_that_is_no_noise_spec():
+    noise = {"kind": "phase_damping", "topology": "interleaved", "p": 0.5}
+    with pytest.raises(ConfigError, match=r"^noise: expected a NoiseSpec"):
+        _config(noise=noise)
 
 
 def test_config_rejects_bool_steps():
@@ -367,6 +384,8 @@ def test_average_fidelity_comparison_table():
 ])
 @pytest.mark.parametrize("t_total", [None, 2.0])
 def test_one_register_eigh_per_experiment(monkeypatch, noise, t_total):
+    # only interleaved noise steps a density matrix, and so needs the register
+    # spectrum; every other run lives on the n x n sector
     import qsct.protocol
 
     cfg = _config(d=2, n=3, steps=4, bipartition="endpoints", noise=noise, t_total=t_total)
@@ -385,7 +404,8 @@ def test_one_register_eigh_per_experiment(monkeypatch, noise, t_total):
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     monkeypatch.setattr(qsct.protocol, "find_pst_time", counting_find)
     records, reference = run_experiment(cfg)
-    assert len(register_eighs) == 1
+    interleaved = noise is not None and noise.topology == "interleaved"
+    assert len(register_eighs) == (1 if interleaved else 0)
     assert len(searches) == (1 if t_total is None else 0)
     assert (reference is None) == (noise is None)
 
@@ -407,9 +427,90 @@ def _noise(kind, topology, chain, rng):
     return NoiseSpec(kind=kind, topology=topology, pi=pi / pi.sum())
 
 
+def _hopping_hamiltonian(spec):
+    """The register Hamiltonian as level hopping: bond i moves |a b> to |b a>
+    with amplitude J_i for a != b. Assembled without the generators, and
+    checked against build_hamiltonian below."""
+    d, n = spec.d, spec.n
+    digits = np.indices((d,) * n).reshape(n, -1)
+    index = np.arange(spec.dim)
+    h = np.zeros((spec.dim, spec.dim))
+    for i, coupling in enumerate(spec.couplings):
+        a, b = digits[i], digits[i + 1]
+        moved = index + (b - a) * d ** (n - 1 - i) + (a - b) * d ** (n - 2 - i)
+        hop = a != b
+        h[moved[hop], index[hop]] = coupling
+    return h
+
+
+class _DenseEvolution:
+    """exp(-i t H) of a register Hamiltonian from its own eigh: an oracle that
+    shares nothing with the sector route."""
+
+    def __init__(self, spec, h):
+        self.spec = spec
+        self.w, self.v = np.linalg.eigh(h)
+
+    def unitary(self, t):
+        return (self.v * np.exp(-1j * t * self.w)) @ self.v.conj().T
+
+    def ket(self, ket0, t):
+        return self.v @ (np.exp(-1j * t * self.w) * (self.v.conj().T @ ket0))
+
+    def transfer(self, t):
+        """<e_N| exp(-i t H) |e_1> at level 1."""
+        src, dst = (excitation_index(self.spec, s, 1) for s in (1, self.spec.n))
+        return self.v[dst] @ (np.exp(-1j * t * self.w) * self.v[src].conj())
+
+
+def _dense_ket0(config):
+    ground = np.eye(config.chain.d)[0]
+    ket = config.input_amplitudes
+    for _ in range(config.chain.n - 1):
+        ket = np.kron(ket, ground)
+    return ket
+
+
+def _dense_record(config, step, state, transfer):
+    """Record of a register ket (1-d) or density matrix (2-d) with the dense
+    measures: partial traces of the register state, the Schmidt measures of
+    the ket or the realigned rho across a chain cut."""
+    spec = config.chain
+    d, n, dims = spec.d, spec.n, spec.dims
+    pure = state.ndim == 1
+    reduce_to = partial_trace_pure if pure else partial_trace
+    cut = config.bipartition
+    if pure and (cut != "endpoints" or n == 2):
+        # a pure register across a cut, or the pure pair that two sites form
+        cut = 1 if cut == "endpoints" else cut
+        values = schmidt_measures(state, Bipartition(d**cut, d ** (n - cut)))
+    else:
+        if cut == "endpoints":
+            rho_cut, part = reduce_to(state, dims, keep=[0, n - 1]), Bipartition(d, d)
+        else:
+            rho_cut, part = state, Bipartition(d**cut, d ** (n - cut))
+        values = (ccnr(rho_cut, part), amplified_ccnr_margin(rho_cut, part),
+                  entanglement_level(rho_cut, part))
+    rho_last = reduce_to(state, dims, keep=[n - 1])
+    alpha = config.input_amplitudes
+    chi = alpha.copy()
+    chi[1:] *= np.exp(1j * np.angle(transfer))
+    return TransferRecord(
+        step=step,
+        time=step * (config.t_total / config.steps),
+        ccnr=values[0],
+        ccnr_amplified_margin=values[1],
+        concurrence=values[2],
+        transfer_probability=float(np.sum(np.diag(rho_last).real[1:]) / np.sum(np.abs(alpha[1:]) ** 2)),
+        fidelity_to_input=float((chi.conj() @ rho_last @ chi).real),
+    )
+
+
 def _kraus_run(config):
-    """The noisy run with full-register Kraus operators: embed_channel builds
-    the cross product and apply_channel sums E rho E^dagger."""
+    """The noisy run with full-register Kraus operators on a dense evolution:
+    embed_channel builds the cross product, apply_channel sums
+    E rho E^dagger, and the unitary comes from a complex eigh of
+    build_hamiltonian."""
     spec, noise = config.chain, config.noise
     if noise.kind == "phase_damping":
         local = phase_damping(spec.dim if noise.topology == "global_after" else spec.d, noise.p)
@@ -417,17 +518,19 @@ def _kraus_run(config):
         local = weyl_channel(noise.pi)
     channel = (local if noise.topology == "global_after"
                else embed_channel(local, list(range(spec.n)), spec.dims))
-    spectrum = Spectrum(spec)
-    runner = _Runner(config, spectrum)
+    dense = _DenseEvolution(spec, build_hamiltonian(spec))
+    dt = config.t_total / config.steps
+    ket0 = _dense_ket0(config)
     first = 1 if noise.topology == "interleaved" else config.steps
-    records = [runner.measure_ket(k, runner.ket(k)) for k in range(first)]
-    ket = runner.ket(first)
+    records = [_dense_record(config, k, dense.ket(ket0, k * dt), dense.transfer(k * dt))
+               for k in range(first)]
+    ket = dense.ket(ket0, first * dt)
     rho = apply_channel(np.outer(ket, ket.conj()), channel)
-    records.append(runner.measure_rho(first, rho))
-    u = spectrum.unitary(runner.dt)
+    records.append(_dense_record(config, first, rho, dense.transfer(first * dt)))
+    u = dense.unitary(dt)
     for k in range(first + 1, config.steps + 1):
         rho = apply_channel(u @ rho @ u.conj().T, channel)
-        records.append(runner.measure_rho(k, rho))
+        records.append(_dense_record(config, k, rho, dense.transfer(k * dt)))
     return records
 
 
@@ -478,3 +581,63 @@ def test_noisy_run_memory_stays_small(kind, topology, n):
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20, peak
+
+
+# ---------------------------------------------------------------------------
+# The single-excitation sector against a dense register evolution
+# ---------------------------------------------------------------------------
+
+SECTOR_CHAINS = [(d, n) for d in range(2, 28) for n in range(2, 10) if d**n <= 729]
+
+
+def test_hopping_hamiltonian_is_the_generator_hamiltonian():
+    rng = np.random.default_rng(5)
+    for d, n in ((2, 2), (2, 5), (3, 3), (4, 2), (5, 3)):
+        spec = ChainSpec(d=d, n=n, couplings=rng.uniform(0.1, 2.0, n - 1))
+        assert np.array_equal(_hopping_hamiltonian(spec), build_hamiltonian(spec))
+
+
+@pytest.mark.parametrize("d, n", SECTOR_CHAINS)
+def test_sector_records_match_a_dense_evolution(d, n):
+    rng = np.random.default_rng(d * 100 + n)
+    amps = rng.normal(size=d) + 1j * rng.normal(size=d)
+    amps /= np.linalg.norm(amps)
+    spec = ChainSpec(d=d, n=n)
+    dense = _DenseEvolution(spec, _hopping_hamiltonian(spec))
+    for cut in ["endpoints", *range(1, n)]:
+        cfg = ExperimentConfig(chain=spec, input_amplitudes=amps, steps=6,
+                               t_total=math.pi, bipartition=cut)
+        ket0 = _dense_ket0(cfg)
+        for got in run_noiseless(cfg):
+            want = _dense_record(cfg, got.step, dense.ket(ket0, got.time), dense.transfer(got.time))
+            for name in ("time", "ccnr", "transfer_probability", "fidelity_to_input"):
+                assert abs(getattr(got, name) - getattr(want, name)) <= 1e-12, (cut, got.step, name)
+            # the square root of a near-zero purity gap amplifies rounding
+            for name in ("concurrence", "ccnr_amplified_margin"):
+                expect = getattr(want, name)
+                tol = 1e-12 if abs(expect) > 1e-3 else 1e-8
+                assert abs(getattr(got, name) - expect) <= tol, (cut, got.step, name)
+
+
+@pytest.mark.parametrize("cut", ["endpoints", 6])
+def test_noiseless_run_at_the_dimension_cap_stays_in_the_sector(monkeypatch, cut):
+    register_eighs = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        if np.shape(a)[-1] == 2**12:
+            register_eighs.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    cfg = _config(d=2, n=12, steps=16, bipartition=cut,
+                  input_amplitudes=np.array([0.6, 0.8]))
+    tracemalloc.start()
+    try:
+        records, _ = run_experiment(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert register_eighs == []
+    assert peak < 4 * 2**20, peak
+    assert records[-1].transfer_probability == pytest.approx(1.0, abs=1e-9)
