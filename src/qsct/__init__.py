@@ -20,33 +20,21 @@ from .channels import (
     gate_z,
     phase_damping,
     phase_damping_table,
-    root_of_unity,
     weyl_channel,
     weyl_table,
 )
 from .entanglement import (
-    EntanglementReport,
     amplified_ccnr_margin,
     ccnr,
     closed_form_l2_d2,
     closed_form_l2_d3,
     concurrence_pure,
     entanglement_level,
-    entanglement_report,
     fit_cosine_series,
     mixedness_indicator,
 )
 from .generators import GeneratorSet, beta, eta, generator_set, projector, theta
-from .linalg import (
-    Bipartition,
-    kron,
-    partial_trace,
-    purity,
-    realign,
-    realign_inverse,
-    trace_norm,
-    vectorize,
-)
+from .linalg import Bipartition, partial_trace, realign, trace_norm
 from .protocol import (
     ConfigError,
     ExperimentConfig,
@@ -55,7 +43,6 @@ from .protocol import (
     average_fidelity_comparison,
     conformance_closed_forms,
     gamma_check,
-    initial_state,
     run_experiment,
     run_noiseless,
     run_noisy,

@@ -6,9 +6,16 @@ generator pair:
     H = sum_i (J_i / 2) sum_{1 <= k < j <= d} [ theta^{kj}_i theta^{kj}_{i+1}
                                               + beta^{kj}_i beta^{kj}_{i+1} ]
 
-Each bond swaps a level k on one site with a level j on the next, so a single
-excitation of any level hops on the n x n tridiagonal matrix J with
-off-diagonals J_i, the same for every level, and the vacuum is annihilated.
+On one bond theta^{kj} (x) theta^{kj} + beta^{kj} (x) beta^{kj} =
+2 (|kj><jk| + |jk><kj|), so the generator sum is twice the swap of the two
+sites minus its diagonal sum_a |aa><aa|:
+
+    H = sum_i J_i (SWAP_{i,i+1} - sum_a |aa><aa|_{i,i+1}),
+
+a real matrix with one entry J_i per hop |.. a b ..> -> |.. b a ..>, a != b;
+build_hamiltonian assembles it in that form. A single excitation of any
+level hops on the n x n tridiagonal matrix J with off-diagonals J_i, the
+same for every level, and the vacuum is annihilated.
 With J_i = sqrt(i (N - i)) / 2 that matrix is the angular-momentum J_x, and
 the end-to-end transfer amplitude reaches 1 at t = pi independent of N.
 Site 1 is the most significant tensor factor: basis index =
@@ -25,12 +32,10 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
-from .generators import beta, theta
-from .linalg import embed_operator
+from .generators import eta
 
 MAX_DIM = 4096
 # largest phase error, in radians, that exp(-i E t) may carry: about |E t| eps
@@ -139,46 +144,30 @@ def default_couplings(n: int) -> np.ndarray:
     return np.sqrt(i * (n - i)) / 2.0
 
 
-def _bond_term(d: int) -> np.ndarray:
-    """sum_{k<j} theta (x) theta + beta (x) beta on one bond; real symmetric."""
-    out = np.zeros((d * d, d * d), dtype=np.complex128)
-    for k in range(1, d + 1):
-        for j in range(k + 1, d + 1):
-            th = theta(k, j, d)
-            be = beta(k, j, d)
-            out += np.kron(th, th) + np.kron(be, be)
-    return out
-
-
 def build_hamiltonian(spec: ChainSpec) -> np.ndarray:
-    """Assemble the full-register Hamiltonian (dense, Hermitian, real)."""
-    d, n = spec.d, spec.n
-    bond = _bond_term(d)
-    h = np.zeros((spec.dim, spec.dim), dtype=np.complex128)
-    for i in range(1, n):
-        left = np.eye(d ** (i - 1))
-        right = np.eye(d ** (n - i - 1))
-        h += (spec.couplings[i - 1] / 2.0) * reduce(np.kron, [left, bond, right])
+    """The register Hamiltonian as a real symmetric hopping matrix: bond i
+    takes every basis state whose sites i and i+1 differ to the state with
+    those two sites exchanged, with amplitude J_i."""
+    digits = np.indices(spec.dims).reshape(spec.n, -1)
+    h = np.zeros((spec.dim, spec.dim))
+    for i, coupling in enumerate(spec.couplings):
+        hop = np.flatnonzero(digits[i] != digits[i + 1])
+        swapped = digits[:, hop]
+        swapped[[i, i + 1]] = swapped[[i + 1, i]]
+        h[np.ravel_multi_index(swapped, spec.dims), hop] = coupling
     return h
 
 
-def level_counters(spec: ChainSpec) -> list[np.ndarray]:
-    """Summed diagonal generators sum_i eta^r_(i), r = 1..d-1; each commutes with H."""
-    from .generators import eta
-
-    return [
-        sum(embed_operator(eta(r, spec.d), s, spec.dims) for s in range(spec.n))
-        for r in range(1, spec.d)
-    ]
-
-
 def commutator_defect(spec: ChainSpec) -> list[float]:
-    """Frobenius norms of [H, sum_i eta^r_(i)] for r = 1..d-1."""
+    """Frobenius norms of [H, C_r] for the level counters C_r = sum_i eta^r_(i),
+    r = 1..d-1. C_r is diagonal, c_r[a] = sum_i eta^r[a_i, a_i], so
+    [H, C_r]_ab = H_ab (c_r[b] - c_r[a])."""
     h = build_hamiltonian(spec)
+    digits = np.indices(spec.dims).reshape(spec.n, -1)
     out = []
-    for counter in level_counters(spec):
-        comm = h @ counter - counter @ h
-        out.append(float(np.linalg.norm(comm)))
+    for r in range(1, spec.d):
+        c = np.diag(eta(r, spec.d)).real[digits].sum(axis=0)
+        out.append(float(np.linalg.norm(h * (c[None, :] - c[:, None]))))
     return out
 
 
@@ -271,10 +260,7 @@ class Spectrum:
         """(exp(-i E t), eigenvectors) of the register Hamiltonian, which is
         assembled and diagonalised on the first call."""
         if self._register is None:
-            h = build_hamiltonian(self.spec)
-            if np.any(h.imag):
-                raise ValueError("chain Hamiltonian has a non-zero imaginary part")
-            self._register = np.linalg.eigh(h.real)
+            self._register = np.linalg.eigh(build_hamiltonian(self.spec))
         eigvals, eigvecs = self._register
         self._check(t, eigvals)
         return np.exp(-1j * t * eigvals), eigvecs
@@ -296,32 +282,20 @@ class Spectrum:
 class _TransferAmplitudes:
     """End-to-end transfer amplitude <e_N| exp(-i J t) |e_1> of one chain.
 
-    Every excited level hops on the same J, so every level has this amplitude;
-    the per-level views broadcast it.
+    Every excited level hops on the same J, so this one amplitude is every
+    level's.
     """
 
     def __init__(self, spec: ChainSpec, spectrum: Spectrum | None = None):
         if spectrum is None:
             spectrum = Spectrum(spec)
-        self.levels = spec.d - 1
         self.eigvals = spectrum.eigvals
         self.weights = spectrum.eigvecs[-1] * spectrum.eigvecs[0]
 
-    def _amplitude(self, t: np.ndarray | float) -> np.ndarray:
+    def amplitude(self, t: np.ndarray | float) -> np.ndarray:
+        """<e_N | U_t | e_1>, complex; the shape of t."""
         phases = np.exp(-1j * np.multiply.outer(self.eigvals, np.asarray(t, dtype=float)))
         return np.tensordot(self.weights, phases, axes=(0, 0))
-
-    def complex_amplitudes(self, t: np.ndarray | float) -> np.ndarray:
-        """<e_N | U_t | e_1> per level; shape (d-1,) + shape of t (a read-only view)."""
-        amplitude = self._amplitude(t)
-        return np.broadcast_to(amplitude, (self.levels,) + amplitude.shape)
-
-    def amplitudes(self, t: np.ndarray | float) -> np.ndarray:
-        """|<e_N | U_t | e_1>| per level; shape (d-1,) + shape of t."""
-        return np.abs(self.complex_amplitudes(t))
-
-    def worst_level(self, t: np.ndarray | float) -> np.ndarray:
-        return np.abs(self._amplitude(t))
 
 
 def find_pst_time(
@@ -331,7 +305,7 @@ def find_pst_time(
     tol: float = 1e-10,
     spectrum: Spectrum | None = None,
 ) -> tuple[float, float]:
-    """Locate the time maximizing the worst-level transfer amplitude.
+    """Locate the time maximizing the modulus of the transfer amplitude.
 
     Coarse scan over [0, t_max] followed by golden-section refinement of the
     best bracket; ties resolve to the earliest time. Returns (t_star, amplitude).
@@ -360,15 +334,15 @@ def find_pst_time(
         )
     amps = _TransferAmplitudes(spec, spectrum)
     ts = np.linspace(0.0, t_max, grid_points)
-    vals = amps.worst_level(ts)
+    vals = np.abs(amps.amplitude(ts))
     best = int(np.argmax(vals))
     # earliest index within 1e-12 of the maximum
     near = np.nonzero(vals >= vals[best] - 1e-12)[0]
     best = int(near[0])
     lo = ts[max(best - 1, 0)]
     hi = ts[min(best + 1, grid_points - 1)]
-    t_star = _golden_max(lambda t: float(amps.worst_level(t)), lo, hi, tol)
-    return t_star, float(amps.worst_level(t_star))
+    t_star = _golden_max(lambda t: float(abs(amps.amplitude(t))), lo, hi, tol)
+    return t_star, float(abs(amps.amplitude(t_star)))
 
 
 def _golden_max(f, lo: float, hi: float, tol: float) -> float:

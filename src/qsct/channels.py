@@ -40,15 +40,6 @@ from .linalg import embed_operator
 TP_TOL = 1e-12
 
 
-def root_of_unity(d: int, k: int) -> complex:
-    """exp(2 pi i k / d)."""
-    if d < 1:
-        raise ValueError("d must be positive")
-    if not (0 <= k <= d - 1):
-        raise ValueError(f"k must lie in 0..{d - 1}, got {k}")
-    return complex(np.exp(2j * np.pi * k / d))
-
-
 def gate_x(d: int) -> np.ndarray:
     """Cyclic shift X|j> = |j + 1 mod d>."""
     if d < 2:

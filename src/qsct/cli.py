@@ -286,7 +286,7 @@ def _cmd_pst(args) -> int:
     try:
         spectrum = Spectrum(spec)
         t_star, worst = find_pst_time(spec, t_max=args.tmax, spectrum=spectrum)
-        amps = _TransferAmplitudes(spec, spectrum).amplitudes(t_star)
+        amplitude = abs(_TransferAmplitudes(spec, spectrum).amplitude(t_star))
     except (np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
@@ -298,8 +298,8 @@ def _cmd_pst(args) -> int:
     print(f"t_star       = {t_star:.12g}")
     print(f"min_amplitude = {worst:.12g}")
     print("level  amplitude")
-    for level, amp in enumerate(amps, start=1):
-        print(f"{level:<6d} {amp:.12g}")
+    for level in range(1, spec.d):
+        print(f"{level:<6d} {amplitude:.12g}")
     return 0
 
 

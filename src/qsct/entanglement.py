@@ -14,13 +14,9 @@ Closed-form transfer profiles for two-site chains are evaluated as printed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .linalg import Bipartition, kron, partial_trace, realign, trace_norm
-
-DETECTION_TOL = 1e-9
+from .linalg import Bipartition, partial_trace, realign, trace_norm
 
 # A globally pure state admits the well-conditioned Schmidt route; the purity
 # route loses ~sqrt(eps) near zero entanglement.
@@ -32,10 +28,6 @@ def ccnr(rho: np.ndarray, part: Bipartition) -> float:
     return trace_norm(realign(rho, part))
 
 
-def ccnr_flags_entangled(value: float, tol: float = DETECTION_TOL) -> bool:
-    return value > 1.0 + tol
-
-
 def amplified_ccnr_margin(rho: np.ndarray, part: Bipartition) -> float:
     """Left side minus right side of the amplified realignment test.
 
@@ -45,7 +37,7 @@ def amplified_ccnr_margin(rho: np.ndarray, part: Bipartition) -> float:
     part.check(np.asarray(rho).shape[0])
     rho_a = partial_trace(rho, [part.dim_a, part.dim_b], keep=[0])
     rho_b = partial_trace(rho, [part.dim_a, part.dim_b], keep=[1])
-    lhs = trace_norm(realign(rho - kron(rho_a, rho_b), part))
+    lhs = trace_norm(realign(rho - np.kron(rho_a, rho_b), part))
     gap_a = max(0.0, 1.0 - float(np.vdot(rho_a, rho_a).real))
     gap_b = max(0.0, 1.0 - float(np.vdot(rho_b, rho_b).real))
     return lhs - float(np.sqrt(gap_a * gap_b))
@@ -137,31 +129,6 @@ def entanglement_level(rho: np.ndarray, part: Bipartition) -> float:
         _, vecs = np.linalg.eigh(rho)
         return concurrence_pure(vecs[:, -1], part)
     return mixedness_indicator(rho, part)
-
-
-@dataclass
-class EntanglementReport:
-    """All bipartite indicators for one state and one cut."""
-
-    part: Bipartition
-    ccnr_value: float
-    ccnr_entangled: bool
-    amplified_margin: float
-    amplified_entangled: bool
-    concurrence: float
-
-
-def entanglement_report(rho: np.ndarray, part: Bipartition, tol: float = DETECTION_TOL) -> EntanglementReport:
-    value = ccnr(rho, part)
-    margin = amplified_ccnr_margin(rho, part)
-    return EntanglementReport(
-        part=part,
-        ccnr_value=value,
-        ccnr_entangled=ccnr_flags_entangled(value, tol),
-        amplified_margin=margin,
-        amplified_entangled=margin > tol,
-        concurrence=entanglement_level(rho, part),
-    )
 
 
 def _check_amplitudes(*amps: float) -> None:

@@ -1,4 +1,6 @@
-"""Dense complex linear algebra for small qudit registers.
+"""Dense complex linear algebra for small qudit registers: bipartitions, the
+realignment map, the trace norm, partial traces (of a density matrix or
+straight from a ket) and single-site embedding.
 
 Everything works on plain numpy arrays (complex128, row-major, dense). The
 operating envelope is full-register dimensions up to a few thousand, where
@@ -13,8 +15,6 @@ from __future__ import annotations
 from typing import NamedTuple, Sequence
 
 import numpy as np
-
-TRACE_TOL = 1e-8
 
 
 class Bipartition(NamedTuple):
@@ -32,34 +32,12 @@ class Bipartition(NamedTuple):
             )
 
 
-def dagger(a: np.ndarray) -> np.ndarray:
-    return np.conjugate(np.swapaxes(a, -1, -2))
-
-
-def hermitian_defect(a: np.ndarray) -> float:
-    """Largest entrywise deviation of a from its own adjoint."""
-    return float(np.max(np.abs(a - dagger(a)))) if a.size else 0.0
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Tensor product with the left factor most significant."""
-    return np.kron(a, b)
-
-
-def vectorize(a: np.ndarray) -> np.ndarray:
-    """Stack columns: an m x n matrix becomes [a_11..a_m1, a_12..a_m2, ...]."""
-    a = np.asarray(a)
-    if a.ndim != 2:
-        raise ValueError("vectorize expects a matrix")
-    return a.flatten(order="F")
-
-
 def realign(rho: np.ndarray, part: Bipartition) -> np.ndarray:
     """Realign a bipartite operator into its dim_a^2 x dim_b^2 block form.
 
     Row p of the result is the column-stacked B-block of rho selected by the
     A indices (i, j) with p = j * dim_a + i, so a product operator A (x) B
-    realigns to the rank-one matrix vectorize(A) vectorize(B)^T.
+    realigns to the rank-one matrix vec(A) vec(B)^T, vec stacking columns.
     """
     rho = np.asarray(rho)
     da, db = part
@@ -70,19 +48,6 @@ def realign(rho: np.ndarray, part: Bipartition) -> np.ndarray:
         rho.reshape(da, db, da, db)
         .transpose(2, 0, 3, 1)
         .reshape(da * da, db * db)
-    )
-
-
-def realign_inverse(mat: np.ndarray, part: Bipartition) -> np.ndarray:
-    """Undo realign exactly (pure index permutation, no arithmetic)."""
-    da, db = part
-    mat = np.asarray(mat)
-    if mat.shape != (da * da, db * db):
-        raise ValueError("realigned block has the wrong shape for this bipartition")
-    return (
-        mat.reshape(da, da, db, db)
-        .transpose(1, 3, 0, 2)
-        .reshape(da * db, da * db)
     )
 
 
@@ -156,15 +121,3 @@ def embed_operator(op: np.ndarray, site: int, dims: Sequence[int]) -> np.ndarray
     right = int(np.prod(dims[site + 1:])) if site + 1 < len(dims) else 1
     return np.kron(np.kron(np.eye(left), op), np.eye(right))
 
-
-def purity(rho: np.ndarray) -> float:
-    """tr(rho^2) for a density matrix; validates Hermiticity and unit trace."""
-    rho = np.asarray(rho)
-    defect = hermitian_defect(rho)
-    if defect > 1e-10:
-        raise ValueError(f"density matrix is not Hermitian (defect {defect:.3e})")
-    tr = np.trace(rho).real
-    if abs(tr - 1.0) > TRACE_TOL:
-        raise ValueError(f"trace deviates from 1 by {abs(tr - 1.0):.3e}")
-    # tr(rho^2) = ||rho||_F^2 for Hermitian rho
-    return float(np.vdot(rho, rho).real)

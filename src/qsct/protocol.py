@@ -194,11 +194,6 @@ def _register_ket(alpha: np.ndarray, f: np.ndarray) -> np.ndarray:
     return ket
 
 
-def initial_state(config: ExperimentConfig) -> np.ndarray:
-    """Register ket: the input qudit on site 1, every other site in its ground level."""
-    return _register_ket(config.input_amplitudes, np.eye(config.chain.n)[0])
-
-
 def _cut_ket(alpha: np.ndarray, f: np.ndarray, cut: int) -> tuple[np.ndarray, Bipartition]:
     """The register ket across the cut after site `cut`, on the sector bases of
     both sides: (coefficients, Bipartition). Index 0 of either side is its
@@ -325,10 +320,6 @@ def _noise_channel(config: ExperimentConfig) -> tuple[WeylTable, tuple[int, ...]
     return weyl_table(noise.pi), dims
 
 
-def strip_noise(config: ExperimentConfig) -> ExperimentConfig:
-    return replace(config, noise=None)
-
-
 def _prepare(
     config: ExperimentConfig, spectrum: Spectrum | None
 ) -> tuple[ExperimentConfig, Spectrum]:
@@ -355,7 +346,7 @@ def run_noiseless(
     spectrum when the caller already has one.
     """
     if config.noise is not None:
-        config = strip_noise(config)
+        config = replace(config, noise=None)
     config, spectrum = _prepare(config, spectrum)
     runner = _Runner(config, spectrum)
     return [runner.measure_pure(k) for k in range(config.steps + 1)]

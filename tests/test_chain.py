@@ -15,6 +15,8 @@ from qsct.chain import (
     excitation_index,
     find_pst_time,
 )
+from qsct.generators import eta
+from qsct.linalg import embed_operator
 
 
 def _complex_propagator(h, t):
@@ -23,8 +25,8 @@ def _complex_propagator(h, t):
     return (v * np.exp(-1j * t * w)) @ v.conj().T
 
 
-def _transfer_amplitude(spec, t, level):
-    return float(_TransferAmplitudes(spec).amplitudes(t)[level - 1])
+def _transfer_amplitude(spec, t):
+    return float(abs(_TransferAmplitudes(spec).amplitude(t)))
 
 
 def test_default_couplings_n2():
@@ -83,14 +85,30 @@ def test_hamiltonian_d3_n2_swap_structure():
 def test_hamiltonian_hermitian_and_real():
     for d, n in ((2, 4), (3, 3)):
         h = build_hamiltonian(ChainSpec(d=d, n=n))
-        assert np.max(np.abs(h - h.conj().T)) < 1e-12
-        assert np.max(np.abs(h.imag)) < 1e-12
+        assert h.dtype == np.float64
+        assert np.array_equal(h, h.T)
 
 
 def test_commutator_defect_small_chains():
     assert commutator_defect(ChainSpec(d=2, n=3)) == pytest.approx([0.0], abs=1e-10)
     assert commutator_defect(ChainSpec(d=3, n=2)) == pytest.approx([0.0, 0.0], abs=1e-10)
     assert commutator_defect(ChainSpec(d=3, n=4)) == pytest.approx([0.0, 0.0], abs=1e-10)
+
+
+def test_commutator_defect_matches_the_dense_commutator(monkeypatch):
+    # a random symmetric H breaks every level count, so each defect is non-zero
+    rng = np.random.default_rng(13)
+    for d, n in ((2, 3), (3, 2), (3, 3)):
+        spec = ChainSpec(d=d, n=n)
+        h = rng.normal(size=(spec.dim, spec.dim))
+        h += h.T
+        monkeypatch.setattr("qsct.chain.build_hamiltonian", lambda _spec: h)
+        expect = []
+        for r in range(1, d):
+            counter = sum(embed_operator(eta(r, d), s, spec.dims) for s in range(n))
+            expect.append(np.linalg.norm(h @ counter - counter @ h))
+        assert min(expect) > 1.0
+        assert commutator_defect(spec) == pytest.approx(expect, rel=1e-12)
 
 
 def test_sector_preservation():
@@ -187,22 +205,21 @@ def test_excitation_index():
 def test_transfer_amplitude_zero_at_t0():
     for n in (2, 3, 4):
         spec = ChainSpec(d=2, n=n)
-        assert _transfer_amplitude(spec, 0.0, 1) < 1e-15
+        assert _transfer_amplitude(spec, 0.0) < 1e-15
 
 
 def test_transfer_amplitude_qubit_at_pi():
     for n in (2, 3, 4, 5):
         spec = ChainSpec(d=2, n=n)
-        assert _transfer_amplitude(spec, math.pi, 1) == pytest.approx(1.0, abs=1e-6)
+        assert _transfer_amplitude(spec, math.pi) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_transfer_phase_pattern():
     # end-to-end amplitude at t=pi carries phase (-i)^(N-1), same for every level
     for d, n in ((2, 2), (2, 3), (3, 4), (3, 5)):
         spec = ChainSpec(d=d, n=n)
-        amp = _TransferAmplitudes(spec).complex_amplitudes(math.pi)
-        for level in range(d - 1):
-            assert amp[level] == pytest.approx((-1j) ** (n - 1), abs=1e-10)
+        amp = _TransferAmplitudes(spec).amplitude(math.pi)
+        assert amp == pytest.approx((-1j) ** (n - 1), abs=1e-10)
 
 
 def test_find_pst_time_qubit_pair():
@@ -223,8 +240,7 @@ def test_find_pst_time_common_across_lengths():
 def test_find_pst_time_qutrit_levels():
     t_star, amplitude = find_pst_time(ChainSpec(d=3, n=4))
     assert amplitude >= 1.0 - 1e-6
-    for level in (1, 2):
-        assert _transfer_amplitude(ChainSpec(d=3, n=4), t_star, level) >= 1.0 - 1e-6
+    assert _transfer_amplitude(ChainSpec(d=3, n=4), t_star) >= 1.0 - 1e-6
 
 
 def test_find_pst_time_coarse_grid_still_returns():
@@ -252,17 +268,6 @@ def test_spectrum_evolution_matches_propagator():
             u = _complex_propagator(h, t)
             assert np.max(np.abs(spectrum.evolve(psi, t) - u @ psi)) <= 1e-12
             assert np.max(np.abs(spectrum.unitary(t) - u)) <= 1e-12
-
-
-def test_spectrum_rejects_complex_hamiltonian(monkeypatch):
-    spec = ChainSpec(d=2, n=2)
-    h = build_hamiltonian(spec)
-    h[1, 2] += 1e-3j
-    h[2, 1] -= 1e-3j
-    monkeypatch.setattr("qsct.chain.build_hamiltonian", lambda _spec: h)
-    spectrum = Spectrum(spec)   # the sector needs no register Hamiltonian
-    with pytest.raises(ValueError, match="imaginary"):
-        spectrum.unitary(0.1)
 
 
 def test_find_pst_time_reuses_given_spectrum(monkeypatch):

@@ -16,19 +16,10 @@ from qsct.channels import (
     haar_random_kets,
     phase_damping,
     phase_damping_table,
-    root_of_unity,
     weyl_channel,
     weyl_table,
 )
 from qsct.linalg import partial_trace
-
-
-def test_root_of_unity_values():
-    assert root_of_unity(4, 1) == pytest.approx(1j, abs=1e-15)
-    assert root_of_unity(3, 0) == pytest.approx(1.0, abs=1e-15)
-    assert root_of_unity(3, 1) ** 3 == pytest.approx(1.0, abs=1e-15)
-    with pytest.raises(ValueError):
-        root_of_unity(3, 3)
 
 
 def test_gates_d2_are_paulis():

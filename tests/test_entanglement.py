@@ -6,17 +6,15 @@ import pytest
 from qsct.entanglement import (
     amplified_ccnr_margin,
     ccnr,
-    ccnr_flags_entangled,
     closed_form_l2_d2,
     closed_form_l2_d3,
     concurrence_pure,
     entanglement_level,
-    entanglement_report,
     fit_cosine_series,
     mixedness_indicator,
     schmidt_measures,
 )
-from qsct.linalg import Bipartition, kron, partial_trace, partial_trace_pure
+from qsct.linalg import Bipartition, partial_trace, partial_trace_pure
 
 PAIR22 = Bipartition(2, 2)
 PAIR33 = Bipartition(3, 3)
@@ -41,7 +39,7 @@ def _random_product_density(rng, da, db):
     b = rng.normal(size=(db, db)) + 1j * rng.normal(size=(db, db))
     b = b @ b.conj().T
     b /= np.trace(b).real
-    return kron(a, b)
+    return np.kron(a, b)
 
 
 def test_ccnr_pure_product_is_one():
@@ -60,19 +58,13 @@ def test_ccnr_qutrit_pair():
     assert ccnr(rho, PAIR33) == pytest.approx(3.0, abs=1e-12)
 
 
-def test_ccnr_detection_flag():
-    assert ccnr_flags_entangled(1.1)
-    assert not ccnr_flags_entangled(1.0)
-    assert not ccnr_flags_entangled(1.0 + 5e-10)  # inside the guard band
-
-
 def test_amplified_margin_bell():
     rho = np.outer(_bell(), _bell().conj())
     rho_a = partial_trace(rho, [2, 2], keep=[0])
     rho_b = partial_trace(rho, [2, 2], keep=[1])
     from qsct.linalg import realign, trace_norm
 
-    lhs = trace_norm(realign(rho - kron(rho_a, rho_b), PAIR22))
+    lhs = trace_norm(realign(rho - np.kron(rho_a, rho_b), PAIR22))
     rhs = math.sqrt((1 - np.vdot(rho_a, rho_a).real) * (1 - np.vdot(rho_b, rho_b).real))
     assert lhs == pytest.approx(1.5, abs=1e-12)
     assert rhs == pytest.approx(0.5, abs=1e-12)
@@ -113,7 +105,7 @@ def test_concurrence_local_unitary_invariance():
     for _ in range(3):
         qa, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
         qb, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
-        rotated = kron(qa, qb) @ ket
+        rotated = np.kron(qa, qb) @ ket
         assert concurrence_pure(rotated, part) == pytest.approx(base, abs=1e-10)
 
 
@@ -151,20 +143,6 @@ def test_entanglement_level_mixed_global():
     rho_a = partial_trace(rho, [2, 2], keep=[0])
     expect = math.sqrt(2.0 * (1.0 - np.vdot(rho_a, rho_a).real))
     assert entanglement_level(rho, PAIR22) == pytest.approx(expect, abs=1e-12)
-
-
-def test_entanglement_report_flags():
-    report = entanglement_report(np.outer(_bell(), _bell().conj()), PAIR22)
-    assert report.ccnr_entangled
-    assert report.amplified_entangled
-    assert report.ccnr_value == pytest.approx(2.0, abs=1e-12)
-    assert report.concurrence <= math.sqrt(2.0 * (1.0 - 0.5)) + 1e-12
-
-    rng = np.random.default_rng(31)
-    product = _random_product_density(rng, 2, 2)
-    sep = entanglement_report(product, PAIR22)
-    assert not sep.ccnr_entangled
-    assert not sep.amplified_entangled
 
 
 def test_closed_form_l2_d2_anchors():

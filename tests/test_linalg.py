@@ -1,50 +1,49 @@
 import numpy as np
 import pytest
 
+from qsct.entanglement import concurrence_and_purity
 from qsct.linalg import (
     Bipartition,
-    kron,
+    embed_operator,
     partial_trace,
     partial_trace_pure,
-    purity,
     realign,
-    realign_inverse,
     trace_norm,
-    vectorize,
 )
 
 
+# embed_operator places a site operator by Kronecker products, site 0 the
+# most significant factor.
 def test_kron_identity():
-    assert np.array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
+    assert np.array_equal(embed_operator(np.eye(2), 0, [2, 2]), np.eye(4))
+    assert np.array_equal(embed_operator(np.eye(3), 1, [2, 3, 2]), np.eye(12))
 
 
 def test_kron_diagonal():
-    out = kron(np.diag([1.0, 2.0]), np.eye(2))
+    out = embed_operator(np.diag([1.0, 2.0]), 0, [2, 2])
     assert np.array_equal(out, np.diag([1.0, 1.0, 2.0, 2.0]))
+    out = embed_operator(np.diag([1.0, 2.0]), 1, [2, 2])
+    assert np.array_equal(out, np.diag([1.0, 2.0, 1.0, 2.0]))
 
 
 def test_kron_shift_on_basis_state():
     x = np.array([[0, 1], [1, 0]], dtype=complex)
     ket00 = np.zeros(4)
     ket00[0] = 1.0
-    out = kron(x, x) @ ket00
+    out = embed_operator(x, 0, [2, 2]) @ embed_operator(x, 1, [2, 2]) @ ket00
     expect = np.zeros(4)
     expect[3] = 1.0  # |00> -> |11>
     assert np.array_equal(out, expect)
 
 
+# with a one-level A factor, realign column-stacks the whole operator
 def test_vectorize_column_order():
     a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert np.array_equal(vectorize(a), [1.0, 3.0, 2.0, 4.0])
+    assert np.array_equal(realign(a, Bipartition(1, 2)), [[1.0, 3.0, 2.0, 4.0]])
 
 
 def test_vectorize_identity():
-    assert np.array_equal(vectorize(np.eye(2)), [1.0, 0.0, 0.0, 1.0])
-
-
-def test_vectorize_row_matrix():
-    a = np.array([[5.0, 6.0, 7.0]])
-    assert np.array_equal(vectorize(a), [5.0, 6.0, 7.0])
+    assert np.array_equal(realign(np.eye(2), Bipartition(1, 2)), [[1.0, 0.0, 0.0, 1.0]])
 
 
 def test_realign_4x4_layout():
@@ -88,10 +87,16 @@ def test_realign_product_is_rank_one():
     b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     b = b @ b.conj().T
     b /= np.trace(b).real
-    out = realign(kron(a, b), Bipartition(2, 3))
-    assert np.allclose(out, np.outer(vectorize(a), vectorize(b)), atol=1e-13)
+    out = realign(np.kron(a, b), Bipartition(2, 3))
+    assert np.allclose(out, np.outer(a.flatten(order="F"), b.flatten(order="F")), atol=1e-13)
     s = np.linalg.svd(out, compute_uv=False)
     assert s[1] < 1e-13
+
+
+def _unrealign(mat, part):
+    """The inverse index permutation of realign."""
+    da, db = part
+    return mat.reshape(da, da, db, db).transpose(1, 3, 0, 2).reshape(da * db, da * db)
 
 
 def test_realign_inverse_roundtrip_exact():
@@ -100,7 +105,7 @@ def test_realign_inverse_roundtrip_exact():
         dim = part.dim_a * part.dim_b
         m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         # pure index permutation: bit-exact roundtrip
-        assert np.array_equal(realign_inverse(realign(m, part), part), m)
+        assert np.array_equal(_unrealign(realign(m, part), part), m)
 
 
 def test_realign_dimension_mismatch():
@@ -130,7 +135,7 @@ def test_trace_norm_product_state_bound():
         b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         b = b @ b.conj().T
         b /= np.trace(b).real
-        got = trace_norm(realign(kron(a, b), Bipartition(2, 3)))
+        got = trace_norm(realign(np.kron(a, b), Bipartition(2, 3)))
         expect = np.sqrt(np.vdot(a, a).real) * np.sqrt(np.vdot(b, b).real)
         assert got == pytest.approx(expect, abs=1e-10)
         assert got <= 1.0 + 1e-10
@@ -175,7 +180,7 @@ def test_partial_trace_product_state():
     a = a @ a.conj().T
     a /= np.trace(a).real
     b = np.diag([0.2, 0.8]).astype(complex)
-    rho = kron(a, b)
+    rho = np.kron(a, b)
     assert np.allclose(partial_trace(rho, [3, 2], keep=[0]), a, atol=1e-13)
     assert np.allclose(partial_trace(rho, [3, 2], keep=[1]), b, atol=1e-13)
 
@@ -220,23 +225,26 @@ def test_partial_trace_rejects_bad_sites():
         partial_trace(np.eye(6) / 6, [2, 2], keep=[0])
 
 
+# tr rho_A^2 of a ket's reduced state, from its Schmidt weights
 def test_purity_values():
-    ket0 = np.zeros(3, dtype=complex)
-    ket0[0] = 1.0
-    assert purity(np.outer(ket0, ket0)) == pytest.approx(1.0, abs=1e-14)
-    assert purity(np.eye(3) / 3.0) == pytest.approx(1.0 / 3.0, abs=1e-14)
+    product = np.kron([1.0, 0.0, 0.0], [0.0, 1.0, 0.0]).astype(complex)
+    assert concurrence_and_purity(product, Bipartition(3, 3)) == pytest.approx((0.0, 1.0), abs=1e-14)
+    bell = np.zeros(4, dtype=complex)
+    bell[[0, 3]] = 1.0 / np.sqrt(2.0)
+    assert concurrence_and_purity(bell, Bipartition(2, 2)) == pytest.approx((1.0, 0.5), abs=1e-14)
 
 
 def test_purity_reduced_qutrit_pair():
     ket = np.zeros(9, dtype=complex)
     ket[[0, 4, 8]] = 1.0 / np.sqrt(3.0)
     rho_a = partial_trace(np.outer(ket, ket.conj()), [3, 3], keep=[0])
-    assert purity(rho_a) == pytest.approx(1.0 / 3.0, abs=1e-14)
+    assert np.vdot(rho_a, rho_a).real == pytest.approx(1.0 / 3.0, abs=1e-14)
+    assert concurrence_and_purity(ket, Bipartition(3, 3))[1] == pytest.approx(1.0 / 3.0, abs=1e-14)
 
 
 def test_purity_rejects_wrong_trace():
     with pytest.raises(ValueError):
-        purity(np.eye(2))
+        concurrence_and_purity(np.ones(4, dtype=complex), Bipartition(2, 2))
 
 
 def test_bipartition_check():

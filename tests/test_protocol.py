@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsct.chain import ChainSpec, build_hamiltonian, excitation_index, find_pst_time
 from qsct.channels import (
@@ -21,16 +23,17 @@ from qsct.entanglement import (
     entanglement_level,
     schmidt_measures,
 )
+from qsct.generators import beta, theta
 from qsct.linalg import Bipartition, partial_trace, partial_trace_pure
 from qsct.protocol import (
     ConfigError,
     ExperimentConfig,
     NoiseSpec,
     TransferRecord,
+    _register_ket,
     average_fidelity_comparison,
     conformance_closed_forms,
     gamma_check,
-    initial_state,
     run_experiment,
     run_noiseless,
     run_noisy,
@@ -47,7 +50,8 @@ def _config(d=3, n=2, **kwargs):
 
 
 def test_initial_state_layout():
-    ket = initial_state(_config(d=3, n=3))
+    cfg = _config(d=3, n=3)
+    ket = _register_ket(cfg.input_amplitudes, np.eye(3)[0])
     assert ket.shape == (27,)
     assert ket[0] == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-15)
     assert ket[9] == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-15)   # |100>
@@ -192,7 +196,7 @@ def test_record_bounds_invariant():
 
 def test_first_last_reduced_state_exact_at_t0():
     cfg = _config(d=2, n=4, bipartition="endpoints", steps=4)
-    ket = initial_state(cfg)
+    ket = _register_ket(cfg.input_amplitudes, np.eye(4)[0])
     rho = np.outer(ket, ket.conj())
     pair = partial_trace(rho, [2, 2, 2, 2], keep=[0, 3])
     ground = np.zeros((2, 2), dtype=complex)
@@ -430,7 +434,7 @@ def _noise(kind, topology, chain, rng):
 def _hopping_hamiltonian(spec):
     """The register Hamiltonian as level hopping: bond i moves |a b> to |b a>
     with amplitude J_i for a != b. Assembled without the generators, and
-    checked against build_hamiltonian below."""
+    checked against the generator sum below."""
     d, n = spec.d, spec.n
     digits = np.indices((d,) * n).reshape(n, -1)
     index = np.arange(spec.dim)
@@ -590,11 +594,58 @@ def test_noisy_run_memory_stays_small(kind, topology, n):
 SECTOR_CHAINS = [(d, n) for d in range(2, 28) for n in range(2, 10) if d**n <= 729]
 
 
+def _generator_hamiltonian(spec):
+    """The chain Hamiltonian as printed, sum_i (J_i / 2) sum_{k<j} theta^{kj} (x)
+    theta^{kj} + beta^{kj} (x) beta^{kj} on sites i, i+1, from Kronecker
+    products of the generator matrices (complex)."""
+    d, n = spec.d, spec.n
+    bond = np.zeros((d * d, d * d), dtype=complex)
+    for k in range(1, d + 1):
+        for j in range(k + 1, d + 1):
+            th, be = theta(k, j, d), beta(k, j, d)
+            bond += np.kron(th, th) + np.kron(be, be)
+    h = np.zeros((spec.dim, spec.dim), dtype=complex)
+    for i, coupling in enumerate(spec.couplings):
+        h += (coupling / 2.0) * np.kron(np.kron(np.eye(d**i), bond), np.eye(d ** (n - 2 - i)))
+    return h
+
+
+def _assert_hamiltonians_agree(spec):
+    h = build_hamiltonian(spec)
+    assert h.dtype == np.float64
+    generators = _generator_hamiltonian(spec)
+    assert np.array_equal(generators, h)
+    assert np.array_equal(generators, _hopping_hamiltonian(spec))
+
+
 def test_hopping_hamiltonian_is_the_generator_hamiltonian():
     rng = np.random.default_rng(5)
     for d, n in ((2, 2), (2, 5), (3, 3), (4, 2), (5, 3)):
-        spec = ChainSpec(d=d, n=n, couplings=rng.uniform(0.1, 2.0, n - 1))
-        assert np.array_equal(_hopping_hamiltonian(spec), build_hamiltonian(spec))
+        _assert_hamiltonians_agree(ChainSpec(d=d, n=n))
+        _assert_hamiltonians_agree(ChainSpec(d=d, n=n, couplings=rng.uniform(0.1, 2.0, n - 1)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_hamiltonian_is_the_generator_sum_for_any_couplings(data):
+    d, n = data.draw(st.sampled_from([(d, n) for d, n in SECTOR_CHAINS if d <= 5]))
+    # no subnormal couplings: the generator sum halves J_i, which rounds there
+    couplings = data.draw(st.lists(st.floats(-10.0, 10.0, allow_subnormal=False),
+                                   min_size=n - 1, max_size=n - 1))
+    _assert_hamiltonians_agree(ChainSpec(d=d, n=n, couplings=couplings))
+
+
+def test_hamiltonian_at_the_dimension_cap_is_real_and_small():
+    # the generator-product assembly peaked at ~776 MB here; H itself is 128 MB
+    tracemalloc.start()
+    try:
+        h = build_hamiltonian(ChainSpec(d=2, n=12))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 2**20, peak
+    assert h.dtype == np.float64 and h.shape == (4096, 4096)
+    assert np.array_equal(h, h.T)
 
 
 @pytest.mark.parametrize("d, n", SECTOR_CHAINS)
