@@ -22,9 +22,10 @@ Site 1 is the most significant tensor factor: basis index =
 sum_s value_s * d^(N - s).
 
 Spectrum diagonalises J and evolves every state of the single-excitation
-sector through its site amplitudes; the transfer-time search scans the same
-n eigenpairs. The dense register Hamiltonian (build_hamiltonian) is
-diagonalised only for a register evolution (Spectrum.unitary, evolve).
+sector, a ket through its site amplitudes and a density matrix through
+sector_unitary; the transfer-time search scans the same n eigenpairs. The
+dense register Hamiltonian (build_hamiltonian) is diagonalised only for a
+register evolution (Spectrum.unitary, evolve).
 """
 
 from __future__ import annotations
@@ -213,16 +214,18 @@ class Spectrum:
     pure state of a run through the site amplitudes f(t) = exp(-i J t) e_1:
     the register ket is alpha_0 |vac> + sum_{r,s} alpha_r f_s(t) |r on site s>.
 
-    The dense d^n x d^n register Hamiltonian is assembled and diagonalised
-    only when a register evolution is asked for (unitary, evolve), at most
-    once per Spectrum; a run asks for it only to step a density matrix under
-    interleaved noise. Build one Spectrum per experiment and pass it along;
+    A density matrix that stays in the sector steps under sector_unitary,
+    the same n x n evolution on each excited copy. The dense d^n x d^n
+    register Hamiltonian is assembled and diagonalised only when a register
+    evolution is asked for (unitary, evolve), at most once per Spectrum; a
+    run asks for it only to step a density matrix under interleaved noise
+    with shifts. Build one Spectrum per experiment and pass it along;
     nothing caches it beyond that.
 
     A phase exp(-i E t) is only known to about |E t| eps radians; every time
     is checked against PHASE_TOL on the eigenvalues that evolve it: the
-    sector's for site_amplitudes and the transfer-time search (check_time),
-    the register's for unitary and evolve.
+    sector's for site_amplitudes, sector_unitary and the transfer-time
+    search (check_time), the register's for unitary and evolve.
     """
 
     def __init__(self, spec: ChainSpec):
@@ -255,6 +258,18 @@ class Spectrum:
             return f
         self.check_time(t)
         return self.eigvecs @ (np.exp(-1j * t * self.eigvals) * self.eigvecs[0])
+
+    def sector_unitary(self, t: float) -> np.ndarray:
+        """exp(-i t H) on the sector basis: the vacuum, then level r on site s
+        at index 1 + (r-1) n + s (level-major, 0-based sites), which is
+        1 (+) (I_{d-1} (x) exp(-i J t)); built from the n x n eigenpairs."""
+        self.check_time(t)
+        hop = _real_matmul(self.eigvecs, np.exp(-1j * t * self.eigvals)[:, None] * self.eigvecs.T)
+        size = 1 + (self.spec.d - 1) * self.spec.n
+        u = np.zeros((size, size), dtype=np.complex128)
+        u[0, 0] = 1.0
+        u[1:, 1:] = np.kron(np.eye(self.spec.d - 1), hop)
+        return u
 
     def _register_phases(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         """(exp(-i E t), eigenvectors) of the register Hamiltonian, which is

@@ -22,7 +22,12 @@ same channel as one Hadamard mask per shift row m that carries weight:
 
 `apply_weyl_table` applies it site by site on the reshaped density tensor,
 one roll and one elementwise product per row and site, and builds no Kraus
-operator; experiment runs use this form.
+operator; experiment runs use this form. A table whose only row is m = 0
+(phase damping among them) rolls nothing: it multiplies rho[a, b] by
+prod_s M_0[a_s, b_s] and so never moves an excitation, and runs apply it as
+that product on the single-excitation sector (qsct.protocol); a table with
+shifts creates excitations, and runs apply it to the register with
+`apply_weyl_table`.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import product
-from math import comb
+from math import ldexp
 
 import numpy as np
 
@@ -38,6 +43,8 @@ from .chain import ConfigError, as_array
 from .linalg import embed_operator
 
 TP_TOL = 1e-12
+# working precision of the integer mantissas behind the phase-damping weights
+_MANTISSA_BITS = 128
 
 
 def gate_x(d: int) -> np.ndarray:
@@ -75,14 +82,42 @@ class KrausChannel:
             raise ValueError(f"channel is not trace preserving (defect {self.tp_defect:.3e})")
 
 
+def _powers(x: float, count: int) -> list[tuple[int, int]]:
+    """x^0 .. x^(count-1) as pairs (m, e), x^i = m 2^e, with m truncated to
+    _MANTISSA_BITS bits (a relative error below count 2^-127): no power
+    underflows, however small."""
+    num, den = x.as_integer_ratio()          # den is a power of two
+    m, e, out = 1, 0, []
+    for _ in range(count):
+        out.append((m, e))
+        m *= num
+        drop = max(m.bit_length() - _MANTISSA_BITS, 0)
+        m >>= drop
+        e += drop - (den.bit_length() - 1)
+    return out
+
+
 def _damping_weights(d: int, p: float) -> list[float]:
-    """Binomial weights of the clock powers Z^0 .. Z^{d-1} in phase damping."""
+    """Binomial weights C(d-1, i) lo^i hi^(d-1-i) of the clock powers
+    Z^0 .. Z^{d-1} in phase damping, lo = (1-p)/2 and hi = (1+p)/2.
+
+    Past d = 1030 the binomial exceeds the double range and the powers fall
+    below it, so each weight is formed as an exact integer binomial times the
+    integer mantissas of the two powers, and rounded to a float once.
+    """
     if d < 2:
         raise ValueError("d must be at least 2")
     if not (0.0 <= p <= 1.0):
         raise ValueError(f"p must lie in [0, 1], got {p}")
-    lo, hi = (1.0 - p) / 2.0, (1.0 + p) / 2.0
-    return [comb(d - 1, i) * lo**i * hi ** (d - 1 - i) for i in range(d)]
+    lo, hi = _powers((1.0 - p) / 2.0, d), _powers((1.0 + p) / 2.0, d)
+    weights, binomial = [], 1
+    for i in range(d):
+        (m_lo, e_lo), (m_hi, e_hi) = lo[i], hi[d - 1 - i]
+        m = binomial * m_lo * m_hi
+        bits = m.bit_length()
+        weights.append(ldexp(m / (1 << bits), e_lo + e_hi + bits))
+        binomial = binomial * (d - 1 - i) // (i + 1)
+    return weights
 
 
 def phase_damping(d: int, p: float) -> KrausChannel:
@@ -182,9 +217,14 @@ def weyl_table(pi) -> WeylTable:
     full-register table costs O(d) memory per row rather than O(d^2).
     """
     pi = np.maximum(check_probability_table(pi), 0.0)
-    d = pi.shape[0]
     shifts = tuple(int(m) for m in np.flatnonzero(pi.any(axis=1)))
-    spectra = np.fft.ifft(pi[list(shifts)], axis=1, norm="forward")
+    return _table(shifts, pi[list(shifts)])
+
+
+def _table(shifts: tuple[int, ...], rows: np.ndarray) -> WeylTable:
+    """The WeylTable of the weighted rows of pi (one per shift)."""
+    d = rows.shape[1]
+    spectra = np.fft.ifft(rows, axis=1, norm="forward")
     wrap = (np.arange(2 * d - 1) - (d - 1)) % d
     # window[a, j] = f[(a + j - (d - 1)) mod d], so window[a, d - 1 - b] = f[(a - b) mod d]
     masks = tuple(np.lib.stride_tricks.sliding_window_view(f[wrap], d)[:, ::-1]
@@ -193,11 +233,9 @@ def weyl_table(pi) -> WeylTable:
 
 
 def phase_damping_table(d: int, p: float) -> WeylTable:
-    """phase_damping(d, p) as a Weyl table: one row, m = 0, of binomial weights."""
-    weights = _damping_weights(d, p)
-    pi = np.zeros((d, d))
-    pi[0] = weights
-    return weyl_table(pi)
+    """phase_damping(d, p) as a Weyl table: one row, m = 0, of binomial
+    weights; no d x d table is formed."""
+    return _table((0,), np.array([_damping_weights(d, p)]))
 
 
 def apply_weyl_table(rho: np.ndarray, table: WeylTable, dims) -> np.ndarray:

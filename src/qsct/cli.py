@@ -42,6 +42,7 @@ from .protocol import (
     NoiseSpec,
     average_fidelity_comparison,
     conformance_closed_forms,
+    engine,
     run_experiment,
 )
 
@@ -266,6 +267,7 @@ def _cmd_run(args) -> int:
         "tool_version": __version__,
         "config_digest": config_digest(raw),
         "seed": [c.seed for c in configs] if isinstance(raw, list) else configs[0].seed,
+        "engine": [engine(c) for c in configs] if isinstance(raw, list) else engine(configs[0]),
         "started": started,
         "finished": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "output_paths": output_paths,

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import Bipartition, partial_trace, realign, trace_norm
+from .linalg import Bipartition, partial_trace, realign, sector_partial_trace, trace_norm
 
 # A globally pure state admits the well-conditioned Schmidt route; the purity
 # route loses ~sqrt(eps) near zero entanglement.
@@ -129,6 +129,46 @@ def entanglement_level(rho: np.ndarray, part: Bipartition) -> float:
         _, vecs = np.linalg.eigh(rho)
         return concurrence_pure(vecs[:, -1], part)
     return mixedness_indicator(rho, part)
+
+
+def sector_measures(rho: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[float, float, float]:
+    """(ccnr, amplified_ccnr_margin, entanglement_level) across a cut of a
+    state on span{vac} (+) single excitations, from its sector density matrix.
+
+    rho has the vacuum at index 0; a and b list the indices of the
+    excitations on sides A and B (k_A and k_B of them). Only four row groups
+    of the realigned register rho are non-zero, (vac,vac), (e,vac), (vac,e')
+    and (e,e'), and four column groups alike. The (e_A,e_A') rows are
+    x e_vv^T and the (e_B,e_B') columns e_vv z^T, with x and z the vectorized
+    excitation blocks of rho_A and rho_B: each group is rank one and collapses
+    to its norm, leaving a (2+2k_A) x (2+2k_B) matrix C with the register's
+    singular values. Subtracting vec rho_A vec rho_B^T leaves both groups rank
+    one again, meeting at -|x||z|, so the margin's matrix is C - a_c b_c^T
+    with the marginals collapsed the same way. The level is the purity
+    formula on rho_A, or for a globally pure rho the Schmidt form of its
+    dominant eigenvector.
+    """
+    ka, kb = len(a), len(b)
+    rho_a, rho_b = sector_partial_trace(rho, a, b), sector_partial_trace(rho, b, a)
+    x, z = np.linalg.norm(rho_a[1:, 1:]), np.linalg.norm(rho_b[1:, 1:])
+    c = np.zeros((2 + 2 * ka, 2 + 2 * kb), dtype=np.complex128)
+    c[0] = np.r_[rho[0, 0], rho[0, b], rho[b, 0], z]
+    c[1:, 0] = np.r_[rho[a, 0], rho[0, a], x]
+    c[1:1 + ka, 1:1 + kb] = rho[np.ix_(a, b)]
+    c[1 + ka:-1, 1 + kb:-1] = rho[np.ix_(b, a)].T
+    vec_a = np.r_[rho_a[0, 0], rho_a[1:, 0], rho_a[0, 1:], x]
+    vec_b = np.r_[rho_b[0, 0], rho_b[0, 1:], rho_b[1:, 0], z]
+    gap_a = max(0.0, 1.0 - float(np.vdot(rho_a, rho_a).real))
+    gap_b = max(0.0, 1.0 - float(np.vdot(rho_b, rho_b).real))
+    margin = trace_norm(c - np.outer(vec_a, vec_b)) - float(np.sqrt(gap_a * gap_b))
+    if 1.0 - float(np.vdot(rho, rho).real) <= _PURE_TOL:
+        v = np.linalg.eigh(rho)[1][:, -1]
+        m = np.zeros((1 + ka, 1 + kb), dtype=np.complex128)
+        m[0, 0], m[1:, 0], m[0, 1:] = v[0], v[a], v[b]
+        level = concurrence_pure(m.ravel(), Bipartition(1 + ka, 1 + kb))
+    else:
+        level = float(np.sqrt(2.0 * gap_a))
+    return trace_norm(c), margin, level
 
 
 def _check_amplitudes(*amps: float) -> None:

@@ -1,6 +1,6 @@
 """Dense complex linear algebra for small qudit registers: bipartitions, the
-realignment map, the trace norm, partial traces (of a density matrix or
-straight from a ket) and single-site embedding.
+realignment map, the trace norm, partial traces (of a density matrix, of a
+sector density matrix, or straight from a ket) and single-site embedding.
 
 Everything works on plain numpy arrays (complex128, row-major, dense). The
 operating envelope is full-register dimensions up to a few thousand, where
@@ -107,6 +107,21 @@ def partial_trace_pure(psi: np.ndarray, dims: Sequence[int], keep: Sequence[int]
     rest = [s for s in range(len(dims)) if s not in keep_sorted]
     m = psi.reshape(dims).transpose(keep_sorted + rest).reshape(kept, full // kept)
     return m @ m.conj().T
+
+
+def sector_partial_trace(rho: np.ndarray, keep: np.ndarray, traced: np.ndarray) -> np.ndarray:
+    """partial_trace of a state on span{vac} (+) single excitations, given on
+    a sector basis with the vacuum at index 0.
+
+    keep lists the indices of the kept sites' excitations and traced those of
+    every other site's. The result is on the kept sites' sector basis, their
+    vacuum then keep in order: a traced excitation leaves the kept sites in
+    their vacuum, so only its weight remains, on the vacuum's diagonal.
+    """
+    rows = np.r_[0, keep]
+    out = rho[np.ix_(rows, rows)]
+    out[0, 0] += rho.diagonal()[traced].sum()
+    return out
 
 
 def embed_operator(op: np.ndarray, site: int, dims: Sequence[int]) -> np.ndarray:

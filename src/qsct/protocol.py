@@ -14,17 +14,28 @@ every pure record is measured from them without the register ket:
                     the sector bases of both sides, (1+(d-1)c) x (1+(d-1)(n-c))
     last node     - |v><v| + w sum_{s<N} |f_s|^2 |0><0|, v = (alpha_0, alpha_r f_N)
 
-Noisy variants scatter the sector ket into the register ket at their first
-channel application and carry a density matrix from there, acted on by a
-Weyl-table channel (channels.WeylTable, applied by channels.apply_weyl_table;
-no Kraus operators are built) whose placement is one of three layouts:
+Noisy variants form a density matrix from the ket at their first channel
+application and carry it from there, acted on by a Weyl-table channel
+(channels.WeylTable; no Kraus operators are built) whose placement is one of
+three layouts:
 
     global_after  - one full-register channel after the complete evolution
                     (the single-qudit channel family taken at dimension d^N)
     local_after   - independent per-site channels after the complete evolution
-    interleaved   - per step: the register unitary (Spectrum.unitary, a run's
-                    only diagonalisation of the register Hamiltonian), then
-                    the per-site channels
+    interleaved   - per step: the unitary, then the per-site channels
+
+The table picks the engine that carries rho (engine(config)). A table with
+no shift, m = 0 its only weighted row (every phase-damping table), only
+multiplies rho[a, b] by its mask, so the state never leaves the sector:
+rho is (1+(d-1)n)^2 on the sector basis of the ket (vacuum, then level r on
+site s, level-major), steps under Spectrum.sector_unitary, takes the mask
+read at the sector states' register indices, and is measured by sector
+partial traces (endpoint pair, last node) and the compressed realigned
+matrices of entanglement.sector_measures (chain cut). A table with shifts
+moves excitations between levels, and so creates new ones: the sector ket is
+scattered into the register ket, rho is d^n x d^n, steps under the register
+unitary (Spectrum.unitary, a run's only diagonalisation of the register
+Hamiltonian) and takes channels.apply_weyl_table.
 
 Every record carries a gamma flag: the concurrence-style entanglement level
 is compared step by step against the noiseless profile of the same
@@ -74,8 +85,9 @@ from .entanglement import (
     entanglement_level,
     fit_cosine_series,
     schmidt_measures,
+    sector_measures,
 )
-from .linalg import partial_trace
+from .linalg import partial_trace, sector_partial_trace
 
 NOISE_KINDS = ("phase_damping", "weyl")
 NOISE_TOPOLOGIES = ("global_after", "local_after", "interleaved")
@@ -237,10 +249,36 @@ class _Runner:
             cut = int(config.bipartition)
             self.part = Bipartition(d**cut, d ** (n - cut))
         self.excited_weight = float(np.sum(np.abs(self.alpha[1:]) ** 2))
+        # sector index of level r (row r - 1) on site s (column s)
+        self.sector_index = 1 + np.arange((d - 1) * n).reshape(d - 1, n)
 
     def ket(self, step: int) -> np.ndarray:
         """Noiseless register ket after `step` steps, scattered from the site amplitudes."""
         return _register_ket(self.alpha, self.spectrum.site_amplitudes(step * self.dt))
+
+    def sector_ket(self, step: int) -> np.ndarray:
+        """Noiseless ket after `step` steps on the sector basis: alpha_0 on the
+        vacuum, then alpha_r f_s at 1 + (r-1) n + s (self.sector_index)."""
+        f = self.spectrum.site_amplitudes(step * self.dt)
+        return np.concatenate((self.alpha[:1], np.outer(self.alpha[1:], f).ravel()))
+
+    def sector_mask(self, table: WeylTable, dims: tuple[int, ...]) -> np.ndarray:
+        """The factor by which a shift-free table's channel on the register
+        factors `dims` multiplies each entry of a sector density matrix: the
+        mask at the two states' register indices, M_D[a, b] for one
+        register-wide factor, else prod_s M[a_s, b_s], in which a site that
+        neither state excites contributes M[0, 0]."""
+        d, n = self.spec.d, self.spec.n
+        level = np.r_[0, np.repeat(np.arange(1, d), n)]
+        site = np.r_[-1, np.tile(np.arange(n), d - 1)]      # -1: the vacuum
+        mask = table.masks[0]
+        if len(dims) == 1:
+            index = level * d ** (n - 1 - site)
+            return mask[np.ix_(index, index)]
+        rest = mask[0, 0]
+        return np.where(site[:, None] == site[None, :],
+                        mask[np.ix_(level, level)] * rest ** (n - 1),
+                        np.outer(mask[level, 0], mask[0, level]) * rest ** (n - 2))
 
     def aligned_input(self, t: float) -> np.ndarray:
         """Input amplitudes with the excited levels rotated by the transfer phase."""
@@ -288,6 +326,26 @@ class _Runner:
             values = self._measures(rho)
         return self._record(step, values, partial_trace(rho, dims, keep=[last]))
 
+    def measure_sector(self, step: int, rho: np.ndarray) -> TransferRecord:
+        """Record of a density matrix on the sector basis (see sector_ket)."""
+        d, index = self.spec.d, self.sector_index
+        cut = self.config.bipartition
+        if cut == "endpoints" and self.spec.n > 2:
+            # the pair's sector basis vac, level r on site 1, level r on site N
+            # is |00>, |r0>, |0r> of the d^2-level pair
+            at = np.r_[0, np.arange(1, d) * d, np.arange(1, d)]
+            pair = np.zeros((d * d, d * d), dtype=np.complex128)
+            pair[np.ix_(at, at)] = sector_partial_trace(
+                rho, np.r_[index[:, 0], index[:, -1]], index[:, 1:-1].ravel())
+            values = self._measures(pair)
+        else:
+            # on two sites the endpoint pair is the whole register: cut 1
+            c = 1 if cut == "endpoints" else cut
+            values = sector_measures(rho, index[:, :c].ravel(), index[:, c:].ravel())
+        # the last node's sector basis vac, level r on site N is its |0>, |r>
+        rho_last = sector_partial_trace(rho, index[:, -1], index[:, :-1].ravel())
+        return self._record(step, values, rho_last)
+
     def _record(self, step: int, values: tuple[float, float, float],
                 rho_last: np.ndarray) -> TransferRecord:
         t = step * self.dt
@@ -318,6 +376,20 @@ def _noise_channel(config: ExperimentConfig) -> tuple[WeylTable, tuple[int, ...]
     if noise.kind == "phase_damping":
         return phase_damping_table(dims[0], float(noise.p)), dims
     return weyl_table(noise.pi), dims
+
+
+def _in_sector(table: WeylTable) -> bool:
+    """Whether a run under this table stays in the sector: a table with no
+    shift only multiplies rho[a, b], so it moves no excitation."""
+    return table.shifts == (0,)
+
+
+def engine(config: ExperimentConfig) -> str:
+    """The engine that carries a run's state: "sector" for a noiseless run or
+    a noise table with no shift, "dense" (the d^n x d^n register) otherwise."""
+    if config.noise is None or _in_sector(_noise_channel(config)[0]):
+        return "sector"
+    return "dense"
 
 
 def _prepare(
@@ -362,8 +434,9 @@ def run_noisy(
     The gamma flag compares each step's entanglement level against the
     noiseless reference profile (computed here when not supplied). Records
     before the first channel application are pure and measured from the site
-    amplitudes, exactly as in the noiseless run; the register ket is formed
-    just before that application.
+    amplitudes, exactly as in the noiseless run; the density matrix is formed
+    just before that application, on the sector basis when the table has no
+    shift and on the register otherwise (see engine).
     """
     if config.noise is None:
         raise ConfigError("noise section is required for a noisy run")
@@ -376,14 +449,24 @@ def run_noisy(
     table, dims = _noise_channel(config)
     first = 1 if config.noise.topology == "interleaved" else config.steps
     records = [runner.measure_pure(k) for k in range(first)]
-    ket = runner.ket(first)
-    rho = apply_weyl_table(np.outer(ket, ket.conj()), table, dims)
-    records.append(runner.measure_rho(first, rho))
+    if _in_sector(table):
+        mask = runner.sector_mask(table, dims)
+        ket, unitary, measure = runner.sector_ket(first), spectrum.sector_unitary, runner.measure_sector
+
+        def channel(rho: np.ndarray) -> np.ndarray:
+            return mask * rho
+    else:
+        ket, unitary, measure = runner.ket(first), spectrum.unitary, runner.measure_rho
+
+        def channel(rho: np.ndarray) -> np.ndarray:
+            return apply_weyl_table(rho, table, dims)
+    rho = channel(np.outer(ket, ket.conj()))
+    records.append(measure(first, rho))
     if first < config.steps:
-        u_step = spectrum.unitary(runner.dt)
+        u_step = unitary(runner.dt)
         for k in range(first + 1, config.steps + 1):
-            rho = apply_weyl_table(u_step @ rho @ u_step.conj().T, table, dims)
-            records.append(runner.measure_rho(k, rho))
+            rho = channel(u_step @ rho @ u_step.conj().T)
+            records.append(measure(k, rho))
     flags = gamma_check(
         [r.concurrence for r in records],
         [r.concurrence for r in reference],

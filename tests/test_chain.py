@@ -295,7 +295,8 @@ def test_spectrum_refuses_phases_without_precision():
     spectrum = Spectrum(ChainSpec(d=2, n=3, couplings=[1e308, 1e308]))
     ket = np.zeros(8, dtype=complex)
     ket[4] = 1.0
-    for call in (lambda: spectrum.evolve(ket, 0.5), lambda: spectrum.unitary(0.5)):
+    for call in (lambda: spectrum.evolve(ket, 0.5), lambda: spectrum.unitary(0.5),
+                 lambda: spectrum.sector_unitary(0.5)):
         with pytest.raises(FloatingPointError, match=r"d=2, nodes=3, couplings=\[1e\+308"):
             call()
     assert np.array_equal(spectrum.evolve(ket, 0.0), ket)
@@ -356,6 +357,17 @@ def test_site_amplitudes_match_the_register_evolution():
             assert abs(np.linalg.norm(f) - 1.0) <= 1e-14
 
 
+def test_sector_unitary_is_the_register_propagator_on_the_sector():
+    rng = np.random.default_rng(4)
+    for d, n in ((2, 2), (2, 5), (3, 4), (4, 3)):
+        spec = ChainSpec(d=d, n=n, couplings=rng.uniform(0.2, 2.0, n - 1))
+        # the vacuum, then level r on site s, level-major
+        sector = [0] + [excitation_index(spec, s, r) for r in range(1, d) for s in range(1, n + 1)]
+        for t in (0.4, math.pi, 7.3):
+            u = _complex_propagator(build_hamiltonian(spec), t)
+            assert np.max(np.abs(Spectrum(spec).sector_unitary(t) - u[np.ix_(sector, sector)])) <= 1e-12
+
+
 def test_spectrum_builds_the_register_lazily_and_once(monkeypatch):
     spec = ChainSpec(d=3, n=3)
     built = []
@@ -364,6 +376,7 @@ def test_spectrum_builds_the_register_lazily_and_once(monkeypatch):
                         lambda s: built.append(s) or original(s))
     spectrum = Spectrum(spec)
     spectrum.site_amplitudes(1.0)
+    spectrum.sector_unitary(1.0)
     find_pst_time(spec, spectrum=spectrum)
     assert built == []
     spectrum.unitary(0.5)

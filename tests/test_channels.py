@@ -1,10 +1,13 @@
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from qsct.channels import (
     KrausChannel,
+    _damping_weights,
     analytic_favg_2qutrit,
     apply_channel,
     apply_weyl_table,
@@ -90,6 +93,36 @@ def test_phase_damping_d3_p0_weights():
     weights = (0.25, 0.5, 0.25)  # binomial row for d-1 = 2 at (1-p)/2 = 1/2
     for i, w in enumerate(weights):
         assert np.allclose(ch.kraus[i], math.sqrt(w) * np.linalg.matrix_power(z, i), atol=1e-15)
+
+
+@pytest.mark.parametrize("p", [0.0, 0.5, 0.875])
+def test_damping_weights_past_the_double_range_are_the_exact_binomials(p):
+    # C(2047, i) exceeds the double range and lo^i falls below it; these p
+    # make lo and hi short binary fractions, so the exact weights stay cheap
+    d = 2048
+    lo, hi = Fraction((1 - p) / 2), Fraction((1 + p) / 2)
+    exact = [float(math.comb(d - 1, i) * lo**i * hi ** (d - 1 - i)) for i in range(d)]
+    weights = _damping_weights(d, p)
+    assert all(abs(w - x) <= math.ulp(x) for w, x in zip(weights, exact))
+
+
+@pytest.mark.parametrize("d", [1031, 2048, 4096])
+@pytest.mark.parametrize("p", [0.0, 0.37, 0.9, 1.0])
+def test_damping_weights_sum_to_one_past_the_double_range(d, p):
+    assert abs(math.fsum(_damping_weights(d, p)) - 1.0) <= 1e-12
+
+
+def test_phase_damping_table_of_a_large_register_holds_one_row():
+    # a 4096 x 4096 probability table alone would take 134 MB
+    tracemalloc.start()
+    try:
+        table = phase_damping_table(4096, 0.37)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak
+    assert table.shifts == (0,) and table.masks[0].shape == (4096, 4096)
+    assert table.masks[0][0, 0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_phase_damping_rejects_bad_p():

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from qsct.chain import ChainSpec
-from qsct.cli import main
-from qsct.protocol import ConfigError, ExperimentConfig, NoiseSpec
+from qsct.cli import _records_csv, main, parse_config
+from qsct.protocol import ConfigError, ExperimentConfig, NoiseSpec, run_experiment
 
 ROOT3 = 1.0 / math.sqrt(3.0)
 
@@ -143,6 +143,43 @@ def test_run_sweep_directories(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["seed"] == [0, 0]
     assert "point-000/results.csv" in manifest["output_paths"]
+
+
+# level shifts (rows m = 1, 2) move excitations out of the sector
+SHIFTING_CONFIG = dict(BASE_CONFIG, noise={
+    "kind": "weyl", "topology": "interleaved",
+    "pi": [[0.8, 0.05, 0.0], [0.1, 0.0, 0.0], [0.05, 0.0, 0.0]],
+})
+
+
+def test_manifest_names_the_engine(tmp_path):
+    sweep = [BASE_CONFIG, NOISY_CONFIG, SHIFTING_CONFIG]
+    out = tmp_path / "sweep"
+    assert main(["run", "--config", str(_write_config(tmp_path, sweep)), "--out", str(out)]) == 0
+    assert json.loads((out / "manifest.json").read_text())["engine"] == ["sector", "sector", "dense"]
+    for i, entry in enumerate(sweep):
+        # results.csv is what the library's records print as, with no engine in it
+        records, _ = run_experiment(parse_config(entry))
+        assert (out / f"point-{i:03d}" / "results.csv").read_bytes() == _records_csv(records).encode()
+    for name, config, engine in (("noisy", NOISY_CONFIG, "sector"), ("shifting", SHIFTING_CONFIG, "dense")):
+        single = tmp_path / name
+        cfg = _write_config(tmp_path, config, name=f"{name}.json")
+        assert main(["run", "--config", str(cfg), "--out", str(single)]) == 0
+        assert json.loads((single / "manifest.json").read_text())["engine"] == engine
+
+
+@pytest.mark.parametrize("d, nodes", [(2, 11), (6, 4)])
+def test_run_global_phase_damping_past_the_double_range(tmp_path, d, nodes):
+    # register dimension 2048 and 1296: the binomial weights C(D-1, i) of the
+    # register-wide channel exceed the double range from D = 1031
+    config = {"chain": {"d": d, "nodes": nodes}, "steps": 4, "bipartition": nodes // 2,
+              "input_amplitudes": [0.6, 0.8] + [0.0] * (d - 2),
+              "noise": {"kind": "phase_damping", "topology": "global_after", "p": 0.37}}
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(_write_config(tmp_path, config)), "--out", str(out)]) == 0
+    assert json.loads((out / "manifest.json").read_text())["engine"] == "sector"
+    results = (out / "results.csv").read_text().splitlines()
+    assert results[:-1] == (out / "reference.csv").read_text().splitlines()[:-1]
 
 
 def test_run_sweep_parallel_matches_serial(tmp_path):

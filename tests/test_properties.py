@@ -23,6 +23,7 @@ from qsct.entanglement import (
     ccnr,
     entanglement_level,
     schmidt_measures,
+    sector_measures,
 )
 from qsct.linalg import Bipartition
 from qsct.protocol import NOISE_TOPOLOGIES, ExperimentConfig, NoiseSpec, run_experiment
@@ -125,3 +126,32 @@ def test_schmidt_measures_match_the_density_matrix_route(data):
     rho = np.outer(ket, ket.conj())
     dense = (ccnr(rho, part), amplified_ccnr_margin(rho, part), entanglement_level(rho, part))
     assert np.allclose(schmidt_measures(ket, part), dense, rtol=0.0, atol=1e-10)
+
+
+# Compressed measures of sector density matrices against the register ones,
+# for every chain with d**n <= 729.
+
+SECTOR_CHAINS = [(d, n) for d in range(2, 28) for n in range(2, 10) if d**n <= 729]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_sector_measures_match_the_register_measures(data):
+    d, n = data.draw(st.sampled_from(SECTOR_CHAINS))
+    cut = data.draw(st.integers(1, n - 1))
+    rank = data.draw(st.integers(1, 4))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    size = 1 + (d - 1) * n
+    g = rng.normal(size=(size, rank)) + 1j * rng.normal(size=(size, rank))
+    rho = g @ g.conj().T
+    rho /= np.trace(rho).real
+    # sector index 1 + (r-1) n + s holds level r on site s: register index r d^(n-1-s)
+    register = np.r_[0, (np.arange(1, d)[:, None] * d ** (n - 1 - np.arange(n))).ravel()]
+    scattered = np.zeros((d**n, d**n), dtype=complex)
+    scattered[np.ix_(register, register)] = rho
+    index = 1 + np.arange((d - 1) * n).reshape(d - 1, n)
+    part = Bipartition(d**cut, d ** (n - cut))
+    dense = (ccnr(scattered, part), amplified_ccnr_margin(scattered, part),
+             entanglement_level(scattered, part))
+    sector = sector_measures(rho, index[:, :cut].ravel(), index[:, cut:].ravel())
+    assert np.allclose(sector, dense, rtol=0.0, atol=1e-12), (d, n, cut, rank)

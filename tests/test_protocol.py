@@ -11,10 +11,13 @@ from qsct.chain import ChainSpec, build_hamiltonian, excitation_index, find_pst_
 from qsct.channels import (
     KrausChannel,
     apply_channel,
+    apply_weyl_table,
     average_fidelity,
     embed_channel,
     phase_damping,
+    phase_damping_table,
     weyl_channel,
+    weyl_table,
 )
 from qsct.entanglement import (
     amplified_ccnr_margin,
@@ -26,6 +29,7 @@ from qsct.entanglement import (
 from qsct.generators import beta, theta
 from qsct.linalg import Bipartition, partial_trace, partial_trace_pure
 from qsct.protocol import (
+    NOISE_TOPOLOGIES,
     ConfigError,
     ExperimentConfig,
     NoiseSpec,
@@ -33,6 +37,7 @@ from qsct.protocol import (
     _register_ket,
     average_fidelity_comparison,
     conformance_closed_forms,
+    engine,
     gamma_check,
     run_experiment,
     run_noiseless,
@@ -381,15 +386,21 @@ def test_average_fidelity_comparison_table():
         assert abs(row["trace_formula"] - row["closed_profile"]) > 0.1
 
 
+# a local table that shifts levels: row m = 1 carries weight
+SHIFTING_PI = np.array([[0.8, 0.1], [0.1, 0.0]])
+
+
 @pytest.mark.parametrize("noise", [
     None,
     NoiseSpec(kind="phase_damping", topology="interleaved", p=0.6),
     NoiseSpec(kind="phase_damping", topology="local_after", p=0.6),
+    NoiseSpec(kind="weyl", topology="interleaved", pi=SHIFTING_PI),
 ])
 @pytest.mark.parametrize("t_total", [None, 2.0])
 def test_one_register_eigh_per_experiment(monkeypatch, noise, t_total):
-    # only interleaved noise steps a density matrix, and so needs the register
-    # spectrum; every other run lives on the n x n sector
+    # only interleaved noise with shifts (the Weyl case) steps a register
+    # density matrix, and so needs the register spectrum; every other run
+    # lives on the sector
     import qsct.protocol
 
     cfg = _config(d=2, n=3, steps=4, bipartition="endpoints", noise=noise, t_total=t_total)
@@ -408,8 +419,7 @@ def test_one_register_eigh_per_experiment(monkeypatch, noise, t_total):
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     monkeypatch.setattr(qsct.protocol, "find_pst_time", counting_find)
     records, reference = run_experiment(cfg)
-    interleaved = noise is not None and noise.topology == "interleaved"
-    assert len(register_eighs) == (1 if interleaved else 0)
+    assert len(register_eighs) == (1 if noise is not None and noise.kind == "weyl" else 0)
     assert len(searches) == (1 if t_total is None else 0)
     assert (reference is None) == (noise is None)
 
@@ -510,6 +520,24 @@ def _dense_record(config, step, state, transfer):
     )
 
 
+def _dense_noisy_states(config, dense, channel):
+    """(step, state) of the noisy run on a dense evolution: the register ket
+    before the first channel application, then the register density matrix,
+    stepped by dense.unitary and acted on by `channel`."""
+    dt = config.t_total / config.steps
+    ket0 = _dense_ket0(config)
+    first = 1 if config.noise.topology == "interleaved" else config.steps
+    states = [(k, dense.ket(ket0, k * dt)) for k in range(first)]
+    ket = dense.ket(ket0, first * dt)
+    rho = channel(np.outer(ket, ket.conj()))
+    states.append((first, rho))
+    u = dense.unitary(dt) if first < config.steps else None
+    for k in range(first + 1, config.steps + 1):
+        rho = channel(u @ rho @ u.conj().T)
+        states.append((k, rho))
+    return states
+
+
 def _kraus_run(config):
     """The noisy run with full-register Kraus operators on a dense evolution:
     embed_channel builds the cross product, apply_channel sums
@@ -524,18 +552,8 @@ def _kraus_run(config):
                else embed_channel(local, list(range(spec.n)), spec.dims))
     dense = _DenseEvolution(spec, build_hamiltonian(spec))
     dt = config.t_total / config.steps
-    ket0 = _dense_ket0(config)
-    first = 1 if noise.topology == "interleaved" else config.steps
-    records = [_dense_record(config, k, dense.ket(ket0, k * dt), dense.transfer(k * dt))
-               for k in range(first)]
-    ket = dense.ket(ket0, first * dt)
-    rho = apply_channel(np.outer(ket, ket.conj()), channel)
-    records.append(_dense_record(config, first, rho, dense.transfer(first * dt)))
-    u = dense.unitary(dt)
-    for k in range(first + 1, config.steps + 1):
-        rho = apply_channel(u @ rho @ u.conj().T, channel)
-        records.append(_dense_record(config, k, rho, dense.transfer(k * dt)))
-    return records
+    states = _dense_noisy_states(config, dense, lambda rho: apply_channel(rho, channel))
+    return [_dense_record(config, k, state, dense.transfer(k * dt)) for k, state in states]
 
 
 @pytest.mark.parametrize("kind, topology", NOISE_CASES)
@@ -648,6 +666,18 @@ def test_hamiltonian_at_the_dimension_cap_is_real_and_small():
     assert np.array_equal(h, h.T)
 
 
+def _assert_records_match(got, want, where):
+    """Every column to 1e-12; the concurrence and the margin to 1e-8 where the
+    dense value is below 1e-3, since the square root of a near-zero purity
+    gap amplifies rounding."""
+    for name in ("time", "ccnr", "transfer_probability", "fidelity_to_input"):
+        assert abs(getattr(got, name) - getattr(want, name)) <= 1e-12, (*where, name)
+    for name in ("concurrence", "ccnr_amplified_margin"):
+        expect = getattr(want, name)
+        tol = 1e-12 if abs(expect) > 1e-3 else 1e-8
+        assert abs(getattr(got, name) - expect) <= tol, (*where, name)
+
+
 @pytest.mark.parametrize("d, n", SECTOR_CHAINS)
 def test_sector_records_match_a_dense_evolution(d, n):
     rng = np.random.default_rng(d * 100 + n)
@@ -661,34 +691,112 @@ def test_sector_records_match_a_dense_evolution(d, n):
         ket0 = _dense_ket0(cfg)
         for got in run_noiseless(cfg):
             want = _dense_record(cfg, got.step, dense.ket(ket0, got.time), dense.transfer(got.time))
-            for name in ("time", "ccnr", "transfer_probability", "fidelity_to_input"):
-                assert abs(getattr(got, name) - getattr(want, name)) <= 1e-12, (cut, got.step, name)
-            # the square root of a near-zero purity gap amplifies rounding
-            for name in ("concurrence", "ccnr_amplified_margin"):
-                expect = getattr(want, name)
-                tol = 1e-12 if abs(expect) > 1e-3 else 1e-8
-                assert abs(getattr(got, name) - expect) <= tol, (cut, got.step, name)
+            _assert_records_match(got, want, (cut, got.step))
 
 
-@pytest.mark.parametrize("cut", ["endpoints", 6])
-def test_noiseless_run_at_the_dimension_cap_stays_in_the_sector(monkeypatch, cut):
+def _dense_cut(cut, n):
+    """The bipartition's dense measures: 0 for the endpoint pair, c for cut c;
+    on two sites the pair is cut 1."""
+    return (1 if n == 2 else 0) if cut == "endpoints" else cut
+
+
+@pytest.mark.parametrize("d, n", SECTOR_CHAINS)
+def test_sector_density_records_match_a_dense_evolution(d, n):
+    # The sector engine against apply_weyl_table on the register rho of the
+    # test-local evolution, for every shift-free table the runs use: phase
+    # damping under each topology at p = 0, 0.37 and 1, and a local Weyl table
+    # weighted on row 0 only. t_total = 2 keeps the endpoint pair away from
+    # the product state it nears at pi. The dense measures of one state take
+    # up to ~1 s over the cuts of a 729-level register, so above 64 levels
+    # each bipartition takes one noise case, in turn; every case still meets
+    # several such chains. On two sites the endpoint pair is cut 1, and one
+    # dense record serves both.
+    rng = np.random.default_rng(d * 100 + n)
+    amps = rng.normal(size=d) + 1j * rng.normal(size=d)
+    amps /= np.linalg.norm(amps)
+    spec = ChainSpec(d=d, n=n)
+    dense = _DenseEvolution(spec, _hopping_hamiltonian(spec))
+    row0 = np.zeros((d, d))
+    row0[0] = rng.random(d) + 0.1
+    noises = [NoiseSpec(kind="phase_damping", topology=topology, p=p)
+              for topology in NOISE_TOPOLOGIES for p in (0.0, 0.37, 1.0)]
+    noises.append(NoiseSpec(kind="weyl", topology="interleaved", pi=row0 / row0.sum()))
+    bipartitions = ["endpoints", *range(1, n)]
+    for i, noise in enumerate(noises):
+        cuts = [cut for cut in bipartitions
+                if spec.dim <= 64 or (d + n + _dense_cut(cut, n)) % len(noises) == i]
+        if not cuts:
+            continue
+        dims = (spec.dim,) if noise.topology == "global_after" else spec.dims
+        table = (weyl_table(noise.pi) if noise.kind == "weyl"
+                 else phase_damping_table(dims[0], noise.p))
+        config = ExperimentConfig(chain=spec, input_amplitudes=amps, steps=2, t_total=2.0,
+                                  noise=noise)
+        assert engine(config) == "sector"
+        dt = config.t_total / config.steps
+        first = 1 if noise.topology == "interleaved" else config.steps
+        states = _dense_noisy_states(config, dense, lambda rho: apply_weyl_table(rho, table, dims))
+        wants = {}
+        for cut in cuts:
+            cut_config = dataclasses.replace(config, bipartition=cut)
+            records = run_noisy(cut_config)
+            for k, rho in states[first:]:
+                key = (k, _dense_cut(cut, n))
+                if key not in wants:
+                    wants[key] = _dense_record(cut_config, k, rho, dense.transfer(k * dt))
+                _assert_records_match(records[k], wants[key], (noise.kind, noise.topology, noise.p, cut, k))
+
+
+def _register_eighs_and_peak(monkeypatch, cfg):
+    """Run cfg; return its records, the shapes of the register-sized eighs it
+    called, and its tracemalloc peak in bytes."""
     register_eighs = []
     eigh = np.linalg.eigh
 
     def counting_eigh(a, *args, **kwargs):
-        if np.shape(a)[-1] == 2**12:
+        if np.shape(a)[-1] == cfg.chain.dim:
             register_eighs.append(np.shape(a))
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-    cfg = _config(d=2, n=12, steps=16, bipartition=cut,
-                  input_amplitudes=np.array([0.6, 0.8]))
     tracemalloc.start()
     try:
         records, _ = run_experiment(cfg)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return records, register_eighs, peak
+
+
+@pytest.mark.parametrize("cut", ["endpoints", 6])
+def test_noiseless_run_at_the_dimension_cap_stays_in_the_sector(monkeypatch, cut):
+    cfg = _config(d=2, n=12, steps=16, bipartition=cut,
+                  input_amplitudes=np.array([0.6, 0.8]))
+    records, register_eighs, peak = _register_eighs_and_peak(monkeypatch, cfg)
     assert register_eighs == []
     assert peak < 4 * 2**20, peak
     assert records[-1].transfer_probability == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("cut", ["endpoints", 6])
+def test_dephasing_run_at_the_dimension_cap_stays_in_the_sector(monkeypatch, cut):
+    # a register rho would be 268 MB here, and its eigh alone ~16 s
+    cfg = _config(d=2, n=12, steps=16, bipartition=cut, input_amplitudes=np.array([0.6, 0.8]),
+                  noise=NoiseSpec(kind="phase_damping", topology="interleaved", p=0.9))
+    records, register_eighs, peak = _register_eighs_and_peak(monkeypatch, cfg)
+    assert register_eighs == []
+    assert peak < 4 * 2**20, peak
+    assert engine(cfg) == "sector"
+    assert 0.0 < records[-1].transfer_probability < 1.0
+
+
+def test_pure_noisy_record_at_a_cut_needs_no_register_eigh(monkeypatch):
+    # p = 1 is the identity: rho stays globally pure, so its level comes from
+    # the dominant eigenvector, of the 10 x 10 sector rho rather than the
+    # 512 x 512 register rho
+    cfg = _config(d=2, n=9, steps=4, bipartition=4, input_amplitudes=np.array([0.6, 0.8]),
+                  noise=NoiseSpec(kind="phase_damping", topology="global_after", p=1.0))
+    records, register_eighs, _ = _register_eighs_and_peak(monkeypatch, cfg)
+    assert register_eighs == []
+    reference = run_noiseless(cfg)
+    assert records[-1].concurrence == pytest.approx(reference[-1].concurrence, abs=1e-12)
