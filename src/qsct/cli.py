@@ -9,7 +9,7 @@ Three subcommands:
 
 A config is checked in one place: parse_config only decodes the JSON (object
 sections, known and required keys, chain.nodes as ChainSpec.n, [re, im]
-amplitude pairs, QSCT_SEED), and ChainSpec, NoiseSpec and ExperimentConfig
+amplitude pairs), and ChainSpec, NoiseSpec and ExperimentConfig
 check every field's type, finiteness and range, exactly as for a library
 caller. A refused field raises ConfigError, whose message begins with the
 field's JSON name.
@@ -95,8 +95,7 @@ def parse_config(obj) -> ExperimentConfig:
 
     Only what is specific to JSON is done here: the config and its sections
     must be objects with no unknown and no missing keys, the chain's `nodes`
-    is the ChainSpec's `n`, and amplitudes may be [re, im] pairs. A QSCT_SEED
-    environment variable, when set, replaces the configured seed. Every
+    is the ChainSpec's `n`, and amplitudes may be [re, im] pairs. Every
     field's type, finiteness and range are checked by the dataclasses, which
     raise ConfigError naming the field.
     """
@@ -106,21 +105,29 @@ def parse_config(obj) -> ExperimentConfig:
         kwargs["noise"] = NoiseSpec(**_fields(kwargs["noise"], NoiseSpec, "noise"))
     if isinstance(kwargs["input_amplitudes"], list):
         kwargs["input_amplitudes"] = [_decode_amplitude(v) for v in kwargs["input_amplitudes"]]
-    config = ExperimentConfig(**kwargs)
-    env_seed = os.environ.get("QSCT_SEED")
-    if env_seed is None:
-        return config
-    try:
-        seed = int(env_seed)
-    except ValueError as exc:
-        raise ConfigError(f"QSCT_SEED: not an integer: {env_seed!r}") from exc
-    return dataclasses.replace(config, seed=seed)
+    return ExperimentConfig(**kwargs)
 
 
 def config_digest(obj) -> str:
     """sha256 of the canonical JSON encoding (sorted keys, no whitespace)."""
     canonical = json.dumps(obj, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def _path_error(flag: str, path: Path, exc: OSError) -> ConfigError:
+    """A file-system failure on a path argument as a ConfigError naming the flag."""
+    return ConfigError(f"{flag}: {path}: {(exc.strerror or str(exc)).lower()}")
+
+
+def _out_dir(path: str) -> Path:
+    """The --out directory, created with its parents; ConfigError naming
+    --out when it cannot be (a file in the way, no permission)."""
+    out_dir = Path(path)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise _path_error("--out", out_dir, exc) from exc
+    return out_dir
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -218,12 +225,10 @@ def _cmd_run(args) -> int:
     config_path = Path(args.config)
     try:
         raw = json.loads(config_path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        print(f"config error: {config_path}: no such file", file=sys.stderr)
-        return 2
+    except OSError as exc:      # no such file, a directory, no permission
+        raise _path_error("--config", config_path, exc) from exc
     except ValueError as exc:   # a JSONDecodeError, or an integer past the digit limit
-        print(f"config error: {config_path}: {exc}", file=sys.stderr)
-        return 2
+        raise ConfigError(f"--config: {config_path}: {exc}") from exc
 
     entries = raw if isinstance(raw, list) else [raw]
     if not entries:
@@ -231,8 +236,7 @@ def _cmd_run(args) -> int:
         return 2
     configs = [parse_config(entry) for entry in entries]
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args.out)
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
 
     # A sweep runs its points in a staging directory inside --out and moves
@@ -392,8 +396,7 @@ def _conformance_md(report, fidelity_rows) -> str:
 
 
 def _cmd_conformance(args) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args.out)
     try:
         report = conformance_closed_forms()
         fidelity_rows = average_fidelity_comparison()

@@ -133,7 +133,9 @@ def entanglement_level(rho: np.ndarray, part: Bipartition) -> float:
 
 def sector_measures(rho: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[float, float, float]:
     """(ccnr, amplified_ccnr_margin, entanglement_level) across a cut of a
-    state on span{vac} (+) single excitations, from its sector density matrix.
+    state on span{vac} (+) single excitations, from its sector density matrix:
+    a chain's whole sector rho across a chain cut, or the (2d-1)-state
+    endpoint pair (sides 1..d-1 and d..2d-2) that a partial trace leaves.
 
     rho has the vacuum at index 0; a and b list the indices of the
     excitations on sides A and B (k_A and k_B of them). Only four row groups

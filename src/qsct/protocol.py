@@ -6,16 +6,18 @@ The input never leaves the single-excitation sector, so a pure state is the
 site amplitudes f(t) = exp(-i J t) e_1 of chain.Spectrum (n numbers), and
 every pure record is measured from them without the register ket:
 
-    endpoint pair - |phi><phi| + w sum_{1<s<N} |f_s|^2 |00><00|, with
-                    phi = alpha_0 |00> + sum_r alpha_r (f_1 |r0> + f_N |0r>)
-                    and w the input's excited weight; on two sites the
-                    pair is the pure register, measured as cut 1
+    endpoint pair - |phi><phi| + w sum_{1<s<N} |f_s|^2 |vac><vac| on the
+                    pair's (2d-1)-state sector basis (vac, level r on site 1,
+                    level r on site N), phi = (alpha_0, alpha_r f_1,
+                    alpha_r f_N) and w the input's excited weight, measured
+                    by entanglement.sector_measures; on two sites the pair is
+                    the pure register, measured as cut 1
     chain cut c   - the Schmidt measures of the ket's coefficient matrix on
                     the sector bases of both sides, (1+(d-1)c) x (1+(d-1)(n-c))
     last node     - |v><v| + w sum_{s<N} |f_s|^2 |0><0|, v = (alpha_0, alpha_r f_N)
 
-Noisy variants form a density matrix from the ket at their first channel
-application and carry it from there, acted on by a Weyl-table channel
+Noisy variants copy the reference's records up to their first channel
+application, form a density matrix from the ket there and carry it on, acted on by a Weyl-table channel
 (channels.WeylTable; no Kraus operators are built) whose placement is one of
 three layouts:
 
@@ -24,18 +26,19 @@ three layouts:
     local_after   - independent per-site channels after the complete evolution
     interleaved   - per step: the unitary, then the per-site channels
 
-The table picks the engine that carries rho (engine(config)). A table with
+The noise picks the engine that carries rho (engine(config)). A table with
 no shift, m = 0 its only weighted row (every phase-damping table), only
 multiplies rho[a, b] by its mask, so the state never leaves the sector:
 rho is (1+(d-1)n)^2 on the sector basis of the ket (vacuum, then level r on
 site s, level-major), steps under Spectrum.sector_unitary, takes the mask
-read at the sector states' register indices, and is measured by sector
-partial traces (endpoint pair, last node) and the compressed realigned
-matrices of entanglement.sector_measures (chain cut). A table with shifts
-moves excitations between levels, and so creates new ones: the sector ket is
-scattered into the register ket, rho is d^n x d^n, steps under the register
-unitary (Spectrum.unitary, a run's only diagonalisation of the register
-Hamiltonian) and takes channels.apply_weyl_table.
+read at the sector states' register indices (_Runner.register_index), and is
+measured by sector partial traces (endpoint pair, last node) and the
+compressed realigned matrices of entanglement.sector_measures (endpoint
+pair, chain cut). A table with shifts moves excitations between levels, and
+so creates new ones: the sector rho is scattered into the register at the
+same indices, rho is d^n x d^n, steps under the register unitary
+(Spectrum.unitary, a run's only diagonalisation of the register Hamiltonian)
+and takes channels.apply_weyl_table.
 
 Every record carries a gamma flag: the concurrence-style entanglement level
 is compared step by step against the noiseless profile of the same
@@ -195,17 +198,6 @@ class TransferRecord:
     gamma_ok: bool = True
 
 
-def _register_ket(alpha: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """The register ket alpha_0 |vac> + sum_{r,s} alpha_r f_s |r on site s>
-    of input amplitudes alpha (d) and site amplitudes f (n)."""
-    d, n = len(alpha), len(f)
-    ket = np.zeros(d**n, dtype=np.complex128)
-    ket[0] = alpha[0]
-    # level r on site s (0-based) sits at index r d^(n-1-s)
-    ket[np.outer(np.arange(1, d), d ** np.arange(n - 1, -1, -1))] = np.outer(alpha[1:], f)
-    return ket
-
-
 def _cut_ket(alpha: np.ndarray, f: np.ndarray, cut: int) -> tuple[np.ndarray, Bipartition]:
     """The register ket across the cut after site `cut`, on the sector bases of
     both sides: (coefficients, Bipartition). Index 0 of either side is its
@@ -237,24 +229,27 @@ class _Runner:
     """
 
     def __init__(self, config: ExperimentConfig, spectrum: Spectrum):
-        self.config = config
         self.spec = config.chain
         self.spectrum = spectrum
         self.dt = float(config.t_total) / config.steps
         self.alpha = config.input_amplitudes
         d, n = self.spec.d, self.spec.n
-        if config.bipartition == "endpoints":
-            self.part = Bipartition(d, d)
-        else:
-            cut = int(config.bipartition)
-            self.part = Bipartition(d**cut, d ** (n - cut))
+        # on two sites the endpoint pair is the whole register: cut 1
+        self.cut = 1 if config.bipartition == "endpoints" and n == 2 else config.bipartition
+        self.part = (Bipartition(d, d) if self.cut == "endpoints"
+                     else Bipartition(d**self.cut, d ** (n - self.cut)))
         self.excited_weight = float(np.sum(np.abs(self.alpha[1:]) ** 2))
         # sector index of level r (row r - 1) on site s (column s)
         self.sector_index = 1 + np.arange((d - 1) * n).reshape(d - 1, n)
+        # the endpoint pair's sector basis: vac, level r on site 1, level r on site N
+        self.pair_sides = np.arange(1, d), np.arange(d, 2 * d - 1)
 
-    def ket(self, step: int) -> np.ndarray:
-        """Noiseless register ket after `step` steps, scattered from the site amplitudes."""
-        return _register_ket(self.alpha, self.spectrum.site_amplitudes(step * self.dt))
+    @property
+    def register_index(self) -> np.ndarray:
+        """Register index of each sector state: 0 for the vacuum, r d^(n-1-s)
+        for level r on site s (0-based), in sector order."""
+        d, n = self.spec.d, self.spec.n
+        return np.r_[0, np.outer(np.arange(1, d), d ** np.arange(n - 1, -1, -1)).ravel()]
 
     def sector_ket(self, step: int) -> np.ndarray:
         """Noiseless ket after `step` steps on the sector basis: alpha_0 on the
@@ -268,13 +263,13 @@ class _Runner:
         mask at the two states' register indices, M_D[a, b] for one
         register-wide factor, else prod_s M[a_s, b_s], in which a site that
         neither state excites contributes M[0, 0]."""
+        mask = table.masks[0]
+        if len(dims) == 1:
+            index = self.register_index
+            return mask[np.ix_(index, index)]
         d, n = self.spec.d, self.spec.n
         level = np.r_[0, np.repeat(np.arange(1, d), n)]
         site = np.r_[-1, np.tile(np.arange(n), d - 1)]      # -1: the vacuum
-        mask = table.masks[0]
-        if len(dims) == 1:
-            index = level * d ** (n - 1 - site)
-            return mask[np.ix_(index, index)]
         rest = mask[0, 0]
         return np.where(site[:, None] == site[None, :],
                         mask[np.ix_(level, level)] * rest ** (n - 1),
@@ -287,31 +282,18 @@ class _Runner:
         chi[1:] *= np.exp(1j * phase)
         return chi
 
-    def _measures(self, rho: np.ndarray) -> tuple[float, float, float]:
-        """(ccnr, amplified margin, entanglement level) of a state on self.part."""
-        return (
-            ccnr(rho, self.part),
-            amplified_ccnr_margin(rho, self.part),
-            entanglement_level(rho, self.part),
-        )
-
     def measure_pure(self, step: int) -> TransferRecord:
         """Record of the noiseless state after `step` steps, from its n site
         amplitudes; each residual weight is a sum over the other sites."""
         f = self.spectrum.site_amplitudes(step * self.dt)
         excited, w = self.alpha[1:], self.excited_weight
-        cut = self.config.bipartition
-        if cut == "endpoints" and self.spec.n > 2:
-            phi = np.zeros((self.spec.d, self.spec.d), dtype=np.complex128)
-            phi[0, 0] = self.alpha[0]
-            phi[1:, 0] = excited * f[0]
-            phi[0, 1:] = excited * f[-1]
-            rho_pair = np.outer(phi.ravel(), phi.ravel().conj())
-            rho_pair[0, 0] += w * np.sum(np.abs(f[1:-1]) ** 2)
-            values = self._measures(rho_pair)
+        if self.cut == "endpoints":
+            phi = np.concatenate((self.alpha[:1], excited * f[0], excited * f[-1]))
+            pair = np.outer(phi, phi.conj())
+            pair[0, 0] += w * np.sum(np.abs(f[1:-1]) ** 2)
+            values = sector_measures(pair, *self.pair_sides)
         else:
-            # on two sites the endpoint pair is the whole, pure register: cut 1
-            values = schmidt_measures(*_cut_ket(self.alpha, f, 1 if cut == "endpoints" else cut))
+            values = schmidt_measures(*_cut_ket(self.alpha, f, self.cut))
         v = np.concatenate((self.alpha[:1], excited * f[-1]))
         rho_last = np.outer(v, v.conj())
         rho_last[0, 0] += w * np.sum(np.abs(f[:-1]) ** 2)
@@ -320,28 +302,20 @@ class _Runner:
     def measure_rho(self, step: int, rho: np.ndarray) -> TransferRecord:
         """Record of a register density matrix."""
         dims, last = self.spec.dims, self.spec.n - 1
-        if self.config.bipartition == "endpoints":
-            values = self._measures(partial_trace(rho, dims, keep=[0, last]))
-        else:
-            values = self._measures(rho)
+        rho_cut = partial_trace(rho, dims, keep=[0, last]) if self.cut == "endpoints" else rho
+        values = (ccnr(rho_cut, self.part), amplified_ccnr_margin(rho_cut, self.part),
+                  entanglement_level(rho_cut, self.part))
         return self._record(step, values, partial_trace(rho, dims, keep=[last]))
 
     def measure_sector(self, step: int, rho: np.ndarray) -> TransferRecord:
         """Record of a density matrix on the sector basis (see sector_ket)."""
-        d, index = self.spec.d, self.sector_index
-        cut = self.config.bipartition
-        if cut == "endpoints" and self.spec.n > 2:
-            # the pair's sector basis vac, level r on site 1, level r on site N
-            # is |00>, |r0>, |0r> of the d^2-level pair
-            at = np.r_[0, np.arange(1, d) * d, np.arange(1, d)]
-            pair = np.zeros((d * d, d * d), dtype=np.complex128)
-            pair[np.ix_(at, at)] = sector_partial_trace(
-                rho, np.r_[index[:, 0], index[:, -1]], index[:, 1:-1].ravel())
-            values = self._measures(pair)
+        index = self.sector_index
+        if self.cut == "endpoints":
+            pair = sector_partial_trace(rho, np.r_[index[:, 0], index[:, -1]],
+                                        index[:, 1:-1].ravel())
+            values = sector_measures(pair, *self.pair_sides)
         else:
-            # on two sites the endpoint pair is the whole register: cut 1
-            c = 1 if cut == "endpoints" else cut
-            values = sector_measures(rho, index[:, :c].ravel(), index[:, c:].ravel())
+            values = sector_measures(rho, index[:, :self.cut].ravel(), index[:, self.cut:].ravel())
         # the last node's sector basis vac, level r on site N is its |0>, |r>
         rho_last = sector_partial_trace(rho, index[:, -1], index[:, :-1].ravel())
         return self._record(step, values, rho_last)
@@ -378,16 +352,13 @@ def _noise_channel(config: ExperimentConfig) -> tuple[WeylTable, tuple[int, ...]
     return weyl_table(noise.pi), dims
 
 
-def _in_sector(table: WeylTable) -> bool:
-    """Whether a run under this table stays in the sector: a table with no
-    shift only multiplies rho[a, b], so it moves no excitation."""
-    return table.shifts == (0,)
-
-
 def engine(config: ExperimentConfig) -> str:
-    """The engine that carries a run's state: "sector" for a noiseless run or
-    a noise table with no shift, "dense" (the d^n x d^n register) otherwise."""
-    if config.noise is None or _in_sector(_noise_channel(config)[0]):
+    """The engine that carries a run's state, read from the config alone:
+    "sector" for a noiseless run, phase damping, or a Weyl table with no
+    weight (above weyl_table's clip at 0) off its row m = 0, that is with no
+    shift; "dense" (the d^n x d^n register) otherwise."""
+    noise = config.noise
+    if noise is None or noise.kind == "phase_damping" or not np.any(noise.pi[1:] > 0.0):
         return "sector"
     return "dense"
 
@@ -432,11 +403,11 @@ def run_noisy(
     """Density-matrix stepwise evolution with the configured noise placement.
 
     The gamma flag compares each step's entanglement level against the
-    noiseless reference profile (computed here when not supplied). Records
-    before the first channel application are pure and measured from the site
-    amplitudes, exactly as in the noiseless run; the density matrix is formed
-    just before that application, on the sector basis when the table has no
-    shift and on the register otherwise (see engine).
+    noiseless reference profile of this config (computed here when not
+    supplied). Records before the first channel application are copies of the
+    reference's; the density matrix is formed just before that application,
+    on the sector basis when the table has no shift and on the register
+    otherwise (see engine).
     """
     if config.noise is None:
         raise ConfigError("noise section is required for a noisy run")
@@ -448,19 +419,24 @@ def run_noisy(
     runner = _Runner(config, spectrum)
     table, dims = _noise_channel(config)
     first = 1 if config.noise.topology == "interleaved" else config.steps
-    records = [runner.measure_pure(k) for k in range(first)]
-    if _in_sector(table):
+    records = [replace(record) for record in reference[:first]]
+    ket = runner.sector_ket(first)
+    rho = np.outer(ket, ket.conj())
+    if engine(config) == "sector":
         mask = runner.sector_mask(table, dims)
-        ket, unitary, measure = runner.sector_ket(first), spectrum.sector_unitary, runner.measure_sector
+        unitary, measure = spectrum.sector_unitary, runner.measure_sector
 
         def channel(rho: np.ndarray) -> np.ndarray:
             return mask * rho
     else:
-        ket, unitary, measure = runner.ket(first), spectrum.unitary, runner.measure_rho
+        index = runner.register_index
+        register = np.zeros((config.chain.dim,) * 2, dtype=np.complex128)
+        register[np.ix_(index, index)] = rho
+        rho, unitary, measure = register, spectrum.unitary, runner.measure_rho
 
         def channel(rho: np.ndarray) -> np.ndarray:
             return apply_weyl_table(rho, table, dims)
-    rho = channel(np.outer(ket, ket.conj()))
+    rho = channel(rho)
     records.append(measure(first, rho))
     if first < config.steps:
         u_step = unitary(runner.dt)

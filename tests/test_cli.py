@@ -84,6 +84,29 @@ def test_run_missing_config(tmp_path, capsys):
 def test_run_malformed_json(tmp_path, capsys):
     cfg = _write_config(tmp_path, None, text="{not json")
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("config error: --config: ")
+
+
+def test_run_config_that_is_a_directory(tmp_path, capsys):
+    assert main(["run", "--config", str(tmp_path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --config: ") and "is a directory" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "conformance"])
+@pytest.mark.parametrize("below", [False, True])
+def test_out_that_is_a_file(tmp_path, capsys, command, below):
+    # --out names an existing file, or a directory below one
+    blocker = tmp_path / "taken"
+    blocker.write_text("keep me")
+    out = blocker / "out" if below else blocker
+    args = ["--out", str(out)]
+    if command == "run":
+        args += ["--config", str(_write_config(tmp_path, BASE_CONFIG))]
+    assert main([command, *args]) == 2
+    assert capsys.readouterr().err.startswith("config error: --out: ")
+    assert blocker.read_text() == "keep me"
 
 
 def test_run_numerical_failure_exit_code(tmp_path, monkeypatch):
@@ -115,21 +138,6 @@ def test_config_digest_ignores_whitespace(tmp_path):
     d1 = json.loads((out1 / "manifest.json").read_text())["config_digest"]
     d2 = json.loads((out2 / "manifest.json").read_text())["config_digest"]
     assert d1 == d2
-
-
-def test_seed_env_override(tmp_path, monkeypatch):
-    cfg = _write_config(tmp_path, dict(BASE_CONFIG, seed=5))
-    out = tmp_path / "out"
-    monkeypatch.setenv("QSCT_SEED", "99")
-    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
-    assert json.loads((out / "manifest.json").read_text())["seed"] == 99
-
-
-def test_seed_env_invalid(tmp_path, monkeypatch, capsys):
-    cfg = _write_config(tmp_path, BASE_CONFIG)
-    monkeypatch.setenv("QSCT_SEED", "not-a-number")
-    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
-    assert "QSCT_SEED" in capsys.readouterr().err
 
 
 def test_run_sweep_directories(tmp_path):

@@ -34,7 +34,6 @@ from qsct.protocol import (
     ExperimentConfig,
     NoiseSpec,
     TransferRecord,
-    _register_ket,
     average_fidelity_comparison,
     conformance_closed_forms,
     engine,
@@ -52,6 +51,17 @@ def _config(d=3, n=2, **kwargs):
         input_amplitudes=amps,
         **kwargs,
     )
+
+
+def _register_ket(alpha, f):
+    """The register ket alpha_0 |vac> + sum_{r,s} alpha_r f_s |r on site s>
+    of input amplitudes alpha (d) and site amplitudes f (n): level r on site
+    s (0-based) sits at index r d^(n-1-s)."""
+    d, n = len(alpha), len(f)
+    ket = np.zeros(d**n, dtype=np.complex128)
+    ket[0] = alpha[0]
+    ket[np.outer(np.arange(1, d), d ** np.arange(n - 1, -1, -1))] = np.outer(alpha[1:], f)
+    return ket
 
 
 def test_initial_state_layout():
@@ -215,6 +225,16 @@ def test_endpoints_bipartition_runs():
     records = run_noiseless(cfg)
     assert records[0].concurrence <= 1e-10  # product across the 1..N pair at t=0
     assert max(r.concurrence for r in records) > 0.1
+
+
+@pytest.mark.parametrize("noise", [None, NoiseSpec(kind="phase_damping", topology="interleaved", p=0.6)])
+def test_two_site_endpoints_are_cut_one(noise):
+    # the pair is the whole register, so its records are cut 1's, bit for bit:
+    # pure records take the Schmidt route, not the pair's density matrix
+    for d in (2, 3, 5):
+        pair, cut = (run_experiment(_config(d=d, steps=8, bipartition=b, noise=noise))
+                     for b in ("endpoints", 1))
+        assert pair == cut
 
 
 def test_interior_cut_runs():
@@ -422,6 +442,69 @@ def test_one_register_eigh_per_experiment(monkeypatch, noise, t_total):
     assert len(register_eighs) == (1 if noise is not None and noise.kind == "weyl" else 0)
     assert len(searches) == (1 if t_total is None else 0)
     assert (reference is None) == (noise is None)
+
+
+@pytest.mark.parametrize("topology", ["interleaved", "local_after"])
+def test_pre_channel_records_are_copies_of_the_reference(topology):
+    # at t = 2 the pair is entangled, and dephasing moves its level by far
+    # more than the tolerance
+    cfg = _config(steps=8, t_total=2.0,
+                  noise=NoiseSpec(kind="phase_damping", topology=topology, p=0.5))
+    records, reference = run_experiment(cfg)
+    first = 1 if topology == "interleaved" else cfg.steps
+    assert any(not r.gamma_ok for r in records)
+    assert all(r.gamma_ok for r in reference)
+    assert records[:first] == reference[:first]
+    assert all(a is not b for a, b in zip(records, reference))
+
+
+def _weyl_config(d, topology, pi):
+    return ExperimentConfig(chain=ChainSpec(d=d, n=2), input_amplitudes=np.eye(d)[1],
+                            noise=NoiseSpec(kind="weyl", topology=topology, pi=pi))
+
+
+@st.composite
+def _weyl_tables(draw):
+    """(d, topology, pi): a probability table that weights row m = 0 and, by
+    the draw, no other row, rows with positive weight, or rows whose entries
+    sit at the -1e-15 that the validation lets pass and weyl_table clips."""
+    d = draw(st.integers(2, 4))
+    topology = draw(st.sampled_from(NOISE_TOPOLOGIES))
+    size = d * d if topology == "global_after" else d
+    weight = st.floats(0.0, 1.0, allow_subnormal=False)
+    off = draw(st.sampled_from(["zero", "tiny", "weighted"]))
+    pi = np.zeros((size, size))
+    if off == "tiny":
+        pi[1:] = np.where(draw(st.lists(st.booleans(), min_size=(size - 1) * size,
+                                        max_size=(size - 1) * size)), -1e-15, 0.0
+                          ).reshape(size - 1, size)
+    elif off == "weighted":
+        pi[1:] = np.reshape(draw(st.lists(weight, min_size=(size - 1) * size,
+                                          max_size=(size - 1) * size)), (size - 1, size))
+    row0 = np.array(draw(st.lists(weight, min_size=size, max_size=size)))
+    row0[draw(st.integers(0, size - 1))] += 0.5
+    total = row0.sum() + pi[1:][pi[1:] > 0].sum()
+    pi[0] = row0 / total
+    pi[1:] = np.where(pi[1:] > 0, pi[1:] / total, pi[1:])
+    return d, topology, pi
+
+
+@settings(max_examples=200, deadline=None)
+@given(_weyl_tables())
+def test_engine_reads_the_config_as_the_table_does(drawn):
+    d, topology, pi = drawn
+    config = _weyl_config(d, topology, pi)
+    assert (engine(config) == "sector") == (weyl_table(config.noise.pi).shifts == (0,))
+
+
+def test_engine_of_tables_at_the_clip():
+    # off-row entries of -1e-15 pass the validation and clip to 0: no shift
+    pi = np.array([[0.5, 0.5 + 2e-15], [-1e-15, -1e-15]])
+    assert weyl_table(pi).shifts == (0,)
+    assert engine(_weyl_config(2, "interleaved", pi)) == "sector"
+    pi = np.array([[0.5, 0.5 - 1e-15], [1e-15, 0.0]])
+    assert weyl_table(pi).shifts == (0, 1)
+    assert engine(_weyl_config(2, "interleaved", pi)) == "dense"
 
 
 # ---------------------------------------------------------------------------
@@ -745,6 +828,75 @@ def test_sector_density_records_match_a_dense_evolution(d, n):
                 if key not in wants:
                     wants[key] = _dense_record(cut_config, k, rho, dense.transfer(k * dt))
                 _assert_records_match(records[k], wants[key], (noise.kind, noise.topology, noise.p, cut, k))
+
+
+def _capture_sector_measures(monkeypatch):
+    """Record every (rho, values) that protocol passes through sector_measures."""
+    import qsct.protocol
+
+    calls = []
+    measure = qsct.protocol.sector_measures
+
+    def capturing(rho, a, b):
+        values = measure(rho, a, b)
+        calls.append((rho.copy(), values))
+        return values
+
+    monkeypatch.setattr(qsct.protocol, "sector_measures", capturing)
+    return calls
+
+
+def _endpoint_config(d, noise, steps=8):
+    rng = np.random.default_rng(d)
+    amps = rng.normal(size=d) + 1j * rng.normal(size=d)
+    return ExperimentConfig(chain=ChainSpec(d=d, n=3), input_amplitudes=amps / np.linalg.norm(amps),
+                            steps=steps, t_total=math.pi, bipartition="endpoints", noise=noise)
+
+
+INTERLEAVED_DEPHASING = NoiseSpec(kind="phase_damping", topology="interleaved", p=0.9)
+
+
+@pytest.mark.parametrize("noise", [None, INTERLEAVED_DEPHASING])
+@pytest.mark.parametrize("d", [5, 8, 16])
+def test_endpoint_pair_measures_match_the_register_pair(monkeypatch, d, noise):
+    # Each record measures the endpoint pair on its (2d-1)-state sector basis
+    # (vac, level r on site 1, level r on site N). Scattered to |00>, |r0> and
+    # |0r> of the d^2-level pair, the register measures must agree: to 1e-12,
+    # or 1e-8 for the concurrence and margin below 1e-3, where the square
+    # root of a near-zero purity gap amplifies rounding.
+    calls = _capture_sector_measures(monkeypatch)
+    cfg = _endpoint_config(d, noise)
+    reference = run_noiseless(cfg)
+    records = reference
+    if noise is not None:
+        del calls[:]
+        records = run_noisy(cfg, reference)[1:]
+    assert [(r.ccnr, r.ccnr_amplified_margin, r.concurrence) for r in records] == [v for _, v in calls]
+    at = np.r_[0, np.arange(1, d) * d, np.arange(1, d)]
+    part = Bipartition(d, d)
+    for step, (pair, values) in enumerate(calls):
+        assert pair.shape == (2 * d - 1, 2 * d - 1)
+        rho = np.zeros((d * d, d * d), dtype=complex)
+        rho[np.ix_(at, at)] = pair
+        want = (ccnr(rho, part), amplified_ccnr_margin(rho, part), entanglement_level(rho, part))
+        for name, got, expect, small in zip(("ccnr", "margin", "level"), values, want, (False, True, True)):
+            tol = 1e-8 if small and abs(expect) <= 1e-3 else 1e-12
+            assert abs(got - expect) <= tol, (step, name, got, expect)
+
+
+def test_endpoint_measures_at_d16_take_no_wide_svd(monkeypatch):
+    # the register pair would take SVDs of 256 x 256 realigned matrices
+    widths = []
+    svd = np.linalg.svd
+
+    def recording(a, *args, **kwargs):
+        widths.append(max(np.shape(a)))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    for noise in (None, INTERLEAVED_DEPHASING):
+        run_experiment(_endpoint_config(16, noise, steps=4))
+    assert widths and max(widths) <= 2 * 16
 
 
 def _register_eighs_and_peak(monkeypatch, cfg):
