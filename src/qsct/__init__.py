@@ -42,7 +42,6 @@ from .protocol import (
     TransferRecord,
     average_fidelity_comparison,
     conformance_closed_forms,
-    gamma_check,
     run_experiment,
     run_noiseless,
     run_noisy,

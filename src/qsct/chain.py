@@ -219,8 +219,9 @@ class Spectrum:
     register Hamiltonian is assembled and diagonalised only when a register
     evolution is asked for (unitary, evolve), at most once per Spectrum; a
     run asks for it only to step a density matrix under interleaved noise
-    with shifts. Build one Spectrum per experiment and pass it along;
-    nothing caches it beyond that.
+    with shifts. protocol.run_experiment builds one Spectrum per experiment,
+    shared by the transfer-time search and every record; nothing caches it
+    beyond that.
 
     A phase exp(-i E t) is only known to about |E t| eps radians; every time
     is checked against PHASE_TOL on the eigenvalues that evolve it: the

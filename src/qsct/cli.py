@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .chain import ChainSpec, Spectrum, _TransferAmplitudes, as_real, find_pst_time
+from .chain import ChainSpec, as_real, find_pst_time
 from .protocol import (
     ConfigError,
     ExperimentConfig,
@@ -290,9 +290,7 @@ def _cmd_pst(args) -> int:
               file=sys.stderr)
         return 2
     try:
-        spectrum = Spectrum(spec)
-        t_star, worst = find_pst_time(spec, t_max=args.tmax, spectrum=spectrum)
-        amplitude = abs(_TransferAmplitudes(spec, spectrum).amplitude(t_star))
+        t_star, amplitude = find_pst_time(spec, t_max=args.tmax)
     except (np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
@@ -302,7 +300,7 @@ def _cmd_pst(args) -> int:
     print(f"d            = {spec.d}")
     print(f"nodes        = {spec.n}")
     print(f"t_star       = {t_star:.12g}")
-    print(f"min_amplitude = {worst:.12g}")
+    print(f"min_amplitude = {amplitude:.12g}")
     print("level  amplitude")
     for level in range(1, spec.d):
         print(f"{level:<6d} {amplitude:.12g}")

@@ -131,25 +131,41 @@ def entanglement_level(rho: np.ndarray, part: Bipartition) -> float:
     return mixedness_indicator(rho, part)
 
 
+def _sector_cut(v: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, Bipartition]:
+    """A ket v on span{vac} (+) single excitations (vacuum at index 0) as its
+    coefficient matrix across the cut between the excitations a and b, on
+    the sector bases of both sides, vacuum first: (raveled matrix,
+    Bipartition). The bases are orthonormal, so the Schmidt coefficients are
+    the register ket's."""
+    m = np.zeros((1 + len(a), 1 + len(b)), dtype=np.complex128)
+    m[0, 0], m[1:, 0], m[0, 1:] = v[0], v[a], v[b]
+    return m.ravel(), Bipartition(*m.shape)
+
+
 def sector_measures(rho: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[float, float, float]:
     """(ccnr, amplified_ccnr_margin, entanglement_level) across a cut of a
-    state on span{vac} (+) single excitations, from its sector density matrix:
-    a chain's whole sector rho across a chain cut, or the (2d-1)-state
-    endpoint pair (sides 1..d-1 and d..2d-2) that a partial trace leaves.
+    state on span{vac} (+) single excitations, from its sector ket or density
+    matrix: a chain's whole sector state across a chain cut, or the
+    (2d-1)-state endpoint pair (sides 1..d-1 and d..2d-2) that a partial
+    trace leaves.
 
     rho has the vacuum at index 0; a and b list the indices of the
-    excitations on sides A and B (k_A and k_B of them). Only four row groups
-    of the realigned register rho are non-zero, (vac,vac), (e,vac), (vac,e')
-    and (e,e'), and four column groups alike. The (e_A,e_A') rows are
-    x e_vv^T and the (e_B,e_B') columns e_vv z^T, with x and z the vectorized
-    excitation blocks of rho_A and rho_B: each group is rank one and collapses
-    to its norm, leaving a (2+2k_A) x (2+2k_B) matrix C with the register's
+    excitations on sides A and B (k_A and k_B of them). A ket is measured by
+    schmidt_measures of its (1+k_A) x (1+k_B) coefficient matrix
+    (_sector_cut). Of a density matrix, only four row groups of the realigned
+    register rho are non-zero, (vac,vac), (e,vac), (vac,e') and (e,e'), and
+    four column groups alike. The (e_A,e_A') rows are x e_vv^T and the
+    (e_B,e_B') columns e_vv z^T, with x and z the vectorized excitation
+    blocks of rho_A and rho_B: each group is rank one and collapses to its
+    norm, leaving a (2+2k_A) x (2+2k_B) matrix C with the register's
     singular values. Subtracting vec rho_A vec rho_B^T leaves both groups rank
     one again, meeting at -|x||z|, so the margin's matrix is C - a_c b_c^T
     with the marginals collapsed the same way. The level is the purity
     formula on rho_A, or for a globally pure rho the Schmidt form of its
-    dominant eigenvector.
+    dominant eigenvector's coefficient matrix.
     """
+    if rho.ndim == 1:
+        return schmidt_measures(*_sector_cut(rho, a, b))
     ka, kb = len(a), len(b)
     rho_a, rho_b = sector_partial_trace(rho, a, b), sector_partial_trace(rho, b, a)
     x, z = np.linalg.norm(rho_a[1:, 1:]), np.linalg.norm(rho_b[1:, 1:])
@@ -164,10 +180,7 @@ def sector_measures(rho: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[floa
     gap_b = max(0.0, 1.0 - float(np.vdot(rho_b, rho_b).real))
     margin = trace_norm(c - np.outer(vec_a, vec_b)) - float(np.sqrt(gap_a * gap_b))
     if 1.0 - float(np.vdot(rho, rho).real) <= _PURE_TOL:
-        v = np.linalg.eigh(rho)[1][:, -1]
-        m = np.zeros((1 + ka, 1 + kb), dtype=np.complex128)
-        m[0, 0], m[1:, 0], m[0, 1:] = v[0], v[a], v[b]
-        level = concurrence_pure(m.ravel(), Bipartition(1 + ka, 1 + kb))
+        level = concurrence_pure(*_sector_cut(np.linalg.eigh(rho)[1][:, -1], a, b))
     else:
         level = float(np.sqrt(2.0 * gap_a))
     return trace_norm(c), margin, level

@@ -1,6 +1,6 @@
 """Dense complex linear algebra for small qudit registers: bipartitions, the
 realignment map, the trace norm, partial traces (of a density matrix, of a
-sector density matrix, or straight from a ket) and single-site embedding.
+sector ket or density matrix, or straight from a ket) and single-site embedding.
 
 Everything works on plain numpy arrays (complex128, row-major, dense). The
 operating envelope is full-register dimensions up to a few thousand, where
@@ -109,18 +109,24 @@ def partial_trace_pure(psi: np.ndarray, dims: Sequence[int], keep: Sequence[int]
     return m @ m.conj().T
 
 
-def sector_partial_trace(rho: np.ndarray, keep: np.ndarray, traced: np.ndarray) -> np.ndarray:
+def sector_partial_trace(state: np.ndarray, keep: np.ndarray, traced: np.ndarray) -> np.ndarray:
     """partial_trace of a state on span{vac} (+) single excitations, given on
-    a sector basis with the vacuum at index 0.
+    a sector basis with the vacuum at index 0: the density matrix, or the ket.
 
     keep lists the indices of the kept sites' excitations and traced those of
     every other site's. The result is on the kept sites' sector basis, their
     vacuum then keep in order: a traced excitation leaves the kept sites in
-    their vacuum, so only its weight remains, on the vacuum's diagonal.
+    their vacuum, so only its weight remains, on the vacuum's diagonal. A ket
+    x gives the outer product of its kept rows plus the traced rows' weight
+    sum |x_t|^2, bit for bit what its density matrix gives.
     """
     rows = np.r_[0, keep]
-    out = rho[np.ix_(rows, rows)]
-    out[0, 0] += rho.diagonal()[traced].sum()
+    if state.ndim == 1:
+        kept, weight = state[rows], state[traced] * state[traced].conj()
+        out = np.outer(kept, kept.conj())
+    else:
+        out, weight = state[np.ix_(rows, rows)], state.diagonal()[traced]
+    out[0, 0] += weight.sum()
     return out
 
 

@@ -3,21 +3,28 @@
 An experiment prepares (sum_i alpha_i |i>) (x) |0...0>, evolves it in equal
 time steps, and records entanglement and transfer figures after every step.
 The input never leaves the single-excitation sector, so a pure state is the
-site amplitudes f(t) = exp(-i J t) e_1 of chain.Spectrum (n numbers), and
-every pure record is measured from them without the register ket:
+site amplitudes f(t) = exp(-i J t) e_1 of chain.Spectrum (n numbers): its
+sector ket holds alpha_0 on the vacuum and alpha_r f_s on level r of site s
+(_Runner.sector_ket). One routine, _Runner.measure, takes every record from
+the sector ket or from a sector density matrix:
 
-    endpoint pair - |phi><phi| + w sum_{1<s<N} |f_s|^2 |vac><vac| on the
-                    pair's (2d-1)-state sector basis (vac, level r on site 1,
-                    level r on site N), phi = (alpha_0, alpha_r f_1,
-                    alpha_r f_N) and w the input's excited weight, measured
-                    by entanglement.sector_measures; on two sites the pair is
-                    the pure register, measured as cut 1
-    chain cut c   - the Schmidt measures of the ket's coefficient matrix on
-                    the sector bases of both sides, (1+(d-1)c) x (1+(d-1)(n-c))
-    last node     - |v><v| + w sum_{s<N} |f_s|^2 |0><0|, v = (alpha_0, alpha_r f_N)
+    endpoint pair - the sector partial trace onto the pair's (2d-1)-state
+                    sector basis (vac, level r on site 1, level r on site N),
+                    measured by entanglement.sector_measures; on two sites the
+                    pair is the whole register, measured as cut 1
+    chain cut c   - entanglement.sector_measures of the whole state: a ket by
+                    the Schmidt measures of its (1+(d-1)c) x (1+(d-1)(n-c))
+                    coefficient matrix, a density matrix by its compressed
+                    realigned matrices
+    last node     - the sector partial trace onto vac, level r on site N
 
-Noisy variants copy the reference's records up to their first channel
-application, form a density matrix from the ket there and carry it on, acted on by a Weyl-table channel
+A traced excitation leaves only its weight, on the kept vacuum's diagonal,
+so a ket and its density matrix have bit-identical reduced states.
+
+run_experiment diagonalises the chain once and measures the noiseless
+reference from the sector ket. A noisy config copies the reference's
+records up to its first channel application, forms a density matrix from
+the ket there and carries it on, acted on by a Weyl-table channel
 (channels.WeylTable; no Kraus operators are built) whose placement is one of
 three layouts:
 
@@ -29,16 +36,16 @@ three layouts:
 The noise picks the engine that carries rho (engine(config)). A table with
 no shift, m = 0 its only weighted row (every phase-damping table), only
 multiplies rho[a, b] by its mask, so the state never leaves the sector:
-rho is (1+(d-1)n)^2 on the sector basis of the ket (vacuum, then level r on
-site s, level-major), steps under Spectrum.sector_unitary, takes the mask
-read at the sector states' register indices (_Runner.register_index), and is
-measured by sector partial traces (endpoint pair, last node) and the
-compressed realigned matrices of entanglement.sector_measures (endpoint
-pair, chain cut). A table with shifts moves excitations between levels, and
-so creates new ones: the sector rho is scattered into the register at the
-same indices, rho is d^n x d^n, steps under the register unitary
-(Spectrum.unitary, a run's only diagonalisation of the register Hamiltonian)
-and takes channels.apply_weyl_table.
+rho is (1+(d-1)n)^2 on the sector basis of the ket, steps under
+Spectrum.sector_unitary, takes the mask read at the sector states' register
+indices (_Runner.register_index), and is measured by _Runner.measure. A
+table with shifts moves excitations between levels, and so creates new
+ones: the sector rho is scattered into the register at the same indices,
+rho is d^n x d^n, steps under the register unitary (Spectrum.unitary, a
+run's only diagonalisation of the register Hamiltonian), takes
+channels.apply_weyl_table and is measured on the register
+(_Runner.measure_rho). run_noiseless and run_noisy return run_experiment's
+reference and records.
 
 Every record carries a gamma flag: the concurrence-style entanglement level
 is compared step by step against the noiseless profile of the same
@@ -81,13 +88,13 @@ from .channels import (
 )
 from .entanglement import (
     Bipartition,
+    _sector_cut,
     amplified_ccnr_margin,
     ccnr,
     closed_form_l2_d3,
     concurrence_and_purity,
     entanglement_level,
     fit_cosine_series,
-    schmidt_measures,
     sector_measures,
 )
 from .linalg import partial_trace, sector_partial_trace
@@ -198,34 +205,12 @@ class TransferRecord:
     gamma_ok: bool = True
 
 
-def _cut_ket(alpha: np.ndarray, f: np.ndarray, cut: int) -> tuple[np.ndarray, Bipartition]:
-    """The register ket across the cut after site `cut`, on the sector bases of
-    both sides: (coefficients, Bipartition). Index 0 of either side is its
-    vacuum, then level r on each of its sites, level-major. The bases are
-    orthonormal, so the Schmidt coefficients are the register ket's."""
-    d, n = len(alpha), len(f)
-    m = np.zeros((1 + (d - 1) * cut, 1 + (d - 1) * (n - cut)), dtype=np.complex128)
-    m[0, 0] = alpha[0]
-    m[1:, 0] = np.outer(alpha[1:], f[:cut]).ravel()
-    m[0, 1:] = np.outer(alpha[1:], f[cut:]).ravel()
-    return m.ravel(), Bipartition(*m.shape)
-
-
-def gamma_check(series, reference, tol: float) -> list[bool]:
-    """Per-step |series - reference| <= tol."""
-    series = list(series)
-    reference = list(reference)
-    if len(series) != len(reference):
-        raise ValueError("series and reference must have equal length")
-    if not (tol > 0.0):
-        raise ValueError("tolerance must be positive")
-    return [abs(s - r) <= tol for s, r in zip(series, reference)]
-
-
 class _Runner:
     """Shared machinery for one configuration: evolution, cut, measures.
 
-    Needs config.t_total resolved; see _prepare.
+    Needs config.t_total resolved; see _prepare. The sector basis is the
+    vacuum (level 0, site -1), then level r on site s at 1 + (r-1) n + s
+    (level-major, 0-based sites); level and site hold that layout.
     """
 
     def __init__(self, config: ExperimentConfig, spectrum: Spectrum):
@@ -239,22 +224,29 @@ class _Runner:
         self.part = (Bipartition(d, d) if self.cut == "endpoints"
                      else Bipartition(d**self.cut, d ** (n - self.cut)))
         self.excited_weight = float(np.sum(np.abs(self.alpha[1:]) ** 2))
-        # sector index of level r (row r - 1) on site s (column s)
-        self.sector_index = 1 + np.arange((d - 1) * n).reshape(d - 1, n)
-        # the endpoint pair's sector basis: vac, level r on site 1, level r on site N
-        self.pair_sides = np.arange(1, d), np.arange(d, 2 * d - 1)
+        self.level = np.r_[0, np.repeat(np.arange(1, d), n)]
+        self.site = np.r_[-1, np.tile(np.arange(n), d - 1)]
+        # register index of each sector state: r d^(n-1-s), 0 for the vacuum
+        self.register_index = self.level * d ** (n - 1 - self.site)
 
-    @property
-    def register_index(self) -> np.ndarray:
-        """Register index of each sector state: 0 for the vacuum, r d^(n-1-s)
-        for level r on site s (0-based), in sector order."""
-        d, n = self.spec.d, self.spec.n
-        return np.r_[0, np.outer(np.arange(1, d), d ** np.arange(n - 1, -1, -1)).ravel()]
+        def on(lo: int, hi: int) -> np.ndarray:
+            """Sector indices of the excitations on sites lo..hi-1, level-major."""
+            return np.flatnonzero((lo <= self.site) & (self.site < hi))
 
-    def sector_ket(self, step: int) -> np.ndarray:
-        """Noiseless ket after `step` steps on the sector basis: alpha_0 on the
-        vacuum, then alpha_r f_s at 1 + (r-1) n + s (self.sector_index)."""
-        f = self.spectrum.site_amplitudes(step * self.dt)
+        # (kept, traced) excitations of each partial trace; the last node's
+        # sector basis vac, level r on site N is its |0>, |r>
+        self.last_node = on(n - 1, n), on(0, n - 1)
+        if self.cut == "endpoints":
+            # the pair's sector basis: vac, level r on site 1, level r on site N
+            self.pair = np.r_[on(0, 1), on(n - 1, n)], on(1, n - 1)
+            self.sides = np.arange(1, d), np.arange(d, 2 * d - 1)
+        else:
+            self.sides = on(0, self.cut), on(self.cut, n)
+
+    def sector_ket(self, t: float) -> np.ndarray:
+        """Noiseless ket at time t on the sector basis: alpha_0 on the vacuum,
+        then alpha_r f_s(t) on level r of site s."""
+        f = self.spectrum.site_amplitudes(t)
         return np.concatenate((self.alpha[:1], np.outer(self.alpha[1:], f).ravel()))
 
     def sector_mask(self, table: WeylTable, dims: tuple[int, ...]) -> np.ndarray:
@@ -265,11 +257,8 @@ class _Runner:
         neither state excites contributes M[0, 0]."""
         mask = table.masks[0]
         if len(dims) == 1:
-            index = self.register_index
-            return mask[np.ix_(index, index)]
-        d, n = self.spec.d, self.spec.n
-        level = np.r_[0, np.repeat(np.arange(1, d), n)]
-        site = np.r_[-1, np.tile(np.arange(n), d - 1)]      # -1: the vacuum
+            return mask[np.ix_(self.register_index, self.register_index)]
+        level, site, n = self.level, self.site, self.spec.n
         rest = mask[0, 0]
         return np.where(site[:, None] == site[None, :],
                         mask[np.ix_(level, level)] * rest ** (n - 1),
@@ -282,22 +271,12 @@ class _Runner:
         chi[1:] *= np.exp(1j * phase)
         return chi
 
-    def measure_pure(self, step: int) -> TransferRecord:
-        """Record of the noiseless state after `step` steps, from its n site
-        amplitudes; each residual weight is a sum over the other sites."""
-        f = self.spectrum.site_amplitudes(step * self.dt)
-        excited, w = self.alpha[1:], self.excited_weight
-        if self.cut == "endpoints":
-            phi = np.concatenate((self.alpha[:1], excited * f[0], excited * f[-1]))
-            pair = np.outer(phi, phi.conj())
-            pair[0, 0] += w * np.sum(np.abs(f[1:-1]) ** 2)
-            values = sector_measures(pair, *self.pair_sides)
-        else:
-            values = schmidt_measures(*_cut_ket(self.alpha, f, self.cut))
-        v = np.concatenate((self.alpha[:1], excited * f[-1]))
-        rho_last = np.outer(v, v.conj())
-        rho_last[0, 0] += w * np.sum(np.abs(f[:-1]) ** 2)
-        return self._record(step, values, rho_last)
+    def measure(self, step: int, state: np.ndarray) -> TransferRecord:
+        """Record of a state on the sector basis: the ket (see sector_ket) or
+        a density matrix."""
+        cut = sector_partial_trace(state, *self.pair) if self.cut == "endpoints" else state
+        values = sector_measures(cut, *self.sides)
+        return self._record(step, values, sector_partial_trace(state, *self.last_node))
 
     def measure_rho(self, step: int, rho: np.ndarray) -> TransferRecord:
         """Record of a register density matrix."""
@@ -306,19 +285,6 @@ class _Runner:
         values = (ccnr(rho_cut, self.part), amplified_ccnr_margin(rho_cut, self.part),
                   entanglement_level(rho_cut, self.part))
         return self._record(step, values, partial_trace(rho, dims, keep=[last]))
-
-    def measure_sector(self, step: int, rho: np.ndarray) -> TransferRecord:
-        """Record of a density matrix on the sector basis (see sector_ket)."""
-        index = self.sector_index
-        if self.cut == "endpoints":
-            pair = sector_partial_trace(rho, np.r_[index[:, 0], index[:, -1]],
-                                        index[:, 1:-1].ravel())
-            values = sector_measures(pair, *self.pair_sides)
-        else:
-            values = sector_measures(rho, index[:, :self.cut].ravel(), index[:, self.cut:].ravel())
-        # the last node's sector basis vac, level r on site N is its |0>, |r>
-        rho_last = sector_partial_trace(rho, index[:, -1], index[:, :-1].ravel())
-        return self._record(step, values, rho_last)
 
     def _record(self, step: int, values: tuple[float, float, float],
                 rho_last: np.ndarray) -> TransferRecord:
@@ -363,14 +329,11 @@ def engine(config: ExperimentConfig) -> str:
     return "dense"
 
 
-def _prepare(
-    config: ExperimentConfig, spectrum: Spectrum | None
-) -> tuple[ExperimentConfig, Spectrum]:
-    """Diagonalise the chain unless a spectrum is given, and fill in t_total
-    from the transfer-time search when the config leaves it open; a chain
-    whose amplitude the default search window would alias needs t_total."""
-    if spectrum is None:
-        spectrum = Spectrum(config.chain)
+def _prepare(config: ExperimentConfig) -> tuple[ExperimentConfig, Spectrum]:
+    """Diagonalise the chain, and fill in t_total from the transfer-time
+    search when the config leaves it open; a chain whose amplitude the
+    default search window would alias needs t_total."""
+    spectrum = Spectrum(config.chain)
     if config.t_total is None:
         try:
             t_star, _ = find_pst_time(config.chain, spectrum=spectrum)
@@ -380,51 +343,47 @@ def _prepare(
     return config, spectrum
 
 
-def run_noiseless(
-    config: ExperimentConfig, spectrum: Spectrum | None = None
-) -> list[TransferRecord]:
-    """Pure-state stepwise evolution; steps+1 records at times k * t_total / steps.
-
-    Every record is measured from the site amplitudes; pass the chain's
-    spectrum when the caller already has one.
-    """
-    if config.noise is not None:
-        config = replace(config, noise=None)
-    config, spectrum = _prepare(config, spectrum)
-    runner = _Runner(config, spectrum)
-    return [runner.measure_pure(k) for k in range(config.steps + 1)]
+def run_noiseless(config: ExperimentConfig) -> list[TransferRecord]:
+    """Pure-state stepwise evolution, the config's noise left out; steps+1
+    records at times k * t_total / steps (run_experiment's reference)."""
+    return run_experiment(replace(config, noise=None))[0]
 
 
-def run_noisy(
-    config: ExperimentConfig,
-    reference: list[TransferRecord] | None = None,
-    spectrum: Spectrum | None = None,
-) -> list[TransferRecord]:
-    """Density-matrix stepwise evolution with the configured noise placement.
-
-    The gamma flag compares each step's entanglement level against the
-    noiseless reference profile of this config (computed here when not
-    supplied). Records before the first channel application are copies of the
-    reference's; the density matrix is formed just before that application,
-    on the sector basis when the table has no shift and on the register
-    otherwise (see engine).
-    """
+def run_noisy(config: ExperimentConfig) -> list[TransferRecord]:
+    """Density-matrix stepwise evolution with the configured noise placement
+    (run_experiment's records); ConfigError without a noise section."""
     if config.noise is None:
         raise ConfigError("noise section is required for a noisy run")
-    config, spectrum = _prepare(config, spectrum)
-    if reference is None:
-        reference = run_noiseless(config, spectrum)
-    if len(reference) != config.steps + 1:
-        raise ValueError("reference profile does not match the step count")
+    return run_experiment(config)[0]
+
+
+def run_experiment(
+    config: ExperimentConfig,
+) -> tuple[list[TransferRecord], list[TransferRecord] | None]:
+    """Dispatch on the noise section; returns (records, noiseless reference or None).
+
+    The chain's sector is diagonalised once, and the transfer time searched
+    at most once. The reference measures the sector ket after each step, and
+    is a noiseless run's records. A noisy run's records before its first
+    channel application are copies of the reference's; the density matrix is
+    formed just before that application, on the sector basis when the table
+    has no shift and on the register otherwise (see engine). Each gamma flag
+    compares a record's entanglement level with the reference's.
+    """
+    config, spectrum = _prepare(config)
     runner = _Runner(config, spectrum)
+    reference = [runner.measure(k, runner.sector_ket(k * runner.dt))
+                 for k in range(config.steps + 1)]
+    if config.noise is None:
+        return reference, None
     table, dims = _noise_channel(config)
     first = 1 if config.noise.topology == "interleaved" else config.steps
     records = [replace(record) for record in reference[:first]]
-    ket = runner.sector_ket(first)
+    ket = runner.sector_ket(first * runner.dt)
     rho = np.outer(ket, ket.conj())
     if engine(config) == "sector":
         mask = runner.sector_mask(table, dims)
-        unitary, measure = spectrum.sector_unitary, runner.measure_sector
+        unitary, measure = spectrum.sector_unitary, runner.measure
 
         def channel(rho: np.ndarray) -> np.ndarray:
             return mask * rho
@@ -443,29 +402,9 @@ def run_noisy(
         for k in range(first + 1, config.steps + 1):
             rho = channel(u_step @ rho @ u_step.conj().T)
             records.append(measure(k, rho))
-    flags = gamma_check(
-        [r.concurrence for r in records],
-        [r.concurrence for r in reference],
-        config.gamma_tolerance,
-    )
-    for record, ok in zip(records, flags):
-        record.gamma_ok = ok
-    return records
-
-
-def run_experiment(
-    config: ExperimentConfig,
-) -> tuple[list[TransferRecord], list[TransferRecord] | None]:
-    """Dispatch on the noise section; returns (records, noiseless reference or None).
-
-    The chain's sector is diagonalised once, and the transfer time searched
-    at most once; the noiseless reference and the noisy run share both.
-    """
-    config, spectrum = _prepare(config, None)
-    reference = run_noiseless(config, spectrum)
-    if config.noise is None:
-        return reference, None
-    return run_noisy(config, reference, spectrum), reference
+    for record, ref in zip(records, reference):
+        record.gamma_ok = abs(record.concurrence - ref.concurrence) <= config.gamma_tolerance
+    return records, reference
 
 
 # ---------------------------------------------------------------------------
@@ -509,6 +448,9 @@ def conformance_closed_forms(a_points: int = 41, l4_points: int = 320) -> dict:
         dev = {"concurrence": {"a=t": 0.0, "a=2t": 0.0},
                "purity": {"a=t": 0.0, "a=2t": 0.0}}
         for amps in sets:
+            # the run's sector ket and cut sides; t_total only sets the unused step
+            runner = _Runner(ExperimentConfig(chain=spectrum.spec, input_amplitudes=amps,
+                                              t_total=math.pi), spectrum)
             weights = (*amps, 0.0)[:3]  # (alpha, beta, gamma); gamma = 0 for d = 2
             closed0 = closed_form_l2_d3(*weights, 0.0)
             anchor_dev = max(anchor_dev, abs(closed0 - 1.0))
@@ -517,7 +459,8 @@ def conformance_closed_forms(a_points: int = 41, l4_points: int = 320) -> dict:
                 row = {"d": d, "amplitudes": tuple(float(x) for x in amps), "a": float(a),
                        "closed_form": float(closed)}
                 for label, t in (("a=t", a), ("a=2t", a / 2.0)):
-                    conc, pur = concurrence_and_purity(*_cut_ket(amps, spectrum.site_amplitudes(t), 1))
+                    conc, pur = concurrence_and_purity(*_sector_cut(runner.sector_ket(t),
+                                                                    *runner.sides))
                     row[f"concurrence[{label}]"] = conc
                     row[f"purity[{label}]"] = pur
                     dev["concurrence"][label] = max(dev["concurrence"][label], abs(closed - conc))
@@ -535,10 +478,12 @@ def conformance_closed_forms(a_points: int = 41, l4_points: int = 320) -> dict:
     # four-site, three-level trace over the half-chain cut
     spectrum = Spectrum(ChainSpec(d=3, n=4))
     amps = np.full(3, 1.0 / math.sqrt(3))
+    runner = _Runner(ExperimentConfig(chain=spectrum.spec, input_amplitudes=amps,
+                                      t_total=math.pi, bipartition=2), spectrum)
     ts = np.linspace(0.0, 2.0 * math.pi, l4_points, endpoint=False)
     q_trace = np.empty(l4_points)
     for i, t in enumerate(ts):
-        _, pur = concurrence_and_purity(*_cut_ket(amps, spectrum.site_amplitudes(t), 2))
+        _, pur = concurrence_and_purity(*_sector_cut(runner.sector_ket(t), *runner.sides))
         q_trace[i] = 2.0 * (1.0 - pur)
 
     fits = {}

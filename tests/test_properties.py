@@ -25,7 +25,7 @@ from qsct.entanglement import (
     schmidt_measures,
     sector_measures,
 )
-from qsct.linalg import Bipartition
+from qsct.linalg import Bipartition, sector_partial_trace
 from qsct.protocol import NOISE_TOPOLOGIES, ExperimentConfig, NoiseSpec, run_experiment
 
 SIZES = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2)]
@@ -155,3 +155,21 @@ def test_sector_measures_match_the_register_measures(data):
              entanglement_level(scattered, part))
     sector = sector_measures(rho, index[:, :cut].ravel(), index[:, cut:].ravel())
     assert np.allclose(sector, dense, rtol=0.0, atol=1e-12), (d, n, cut, rank)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_sector_partial_trace_of_a_ket_is_that_of_its_density_matrix(data):
+    d, n = data.draw(st.sampled_from(SECTOR_CHAINS))
+    kept = sorted(data.draw(st.sets(st.integers(0, n - 1))))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    size = 1 + (d - 1) * n
+    ket = rng.normal(size=size) + 1j * rng.normal(size=size)
+    ket /= np.linalg.norm(ket)
+    # sector index 1 + (r-1) n + s holds level r on site s; the vacuum is 0
+    site = np.r_[-1, np.tile(np.arange(n), d - 1)]
+    on_kept = np.isin(site, kept)
+    keep, traced = np.flatnonzero(on_kept), np.flatnonzero(~on_kept & (site >= 0))
+    from_ket = sector_partial_trace(ket, keep, traced)
+    assert np.array_equal(from_ket, sector_partial_trace(np.outer(ket, ket.conj()), keep, traced))
+    assert from_ket.shape == (1 + len(keep),) * 2
