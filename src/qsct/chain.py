@@ -172,25 +172,6 @@ def commutator_defect(spec: ChainSpec) -> list[float]:
     return out
 
 
-def basis_index(values: list[int], d: int) -> int:
-    """Register basis index of per-site level values, site 1 most significant."""
-    idx = 0
-    for v in values:
-        idx = idx * d + v
-    return idx
-
-
-def excitation_index(spec: ChainSpec, site: int, level: int) -> int:
-    """Index of the state with one site at `level` and every other site at 0 (1-based site)."""
-    if not (1 <= site <= spec.n):
-        raise ValueError(f"site must lie in 1..{spec.n}, got {site}")
-    if not (1 <= level <= spec.d - 1):
-        raise ValueError(f"level must lie in 1..{spec.d - 1}, got {level}")
-    values = [0] * spec.n
-    values[site - 1] = level
-    return basis_index(values, spec.d)
-
-
 def _real_matmul(m: np.ndarray, z: np.ndarray) -> np.ndarray:
     """m @ z for real m and complex z, without promoting m to complex.
 
@@ -282,7 +263,9 @@ class Spectrum:
         return np.exp(-1j * t * eigvals), eigvecs
 
     def evolve(self, ket: np.ndarray, t: float) -> np.ndarray:
-        """exp(-i t H) ket for any register ket; at t = 0 the ket itself, exactly."""
+        """exp(-i t H) ket for any register ket; at t = 0 the ket itself, exactly.
+        No run calls it: it is the register-ket evolution that the sector
+        routes are checked against in the tests."""
         ket = np.asarray(ket, dtype=np.complex128)
         if t == 0.0:
             return ket.copy()

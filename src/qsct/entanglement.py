@@ -8,7 +8,10 @@ correlations first:
 
 For pure global states the concurrence sqrt(2 (1 - tr rho_A^2)) measures the
 same bipartition; the mixedness indicator applies the identical formula to an
-arbitrary density matrix and coincides with the concurrence on pure input.
+arbitrary density matrix and coincides with the concurrence on pure input. A
+ket on the vacuum plus single excitations has at most two Schmidt
+coefficients, so one number, its concurrence in closed form, gives all three
+of its measures (sector_concurrence); no SVD is taken of it.
 Closed-form transfer profiles for two-site chains are evaluated as printed.
 """
 
@@ -43,8 +46,15 @@ def amplified_ccnr_margin(rho: np.ndarray, part: Bipartition) -> float:
     return lhs - float(np.sqrt(gap_a * gap_b))
 
 
-def _schmidt_coefficients(psi: np.ndarray, part: Bipartition) -> np.ndarray:
-    """Singular values of the dim_a x dim_b reshaped ket; validates the ket."""
+def concurrence_pure(psi: np.ndarray, part: Bipartition) -> float:
+    """sqrt(2 (1 - tr rho_A^2)) for a normalized ket.
+
+    Evaluated through the Schmidt weights q of the reshaped ket, renormalized
+    to sum to 1, which is exact at product states where the purity route
+    amplifies roundoff: 2 (1 - sum q^2) == 4 sum_{i<j} q_i q_j, an
+    all-positive sum, so a near-product state keeps its ~1e-8 tail instead
+    of losing it to cancellation against 1.
+    """
     psi = np.asarray(psi)
     if psi.ndim != 1:
         raise ValueError("expected a ket (a 1-d array)")
@@ -52,59 +62,11 @@ def _schmidt_coefficients(psi: np.ndarray, part: Bipartition) -> np.ndarray:
     norm = float(np.linalg.norm(psi))
     if abs(norm - 1.0) > 1e-8:
         raise ValueError(f"ket norm deviates from 1 by {abs(norm - 1.0):.3e}")
-    return np.linalg.svd(psi.reshape(part.dim_a, part.dim_b), compute_uv=False)
-
-
-def _pair_sum(x: np.ndarray) -> float:
-    """sum_{i<j} x_i x_j as an all-positive sum (no cancellation for x >= 0)."""
-    tail = np.cumsum(x[::-1])[::-1]  # tail[i] = x_i + x_{i+1} + ...
-    return float(x[:-1] @ tail[1:])
-
-
-def _schmidt_weights(s: np.ndarray) -> np.ndarray:
-    """Eigenvalues q = s^2 of rho_A, renormalized to sum to 1."""
+    s = np.linalg.svd(psi.reshape(part.dim_a, part.dim_b), compute_uv=False)
     q = s * s
     q /= q.sum()
-    return q
-
-
-def _concurrence_from_weights(q: np.ndarray) -> float:
-    # With sum(q) == 1, 2 (1 - sum q^2) == 4 sum_{i<j} q_i q_j.  The cross-term
-    # sum is all-positive, so near-product states keep their ~1e-8 tail instead
-    # of losing it to cancellation against 1.
-    return float(2.0 * np.sqrt(max(0.0, _pair_sum(q))))
-
-
-def concurrence_pure(psi: np.ndarray, part: Bipartition) -> float:
-    """sqrt(2 (1 - tr rho_A^2)) for a normalized ket.
-
-    Evaluated through the Schmidt coefficients of the reshaped ket, which is
-    exact at product states where the purity route amplifies roundoff.
-    """
-    return _concurrence_from_weights(_schmidt_weights(_schmidt_coefficients(psi, part)))
-
-
-def concurrence_and_purity(psi: np.ndarray, part: Bipartition) -> tuple[float, float]:
-    """(concurrence_pure, tr rho_A^2) of a normalized ket from one Schmidt SVD."""
-    q = _schmidt_weights(_schmidt_coefficients(psi, part))
-    return _concurrence_from_weights(q), float(q @ q)
-
-
-def schmidt_measures(psi: np.ndarray, part: Bipartition) -> tuple[float, float, float]:
-    """(ccnr, amplified_ccnr_margin, concurrence_pure) of |psi><psi| from one small SVD.
-
-    With |psi> = sum_i s_i |a_i>|b_i> and q = s^2, the realigned |psi><psi| has
-    singular values s_i s_j, so ccnr = (sum s)^2. Subtracting rho_A (x) rho_B
-    leaves those i != j terms plus the k x k block diag(q) - q q^T, and both
-    marginal purity gaps equal 1 - sum q^2. The SVD is of the dim_a x dim_b
-    ket instead of the realigned dim_a^2 x dim_b^2 density matrix.
-    """
-    s = _schmidt_coefficients(psi, part)
-    q = s * s
-    total = float(s.sum())
-    lhs = 2.0 * _pair_sum(s) + trace_norm(np.diag(q) - np.outer(q, q))
-    gap = max(0.0, 1.0 - float(q @ q))
-    return total * total, lhs - gap, _concurrence_from_weights(_schmidt_weights(s))
+    tail = np.cumsum(q[::-1])[::-1]  # tail[i] = q_i + q_{i+1} + ...
+    return float(2.0 * np.sqrt(max(0.0, float(q[:-1] @ tail[1:]))))
 
 
 def mixedness_indicator(rho: np.ndarray, part: Bipartition) -> float:
@@ -131,15 +93,18 @@ def entanglement_level(rho: np.ndarray, part: Bipartition) -> float:
     return mixedness_indicator(rho, part)
 
 
-def _sector_cut(v: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, Bipartition]:
-    """A ket v on span{vac} (+) single excitations (vacuum at index 0) as its
-    coefficient matrix across the cut between the excitations a and b, on
-    the sector bases of both sides, vacuum first: (raveled matrix,
-    Bipartition). The bases are orthonormal, so the Schmidt coefficients are
-    the register ket's."""
-    m = np.zeros((1 + len(a), 1 + len(b)), dtype=np.complex128)
-    m[0, 0], m[1:, 0], m[0, 1:] = v[0], v[a], v[b]
-    return m.ravel(), Bipartition(*m.shape)
+def sector_concurrence(v: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
+    """Concurrence 2 sqrt(q_A q_B) / N of a ket v on span{vac} (+) single
+    excitations (vacuum at index 0) across the cut between the excitations a
+    and b: q_A = sum |v[a]|^2, q_B = sum |v[b]|^2, N = |v_0|^2 + q_A + q_B.
+
+    The ket's coefficient matrix across the cut holds v_0 at (vac, vac), the
+    column v[a] and the row v[b]; its rank is at most 2, and its two Schmidt
+    weights multiply to q_A q_B. Each q is a sum of positive squares, so a
+    near-product ket keeps its tail, and N gives the normalized ket's value.
+    """
+    q_0, q_a, q_b = (float(np.vdot(v[s], v[s]).real) for s in ([0], a, b))
+    return 2.0 * float(np.sqrt(q_a * q_b)) / (q_0 + q_a + q_b)
 
 
 def sector_measures(rho: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[float, float, float]:
@@ -150,9 +115,11 @@ def sector_measures(rho: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[floa
     trace leaves.
 
     rho has the vacuum at index 0; a and b list the indices of the
-    excitations on sides A and B (k_A and k_B of them). A ket is measured by
-    schmidt_measures of its (1+k_A) x (1+k_B) coefficient matrix
-    (_sector_cut). Of a density matrix, only four row groups of the realigned
+    excitations on sides A and B (k_A and k_B of them). A ket's two Schmidt
+    coefficients s_1, s_2 give all three from c = 2 s_1 s_2
+    (sector_concurrence): ccnr = (s_1 + s_2)^2 = 1 + c, and the margin is c,
+    since the block diag(q) - q q^T and the purity gap are both 2 q_1 q_2
+    and cancel. Of a density matrix, only four row groups of the realigned
     register rho are non-zero, (vac,vac), (e,vac), (vac,e') and (e,e'), and
     four column groups alike. The (e_A,e_A') rows are x e_vv^T and the
     (e_B,e_B') columns e_vv z^T, with x and z the vectorized excitation
@@ -161,11 +128,12 @@ def sector_measures(rho: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[floa
     singular values. Subtracting vec rho_A vec rho_B^T leaves both groups rank
     one again, meeting at -|x||z|, so the margin's matrix is C - a_c b_c^T
     with the marginals collapsed the same way. The level is the purity
-    formula on rho_A, or for a globally pure rho the Schmidt form of its
-    dominant eigenvector's coefficient matrix.
+    formula on rho_A, or for a globally pure rho the sector concurrence of
+    its dominant eigenvector.
     """
     if rho.ndim == 1:
-        return schmidt_measures(*_sector_cut(rho, a, b))
+        c = sector_concurrence(rho, a, b)
+        return 1.0 + c, c, c
     ka, kb = len(a), len(b)
     rho_a, rho_b = sector_partial_trace(rho, a, b), sector_partial_trace(rho, b, a)
     x, z = np.linalg.norm(rho_a[1:, 1:]), np.linalg.norm(rho_b[1:, 1:])
@@ -180,7 +148,7 @@ def sector_measures(rho: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[floa
     gap_b = max(0.0, 1.0 - float(np.vdot(rho_b, rho_b).real))
     margin = trace_norm(c - np.outer(vec_a, vec_b)) - float(np.sqrt(gap_a * gap_b))
     if 1.0 - float(np.vdot(rho, rho).real) <= _PURE_TOL:
-        level = concurrence_pure(*_sector_cut(np.linalg.eigh(rho)[1][:, -1], a, b))
+        level = sector_concurrence(np.linalg.eigh(rho)[1][:, -1], a, b)
     else:
         level = float(np.sqrt(2.0 * gap_a))
     return trace_norm(c), margin, level

@@ -1,6 +1,6 @@
 """Dense complex linear algebra for small qudit registers: bipartitions, the
-realignment map, the trace norm, partial traces (of a density matrix, of a
-sector ket or density matrix, or straight from a ket) and single-site embedding.
+realignment map, the trace norm, partial traces (of a density matrix, or of a
+sector ket or density matrix) and single-site embedding.
 
 Everything works on plain numpy arrays (complex128, row-major, dense). The
 operating envelope is full-register dimensions up to a few thousand, where
@@ -61,10 +61,12 @@ def trace_norm(a: np.ndarray) -> float:
     return float(np.linalg.svd(a, compute_uv=False).sum())
 
 
-def _kept_sites(
-    dims: Sequence[int], keep: Sequence[int]
-) -> tuple[list[int], list[int], int, int]:
-    """Validated (dims, sorted kept sites, register dimension, kept dimension)."""
+def partial_trace(rho: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
+    """Trace out every site not listed in keep (0-based site positions).
+
+    Kept sites stay in their original order; the result is square with
+    dimension prod(dims[s] for s in keep).
+    """
     dims = [int(d) for d in dims]
     n = len(dims)
     keep_sorted = sorted(set(int(s) for s in keep))
@@ -72,17 +74,7 @@ def _kept_sites(
         raise ValueError("keep must name at least one site")
     if keep_sorted[0] < 0 or keep_sorted[-1] >= n:
         raise ValueError(f"site index out of range for {n} sites: {keep}")
-    return dims, keep_sorted, int(np.prod(dims)), int(np.prod([dims[s] for s in keep_sorted]))
-
-
-def partial_trace(rho: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
-    """Trace out every site not listed in keep (0-based site positions).
-
-    Kept sites stay in their original order; the result is square with
-    dimension prod(dims[s] for s in keep).
-    """
-    dims, keep_sorted, full, kept = _kept_sites(dims, keep)
-    n = len(dims)
+    full, kept = int(np.prod(dims)), int(np.prod([dims[s] for s in keep_sorted]))
     rho = np.asarray(rho)
     if rho.shape != (full, full):
         raise ValueError(f"operator shape {rho.shape} does not match dims {dims}")
@@ -92,21 +84,6 @@ def partial_trace(rho: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> 
         half = tensor.ndim // 2
         tensor = np.trace(tensor, axis1=s, axis2=s + half)
     return tensor.reshape(kept, kept)
-
-
-def partial_trace_pure(psi: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
-    """partial_trace of |psi><psi|, contracted from the ket.
-
-    The register-sized density matrix is never formed: the kept sites become
-    the rows of a kept x rest matrix M, and the reduced state is M M^dagger.
-    """
-    dims, keep_sorted, full, kept = _kept_sites(dims, keep)
-    psi = np.asarray(psi)
-    if psi.shape != (full,):
-        raise ValueError(f"ket shape {psi.shape} does not match dims {dims}")
-    rest = [s for s in range(len(dims)) if s not in keep_sorted]
-    m = psi.reshape(dims).transpose(keep_sorted + rest).reshape(kept, full // kept)
-    return m @ m.conj().T
 
 
 def sector_partial_trace(state: np.ndarray, keep: np.ndarray, traced: np.ndarray) -> np.ndarray:

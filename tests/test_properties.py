@@ -22,11 +22,12 @@ from qsct.entanglement import (
     amplified_ccnr_margin,
     ccnr,
     entanglement_level,
-    schmidt_measures,
     sector_measures,
 )
 from qsct.linalg import Bipartition, sector_partial_trace
 from qsct.protocol import NOISE_TOPOLOGIES, ExperimentConfig, NoiseSpec, run_experiment
+
+from oracles import schmidt_measures
 
 SIZES = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2)]
 
@@ -128,8 +129,9 @@ def test_schmidt_measures_match_the_density_matrix_route(data):
     assert np.allclose(schmidt_measures(ket, part), dense, rtol=0.0, atol=1e-10)
 
 
-# Compressed measures of sector density matrices against the register ones,
-# for every chain with d**n <= 729.
+# Sector measures against the register ones, for every chain with
+# d**n <= 729: a sector ket's closed form, and a sector density matrix's
+# compressed realigned matrices.
 
 SECTOR_CHAINS = [(d, n) for d in range(2, 28) for n in range(2, 10) if d**n <= 729]
 
@@ -140,11 +142,16 @@ def test_sector_measures_match_the_register_measures(data):
     d, n = data.draw(st.sampled_from(SECTOR_CHAINS))
     cut = data.draw(st.integers(1, n - 1))
     rank = data.draw(st.integers(1, 4))
+    ket = data.draw(st.booleans())         # the sector ket, or its density matrix
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     size = 1 + (d - 1) * n
     g = rng.normal(size=(size, rank)) + 1j * rng.normal(size=(size, rank))
-    rho = g @ g.conj().T
-    rho /= np.trace(rho).real
+    if ket:
+        state = g[:, 0] / np.linalg.norm(g[:, 0])
+        rho = np.outer(state, state.conj())
+    else:
+        rho = state = g @ g.conj().T
+        rho /= np.trace(rho).real
     # sector index 1 + (r-1) n + s holds level r on site s: register index r d^(n-1-s)
     register = np.r_[0, (np.arange(1, d)[:, None] * d ** (n - 1 - np.arange(n))).ravel()]
     scattered = np.zeros((d**n, d**n), dtype=complex)
@@ -153,8 +160,8 @@ def test_sector_measures_match_the_register_measures(data):
     part = Bipartition(d**cut, d ** (n - cut))
     dense = (ccnr(scattered, part), amplified_ccnr_margin(scattered, part),
              entanglement_level(scattered, part))
-    sector = sector_measures(rho, index[:, :cut].ravel(), index[:, cut:].ravel())
-    assert np.allclose(sector, dense, rtol=0.0, atol=1e-12), (d, n, cut, rank)
+    sector = sector_measures(state, index[:, :cut].ravel(), index[:, cut:].ravel())
+    assert np.allclose(sector, dense, rtol=0.0, atol=1e-12), (d, n, cut, ket, rank)
 
 
 @settings(max_examples=60, deadline=None)

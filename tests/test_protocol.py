@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsct.chain import ChainSpec, Spectrum, build_hamiltonian, excitation_index, find_pst_time
+from qsct.chain import ChainSpec, Spectrum, build_hamiltonian, find_pst_time
 from qsct.channels import (
     KrausChannel,
     apply_channel,
@@ -24,10 +24,9 @@ from qsct.entanglement import (
     ccnr,
     concurrence_pure,
     entanglement_level,
-    schmidt_measures,
 )
 from qsct.generators import beta, theta
-from qsct.linalg import Bipartition, partial_trace, partial_trace_pure
+from qsct.linalg import Bipartition, partial_trace
 from qsct.protocol import (
     NOISE_TOPOLOGIES,
     ConfigError,
@@ -42,6 +41,8 @@ from qsct.protocol import (
     run_noiseless,
     run_noisy,
 )
+
+from oracles import partial_trace_pure, schmidt_measures
 
 
 def _config(d=3, n=2, **kwargs):
@@ -572,7 +573,7 @@ class _DenseEvolution:
 
     def transfer(self, t):
         """<e_N| exp(-i t H) |e_1> at level 1."""
-        src, dst = (excitation_index(self.spec, s, 1) for s in (1, self.spec.n))
+        src, dst = self.spec.d ** (self.spec.n - 1), 1  # level 1 on site 1, on site N
         return self.v[dst] @ (np.exp(-1j * t * self.w) * self.v[src].conj())
 
 
@@ -795,9 +796,11 @@ def test_sector_records_match_a_dense_evolution(d, n):
 
 @pytest.mark.parametrize("d, n", SECTOR_CHAINS)
 def test_measure_of_a_sector_ket_matches_its_density_matrix(d, n):
-    # one routine measures both: the ket through Schmidt coefficients and
-    # ket partial traces, its density matrix through the compressed realigned
-    # matrices and density-matrix partial traces
+    # one routine measures both: the ket in closed form and through ket
+    # partial traces, its density matrix through the compressed realigned
+    # matrices and density-matrix partial traces. Across a chain cut, and on
+    # the pair that two sites form, a ket's margin is its concurrence c and
+    # its ccnr 1 + c, bit for bit.
     rng = np.random.default_rng(d * 100 + n)
     amps = rng.normal(size=d) + 1j * rng.normal(size=d)
     spec = ChainSpec(d=d, n=n)
@@ -808,8 +811,11 @@ def test_measure_of_a_sector_ket_matches_its_density_matrix(d, n):
         runner = _Runner(cfg, spectrum)
         for k in range(cfg.steps + 1):
             ket = runner.sector_ket(k * runner.dt)
-            _assert_records_match(runner.measure(k, ket),
-                                  runner.measure(k, np.outer(ket, ket.conj())), (cut, k))
+            record = runner.measure(k, ket)
+            _assert_records_match(record, runner.measure(k, np.outer(ket, ket.conj())), (cut, k))
+            if cut != "endpoints" or n == 2:
+                assert record.ccnr_amplified_margin == record.concurrence, (cut, k)
+                assert record.ccnr == 1.0 + record.concurrence, (cut, k)
 
 
 def _dense_cut(cut, n):
@@ -916,19 +922,25 @@ def test_endpoint_pair_measures_match_the_register_pair(monkeypatch, d, noise):
             assert abs(got - expect) <= tol, (step, name, got, expect)
 
 
-def test_endpoint_measures_at_d16_take_no_wide_svd(monkeypatch):
-    # the register pair would take SVDs of 256 x 256 realigned matrices
-    widths = []
+def _record_svds(monkeypatch):
+    """Record the shape of every np.linalg.svd call."""
+    shapes = []
     svd = np.linalg.svd
 
     def recording(a, *args, **kwargs):
-        widths.append(max(np.shape(a)))
+        shapes.append(np.shape(a))
         return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", recording)
+    return shapes
+
+
+def test_endpoint_measures_at_d16_take_no_wide_svd(monkeypatch):
+    # the register pair would take SVDs of 256 x 256 realigned matrices
+    svds = _record_svds(monkeypatch)
     for noise in (None, INTERLEAVED_DEPHASING):
         run_experiment(_endpoint_config(16, noise, steps=4))
-    assert widths and max(widths) <= 2 * 16
+    assert svds and max(max(shape) for shape in svds) <= 2 * 16
 
 
 def _register_eighs_and_peak(monkeypatch, cfg):
@@ -954,12 +966,38 @@ def _register_eighs_and_peak(monkeypatch, cfg):
 
 @pytest.mark.parametrize("cut", ["endpoints", 6])
 def test_noiseless_run_at_the_dimension_cap_stays_in_the_sector(monkeypatch, cut):
+    # across a chain cut the ket is measured in closed form, with no SVD; the
+    # endpoint pair is a density matrix, measured on its compressed matrices
     cfg = _config(d=2, n=12, steps=16, bipartition=cut,
                   input_amplitudes=np.array([0.6, 0.8]))
+    svds = _record_svds(monkeypatch)
     records, register_eighs, peak = _register_eighs_and_peak(monkeypatch, cfg)
     assert register_eighs == []
     assert peak < 4 * 2**20, peak
     assert records[-1].transfer_probability == pytest.approx(1.0, abs=1e-9)
+    if cut == 6:
+        assert svds == []
+
+
+def test_conformance_report_takes_no_svd(monkeypatch):
+    # every ket of the report is measured by sector_concurrence's closed form
+    svds = _record_svds(monkeypatch)
+    conformance_closed_forms()
+    assert svds == []
+
+
+def test_chain_cut_measures_read_the_normalized_input():
+    # the config accepts a norm off by up to 1e-10: the measures are those
+    # of the normalized input, to rounding
+    amps = np.array([0.6, 0.8, 0.0])
+    for cut in (1, 2, 3):
+        exact = run_noiseless(_config(d=3, n=4, steps=8, t_total=2.0, bipartition=cut,
+                                      input_amplitudes=amps))
+        off = run_noiseless(_config(d=3, n=4, steps=8, t_total=2.0, bipartition=cut,
+                                    input_amplitudes=amps * (1.0 + 5e-11)))
+        for got, want in zip(off, exact):
+            for name in ("ccnr", "ccnr_amplified_margin", "concurrence"):
+                assert abs(getattr(got, name) - getattr(want, name)) <= 1e-15, (cut, got.step, name)
 
 
 @pytest.mark.parametrize("cut", ["endpoints", 6])
