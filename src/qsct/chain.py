@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -198,11 +199,13 @@ class Spectrum:
     A density matrix that stays in the sector steps under sector_unitary,
     the same n x n evolution on each excited copy. The dense d^n x d^n
     register Hamiltonian is assembled and diagonalised only when a register
-    evolution is asked for (unitary, evolve), at most once per Spectrum; a
-    run asks for it only to step a density matrix under interleaved noise
-    with shifts. protocol.run_experiment builds one Spectrum per experiment,
-    shared by the transfer-time search and every record; nothing caches it
-    beyond that.
+    evolution is asked for (unitary, evolve), at most once per Spectrum,
+    under a lock, so threads that share the Spectrum build it once; a run
+    asks for it only to step a density matrix under interleaved noise with
+    shifts. protocol.prepare_references builds one Spectrum per distinct
+    chain of a sweep (or of a single experiment), shared by the
+    transfer-time search, every reference record and every run on that
+    chain; qsct run lets it go once the last of those runs has finished.
 
     A phase exp(-i E t) is only known to about |E t| eps radians; every time
     is checked against PHASE_TOL on the eigenvalues that evolve it: the
@@ -215,6 +218,7 @@ class Spectrum:
         j = np.diag(spec.couplings, 1)
         self.eigvals, self.eigvecs = np.linalg.eigh(j + j.T)
         self._register: tuple[np.ndarray, np.ndarray] | None = None
+        self._register_lock = threading.Lock()
         self._chain = f"d={spec.d}, nodes={spec.n}, couplings={spec.couplings.tolist()}"
 
     def _check(self, t: float, eigvals: np.ndarray) -> None:
@@ -255,9 +259,10 @@ class Spectrum:
 
     def _register_phases(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         """(exp(-i E t), eigenvectors) of the register Hamiltonian, which is
-        assembled and diagonalised on the first call."""
-        if self._register is None:
-            self._register = np.linalg.eigh(build_hamiltonian(self.spec))
+        assembled and diagonalised on the first call of any thread."""
+        with self._register_lock:
+            if self._register is None:
+                self._register = np.linalg.eigh(build_hamiltonian(self.spec))
         eigvals, eigvecs = self._register
         self._check(t, eigvals)
         return np.exp(-1j * t * eigvals), eigvecs

@@ -3,7 +3,10 @@
 Three subcommands:
 
   run          execute one experiment (or a sweep) from a JSON config and
-               write results.csv / reference.csv / manifest.json
+               write results.csv / reference.csv / manifest.json; a sweep
+               diagonalises each distinct chain once and measures each
+               noiseless twin once (protocol.prepare_references), and a
+               single config runs as a sweep of one point
   pst          print the transfer time and per-level amplitudes for a chain
   conformance  write the closed-form comparison report (csv + md)
 
@@ -40,9 +43,11 @@ from .protocol import (
     ConfigError,
     ExperimentConfig,
     NoiseSpec,
+    PreparedReference,
     average_fidelity_comparison,
     conformance_closed_forms,
     engine,
+    prepare_references,
     run_experiment,
 )
 
@@ -197,12 +202,14 @@ print("wrote transfer.png")
 """
 
 
-def _run_one(config: ExperimentConfig, out_dir: Path, plot_script: bool = False) -> list[str]:
-    """Execute one experiment and write its CSV outputs. Returns the file names.
+def _run_one(config: ExperimentConfig, prepared: PreparedReference, out_dir: Path,
+             plot_script: bool = False) -> list[str]:
+    """Execute one experiment from its prepared noiseless twin and write its
+    CSV outputs. Returns the file names.
 
     Both record sets are checked before either file is written.
     """
-    records, reference = run_experiment(config)
+    records, reference = run_experiment(config, prepared)
     _check_finite(records)
     if reference is not None:
         _check_finite(reference)
@@ -246,13 +253,21 @@ def _cmd_run(args) -> int:
     points = [f"point-{i:03d}" for i in range(len(configs))] if sweep else [""]
     stage = Path(tempfile.mkdtemp(prefix=".sweep-", dir=out_dir)) if sweep else out_dir
     dirs = [stage / point for point in points]
-    want_plot = [args.plot_script] * len(configs)
+    pool = (concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs)
+            if args.jobs > 1 and len(configs) > 1 else None)
+    parallel_map = map if pool is None else pool.map
     try:
-        if args.jobs > 1 and len(configs) > 1:
-            with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as pool:
-                names = list(pool.map(_run_one, configs, dirs, want_plot))
-        else:
-            names = [_run_one(c, d, w) for c, d, w in zip(configs, dirs, want_plot)]
+        # Every point of a noiseless twin shares its chain's spectrum and
+        # its reference records. Each point takes its own entry out of
+        # `prepared`, so a chain's state (the register eigenpairs of a dense
+        # run among it) is freed as soon as its last point has finished.
+        prepared = prepare_references(configs, parallel_map)
+
+        def run_point(i: int) -> list[str]:
+            twin, prepared[i] = prepared[i], None
+            return _run_one(configs[i], twin, dirs[i], args.plot_script)
+
+        names = list(parallel_map(run_point, range(len(configs))))
         if sweep:
             for point, files in zip(points, names):
                 (out_dir / point).mkdir(exist_ok=True)
@@ -262,6 +277,8 @@ def _cmd_run(args) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     finally:
+        if pool is not None:
+            pool.shutdown()
         if sweep:
             shutil.rmtree(stage, ignore_errors=True)
 

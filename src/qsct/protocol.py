@@ -22,8 +22,13 @@ the sector ket or from a sector density matrix:
 A traced excitation leaves only its weight, on the kept vacuum's diagonal,
 so a ket and its density matrix have bit-identical reduced states.
 
-run_experiment diagonalises the chain once and measures the noiseless
-reference from the sector ket. A noisy config copies the reference's
+run_experiment measures a configuration's noiseless twin (the same chain,
+amplitudes, steps, t_total and cut, without the noise) from the sector ket,
+the input divided by its norm first. prepare_references diagonalises each
+distinct chain once, searches its transfer time at most once, and measures
+each distinct twin once, so the points of a sweep that share a twin share
+that work (PreparedReference, read and never changed by a run; a single
+config is a sweep of one point). A noisy config copies the reference's
 records up to its first channel application, forms a density matrix from
 the ket there and carries it on, acted on by a Weyl-table channel
 (channels.WeylTable; no Kraus operators are built) whose placement is one of
@@ -43,7 +48,7 @@ indices (_Runner.register_index), and is measured by _Runner.measure. A
 table with shifts moves excitations between levels, and so creates new
 ones: the sector rho is scattered into the register at the same indices,
 rho is d^n x d^n, steps under the register unitary (Spectrum.unitary, a
-run's only diagonalisation of the register Hamiltonian), takes
+chain's only diagonalisation of the register Hamiltonian), takes
 channels.apply_weyl_table and is measured on the register
 (_Runner.measure_rho). run_noiseless and run_noisy return run_experiment's
 reference and records.
@@ -63,6 +68,7 @@ can always undo with a local phase gate, so the record aligns it away.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -208,16 +214,19 @@ class TransferRecord:
 class _Runner:
     """Shared machinery for one configuration: evolution, cut, measures.
 
-    Needs config.t_total resolved; see _prepare. The sector basis is the
-    vacuum (level 0, site -1), then level r on site s at 1 + (r-1) n + s
-    (level-major, 0-based sites); level and site hold that layout.
+    t_total is the config's, or the transfer time when the config leaves it
+    open; see prepare_references. The sector basis is the vacuum (level 0,
+    site -1), then level r on site s at 1 + (r-1) n + s (level-major,
+    0-based sites); level and site hold that layout.
     """
 
-    def __init__(self, config: ExperimentConfig, spectrum: Spectrum):
+    def __init__(self, config: ExperimentConfig, spectrum: Spectrum, t_total: float):
         self.spec = config.chain
         self.spectrum = spectrum
-        self.dt = float(config.t_total) / config.steps
-        self.alpha = config.input_amplitudes
+        self.dt = float(t_total) / config.steps
+        # the config accepts a norm off by up to 1e-10; every record reads
+        # the normalized input (x / 1.0 == x: a norm of exactly 1 keeps it)
+        self.alpha = config.input_amplitudes / np.linalg.norm(config.input_amplitudes)
         d, n = self.spec.d, self.spec.n
         # on two sites the endpoint pair is the whole register: cut 1
         self.cut = 1 if config.bipartition == "endpoints" and n == 2 else config.bipartition
@@ -329,18 +338,72 @@ def engine(config: ExperimentConfig) -> str:
     return "dense"
 
 
-def _prepare(config: ExperimentConfig) -> tuple[ExperimentConfig, Spectrum]:
-    """Diagonalise the chain, and fill in t_total from the transfer-time
-    search when the config leaves it open; a chain whose amplitude the
-    default search window would alias needs t_total."""
-    spectrum = Spectrum(config.chain)
-    if config.t_total is None:
-        try:
-            t_star, _ = find_pst_time(config.chain, spectrum=spectrum)
-        except ValueError as exc:
-            raise ConfigError(f"t_total: required for this chain, {exc}") from exc
-        config = replace(config, t_total=t_star)
-    return config, spectrum
+@dataclass(frozen=True)
+class PreparedReference:
+    """A configuration's noiseless twin, prepared once by prepare_references:
+    its runner (the chain's Spectrum, t_total resolved) and its reference
+    records. Every run of the twin reads it and none changes it:
+    run_experiment hands out copies of the records."""
+
+    key: tuple
+    runner: _Runner
+    records: tuple[TransferRecord, ...]
+
+
+def _chain_key(chain: ChainSpec) -> tuple:
+    return chain.d, chain.n, chain.couplings.tobytes()
+
+
+def _twin_key(config: ExperimentConfig) -> tuple:
+    """What the noiseless reference depends on: all but noise, seed and
+    gamma_tolerance, with t_total as given."""
+    return (_chain_key(config.chain), config.input_amplitudes.tobytes(), config.steps,
+            config.t_total, config.bipartition)
+
+
+def _prepare_chain(twins: dict[tuple, ExperimentConfig]) -> dict[tuple, PreparedReference]:
+    """The references of distinct twins on one chain: one Spectrum, and one
+    transfer-time search for the twins that leave t_total open; a chain
+    whose amplitude the default search window would alias needs t_total."""
+    spectrum = Spectrum(next(iter(twins.values())).chain)
+    t_star = None
+    prepared = {}
+    for key, config in twins.items():
+        t_total = config.t_total
+        if t_total is None:
+            if t_star is None:
+                try:
+                    t_star, _ = find_pst_time(config.chain, spectrum=spectrum)
+                except ValueError as exc:
+                    raise ConfigError(f"t_total: required for this chain, {exc}") from exc
+            t_total = t_star
+        runner = _Runner(config, spectrum, t_total)
+        records = tuple(runner.measure(k, runner.sector_ket(k * runner.dt))
+                        for k in range(config.steps + 1))
+        prepared[key] = PreparedReference(key, runner, records)
+    return prepared
+
+
+def prepare_references(
+    configs: Sequence[ExperimentConfig],
+    mapper: Callable[..., Iterable] = map,
+) -> list[PreparedReference]:
+    """The noiseless twin of each config, prepared once per distinct twin and
+    shared by the configs that have it.
+
+    Configs share a twin when they differ at most in noise, seed and
+    gamma_tolerance, and a chain when they have the same d, n and couplings.
+    Each distinct chain (in order of first appearance) is diagonalised once
+    and its transfer time searched at most once; mapper (map, or an
+    executor's map) runs the chains, each one's twins in turn.
+    """
+    chains: dict[tuple, dict[tuple, ExperimentConfig]] = {}
+    for config in configs:
+        chains.setdefault(_chain_key(config.chain), {}).setdefault(_twin_key(config), config)
+    prepared: dict[tuple, PreparedReference] = {}
+    for twins in mapper(_prepare_chain, chains.values()):
+        prepared.update(twins)
+    return [prepared[_twin_key(config)] for config in configs]
 
 
 def run_noiseless(config: ExperimentConfig) -> list[TransferRecord]:
@@ -359,10 +422,13 @@ def run_noisy(config: ExperimentConfig) -> list[TransferRecord]:
 
 def run_experiment(
     config: ExperimentConfig,
+    prepared: PreparedReference | None = None,
 ) -> tuple[list[TransferRecord], list[TransferRecord] | None]:
     """Dispatch on the noise section; returns (records, noiseless reference or None).
 
-    The chain's sector is diagonalised once, and the transfer time searched
+    prepared is the config's twin from prepare_references, when the caller
+    shares one between configs; without it the twin is prepared here, so
+    the chain's sector is diagonalised once and the transfer time searched
     at most once. The reference measures the sector ket after each step, and
     is a noiseless run's records. A noisy run's records before its first
     channel application are copies of the reference's; the density matrix is
@@ -370,15 +436,17 @@ def run_experiment(
     has no shift and on the register otherwise (see engine). Each gamma flag
     compares a record's entanglement level with the reference's.
     """
-    config, spectrum = _prepare(config)
-    runner = _Runner(config, spectrum)
-    reference = [runner.measure(k, runner.sector_ket(k * runner.dt))
-                 for k in range(config.steps + 1)]
+    if prepared is None:
+        (prepared,) = prepare_references([config])
+    elif prepared.key != _twin_key(config):
+        raise ValueError("prepared: the noiseless twin of another configuration")
+    runner, spectrum = prepared.runner, prepared.runner.spectrum
+    reference = [replace(record) for record in prepared.records]
     if config.noise is None:
         return reference, None
     table, dims = _noise_channel(config)
     first = 1 if config.noise.topology == "interleaved" else config.steps
-    records = [replace(record) for record in reference[:first]]
+    records = [replace(record) for record in prepared.records[:first]]
     ket = runner.sector_ket(first * runner.dt)
     rho = np.outer(ket, ket.conj())
     if engine(config) == "sector":
@@ -451,8 +519,8 @@ def conformance_closed_forms(a_points: int = 41, l4_points: int = 320) -> dict:
                "purity": {"a=t": 0.0, "a=2t": 0.0}}
         for amps in sets:
             # the run's sector ket and cut sides; t_total only sets the unused step
-            runner = _Runner(ExperimentConfig(chain=spectrum.spec, input_amplitudes=amps,
-                                              t_total=math.pi), spectrum)
+            runner = _Runner(ExperimentConfig(chain=spectrum.spec, input_amplitudes=amps),
+                             spectrum, math.pi)
             weights = (*amps, 0.0)[:3]  # (alpha, beta, gamma); gamma = 0 for d = 2
             closed0 = closed_form_l2_d3(*weights, 0.0)
             anchor_dev = max(anchor_dev, abs(closed0 - 1.0))
@@ -481,7 +549,7 @@ def conformance_closed_forms(a_points: int = 41, l4_points: int = 320) -> dict:
     spectrum = Spectrum(ChainSpec(d=3, n=4))
     amps = np.full(3, 1.0 / math.sqrt(3))
     runner = _Runner(ExperimentConfig(chain=spectrum.spec, input_amplitudes=amps,
-                                      t_total=math.pi, bipartition=2), spectrum)
+                                      bipartition=2), spectrum, math.pi)
     ts = np.linspace(0.0, 2.0 * math.pi, l4_points, endpoint=False)
     q_trace = np.empty(l4_points)
     for i, t in enumerate(ts):

@@ -1,5 +1,8 @@
 import itertools
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -372,3 +375,41 @@ def test_spectrum_builds_the_register_lazily_and_once(monkeypatch):
     spectrum.unitary(0.5)
     spectrum.evolve(np.eye(27)[9], 0.5)
     assert built == [spec]
+
+
+def test_threads_sharing_a_spectrum_build_the_register_once(monkeypatch):
+    # the points of a sweep share their chain's Spectrum across --jobs
+    # threads; a slow build widens the window in which a second thread could
+    # start its own
+    spec = ChainSpec(d=2, n=4)
+    built = []
+    original = build_hamiltonian
+
+    def slow_build(s):
+        built.append(s)
+        time.sleep(0.05)
+        return original(s)
+
+    monkeypatch.setattr("qsct.chain.build_hamiltonian", slow_build)
+    spectrum = Spectrum(spec)
+    start = threading.Barrier(8)
+    unitaries = []
+
+    def step():
+        start.wait()
+        unitaries.append(spectrum.unitary(0.5))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=step) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert built == [spec]
+    assert len(unitaries) == 8
+    assert all(np.array_equal(u, unitaries[0]) for u in unitaries)

@@ -110,7 +110,7 @@ def test_out_that_is_a_file(tmp_path, capsys, command, below):
 
 
 def test_run_numerical_failure_exit_code(tmp_path, monkeypatch):
-    def boom(config):
+    def boom(config, prepared=None):
         raise np.linalg.LinAlgError("no convergence")
 
     monkeypatch.setattr("qsct.cli.run_experiment", boom)
@@ -378,28 +378,131 @@ OVERFLOWING_CONFIG = dict(BASE_CONFIG, chain={"d": 2, "nodes": 3, "couplings": [
                           input_amplitudes=[0.6, 0.8])
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
-def test_failing_sweep_leaves_no_partial_output(tmp_path, capsys, jobs):
+def _assert_failing_sweep_leaves_no_partial_output(tmp_path, capsys, jobs, failing, code,
+                                                   message):
     out = tmp_path / "out"
-    cfg = _write_config(tmp_path, [BASE_CONFIG, OVERFLOWING_CONFIG])
-    assert main(["run", "--config", str(cfg), "--out", str(out), "--jobs", jobs]) == 3
-    assert "d=2, nodes=3" in capsys.readouterr().err
+    cfg = _write_config(tmp_path, [BASE_CONFIG, *failing, NOISY_CONFIG])
+    assert main(["run", "--config", str(cfg), "--out", str(out), "--jobs", jobs]) == code
+    assert message in capsys.readouterr().err
     assert list(out.iterdir()) == []
 
     # an earlier successful sweep in the same directory is left as it was
     good = _write_config(tmp_path, [BASE_CONFIG, NOISY_CONFIG], name="good.json")
     assert main(["run", "--config", str(good), "--out", str(out), "--jobs", jobs]) == 0
     before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
-    assert main(["run", "--config", str(cfg), "--out", str(out), "--jobs", jobs]) == 3
+    assert main(["run", "--config", str(cfg), "--out", str(out), "--jobs", jobs]) == code
     after = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
     assert after == before
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_failing_sweep_leaves_no_partial_output(tmp_path, capsys, jobs):
+    _assert_failing_sweep_leaves_no_partial_output(tmp_path, capsys, jobs, [OVERFLOWING_CONFIG],
+                                                   3, "d=2, nodes=3")
+
+
+ALIASING_CONFIG = dict(OVERFLOWING_CONFIG, chain={"d": 2, "nodes": 3, "couplings": [1000.0, 1000.0]})
+LOST_PHASES_CONFIG = dict(OVERFLOWING_CONFIG, t_total=1.0, steps=2)
+DEPHASING = {"kind": "phase_damping", "topology": "interleaved", "p": 0.9}
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("failing, code, message", [
+    # the transfer-time search of a twin that three points share would alias
+    ([ALIASING_CONFIG, dict(ALIASING_CONFIG, noise=DEPHASING), dict(ALIASING_CONFIG, seed=3)],
+     2, "config error: t_total: "),
+    # the phases of the shared twin's reference lose their precision
+    ([dict(LOST_PHASES_CONFIG, noise=DEPHASING), LOST_PHASES_CONFIG,
+      dict(LOST_PHASES_CONFIG, noise=dict(DEPHASING, topology="local_after"))],
+     3, "lose their precision"),
+], ids=["aliasing", "overflowing"])
+def test_failing_shared_twin_leaves_no_partial_output(tmp_path, capsys, jobs, failing, code,
+                                                      message):
+    _assert_failing_sweep_leaves_no_partial_output(tmp_path, capsys, jobs, failing, code, message)
+
+
+# A sweep whose points repeat noiseless twins: two amplitude sets on the
+# qutrit chain, t_total left open and set, the endpoint pair and cut 1, each
+# noiseless and under phase damping and interleaved Weyl noise with shifts
+# (the dense engine); the points of two qubit chains, which differ only in
+# their couplings, sit among them.
+QUBIT_CHAIN = {"chain": {"d": 2, "nodes": 3}, "input_amplitudes": [0.6, 0.8], "steps": 4,
+               "bipartition": "endpoints"}
+
+
+def _twin_sweep():
+    entries = []
+    for amps in ([0.6, 0.0, 0.8], [[0.0, 0.6], [0.8, 0.0], 0.0]):
+        for extra in ({}, {"t_total": 2.0}):
+            for cut in ("endpoints", 1):
+                twin = dict(BASE_CONFIG, chain={"d": 3, "nodes": 3}, input_amplitudes=amps,
+                            steps=4, bipartition=cut, **extra)
+                entries += [dict(twin, noise=DEPHASING),
+                            dict(twin, noise=SHIFTING_CONFIG["noise"], seed=7), twin,
+                            dict(twin, noise=dict(DEPHASING, topology="local_after"))]
+        entries += [dict(QUBIT_CHAIN, noise={"kind": "weyl", "topology": "interleaved",
+                                             "pi": [[0.9, 0.0], [0.1, 0.0]]}), QUBIT_CHAIN,
+                    dict(QUBIT_CHAIN, chain=dict(QUBIT_CHAIN["chain"], couplings=[0.5, 1.0]),
+                         t_total=1.5)]
+    return entries
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_points_match_their_single_runs(tmp_path, jobs):
+    sweep = _twin_sweep()
+    out = tmp_path / "sweep"
+    assert main(["run", "--config", str(_write_config(tmp_path, sweep)), "--out", str(out),
+                 "--jobs", jobs]) == 0
+    for i, entry in enumerate(sweep):
+        single = tmp_path / f"single-{i}"
+        cfg = _write_config(tmp_path, entry, name=f"single-{i}.json")
+        assert main(["run", "--config", str(cfg), "--out", str(single)]) == 0
+        names = sorted(p.name for p in single.iterdir() if p.name != "manifest.json")
+        assert names == (["reference.csv", "results.csv"] if "noise" in entry else ["results.csv"])
+        assert sorted(p.name for p in (out / f"point-{i:03d}").iterdir()) == names
+        for name in names:
+            assert (out / f"point-{i:03d}" / name).read_bytes() == (single / name).read_bytes()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_shares_each_chain(tmp_path, monkeypatch, jobs):
+    import qsct.protocol
+
+    sweep = _twin_sweep()
+    chain_dims = {27, 8}
+    spectra, searches, register_eighs = [], [], []
+    spectrum_class, find, eigh = qsct.protocol.Spectrum, qsct.protocol.find_pst_time, np.linalg.eigh
+
+    def counting_spectrum(spec):
+        spectra.append((spec.d, spec.n))
+        return spectrum_class(spec)
+
+    def counting_find(spec, **kwargs):
+        searches.append((spec.d, spec.n))
+        return find(spec, **kwargs)
+
+    def counting_eigh(a, *args, **kwargs):
+        # the real register Hamiltonian, not a (complex) density matrix
+        if np.shape(a)[-1] in chain_dims and np.isrealobj(a):
+            register_eighs.append(np.shape(a)[-1])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(qsct.protocol, "Spectrum", counting_spectrum)
+    monkeypatch.setattr(qsct.protocol, "find_pst_time", counting_find)
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(_write_config(tmp_path, sweep)), "--out", str(out),
+                 "--jobs", jobs]) == 0
+    assert sorted(spectra) == [(2, 3), (2, 3), (3, 3)]
+    assert sorted(searches) == [(2, 3), (3, 3)]
+    assert sorted(register_eighs) == [8, 27]
 
 
 def test_non_finite_reference_writes_no_results(tmp_path, monkeypatch, capsys):
     from qsct.protocol import run_experiment
 
-    def bad_reference(config):
-        records, reference = run_experiment(config)
+    def bad_reference(config, prepared=None):
+        records, reference = run_experiment(config, prepared)
         reference[-1].ccnr = math.nan
         return records, reference
 
@@ -427,9 +530,10 @@ def test_run_refuses_lost_phase_precision(tmp_path, capsys):
     ([[1.0], [0.0, 0.0]], "square"),
 ])
 def test_run_refuses_bad_weyl_table_before_evolving(tmp_path, capsys, monkeypatch, pi, match):
-    def no_run(config):
+    def no_run(*args, **kwargs):
         raise AssertionError("evolution started")
 
+    monkeypatch.setattr("qsct.cli.prepare_references", no_run)
     monkeypatch.setattr("qsct.cli.run_experiment", no_run)
     config = dict(OVERFLOWING_CONFIG, chain={"d": 2, "nodes": 3},
                   noise={"kind": "weyl", "topology": "local_after", "pi": pi})

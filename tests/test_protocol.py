@@ -37,6 +37,7 @@ from qsct.protocol import (
     conformance_closed_forms,
     _Runner,
     engine,
+    prepare_references,
     run_experiment,
     run_noiseless,
     run_noisy,
@@ -461,6 +462,30 @@ def test_one_register_eigh_per_experiment(monkeypatch, noise, t_total):
     assert (reference is None) == (noise is None)
 
 
+def test_runs_that_share_a_twin_leave_it_as_it_was():
+    # noise, seed and gamma_tolerance are not part of the twin; the cut is
+    noiseless = _config(d=3, n=3, steps=6, t_total=2.0)
+    configs = [noiseless,
+               dataclasses.replace(noiseless, seed=5, gamma_tolerance=0.5,
+                                   noise=NoiseSpec(kind="phase_damping", topology="interleaved",
+                                                   p=0.5)),
+               dataclasses.replace(noiseless, noise=NoiseSpec(kind="phase_damping",
+                                                              topology="local_after", p=0.5)),
+               dataclasses.replace(noiseless, bipartition=2)]
+    prepared = prepare_references(configs)
+    assert prepared[0] is prepared[1] is prepared[2] is not prepared[3]
+    assert prepared[0].runner.spectrum is prepared[3].runner.spectrum
+    kept = [dataclasses.replace(record) for record in prepared[0].records]
+    for config, twin in zip(configs, prepared):
+        records, reference = run_experiment(config, twin)
+        assert (records, reference) == run_experiment(config)
+        for record in records + (reference or []):
+            record.ccnr, record.gamma_ok = math.nan, False
+    assert list(prepared[0].records) == kept
+    with pytest.raises(ValueError, match="prepared"):
+        run_experiment(configs[3], prepared[0])
+
+
 @pytest.mark.parametrize("topology", ["interleaved", "local_after"])
 def test_pre_channel_records_are_copies_of_the_reference(topology):
     # at t = 2 the pair is entangled, and dephasing moves its level by far
@@ -808,7 +833,7 @@ def test_measure_of_a_sector_ket_matches_its_density_matrix(d, n):
     for cut in ["endpoints", *range(1, n)]:
         cfg = ExperimentConfig(chain=spec, input_amplitudes=amps / np.linalg.norm(amps), steps=4,
                                t_total=2.0, bipartition=cut)
-        runner = _Runner(cfg, spectrum)
+        runner = _Runner(cfg, spectrum, cfg.t_total)
         for k in range(cfg.steps + 1):
             ket = runner.sector_ket(k * runner.dt)
             record = runner.measure(k, ket)
@@ -998,6 +1023,28 @@ def test_chain_cut_measures_read_the_normalized_input():
         for got, want in zip(off, exact):
             for name in ("ccnr", "ccnr_amplified_margin", "concurrence"):
                 assert abs(getattr(got, name) - getattr(want, name)) <= 1e-15, (cut, got.step, name)
+
+
+@pytest.mark.parametrize("noise", [
+    None,
+    NoiseSpec(kind="phase_damping", topology="interleaved", p=0.6),
+    NoiseSpec(kind="weyl", topology="interleaved", pi=[[0.8, 0.05, 0.0], [0.1, 0.0, 0.0],
+                                                       [0.05, 0.0, 0.0]]),
+])
+def test_every_record_reads_the_normalized_input(noise):
+    # the config accepts a norm off by up to 1e-10; at the transfer time the
+    # unnormalized input's fidelity would be its norm squared, above 1
+    amps = np.array([0.6, 0.8, 0.0])
+    assert np.linalg.norm(amps) == 1.0
+    exact, off = (run_experiment(_config(d=3, n=4, steps=4, bipartition="endpoints",
+                                         input_amplitudes=a, noise=noise))
+                  for a in (amps, amps * (1.0 + 5e-11)))
+    for got_set, want_set in zip(off, exact):
+        for got, want in zip(got_set or [], want_set or []):
+            assert got.fidelity_to_input <= 1.0 + 1e-15, got
+            for name in ("ccnr", "ccnr_amplified_margin", "concurrence",
+                         "transfer_probability", "fidelity_to_input"):
+                assert abs(getattr(got, name) - getattr(want, name)) <= 1e-15, (got.step, name)
 
 
 @pytest.mark.parametrize("cut", ["endpoints", 6])
