@@ -235,15 +235,17 @@ class Spectrum:
         time t carry more than PHASE_TOL radians of rounding error (or overflow)."""
         self._check(t, self.eigvals)
 
-    def site_amplitudes(self, t: float) -> np.ndarray:
+    def site_amplitudes(self, t: float | np.ndarray) -> np.ndarray:
         """f(t) = exp(-i J t) e_1: the amplitude on each site of an excitation
-        that starts on site 1, the same for every level; e_1 exactly at t = 0."""
-        if t == 0.0:
-            f = np.zeros(self.spec.n, dtype=np.complex128)
-            f[0] = 1.0
-            return f
-        self.check_time(t)
-        return self.eigvecs @ (np.exp(-1j * t * self.eigvals) * self.eigvecs[0])
+        that starts on site 1, the same for every level; e_1 exactly at t = 0.
+        Times t (...) give f (..., n), each as for its time alone."""
+        t = np.asarray(t, dtype=float)
+        if np.any(t != 0.0):
+            self.check_time(float(np.max(np.abs(t))))  # the error grows with |t|
+        phases = np.exp(-1j * t[..., None] * self.eigvals) * self.eigvecs[0]
+        f = (self.eigvecs @ phases[..., None])[..., 0]
+        f[t == 0.0] = np.eye(1, self.spec.n)
+        return f
 
     def sector_unitary(self, t: float) -> np.ndarray:
         """exp(-i t H) on the sector basis: the vacuum, then level r on site s

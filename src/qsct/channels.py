@@ -21,13 +21,13 @@ same channel as one Hadamard mask per shift row m that carries weight:
     M_m[a, b]    = sum_n pi_{m,n} w^{n (a-b)}.
 
 `apply_weyl_table` applies it site by site on the reshaped density tensor,
-one roll and one elementwise product per row and site, and builds no Kraus
-operator; experiment runs use this form. A table whose only row is m = 0
-(phase damping among them) rolls nothing: it multiplies rho[a, b] by
-prod_s M_0[a_s, b_s] and so never moves an excitation, and runs apply it as
-that product on the single-excitation sector (qsct.protocol); a table with
-shifts creates excitations, and runs apply it to the register with
-`apply_weyl_table`.
+one gather of every shifted copy per site and one elementwise product per
+row, and builds no Kraus operator; experiment runs use this form. A table
+whose only row is m = 0 (phase damping among them) shifts nothing: it
+multiplies rho[a, b] by prod_s M_0[a_s, b_s] and so never moves an
+excitation, and runs apply it as that product on the single-excitation
+sector (qsct.protocol); a table with shifts creates excitations, and runs
+apply it to the register with `apply_weyl_table`.
 """
 
 from __future__ import annotations
@@ -43,6 +43,9 @@ from .chain import ConfigError, as_array
 from .linalg import embed_operator
 
 TP_TOL = 1e-12
+# apply_weyl_table gathers the shifted copies of rho in groups of at most this
+# many bytes (every shift at once for a small register)
+_GATHER_BYTES = 1 << 16
 # working precision of the integer mantissas behind the phase-damping weights
 _MANTISSA_BITS = 128
 
@@ -207,6 +210,12 @@ class WeylTable:
     d: int
     shifts: tuple[int, ...]
     masks: tuple[np.ndarray, ...] = field(repr=False)
+    # rolls[j, a] = (a - shifts[j]) mod d: the level that shift j moves to a
+    rolls: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        shifts = np.array(self.shifts, dtype=np.intp).reshape(-1, 1)
+        object.__setattr__(self, "rolls", (np.arange(self.d) - shifts) % self.d)
 
 
 def weyl_table(pi) -> WeylTable:
@@ -227,8 +236,8 @@ def _table(shifts: tuple[int, ...], rows: np.ndarray) -> WeylTable:
     spectra = np.fft.ifft(rows, axis=1, norm="forward")
     wrap = (np.arange(2 * d - 1) - (d - 1)) % d
     # window[a, j] = f[(a + j - (d - 1)) mod d], so window[a, d - 1 - b] = f[(a - b) mod d]
-    masks = tuple(np.lib.stride_tricks.sliding_window_view(f[wrap], d)[:, ::-1]
-                  for f in spectra)
+    windows = np.lib.stride_tricks.sliding_window_view(spectra[:, wrap], d, axis=1)
+    masks = tuple(windows[:, :, ::-1])
     return WeylTable(d=d, shifts=shifts, masks=masks)
 
 
@@ -243,10 +252,13 @@ def apply_weyl_table(rho: np.ndarray, table: WeylTable, dims) -> np.ndarray:
     with factor dimensions `dims` (pass the register dimension alone for one
     register-wide channel).
 
-    Per factor and per shift m: roll that factor's row and column index of the
-    density tensor by m, multiply by the mask, and add. O(len(shifts) dim^2)
-    per factor, and no Kraus operator is built; agrees with
-    apply_channel(rho, embed_channel(weyl_channel(pi), range(len(dims)), dims)).
+    Per factor: one gather of the density tensor at that factor's rolled row
+    and column indices for every shift m at once (table.rolls); each term is
+    multiplied by its mask in place and added, in the order of the shifts.
+    Shifts whose gathered copies would pass _GATHER_BYTES are gathered a
+    group at a time. O(len(shifts) dim^2) per factor, and no Kraus operator is built;
+    agrees with apply_channel(rho, embed_channel(weyl_channel(pi),
+    range(len(dims)), dims)).
     """
     if any(size != table.d for size in dims):
         raise ValueError(f"register factors {tuple(dims)} do not all match the channel's {table.d}")
@@ -255,14 +267,20 @@ def apply_weyl_table(rho: np.ndarray, table: WeylTable, dims) -> np.ndarray:
     if rho.shape != (dim, dim):
         raise ValueError(f"state shape {rho.shape} does not match register dimension {dim}")
     d = table.d
+    group = max(1, _GATHER_BYTES // (16 * dim * dim))
     out = rho
     for s in range(len(dims)):
         left = d**s
-        tensor = out.reshape(left, d, dim // (left * d), left, d, dim // (left * d))
-        acc = np.zeros(tensor.shape, dtype=np.complex128)
-        for m, mask in zip(table.shifts, table.masks):
-            shifted = np.roll(tensor, (m, m), axis=(1, 4)) if m else tensor
-            acc += shifted * mask[:, None, None, :, None]
+        shape = (left, d, dim // (left * d), left, d, dim // (left * d))
+        # the factor's row and column level first: (d, d, left, rest, left, rest)
+        tensor = out.reshape(shape).transpose(1, 4, 0, 2, 3, 5)
+        acc = np.zeros(shape, dtype=np.complex128)
+        for lo in range(0, len(table.shifts), group):
+            rolls = table.rolls[lo:lo + group]
+            terms = tensor[rolls[:, :, None], rolls[:, None, :]]
+            for term, mask in zip(terms, table.masks[lo:lo + group]):
+                term *= mask[:, :, None, None, None, None]
+                acc += term.transpose(2, 0, 3, 4, 1, 5)
         out = acc.reshape(dim, dim)
     return out
 

@@ -202,27 +202,22 @@ print("wrote transfer.png")
 """
 
 
-def _run_one(config: ExperimentConfig, prepared: PreparedReference, out_dir: Path,
-             plot_script: bool = False) -> list[str]:
-    """Execute one experiment from its prepared noiseless twin and write its
-    CSV outputs. Returns the file names.
-
-    Both record sets are checked before either file is written.
-    """
+def _run_one(config: ExperimentConfig, prepared: PreparedReference, reference_csv: str,
+             plot_script: bool = False) -> dict[str, str]:
+    """Execute one experiment from its prepared noiseless twin; returns its
+    output files, name -> text. reference_csv is the twin's records as CSV
+    text, already checked: a noiseless run's results.csv and a noisy run's
+    reference.csv. A noisy run's records are checked before any text is
+    returned."""
     records, reference = run_experiment(config, prepared)
-    _check_finite(records)
-    if reference is not None:
-        _check_finite(reference)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    names = ["results.csv"]
-    _atomic_write(out_dir / "results.csv", _records_csv(records))
-    if reference is not None:
-        _atomic_write(out_dir / "reference.csv", _records_csv(reference))
-        names.append("reference.csv")
+    if reference is None:   # a noiseless run: its records are its twin's
+        files = {"results.csv": reference_csv}
+    else:
+        _check_finite(records)
+        files = {"results.csv": _records_csv(records), "reference.csv": reference_csv}
     if plot_script:
-        _atomic_write(out_dir / "plot_results.py", _PLOT_SCRIPT)
-        names.append("plot_results.py")
-    return names
+        files["plot_results.py"] = _PLOT_SCRIPT
+    return files
 
 
 def _cmd_run(args) -> int:
@@ -246,33 +241,47 @@ def _cmd_run(args) -> int:
     out_dir = _out_dir(args.out)
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
 
-    # A sweep runs its points in a staging directory inside --out and moves
-    # their files into point-NNN/ only after every point has succeeded, so a
-    # failing point leaves no partial output behind.
+    # A sweep writes each point's files once, flat in a private staging
+    # directory inside --out, and moves them into point-NNN/ only after every
+    # point has succeeded, so a failing point leaves no partial output behind.
     sweep = isinstance(raw, list)
     points = [f"point-{i:03d}" for i in range(len(configs))] if sweep else [""]
-    stage = Path(tempfile.mkdtemp(prefix=".sweep-", dir=out_dir)) if sweep else out_dir
-    dirs = [stage / point for point in points]
+    stage = tempfile.mkdtemp(prefix=".sweep-", dir=out_dir) if sweep else None
     pool = (concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs)
             if args.jobs > 1 and len(configs) > 1 else None)
     parallel_map = map if pool is None else pool.map
     try:
         # Every point of a noiseless twin shares its chain's spectrum and
-        # its reference records. Each point takes its own entry out of
-        # `prepared`, so a chain's state (the register eigenpairs of a dense
-        # run among it) is freed as soon as its last point has finished.
+        # its reference records, checked and formatted once. Each point
+        # takes its own entry out of `prepared`, so a chain's state (the
+        # register eigenpairs of a dense run among it) is freed as soon as
+        # its last point has finished.
         prepared = prepare_references(configs, parallel_map)
+        reference_csv = {}
+        for twin in prepared:
+            if twin.key not in reference_csv:
+                _check_finite(twin.records)
+                reference_csv[twin.key] = _records_csv(twin.records)
 
         def run_point(i: int) -> list[str]:
             twin, prepared[i] = prepared[i], None
-            return _run_one(configs[i], twin, dirs[i], args.plot_script)
+            files = _run_one(configs[i], twin, reference_csv[twin.key], args.plot_script)
+            for name, text in files.items():
+                if sweep:
+                    with open(os.path.join(stage, f"{points[i]}-{name}"), "w",
+                              encoding="utf-8") as fh:
+                        fh.write(text)
+                else:
+                    _atomic_write(out_dir / name, text)
+            return list(files)
 
         names = list(parallel_map(run_point, range(len(configs))))
         if sweep:
             for point, files in zip(points, names):
-                (out_dir / point).mkdir(exist_ok=True)
+                target = out_dir / point
+                target.mkdir(exist_ok=True)
                 for name in files:
-                    os.replace(stage / point / name, out_dir / point / name)
+                    os.replace(os.path.join(stage, f"{point}-{name}"), os.path.join(target, name))
     except (np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

@@ -12,42 +12,70 @@ arbitrary density matrix and coincides with the concurrence on pure input. A
 ket on the vacuum plus single excitations has at most two Schmidt
 coefficients, so one number, its concurrence in closed form, gives all three
 of its measures (sector_concurrence); no SVD is taken of it.
-Closed-form transfer profiles for two-site chains are evaluated as printed.
+Every measure takes a stack of states along leading axes and returns an
+array, one call (and one stacked SVD or eigh) for the whole stack; a single
+state gives a float. Closed-form transfer profiles for two-site chains are
+evaluated as printed.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .linalg import Bipartition, partial_trace, realign, sector_partial_trace, trace_norm
+from .linalg import (
+    Bipartition,
+    SectorCut,
+    inner,
+    partial_trace,
+    realign,
+    realign_minus_product,
+    sector_partial_trace,
+    trace_norm,
+)
 
 # A globally pure state admits the well-conditioned Schmidt route; the purity
 # route loses ~sqrt(eps) near zero entanglement.
 _PURE_TOL = 1e-12
 
 
-def ccnr(rho: np.ndarray, part: Bipartition) -> float:
-    """Trace norm of the realigned density matrix; > 1 flags entanglement."""
+def _norm(x: np.ndarray) -> np.ndarray:
+    """The 2-norm of each row of x (..., k), as np.linalg.norm of the row."""
+    return np.sqrt(inner(x.real, x.real) + inner(x.imag, x.imag))
+
+
+def _purity_gap(rho: np.ndarray) -> np.ndarray:
+    """max(0, 1 - tr rho^2) of each Hermitian matrix of a stack (..., D, D)."""
+    flat = rho.reshape(*rho.shape[:-2], -1)
+    return np.maximum(0.0, 1.0 - inner(flat.conj(), flat).real)
+
+
+def ccnr(rho: np.ndarray, part: Bipartition) -> float | np.ndarray:
+    """Trace norm of the realigned density matrix; > 1 flags entanglement.
+    A stack (..., D, D) gives an array (...) from one stacked SVD."""
     return trace_norm(realign(rho, part))
 
 
-def amplified_ccnr_margin(rho: np.ndarray, part: Bipartition) -> float:
+def amplified_ccnr_margin(rho: np.ndarray, part: Bipartition) -> float | np.ndarray:
     """Left side minus right side of the amplified realignment test.
 
     Positive margin flags entanglement; the test is strictly stronger than
-    the plain realignment criterion on states with mixed marginals.
+    the plain realignment criterion on states with mixed marginals. The
+    realigned rho_A (x) rho_B is vec rho_A vec rho_B^T, so it is subtracted
+    from the realigned rho as that outer product. A stack (..., D, D) gives
+    an array (...) from one stacked SVD.
     """
-    part.check(np.asarray(rho).shape[0])
+    rho = np.asarray(rho)
+    part.check(rho.shape[-1])
     rho_a = partial_trace(rho, [part.dim_a, part.dim_b], keep=[0])
     rho_b = partial_trace(rho, [part.dim_a, part.dim_b], keep=[1])
-    lhs = trace_norm(realign(rho - np.kron(rho_a, rho_b), part))
-    gap_a = max(0.0, 1.0 - float(np.vdot(rho_a, rho_a).real))
-    gap_b = max(0.0, 1.0 - float(np.vdot(rho_b, rho_b).real))
-    return lhs - float(np.sqrt(gap_a * gap_b))
+    lhs = trace_norm(realign_minus_product(rho, part, rho_a, rho_b))
+    gap_a, gap_b = (_purity_gap(r) for r in (rho_a, rho_b))
+    return (lhs - np.sqrt(gap_a * gap_b))[()]
 
 
-def concurrence_pure(psi: np.ndarray, part: Bipartition) -> float:
-    """sqrt(2 (1 - tr rho_A^2)) for a normalized ket.
+def concurrence_pure(psi: np.ndarray, part: Bipartition) -> float | np.ndarray:
+    """sqrt(2 (1 - tr rho_A^2)) for a normalized ket; a stack of kets
+    (..., D) gives an array (...).
 
     Evaluated through the Schmidt weights q of the reshaped ket, renormalized
     to sum to 1, which is exact at product states where the purity route
@@ -56,65 +84,75 @@ def concurrence_pure(psi: np.ndarray, part: Bipartition) -> float:
     of losing it to cancellation against 1.
     """
     psi = np.asarray(psi)
-    if psi.ndim != 1:
+    if psi.ndim < 1:
         raise ValueError("expected a ket (a 1-d array)")
-    part.check(psi.shape[0])
-    norm = float(np.linalg.norm(psi))
-    if abs(norm - 1.0) > 1e-8:
-        raise ValueError(f"ket norm deviates from 1 by {abs(norm - 1.0):.3e}")
-    s = np.linalg.svd(psi.reshape(part.dim_a, part.dim_b), compute_uv=False)
+    part.check(psi.shape[-1])
+    off = np.max(np.abs(_norm(psi) - 1.0), initial=0.0)
+    if off > 1e-8:
+        raise ValueError(f"ket norm deviates from 1 by {off:.3e}")
+    s = np.linalg.svd(psi.reshape(*psi.shape[:-1], part.dim_a, part.dim_b), compute_uv=False)
     q = s * s
-    q /= q.sum()
-    tail = np.cumsum(q[::-1])[::-1]  # tail[i] = q_i + q_{i+1} + ...
-    return float(2.0 * np.sqrt(max(0.0, float(q[:-1] @ tail[1:]))))
+    q /= q.sum(-1, keepdims=True)
+    tail = np.cumsum(q[..., ::-1], axis=-1)[..., ::-1]  # tail[i] = q_i + q_{i+1} + ...
+    return (2.0 * np.sqrt(np.maximum(0.0, inner(q[..., :-1], tail[..., 1:]))))[()]
 
 
-def mixedness_indicator(rho: np.ndarray, part: Bipartition) -> float:
-    """sqrt(2 (1 - tr rho_A^2)) of the reduced state of subsystem A."""
-    part.check(np.asarray(rho).shape[0])
+def mixedness_indicator(rho: np.ndarray, part: Bipartition) -> float | np.ndarray:
+    """sqrt(2 (1 - tr rho_A^2)) of the reduced state of subsystem A; a stack
+    (..., D, D) gives an array (...)."""
+    rho = np.asarray(rho)
+    part.check(rho.shape[-1])
     rho_a = partial_trace(rho, [part.dim_a, part.dim_b], keep=[0])
-    gap = max(0.0, 1.0 - float(np.vdot(rho_a, rho_a).real))
-    return float(np.sqrt(2.0 * gap))
+    return np.sqrt(2.0 * _purity_gap(rho_a))[()]
 
 
-def entanglement_level(rho: np.ndarray, part: Bipartition) -> float:
+def entanglement_level(rho: np.ndarray, part: Bipartition) -> float | np.ndarray:
     """Concurrence-style level of a density matrix over the given bipartition.
 
     Routes globally pure input through the Schmidt form of its dominant
     eigenvector (mathematically the same number, numerically stable near 0);
-    genuinely mixed input uses the purity formula.
+    genuinely mixed input uses the purity formula. A stack (..., D, D) gives
+    an array (...), its pure matrices taken by one stacked eigh.
     """
     rho = np.asarray(rho)
-    part.check(rho.shape[0])
-    global_purity = float(np.vdot(rho, rho).real)
-    if 1.0 - global_purity <= _PURE_TOL:
-        _, vecs = np.linalg.eigh(rho)
-        return concurrence_pure(vecs[:, -1], part)
-    return mixedness_indicator(rho, part)
+    part.check(rho.shape[-1])
+    stack = rho.reshape(-1, *rho.shape[-2:])
+    pure = _purity_gap(stack) <= _PURE_TOL
+    level = np.empty(len(stack))
+    if not pure.all():
+        level[~pure] = mixedness_indicator(stack[~pure], part)
+    if pure.any():
+        level[pure] = concurrence_pure(np.linalg.eigh(stack[pure])[1][..., -1], part)
+    return level.reshape(rho.shape[:-2])[()]
 
 
-def sector_concurrence(v: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
+def sector_concurrence(v: np.ndarray, cut: SectorCut) -> float | np.ndarray:
     """Concurrence 2 sqrt(q_A q_B) / N of a ket v on span{vac} (+) single
-    excitations (vacuum at index 0) across the cut between the excitations a
+    excitations (vacuum at index 0) across cut, between its excitations a
     and b: q_A = sum |v[a]|^2, q_B = sum |v[b]|^2, N = |v_0|^2 + q_A + q_B.
+    A stack of kets (..., m) gives an array (...).
 
     The ket's coefficient matrix across the cut holds v_0 at (vac, vac), the
     column v[a] and the row v[b]; its rank is at most 2, and its two Schmidt
     weights multiply to q_A q_B. Each q is a sum of positive squares, so a
     near-product ket keeps its tail, and N gives the normalized ket's value.
     """
-    q_0, q_a, q_b = (float(np.vdot(v[s], v[s]).real) for s in ([0], a, b))
-    return 2.0 * float(np.sqrt(q_a * q_b)) / (q_0 + q_a + q_b)
+    q_0, q_a, q_b = (inner(x.conj(), x).real
+                     for x in (np.take(v, rows, axis=-1) for rows in ([0], cut.a, cut.b)))
+    return (2.0 * np.sqrt(q_a * q_b) / (q_0 + q_a + q_b))[()]
 
 
-def sector_measures(rho: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[float, float, float]:
-    """(ccnr, amplified_ccnr_margin, entanglement_level) across a cut of a
-    state on span{vac} (+) single excitations, from its sector ket or density
-    matrix: a chain's whole sector state across a chain cut, or the
-    (2d-1)-state endpoint pair (sides 1..d-1 and d..2d-2) that a partial
-    trace leaves.
+def sector_measures(states: np.ndarray, cut: SectorCut,
+                    kets: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(ccnr, amplified_ccnr_margin, entanglement_level) across a cut of
+    states on span{vac} (+) single excitations: density matrices (..., m, m),
+    or with kets=True kets (..., m), leading axes a stack; each measure is an
+    array (...). The states are a chain's whole sector states across a chain
+    cut, or the (2d-1)-state endpoint pair (sides 1..d-1 and d..2d-2) that a
+    partial trace leaves. A stack takes one stacked SVD, and the gathers use
+    the index arrays that cut holds.
 
-    rho has the vacuum at index 0; a and b list the indices of the
+    The vacuum is at index 0; cut.a and cut.b list the indices of the
     excitations on sides A and B (k_A and k_B of them). A ket's two Schmidt
     coefficients s_1, s_2 give all three from c = 2 s_1 s_2
     (sector_concurrence): ccnr = (s_1 + s_2)^2 = 1 + c, and the margin is c,
@@ -131,27 +169,29 @@ def sector_measures(rho: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[floa
     formula on rho_A, or for a globally pure rho the sector concurrence of
     its dominant eigenvector.
     """
-    if rho.ndim == 1:
-        c = sector_concurrence(rho, a, b)
+    if kets:
+        c = sector_concurrence(states, cut)
         return 1.0 + c, c, c
-    ka, kb = len(a), len(b)
-    rho_a, rho_b = sector_partial_trace(rho, a, b), sector_partial_trace(rho, b, a)
-    x, z = np.linalg.norm(rho_a[1:, 1:]), np.linalg.norm(rho_b[1:, 1:])
-    c = np.zeros((2 + 2 * ka, 2 + 2 * kb), dtype=np.complex128)
-    c[0] = np.r_[rho[0, 0], rho[0, b], rho[b, 0], z]
-    c[1:, 0] = np.r_[rho[a, 0], rho[0, a], x]
-    c[1:1 + ka, 1:1 + kb] = rho[np.ix_(a, b)]
-    c[1 + ka:-1, 1 + kb:-1] = rho[np.ix_(b, a)].T
-    vec_a = np.r_[rho_a[0, 0], rho_a[1:, 0], rho_a[0, 1:], x]
-    vec_b = np.r_[rho_b[0, 0], rho_b[0, 1:], rho_b[1:, 0], z]
-    gap_a = max(0.0, 1.0 - float(np.vdot(rho_a, rho_a).real))
-    gap_b = max(0.0, 1.0 - float(np.vdot(rho_b, rho_b).real))
-    margin = trace_norm(c - np.outer(vec_a, vec_b)) - float(np.sqrt(gap_a * gap_b))
-    if 1.0 - float(np.vdot(rho, rho).real) <= _PURE_TOL:
-        level = sector_concurrence(np.linalg.eigh(rho)[1][:, -1], a, b)
-    else:
-        level = float(np.sqrt(2.0 * gap_a))
-    return trace_norm(c), margin, level
+    lead, m = states.shape[:-2], cut.size
+    rho = states.reshape(-1, m, m)
+    reduced = [sector_partial_trace(rho, cut, side) for side in (0, 1)]
+    flats = [r.reshape(len(rho), -1) for r in reduced]
+    norms = [_norm(r[:, 1:, 1:].reshape(len(rho), -1)) for r in reduced]
+    shape, dst, src = cut.compressed
+    c = np.zeros((len(rho), shape[0] * shape[1]), dtype=np.complex128)
+    c[:, dst] = np.take(rho.reshape(len(rho), -1), src, axis=-1)
+    c[:, shape[1] - 1], c[:, -shape[1]] = norms[1], norms[0]
+    c = c.reshape(len(rho), *shape)
+    vec_a, vec_b = (np.concatenate((np.take(flat, idx, axis=-1), norm[:, None]), axis=1)
+                    for flat, idx, norm in zip(flats, cut.vecs, norms))
+    gap_a, gap_b = (_purity_gap(r) for r in reduced)
+    # C and C - a_c b_c^T: one stacked SVD
+    norm_c, lhs = trace_norm(np.stack((c, c - vec_a[:, :, None] * vec_b[:, None, :])))
+    level = np.sqrt(2.0 * gap_a)
+    pure = _purity_gap(rho) <= _PURE_TOL
+    if pure.any():
+        level[pure] = sector_concurrence(np.linalg.eigh(rho[pure])[1][..., -1], cut)
+    return tuple(x.reshape(lead) for x in (norm_c, lhs - np.sqrt(gap_a * gap_b), level))
 
 
 def _check_amplitudes(*amps: float) -> None:

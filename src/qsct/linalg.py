@@ -2,7 +2,9 @@
 realignment map, the trace norm, partial traces (of a density matrix, or of a
 sector ket or density matrix) and single-site embedding.
 
-Everything works on plain numpy arrays (complex128, row-major, dense). The
+Everything works on plain numpy arrays (complex128, row-major, dense); the
+realignment map, the trace norm and both partial traces also take a stack
+of states along leading axes, one call for the whole stack. The
 operating envelope is full-register dimensions up to a few thousand, where
 LAPACK through numpy is the only backend worth having. There are no matrix
 exponentials here: `qsct.chain.Spectrum` owns every evolution, the n x n
@@ -38,34 +40,72 @@ def realign(rho: np.ndarray, part: Bipartition) -> np.ndarray:
     Row p of the result is the column-stacked B-block of rho selected by the
     A indices (i, j) with p = j * dim_a + i, so a product operator A (x) B
     realigns to the rank-one matrix vec(A) vec(B)^T, vec stacking columns.
+    Leading axes are a stack: (..., D, D) realigns matrix by matrix to
+    (..., dim_a^2, dim_b^2).
     """
     rho = np.asarray(rho)
     da, db = part
-    part.check(rho.shape[0])
-    if rho.shape[0] != rho.shape[1]:
+    return _realigned(rho, part).reshape(*rho.shape[:-2], da * da, db * db)
+
+
+def _realigned(rho: np.ndarray, part: Bipartition) -> np.ndarray:
+    """The entries of realign(rho) as a view (..., dim_a, dim_a, dim_b, dim_b)."""
+    part.check(rho.shape[-2])
+    if rho.shape[-2] != rho.shape[-1]:
         raise ValueError("realign expects a square matrix")
-    return (
-        rho.reshape(da, db, da, db)
-        .transpose(2, 0, 3, 1)
-        .reshape(da * da, db * db)
-    )
+    da, db = part
+    lead = rho.shape[:-2]
+    k = len(lead)
+    return rho.reshape(*lead, da, db, da, db).transpose(*range(k), k + 2, k, k + 3, k + 1)
 
 
-def trace_norm(a: np.ndarray) -> float:
-    """Sum of singular values (nuclear norm)."""
+def realign_minus_product(rho: np.ndarray, part: Bipartition, a: np.ndarray,
+                          b: np.ndarray) -> np.ndarray:
+    """realign(rho - a (x) b) = realign(rho) - vec(a) vec(b)^T, vec stacking
+    columns, for a dim_a x dim_a a and a dim_b x dim_b b; leading axes are a
+    stack. Formed matrix by matrix in the result, the one array of its size
+    allocated: a broadcast complex product of the whole stack would take
+    numpy iteration buffers as large again."""
+    rho = np.asarray(rho)
+    da, db = part
+    lead = rho.shape[:-2]
+    vec_a, vec_b = (x.swapaxes(-1, -2).reshape(-1, x.shape[-1] ** 2) for x in (a, b))
+    out = np.empty((len(vec_a), da, da, db, db), dtype=np.result_type(rho, a, b))
+    view = _realigned(rho.reshape(-1, *rho.shape[-2:]), part)
+    for o, r, x, y in zip(out, view, vec_a, vec_b):
+        np.multiply(x.reshape(da, da, 1, 1), y.reshape(1, 1, db, db), out=o)
+        np.subtract(r, o, out=o)
+    return out.reshape(*lead, da * da, db * db)
+
+
+def trace_norm(a: np.ndarray) -> float | np.ndarray:
+    """Sum of singular values (nuclear norm); a float for one matrix, an array
+    for a stack (..., m, k), from one stacked SVD."""
     a = np.asarray(a)
-    if a.ndim != 2:
+    if a.ndim < 2:
         raise ValueError("trace_norm expects a matrix")
     if a.size == 0:
-        return 0.0
-    return float(np.linalg.svd(a, compute_uv=False).sum())
+        return np.zeros(a.shape[:-2])[()]
+    return np.linalg.svd(a, compute_uv=False).sum(-1)[()]
+
+
+def inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """sum_i x[..., i] y[..., i] for every leading index.
+
+    One stacked matmul of 1 x k by k x 1 matrices, which numpy evaluates as
+    the BLAS dot that np.dot and np.vdot take of a single pair of vectors:
+    each row of a stack gets that pair's value bit for bit, whatever the
+    stack's size. np.vdot(x, x) is inner(x.conj(), x).
+    """
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
 
 
 def partial_trace(rho: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
     """Trace out every site not listed in keep (0-based site positions).
 
     Kept sites stay in their original order; the result is square with
-    dimension prod(dims[s] for s in keep).
+    dimension prod(dims[s] for s in keep). Leading axes are a stack:
+    (..., full, full) reduces matrix by matrix to (..., kept, kept).
     """
     dims = [int(d) for d in dims]
     n = len(dims)
@@ -76,34 +116,80 @@ def partial_trace(rho: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> 
         raise ValueError(f"site index out of range for {n} sites: {keep}")
     full, kept = int(np.prod(dims)), int(np.prod([dims[s] for s in keep_sorted]))
     rho = np.asarray(rho)
-    if rho.shape != (full, full):
+    if rho.shape[-2:] != (full, full):
         raise ValueError(f"operator shape {rho.shape} does not match dims {dims}")
-    tensor = rho.reshape(dims + dims)
+    lead = rho.shape[:-2]
+    tensor = rho.reshape(*lead, *dims, *dims)
     # trace highest-numbered sites first so lower axis numbers stay valid
     for s in sorted(set(range(n)) - set(keep_sorted), reverse=True):
-        half = tensor.ndim // 2
-        tensor = np.trace(tensor, axis1=s, axis2=s + half)
-    return tensor.reshape(kept, kept)
+        half = (tensor.ndim - len(lead)) // 2
+        tensor = np.trace(tensor, axis1=len(lead) + s, axis2=len(lead) + s + half)
+    return tensor.reshape(*lead, kept, kept)
 
 
-def sector_partial_trace(state: np.ndarray, keep: np.ndarray, traced: np.ndarray) -> np.ndarray:
-    """partial_trace of a state on span{vac} (+) single excitations, given on
-    a sector basis with the vacuum at index 0: the density matrix, or the ket.
+class SectorCut:
+    """span{vac} (+) single excitations, on a sector basis with the vacuum at
+    index 0, split between the excitations a and b (every index but 0 in one
+    of them). It holds the index arrays that its partial traces
+    (sector_partial_trace) and measures (entanglement.sector_measures) gather,
+    built once, so a run builds none per state."""
 
-    keep lists the indices of the kept sites' excitations and traced those of
-    every other site's. The result is on the kept sites' sector basis, their
-    vacuum then keep in order: a traced excitation leaves the kept sites in
-    their vacuum, so only its weight remains, on the vacuum's diagonal. A ket
-    x gives the outer product of its kept rows plus the traced rows' weight
-    sum |x_t|^2, bit for bit what its density matrix gives.
+    def __init__(self, a, b):
+        self.a = a = np.asarray(a, dtype=np.intp)
+        self.b = b = np.asarray(b, dtype=np.intp)
+        ka, kb = len(a), len(b)
+        self.size = m = 1 + ka + kb
+        # each side's sector basis, its vacuum then its excitations; of a
+        # density matrix flattened to m^2 entries, the side's block and the
+        # diagonal entries that tracing it out sums, the other side's. Every
+        # gather is an np.take along the last axis, which leaves each state
+        # of a stack contiguous, so its reductions run as for a state alone.
+        self.rows = (np.concatenate(([0], a)), np.concatenate(([0], b)))
+        self.blocks = tuple((rows[:, None] * m + rows).ravel() for rows in self.rows)
+        self.diagonals = (b * (m + 1), a * (m + 1))
+        # the compressed realigned matrix of entanglement.sector_measures,
+        # (2 + 2k_A) x (2 + 2k_B), flat: the flat entries dst take the flat
+        # density-matrix entries src, rho[0, 0], rho[0, b], rho[b, 0] (row 0),
+        # rho[a, 0], rho[0, a] (column 0), rho[a, b] and rho[b, a]^T; its last
+        # row and column hold the norms
+        i, j, cols = np.arange(ka)[:, None], np.arange(kb), 2 + 2 * kb
+        dst = ([0], 1 + j, 1 + kb + j, (1 + i[:, 0]) * cols, (1 + ka + i[:, 0]) * cols,
+               (1 + i) * cols + 1 + j, (1 + ka + i) * cols + 1 + kb + j)
+        src = ([0], b, b * m, a * m, a, a[:, None] * m + b, b * m + a[:, None])
+        self.compressed = ((2 + 2 * ka, cols),
+                           *(np.concatenate([np.ravel(x) for x in part]) for part in (dst, src)))
+        # vec rho_A and vec rho_B, collapsed alike, from each flat reduced
+        # state: (rho_A[0, 0], rho_A[a, 0], rho_A[0, a]) and (rho_B[0, 0],
+        # rho_B[0, b], rho_B[b, 0]), then the norm
+        sa, sb = np.arange(1, 1 + ka), np.arange(1, 1 + kb)
+        self.vecs = (np.concatenate(([0], sa * (1 + ka), sa)),
+                     np.concatenate(([0], sb, sb * (1 + kb))))
+
+
+def sector_partial_trace(states: np.ndarray, cut: SectorCut, side: int = 0,
+                         kets: bool = False) -> np.ndarray:
+    """partial_trace of states on span{vac} (+) single excitations, given on
+    a sector basis with the vacuum at index 0: density matrices
+    (..., m, m), or with kets=True kets (..., m); leading axes are a stack.
+
+    The result keeps side a of cut (side=1: side b) and traces the other:
+    it is on the kept side's sector basis, its vacuum then its excitations
+    in order, (..., 1 + k, 1 + k). A traced excitation leaves the kept side
+    in its vacuum, so only its weight remains, on the vacuum's diagonal. A
+    ket x gives the outer product of its kept rows plus the traced rows'
+    weight sum |x_t|^2, bit for bit what its density matrix gives.
     """
-    rows = np.r_[0, keep]
-    if state.ndim == 1:
-        kept, weight = state[rows], state[traced] * state[traced].conj()
-        out = np.outer(kept, kept.conj())
+    if kets:
+        kept = np.take(states, cut.rows[side], axis=-1)
+        weight = np.take(states, (cut.b, cut.a)[side], axis=-1)
+        weight = weight * weight.conj()
+        out = kept[..., :, None] * kept.conj()[..., None, :]
     else:
-        out, weight = state[np.ix_(rows, rows)], state.diagonal()[traced]
-    out[0, 0] += weight.sum()
+        flat = states.reshape(*states.shape[:-2], -1)
+        k = len(cut.rows[side])
+        out = np.take(flat, cut.blocks[side], axis=-1).reshape(*flat.shape[:-1], k, k)
+        weight = np.take(flat, cut.diagonals[side], axis=-1)
+    out[..., 0, 0] += weight.sum(-1)
     return out
 
 

@@ -5,8 +5,14 @@ time steps, and records entanglement and transfer figures after every step.
 The input never leaves the single-excitation sector, so a pure state is the
 site amplitudes f(t) = exp(-i J t) e_1 of chain.Spectrum (n numbers): its
 sector ket holds alpha_0 on the vacuum and alpha_r f_s on level r of site s
-(_Runner.sector_ket). One routine, _Runner.measure, takes every record from
-the sector ket or from a sector density matrix:
+(_Runner.sector_ket). One routine, _Runner.measure, takes every record, from
+a stack of states along a leading axis: sector kets, sector density
+matrices or register density matrices. Each partial trace, measure and
+decomposition (a stacked SVD or eigh) is one call for the whole stack, and
+a single record is a stack of one. A run evolves its states into a
+preallocated stack of at most _STACK_BYTES and measures it when it fills
+and after the last step; every record is the same bit for bit whatever
+stack it is measured in. Of a sector state:
 
     endpoint pair - the sector partial trace onto the pair's (2d-1)-state
                     sector basis (vac, level r on site 1, level r on site N),
@@ -44,14 +50,15 @@ no shift, m = 0 its only weighted row (every phase-damping table), only
 multiplies rho[a, b] by its mask, so the state never leaves the sector:
 rho is (1+(d-1)n)^2 on the sector basis of the ket, steps under
 Spectrum.sector_unitary, takes the mask read at the sector states' register
-indices (_Runner.register_index), and is measured by _Runner.measure. A
-table with shifts moves excitations between levels, and so creates new
-ones: the sector rho is scattered into the register at the same indices,
-rho is d^n x d^n, steps under the register unitary (Spectrum.unitary, a
-chain's only diagonalisation of the register Hamiltonian), takes
-channels.apply_weyl_table and is measured on the register
-(_Runner.measure_rho). run_noiseless and run_noisy return run_experiment's
-reference and records.
+indices (_Runner.register_index), and is measured as above. A table with
+shifts moves excitations between levels, and so creates new ones: the
+sector rho is scattered into the register at the same indices, rho is
+d^n x d^n, steps under the register unitary (Spectrum.unitary, a chain's
+only diagonalisation of the register Hamiltonian), takes
+channels.apply_weyl_table and is measured on the register by
+entanglement.ccnr, amplified_ccnr_margin and entanglement_level of the
+stack, and linalg.partial_trace. run_noiseless and run_noisy return
+run_experiment's reference and records.
 
 Every record carries a gamma flag: the concurrence-style entanglement level
 is compared step by step against the noiseless profile of the same
@@ -67,6 +74,7 @@ can always undo with a local phase gate, so the record aligns it away.
 
 from __future__ import annotations
 
+import copy
 import math
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, replace
@@ -103,7 +111,7 @@ from .entanglement import (
     sector_concurrence,
     sector_measures,
 )
-from .linalg import partial_trace, sector_partial_trace
+from .linalg import SectorCut, inner, partial_trace, sector_partial_trace
 
 NOISE_KINDS = ("phase_damping", "weyl")
 NOISE_TOPOLOGIES = ("global_after", "local_after", "interleaved")
@@ -211,13 +219,20 @@ class TransferRecord:
     gamma_ok: bool = True
 
 
+# A run measures its states in stacks of at most this many bytes, taking
+# each measure once per stack; a longer run is measured in chunks, and a
+# register rho past the budget (268 MB at d^n = 4096) one at a time.
+_STACK_BYTES = 1 << 17
+
+
 class _Runner:
     """Shared machinery for one configuration: evolution, cut, measures.
 
     t_total is the config's, or the transfer time when the config leaves it
     open; see prepare_references. The sector basis is the vacuum (level 0,
     site -1), then level r on site s at 1 + (r-1) n + s (level-major,
-    0-based sites); level and site hold that layout.
+    0-based sites); level and site hold that layout. The sector cuts that
+    measure hold their index arrays, built here once.
     """
 
     def __init__(self, config: ExperimentConfig, spectrum: Spectrum, t_total: float):
@@ -228,6 +243,7 @@ class _Runner:
         # the normalized input (x / 1.0 == x: a norm of exactly 1 keeps it)
         self.alpha = config.input_amplitudes / np.linalg.norm(config.input_amplitudes)
         d, n = self.spec.d, self.spec.n
+        self.size = 1 + (d - 1) * n
         # on two sites the endpoint pair is the whole register: cut 1
         self.cut = 1 if config.bipartition == "endpoints" and n == 2 else config.bipartition
         self.part = (Bipartition(d, d) if self.cut == "endpoints"
@@ -242,21 +258,28 @@ class _Runner:
             """Sector indices of the excitations on sites lo..hi-1, level-major."""
             return np.flatnonzero((lo <= self.site) & (self.site < hi))
 
-        # (kept, traced) excitations of each partial trace; the last node's
-        # sector basis vac, level r on site N is its |0>, |r>
-        self.last_node = on(n - 1, n), on(0, n - 1)
+        # the last node's sector basis vac, level r on site N is its |0>, |r>
+        self.last_node = SectorCut(on(n - 1, n), on(0, n - 1))
         if self.cut == "endpoints":
             # the pair's sector basis: vac, level r on site 1, level r on site N
-            self.pair = np.r_[on(0, 1), on(n - 1, n)], on(1, n - 1)
-            self.sides = np.arange(1, d), np.arange(d, 2 * d - 1)
+            self.pair = SectorCut(np.concatenate((on(0, 1), on(n - 1, n))), on(1, n - 1))
+            self.sides = SectorCut(np.arange(1, d), np.arange(d, 2 * d - 1))
         else:
-            self.sides = on(0, self.cut), on(self.cut, n)
+            self.sides = SectorCut(on(0, self.cut), on(self.cut, n))
 
-    def sector_ket(self, t: float) -> np.ndarray:
+    def stack_size(self, shape: tuple[int, ...]) -> int:
+        """How many complex states of this shape one measured stack holds."""
+        return max(1, _STACK_BYTES // (16 * math.prod(shape)))
+
+    def sector_ket(self, t: float | np.ndarray) -> np.ndarray:
         """Noiseless ket at time t on the sector basis: alpha_0 on the vacuum,
-        then alpha_r f_s(t) on level r of site s."""
+        then alpha_r f_s(t) on level r of site s; an array of times gives a
+        stack of kets."""
         f = self.spectrum.site_amplitudes(t)
-        return np.concatenate((self.alpha[:1], np.outer(self.alpha[1:], f).ravel()))
+        ket = np.empty((*f.shape[:-1], self.size), dtype=np.complex128)
+        ket[..., 0] = self.alpha[0]
+        ket[..., 1:] = (self.alpha[1:, None] * f[..., None, :]).reshape(*f.shape[:-1], -1)
+        return ket
 
     def sector_mask(self, table: WeylTable, dims: tuple[int, ...]) -> np.ndarray:
         """The factor by which a shift-free table's channel on the register
@@ -273,48 +296,39 @@ class _Runner:
                         mask[np.ix_(level, level)] * rest ** (n - 1),
                         np.outer(mask[level, 0], mask[0, level]) * rest ** (n - 2))
 
-    def aligned_input(self, t: float) -> np.ndarray:
-        """Input amplitudes with the excited levels rotated by the transfer phase."""
-        phase = float(np.angle(self.spectrum.site_amplitudes(t)[-1]))
-        chi = self.alpha.copy()
-        chi[1:] *= np.exp(1j * phase)
-        return chi
-
-    def measure(self, step: int, state: np.ndarray) -> TransferRecord:
-        """Record of a state on the sector basis: the ket (see sector_ket) or
-        a density matrix."""
-        cut = sector_partial_trace(state, *self.pair) if self.cut == "endpoints" else state
-        values = sector_measures(cut, *self.sides)
-        return self._record(step, values, sector_partial_trace(state, *self.last_node))
-
-    def measure_rho(self, step: int, rho: np.ndarray) -> TransferRecord:
-        """Record of a register density matrix."""
-        dims, last = self.spec.dims, self.spec.n - 1
-        rho_cut = partial_trace(rho, dims, keep=[0, last]) if self.cut == "endpoints" else rho
-        values = (ccnr(rho_cut, self.part), amplified_ccnr_margin(rho_cut, self.part),
-                  entanglement_level(rho_cut, self.part))
-        return self._record(step, values, partial_trace(rho, dims, keep=[last]))
-
-    def _record(self, step: int, values: tuple[float, float, float],
-                rho_last: np.ndarray) -> TransferRecord:
-        t = step * self.dt
-        if self.excited_weight > 1e-15:
-            arrived = float(np.sum(np.diag(rho_last).real[1:]))
-            transfer_probability = arrived / self.excited_weight
+    def measure(self, first: int, states: np.ndarray) -> list[TransferRecord]:
+        """Records of a stack of states at steps first, first + 1, ...: sector
+        kets (K, m), sector density matrices (K, m, m) or register density
+        matrices (K, d^n, d^n). Each partial trace, measure and decomposition
+        is one call for the whole stack."""
+        kets = states.ndim == 2
+        if states.shape[-1] == self.size:
+            if self.cut == "endpoints":
+                values = sector_measures(sector_partial_trace(states, self.pair, kets=kets),
+                                         self.sides)
+            else:
+                values = sector_measures(states, self.sides, kets=kets)
+            last = sector_partial_trace(states, self.last_node, kets=kets)
         else:
-            transfer_probability = 0.0
-        chi = self.aligned_input(t)
-        fidelity = float((chi.conj() @ rho_last @ chi).real)
-        ccnr_value, margin, level = values
-        return TransferRecord(
-            step=step,
-            time=t,
-            ccnr=ccnr_value,
-            ccnr_amplified_margin=margin,
-            concurrence=level,
-            transfer_probability=transfer_probability,
-            fidelity_to_input=fidelity,
-        )
+            dims, end = self.spec.dims, self.spec.n - 1
+            pair = partial_trace(states, dims, keep=[0, end]) if self.cut == "endpoints" else states
+            values = (ccnr(pair, self.part), amplified_ccnr_margin(pair, self.part),
+                      entanglement_level(pair, self.part))
+            last = partial_trace(states, dims, keep=[end])
+        steps = np.arange(first, first + len(states))
+        times = steps * self.dt
+        if self.excited_weight > 1e-15:
+            arrived = last.diagonal(axis1=1, axis2=2).real[:, 1:].sum(-1)
+            transfer = arrived / self.excited_weight
+        else:
+            transfer = np.zeros(len(states))
+        # the input with its excited levels rotated by the transfer phase
+        phase = np.angle(self.spectrum.site_amplitudes(times)[:, -1])
+        chi = np.tile(self.alpha, (len(states), 1))
+        chi[:, 1:] *= np.exp(1j * phase)[:, None]
+        fidelity = inner((chi.conj()[:, None, :] @ last)[:, 0], chi).real
+        columns = (steps, times, *values, transfer, fidelity)
+        return [TransferRecord(*row) for row in zip(*(np.asarray(c).tolist() for c in columns))]
 
 
 def _noise_channel(config: ExperimentConfig) -> tuple[WeylTable, tuple[int, ...]]:
@@ -378,9 +392,11 @@ def _prepare_chain(twins: dict[tuple, ExperimentConfig]) -> dict[tuple, Prepared
                     raise ConfigError(f"t_total: required for this chain, {exc}") from exc
             t_total = t_star
         runner = _Runner(config, spectrum, t_total)
-        records = tuple(runner.measure(k, runner.sector_ket(k * runner.dt))
-                        for k in range(config.steps + 1))
-        prepared[key] = PreparedReference(key, runner, records)
+        chunk, records = runner.stack_size((runner.size,)), []
+        for first in range(0, config.steps + 1, chunk):
+            steps = np.arange(first, min(first + chunk, config.steps + 1))
+            records += runner.measure(first, runner.sector_ket(steps * runner.dt))
+        prepared[key] = PreparedReference(key, runner, tuple(records))
     return prepared
 
 
@@ -441,17 +457,17 @@ def run_experiment(
     elif prepared.key != _twin_key(config):
         raise ValueError("prepared: the noiseless twin of another configuration")
     runner, spectrum = prepared.runner, prepared.runner.spectrum
-    reference = [replace(record) for record in prepared.records]
+    reference = [copy.copy(record) for record in prepared.records]
     if config.noise is None:
         return reference, None
     table, dims = _noise_channel(config)
     first = 1 if config.noise.topology == "interleaved" else config.steps
-    records = [replace(record) for record in prepared.records[:first]]
+    records = [copy.copy(record) for record in prepared.records[:first]]
     ket = runner.sector_ket(first * runner.dt)
     rho = np.outer(ket, ket.conj())
     if engine(config) == "sector":
         mask = runner.sector_mask(table, dims)
-        unitary, measure = spectrum.sector_unitary, runner.measure
+        unitary = spectrum.sector_unitary
 
         def channel(rho: np.ndarray) -> np.ndarray:
             return mask * rho
@@ -459,17 +475,25 @@ def run_experiment(
         index = runner.register_index
         register = np.zeros((config.chain.dim,) * 2, dtype=np.complex128)
         register[np.ix_(index, index)] = rho
-        rho, unitary, measure = register, spectrum.unitary, runner.measure_rho
+        rho, unitary = register, spectrum.unitary
 
         def channel(rho: np.ndarray) -> np.ndarray:
             return apply_weyl_table(rho, table, dims)
+    # the states of steps first..steps, evolved into a preallocated stack and
+    # measured each time it fills, and after the last step
+    stack = np.empty((min(runner.stack_size(rho.shape), config.steps + 1 - first), *rho.shape),
+                     dtype=np.complex128)
     rho = channel(rho)
-    records.append(measure(first, rho))
     if first < config.steps:
         u_step = unitary(runner.dt)
-        for k in range(first + 1, config.steps + 1):
+    for k in range(first, config.steps + 1):
+        if k > first:
             rho = channel(u_step @ rho @ u_step.conj().T)
-            records.append(measure(k, rho))
+        i = (k - first) % len(stack)
+        stack[i] = rho
+        rho = stack[i]  # carried on from its slot: no second copy is kept
+        if i + 1 == len(stack) or k == config.steps:
+            records += runner.measure(k - i, stack[:i + 1])
     for record, ref in zip(records, reference):
         record.gamma_ok = abs(record.concurrence - ref.concurrence) <= config.gamma_tolerance
     return records, reference
@@ -524,12 +548,14 @@ def conformance_closed_forms(a_points: int = 41, l4_points: int = 320) -> dict:
             weights = (*amps, 0.0)[:3]  # (alpha, beta, gamma); gamma = 0 for d = 2
             closed0 = closed_form_l2_d3(*weights, 0.0)
             anchor_dev = max(anchor_dev, abs(closed0 - 1.0))
-            for a in a_grid:
+            concs = {label: sector_concurrence(runner.sector_ket(t), runner.sides).tolist()
+                     for label, t in (("a=t", a_grid), ("a=2t", a_grid / 2.0))}
+            for i, a in enumerate(a_grid):
                 closed = closed_form_l2_d3(*weights, a)
                 row = {"d": d, "amplitudes": tuple(float(x) for x in amps), "a": float(a),
                        "closed_form": float(closed)}
-                for label, t in (("a=t", a), ("a=2t", a / 2.0)):
-                    conc = sector_concurrence(runner.sector_ket(t), *runner.sides)
+                for label, values in concs.items():
+                    conc = values[i]
                     pur = 1.0 - conc * conc / 2.0
                     row[f"concurrence[{label}]"] = conc
                     row[f"purity[{label}]"] = pur
@@ -551,9 +577,7 @@ def conformance_closed_forms(a_points: int = 41, l4_points: int = 320) -> dict:
     runner = _Runner(ExperimentConfig(chain=spectrum.spec, input_amplitudes=amps,
                                       bipartition=2), spectrum, math.pi)
     ts = np.linspace(0.0, 2.0 * math.pi, l4_points, endpoint=False)
-    q_trace = np.empty(l4_points)
-    for i, t in enumerate(ts):
-        q_trace[i] = sector_concurrence(runner.sector_ket(t), *runner.sides) ** 2
+    q_trace = sector_concurrence(runner.sector_ket(ts), runner.sides) ** 2
 
     fits = {}
     for scale in L4_SCALINGS:

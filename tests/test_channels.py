@@ -323,6 +323,40 @@ def test_weyl_table_matches_kraus_sum(d, n):
         assert np.max(np.abs(out - apply_channel(rho, kraus))) <= 1e-13, label
 
 
+def _rolled_weyl_table(rho, table, dims):
+    """apply_weyl_table as one np.roll and one masked sum per factor and shift."""
+    d, dim = table.d, int(np.prod(dims))
+    out = rho
+    for s in range(len(dims)):
+        left = d**s
+        tensor = out.reshape(left, d, dim // (left * d), left, d, dim // (left * d))
+        acc = np.zeros(tensor.shape, dtype=np.complex128)
+        for m, mask in zip(table.shifts, table.masks):
+            shifted = np.roll(tensor, (m, m), axis=(1, 4)) if m else tensor
+            acc += shifted * mask[:, None, None, :, None]
+        out = acc.reshape(dim, dim)
+    return out
+
+
+@pytest.mark.parametrize("gather_bytes", [None, 1])
+@pytest.mark.parametrize("d, n", [(2, 3), (3, 3), (2, 5), (4, 2)])
+def test_weyl_table_gather_is_the_rolled_sum(monkeypatch, d, n, gather_bytes):
+    # every shift gathered at once, or one at a time, adds the same terms in
+    # the same order as a roll per shift: bit for bit
+    import qsct.channels
+
+    if gather_bytes is not None:
+        monkeypatch.setattr(qsct.channels, "_GATHER_BYTES", gather_bytes)
+    rng = np.random.default_rng(10 * d + n)
+    dims, dim = (d,) * n, d**n
+    rho = _random_density(dim, rng)
+    for size, factors in ((d, dims), (dim, (dim,))):
+        for pi in _tables(size, rng).values():
+            table = weyl_table(pi)
+            assert np.array_equal(apply_weyl_table(rho, table, factors),
+                                  _rolled_weyl_table(rho, table, factors))
+
+
 def test_weyl_table_keeps_only_weighted_rows():
     table = phase_damping_table(3, 0.4)
     assert table.shifts == (0,)

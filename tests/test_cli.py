@@ -465,6 +465,33 @@ def test_sweep_points_match_their_single_runs(tmp_path, jobs):
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_writes_each_file_once(tmp_path, monkeypatch, jobs):
+    # each file is written once, flat in the staging directory, and moved
+    # once into its point directory: one directory per point besides the
+    # staging one, one rename per file besides the manifest's, and nothing
+    # hidden left behind
+    import os
+
+    sweep = _twin_sweep()
+    calls = {"mkdir": 0, "replace": 0}
+    for name in calls:
+        def counting(*args, _name=name, _original=getattr(os, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(os, name, counting)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(_write_config(tmp_path, sweep)), "--out", str(out),
+                 "--jobs", jobs]) == 0
+    files = json.loads((out / "manifest.json").read_text())["output_paths"]
+    assert calls == {"mkdir": 2 + len(sweep), "replace": len(files) + 1}
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        [f"point-{i:03d}" for i in range(len(sweep))] + ["manifest.json"])
+    assert sorted(str(p.relative_to(out)) for p in out.rglob("*") if p.is_file()) == sorted(
+        files + ["manifest.json"])
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
 def test_sweep_shares_each_chain(tmp_path, monkeypatch, jobs):
     import qsct.protocol
 
@@ -499,14 +526,15 @@ def test_sweep_shares_each_chain(tmp_path, monkeypatch, jobs):
 
 
 def test_non_finite_reference_writes_no_results(tmp_path, monkeypatch, capsys):
-    from qsct.protocol import run_experiment
+    # reference.csv is the prepared twin's records, checked once per twin
+    from qsct.protocol import prepare_references
 
-    def bad_reference(config, prepared=None):
-        records, reference = run_experiment(config, prepared)
-        reference[-1].ccnr = math.nan
-        return records, reference
+    def bad_reference(configs, mapper=map):
+        prepared = prepare_references(configs, mapper)
+        prepared[0].records[-1].ccnr = math.nan
+        return prepared
 
-    monkeypatch.setattr("qsct.cli.run_experiment", bad_reference)
+    monkeypatch.setattr("qsct.cli.prepare_references", bad_reference)
     cfg = _write_config(tmp_path, NOISY_CONFIG)
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
     assert "non-finite value in step 8" in capsys.readouterr().err

@@ -16,7 +16,7 @@ from qsct.entanglement import (
     mixedness_indicator,
     sector_measures,
 )
-from qsct.linalg import Bipartition, partial_trace
+from qsct.linalg import Bipartition, SectorCut, partial_trace
 
 from oracles import partial_trace_pure, schmidt_measures
 
@@ -302,6 +302,33 @@ def test_sector_ket_measures_near_a_product_state(scale):
             v[b] *= scale
             v /= np.linalg.norm(v)
             exact = _exact_sector_concurrence(v, a, b)
-            _, margin, level = sector_measures(v, a, b)
+            _, margin, level = sector_measures(v, SectorCut(a, b), kets=True)
             for value in (margin, level):
                 assert abs(Decimal(value) - exact) <= Decimal("1e-14") * exact, (d, n, cut, value)
+
+
+@pytest.mark.parametrize("da, db", [(2, 2), (2, 3), (3, 3), (4, 2), (2, 8)])
+def test_stacked_measures_match_each_matrix(da, db):
+    # a (2, 3) stack of mixed and globally pure states: each measure is one
+    # call on the stack (the pure ones through one stacked eigh) and agrees
+    # with the call on each matrix alone
+    rng = np.random.default_rng(da * 10 + db)
+    dim = da * db
+    stack = np.empty((2, 3, dim, dim), dtype=complex)
+    for index, rank in zip(np.ndindex(2, 3), (1, 2, dim, 1, 3, 1)):
+        g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+        rho = g @ g.conj().T
+        stack[index] = rho / np.trace(rho).real
+    part = Bipartition(da, db)
+    for measure in (ccnr, amplified_ccnr_margin, entanglement_level, mixedness_indicator):
+        values = measure(stack, part)
+        assert values.shape == (2, 3), measure
+        for index in np.ndindex(2, 3):
+            single = measure(stack[index], part)
+            assert isinstance(single, float), measure
+            assert abs(values[index] - single) <= 1e-13, (measure, index)
+    kets = rng.normal(size=(4, dim)) + 1j * rng.normal(size=(4, dim))
+    kets /= np.linalg.norm(kets, axis=1, keepdims=True)
+    values = concurrence_pure(kets, part)
+    for ket, value in zip(kets, values):
+        assert abs(value - concurrence_pure(ket, part)) <= 1e-13

@@ -24,7 +24,7 @@ from qsct.entanglement import (
     entanglement_level,
     sector_measures,
 )
-from qsct.linalg import Bipartition, sector_partial_trace
+from qsct.linalg import Bipartition, SectorCut, sector_partial_trace
 from qsct.protocol import NOISE_TOPOLOGIES, ExperimentConfig, NoiseSpec, run_experiment
 
 from oracles import schmidt_measures
@@ -160,8 +160,42 @@ def test_sector_measures_match_the_register_measures(data):
     part = Bipartition(d**cut, d ** (n - cut))
     dense = (ccnr(scattered, part), amplified_ccnr_margin(scattered, part),
              entanglement_level(scattered, part))
-    sector = sector_measures(state, index[:, :cut].ravel(), index[:, cut:].ravel())
+    sector = sector_measures(state, SectorCut(index[:, :cut].ravel(), index[:, cut:].ravel()),
+                             kets=ket)
     assert np.allclose(sector, dense, rtol=0.0, atol=1e-12), (d, n, cut, ket, rank)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_stacked_sector_measures_match_each_state(data):
+    # a stack of sector kets or density matrices, measured across a chain cut
+    # or on the endpoint pair a sector partial trace leaves: one call on the
+    # stack gives each state's measures, bit for bit
+    d, n = data.draw(st.sampled_from(SECTOR_CHAINS))
+    cut = data.draw(st.sampled_from(["endpoints", *range(1, n)]))
+    count = data.draw(st.integers(1, 5))
+    kets = data.draw(st.booleans())
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    size = 1 + (d - 1) * n
+    g = rng.normal(size=(count, size, 2)) + 1j * rng.normal(size=(count, size, 2))
+    if kets:
+        states = g[..., 0] / np.linalg.norm(g[..., 0], axis=1, keepdims=True)
+    else:
+        g[::2, :, 1] = 0.0                   # every other state globally pure
+        states = g @ g.conj().swapaxes(1, 2)
+        states /= np.trace(states, axis1=1, axis2=2).real[:, None, None]
+    index = 1 + np.arange((d - 1) * n).reshape(d - 1, n)
+    if cut == "endpoints":
+        # the pair's sector basis: vac, level r on site 1, level r on site N
+        pair = SectorCut(np.r_[index[:, 0], index[:, -1]], index[:, 1:-1].ravel())
+        sides = SectorCut(np.arange(1, d), np.arange(d, 2 * d - 1))
+        states, kets = sector_partial_trace(states, pair, kets=kets), False
+    else:
+        sides = SectorCut(index[:, :cut].ravel(), index[:, cut:].ravel())
+    values = sector_measures(states, sides, kets=kets)
+    for k in range(count):
+        single = sector_measures(states[k:k + 1], sides, kets=kets)
+        assert all(np.array_equal(v[k:k + 1], w) for v, w in zip(values, single)), (d, n, cut, k)
 
 
 @settings(max_examples=60, deadline=None)
@@ -177,6 +211,7 @@ def test_sector_partial_trace_of_a_ket_is_that_of_its_density_matrix(data):
     site = np.r_[-1, np.tile(np.arange(n), d - 1)]
     on_kept = np.isin(site, kept)
     keep, traced = np.flatnonzero(on_kept), np.flatnonzero(~on_kept & (site >= 0))
-    from_ket = sector_partial_trace(ket, keep, traced)
-    assert np.array_equal(from_ket, sector_partial_trace(np.outer(ket, ket.conj()), keep, traced))
+    cut = SectorCut(keep, traced)
+    from_ket = sector_partial_trace(ket, cut, kets=True)
+    assert np.array_equal(from_ket, sector_partial_trace(np.outer(ket, ket.conj()), cut))
     assert from_ket.shape == (1 + len(keep),) * 2

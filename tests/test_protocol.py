@@ -836,8 +836,9 @@ def test_measure_of_a_sector_ket_matches_its_density_matrix(d, n):
         runner = _Runner(cfg, spectrum, cfg.t_total)
         for k in range(cfg.steps + 1):
             ket = runner.sector_ket(k * runner.dt)
-            record = runner.measure(k, ket)
-            _assert_records_match(record, runner.measure(k, np.outer(ket, ket.conj())), (cut, k))
+            (record,) = runner.measure(k, ket[None])
+            (from_rho,) = runner.measure(k, np.outer(ket, ket.conj())[None])
+            _assert_records_match(record, from_rho, (cut, k))
             if cut != "endpoints" or n == 2:
                 assert record.ccnr_amplified_margin == record.concurrence, (cut, k)
                 assert record.ccnr == 1.0 + record.concurrence, (cut, k)
@@ -897,15 +898,16 @@ def test_sector_density_records_match_a_dense_evolution(d, n):
 
 
 def _capture_sector_measures(monkeypatch):
-    """Record every (rho, values) that protocol passes through sector_measures."""
+    """Record every (state, values) that protocol passes through sector_measures,
+    state by state of each stack."""
     import qsct.protocol
 
     calls = []
     measure = qsct.protocol.sector_measures
 
-    def capturing(rho, a, b):
-        values = measure(rho, a, b)
-        calls.append((rho.copy(), values))
+    def capturing(states, cut, kets=False):
+        values = measure(states, cut, kets=kets)
+        calls.extend(zip(states.copy(), zip(*(v.tolist() for v in values))))
         return values
 
     monkeypatch.setattr(qsct.protocol, "sector_measures", capturing)
@@ -1069,3 +1071,52 @@ def test_pure_noisy_record_at_a_cut_needs_no_register_eigh(monkeypatch):
     assert register_eighs == []
     reference = run_noiseless(cfg)
     assert records[-1].concurrence == pytest.approx(reference[-1].concurrence, abs=1e-12)
+
+
+# Stacked measures: a run's states are measured in stacks of at most
+# protocol._STACK_BYTES bytes, one call of each measure per stack.
+
+WEYL_SHIFTING = NoiseSpec(kind="weyl", topology="interleaved",
+                          pi=[[0.8, 0.05, 0.0], [0.1, 0.0, 0.0], [0.05, 0.0, 0.0]])
+
+
+@pytest.mark.parametrize("states", [1, 2, 3])
+@pytest.mark.parametrize("cut", ["endpoints", 2])
+@pytest.mark.parametrize("noise", [None, INTERLEAVED_DEPHASING, WEYL_SHIFTING])
+def test_records_do_not_depend_on_the_stack_size(monkeypatch, noise, cut, states):
+    # a budget of 1, 2 or 3 states (the kets of a noiseless run, the sector
+    # or register density matrices of a noisy one) against one stack
+    import qsct.protocol
+
+    cfg = _config(d=3, n=3, steps=7, t_total=2.0, bipartition=cut, noise=noise,
+                  input_amplitudes=np.array([0.6, 0.0, 0.8]))
+    whole = run_experiment(cfg)
+    size = (cfg.chain.dim if engine(cfg) == "dense" else 1 + 2 * 3) ** (1 if noise is None else 2)
+    monkeypatch.setattr(qsct.protocol, "_STACK_BYTES", states * 16 * size)
+    assert run_experiment(cfg) == whole
+
+
+def test_a_long_dephasing_run_takes_four_svds_at_most(monkeypatch):
+    # 65 reference kets and 64 sector density matrices: each a single stack
+    svds = _record_svds(monkeypatch)
+    cfg = _config(d=2, n=7, steps=64, t_total=math.pi, bipartition="endpoints",
+                  input_amplitudes=np.array([0.6, 0.8]),
+                  noise=NoiseSpec(kind="phase_damping", topology="interleaved", p=0.95))
+    run_experiment(cfg)
+    assert len(svds) <= 4, svds
+
+
+def test_a_dense_run_takes_two_svds_per_stack(monkeypatch):
+    # ccnr and the amplified margin of the register stack; the chain-cut
+    # reference kets take none
+    import qsct.protocol
+
+    cfg = _config(d=3, n=3, steps=16, t_total=2.0, bipartition=1, noise=WEYL_SHIFTING,
+                  input_amplitudes=np.array([0.6, 0.0, 0.8]))
+    assert engine(cfg) == "dense"
+    for states, stacks in ((16, 1), (5, 4)):
+        monkeypatch.setattr(qsct.protocol, "_STACK_BYTES", states * 16 * 27**2)
+        svds = _record_svds(monkeypatch)
+        run_experiment(cfg)
+        assert len(svds) <= 2 * stacks, (states, svds)
+        assert all(shape[0] <= states for shape in svds), svds
