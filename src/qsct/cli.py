@@ -15,7 +15,15 @@ sections, known and required keys, chain.nodes as ChainSpec.n, [re, im]
 amplitude pairs), and ChainSpec, NoiseSpec and ExperimentConfig
 check every field's type, finiteness and range, exactly as for a library
 caller. A refused field raises ConfigError, whose message begins with the
-field's JSON name.
+field's JSON name; in a sweep it is prefixed with the refused entry's point,
+e.g. `point-001: noise.p: ...`.
+
+`run` loads no more than it needs: the config digest comes from the
+interpreter's built-in SHA-256 (hashlib, and with it OpenSSL, only where
+neither _sha2 nor _sha256 exists), and concurrent.futures is imported only
+by a sweep of more than one point at --jobs > 1, the one case that builds a
+thread pool. manifest.json records the environment a run was taken in
+(Python, numpy, BLAS, CPU count, BLAS thread variables).
 
 Exit codes: 0 success, 2 config or usage error, 3 numerical failure.
 """
@@ -23,10 +31,8 @@ Exit codes: 0 success, 2 config or usage error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import dataclasses
 import datetime
-import hashlib
 import json
 import math
 import os
@@ -50,6 +56,15 @@ from .protocol import (
     prepare_references,
     run_experiment,
 )
+
+# Built-in SHA-256 first, as `random` does for _sha512: hashlib would load OpenSSL.
+try:
+    from _sha2 import sha256 as _sha256          # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256    # CPython 3.10, 3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 RESULT_COLUMNS = (
     "step",
@@ -116,7 +131,25 @@ def parse_config(obj) -> ExperimentConfig:
 def config_digest(obj) -> str:
     """sha256 of the canonical JSON encoding (sorted keys, no whitespace)."""
     canonical = json.dumps(obj, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return _sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def _environment() -> dict:
+    """The interpreter, numpy and BLAS a run was taken with; blas is None
+    where numpy cannot report it (older than 1.26)."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = {"name": blas.get("name"), "version": blas.get("version")}
+    except (TypeError, KeyError):
+        blas = None
+    return {
+        "python": ".".join(str(v) for v in sys.version_info[:3]),
+        "numpy": np.__version__,
+        "blas": blas,
+        "cpu_count": os.cpu_count(),
+        "thread_env": {name: os.environ.get(name) for name in
+                       ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
+    }
 
 
 def _path_error(flag: str, path: Path, exc: OSError) -> ConfigError:
@@ -220,6 +253,16 @@ def _run_one(config: ExperimentConfig, prepared: PreparedReference, reference_cs
     return files
 
 
+def _parse_point(entry, point: str) -> ExperimentConfig:
+    """parse_config of one entry; a sweep point's refusal names the point."""
+    try:
+        return parse_config(entry)
+    except ConfigError as exc:
+        if not point:
+            raise
+        raise ConfigError(f"{point}: {exc}") from exc
+
+
 def _cmd_run(args) -> int:
     if args.jobs < 1:
         print(f"config error: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
@@ -232,11 +275,13 @@ def _cmd_run(args) -> int:
     except ValueError as exc:   # a JSONDecodeError, or an integer past the digit limit
         raise ConfigError(f"--config: {config_path}: {exc}") from exc
 
-    entries = raw if isinstance(raw, list) else [raw]
+    sweep = isinstance(raw, list)
+    entries = raw if sweep else [raw]
     if not entries:
         print("config error: config: empty sweep", file=sys.stderr)
         return 2
-    configs = [parse_config(entry) for entry in entries]
+    points = [f"point-{i:03d}" for i in range(len(entries))] if sweep else [""]
+    configs = [_parse_point(entry, point) for entry, point in zip(entries, points)]
 
     out_dir = _out_dir(args.out)
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
@@ -244,11 +289,11 @@ def _cmd_run(args) -> int:
     # A sweep writes each point's files once, flat in a private staging
     # directory inside --out, and moves them into point-NNN/ only after every
     # point has succeeded, so a failing point leaves no partial output behind.
-    sweep = isinstance(raw, list)
-    points = [f"point-{i:03d}" for i in range(len(configs))] if sweep else [""]
     stage = tempfile.mkdtemp(prefix=".sweep-", dir=out_dir) if sweep else None
-    pool = (concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs)
-            if args.jobs > 1 and len(configs) > 1 else None)
+    pool = None
+    if args.jobs > 1 and len(configs) > 1:
+        import concurrent.futures   # only a parallel sweep loads the pool's modules
+        pool = concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs)
     parallel_map = map if pool is None else pool.map
     try:
         # Every point of a noiseless twin shares its chain's spectrum and
@@ -296,8 +341,9 @@ def _cmd_run(args) -> int:
     manifest = {
         "tool_version": __version__,
         "config_digest": config_digest(raw),
-        "seed": [c.seed for c in configs] if isinstance(raw, list) else configs[0].seed,
-        "engine": [engine(c) for c in configs] if isinstance(raw, list) else engine(configs[0]),
+        "seed": [c.seed for c in configs] if sweep else configs[0].seed,
+        "engine": [engine(c) for c in configs] if sweep else engine(configs[0]),
+        "environment": _environment(),
         "started": started,
         "finished": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "output_paths": output_paths,

@@ -1,14 +1,17 @@
+import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qsct
 from qsct.chain import ChainSpec
-from qsct.cli import _records_csv, main, parse_config
+from qsct.cli import _environment, _records_csv, config_digest, main, parse_config
 from qsct.protocol import ConfigError, ExperimentConfig, NoiseSpec, run_experiment
 
 ROOT3 = 1.0 / math.sqrt(3.0)
@@ -138,6 +141,105 @@ def test_config_digest_ignores_whitespace(tmp_path):
     d1 = json.loads((out1 / "manifest.json").read_text())["config_digest"]
     d2 = json.loads((out2 / "manifest.json").read_text())["config_digest"]
     assert d1 == d2
+
+
+# d=3 on three nodes: the register-wide Weyl table is 27 x 27
+GLOBAL_WEYL_CONFIG = dict(BASE_CONFIG, chain={"d": 3, "nodes": 3}, noise={
+    "kind": "weyl", "topology": "global_after",
+    "pi": [[0.9 + 0.1 / 729 if (i, j) == (0, 0) else 0.1 / 729 for j in range(27)]
+           for i in range(27)],
+})
+DIGEST_INPUTS = [BASE_CONFIG, [BASE_CONFIG, NOISY_CONFIG], GLOBAL_WEYL_CONFIG]
+
+
+def _subprocess_env() -> dict:
+    """The environment with the qsct under test first on PYTHONPATH."""
+    src = str(Path(qsct.__file__).resolve().parents[1])
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+
+@pytest.mark.parametrize("obj", DIGEST_INPUTS, ids=["single", "sweep", "global-weyl"])
+def test_config_digest_is_sha256_of_canonical_json(obj):
+    canonical = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    assert config_digest(obj) == hashlib.sha256(canonical.encode()).hexdigest()
+
+
+def test_config_digest_hashlib_fallback():
+    # with neither built-in module importable the digest comes from hashlib,
+    # and is the same
+    script = (
+        "import hashlib, json, sys\n"
+        "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+        "import qsct.cli\n"
+        "assert qsct.cli._sha256 is hashlib.sha256\n"
+        "print(json.dumps([qsct.cli.config_digest(o) for o in json.loads(sys.stdin.read())]))\n"
+    )
+    run = subprocess.run([sys.executable, "-c", script], input=json.dumps(DIGEST_INPUTS),
+                         capture_output=True, text=True, env=_subprocess_env())
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout) == [config_digest(obj) for obj in DIGEST_INPUTS]
+
+
+def test_run_path_footprint(tmp_path):
+    # a single config and a sweep at --jobs 1 load neither OpenSSL nor the
+    # thread pool's modules; the same sweep at --jobs 2 builds a pool and
+    # writes the same files
+    single = _write_config(tmp_path, NOISY_CONFIG, name="single.json")
+    sweep = _write_config(tmp_path, [BASE_CONFIG, NOISY_CONFIG], name="sweep.json")
+    script = (
+        "import json, sys\n"
+        "from qsct.cli import main\n"
+        "single, sweep, out = sys.argv[1:]\n"
+        "assert main(['run', '--config', single, '--out', out + '/single']) == 0\n"
+        "assert main(['run', '--config', sweep, '--out', out + '/jobs1', '--jobs', '1']) == 0\n"
+        "heavy = ('_hashlib', '_ssl', 'concurrent.futures')\n"
+        "loaded = sorted(name for name in heavy if name in sys.modules)\n"
+        "assert main(['run', '--config', sweep, '--out', out + '/jobs2', '--jobs', '2']) == 0\n"
+        "print(json.dumps([loaded, 'concurrent.futures' in sys.modules]), file=sys.stderr)\n"
+    )
+    run = subprocess.run([sys.executable, "-c", script, str(single), str(sweep), str(tmp_path)],
+                         capture_output=True, text=True, env=_subprocess_env())
+    assert run.returncode == 0, run.stderr
+    loaded, pool_loaded = json.loads(run.stderr)
+    assert loaded == []
+    assert pool_loaded
+    jobs1, jobs2 = tmp_path / "jobs1", tmp_path / "jobs2"
+    files = sorted(p.relative_to(jobs1) for p in jobs1.rglob("*") if p.is_file())
+    assert files == sorted(p.relative_to(jobs2) for p in jobs2.rglob("*") if p.is_file())
+    assert len(files) == 4
+    for rel in files:
+        if rel.name != "manifest.json":
+            assert (jobs1 / rel).read_bytes() == (jobs2 / rel).read_bytes()
+
+
+def test_manifest_records_the_environment(tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(_write_config(tmp_path, NOISY_CONFIG)),
+                 "--out", str(out)]) == 0
+    env = json.loads((out / "manifest.json").read_text())["environment"]
+    assert env["python"] == ".".join(str(v) for v in sys.version_info[:3])
+    assert env["numpy"] == np.__version__
+    assert env["cpu_count"] == os.cpu_count()
+    assert env["thread_env"]["OPENBLAS_NUM_THREADS"] == "1"
+    assert env["thread_env"]["MKL_NUM_THREADS"] is None
+    assert set(env["thread_env"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
+    assert env["blas"] is None or set(env["blas"]) == {"name", "version"}
+    # the entry changes no byte of the CSVs, and loads no module
+    records, reference = run_experiment(parse_config(NOISY_CONFIG))
+    assert (out / "results.csv").read_bytes() == _records_csv(records).encode()
+    assert (out / "reference.csv").read_bytes() == _records_csv(reference).encode()
+    before = set(sys.modules)
+    _environment()
+    assert set(sys.modules) == before
+
+
+def test_manifest_environment_without_blas_report(monkeypatch):
+    # numpy older than 1.26: show_config takes no mode
+    monkeypatch.setattr(np, "show_config", lambda: None)
+    assert _environment()["blas"] is None
 
 
 def test_run_sweep_directories(tmp_path):
@@ -624,6 +726,26 @@ def test_library_and_cli_refuse_alike(tmp_path, capsys, field, change):
     assert main(["run", "--config", str(_write_config(tmp_path, config)), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert not (out / "results.csv").exists()
+
+
+@pytest.mark.parametrize("point, entry, message", [
+    (1, dict(NOISY_CONFIG, noise=dict(NOISY_CONFIG["noise"], p=1.5)),
+     "noise.p: expected a strength in [0, 1], got 1.5"),
+    (2, 7, "config: expected a JSON object"),
+], ids=["out-of-range", "not-an-object"])
+def test_refused_sweep_entry_names_its_point(tmp_path, capsys, point, entry, message):
+    # alone, the entry is refused with the message a library caller sees; in
+    # a sweep the same message names its point, and nothing is written
+    alone = _write_config(tmp_path, entry, name="alone.json")
+    assert main(["run", "--config", str(alone), "--out", str(tmp_path / "alone")]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    sweep = [BASE_CONFIG, NOISY_CONFIG, BASE_CONFIG]
+    sweep[point] = entry
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["run", "--config", str(_write_config(tmp_path, sweep)), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: point-{point:03d}: {message}\n"
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("text, message", [
