@@ -37,15 +37,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .generators import eta
-
 MAX_DIM = 4096
 # largest phase error, in radians, that exp(-i E t) may carry: about |E t| eps
 PHASE_TOL = 1e-6
 
 
 class ConfigError(ValueError):
-    """Invalid configuration; the message begins with the offending field."""
+    """Invalid configuration; the message begins with the offending field.
+    A refusal from protocol.prepare_references lists in `configs` the
+    positions of every config it refuses."""
+
+    configs: tuple[int, ...] = ()
 
 
 def _is_number_type(value_type: type, kind: type) -> bool:
@@ -160,19 +162,6 @@ def build_hamiltonian(spec: ChainSpec) -> np.ndarray:
     return h
 
 
-def commutator_defect(spec: ChainSpec) -> list[float]:
-    """Frobenius norms of [H, C_r] for the level counters C_r = sum_i eta^r_(i),
-    r = 1..d-1. C_r is diagonal, c_r[a] = sum_i eta^r[a_i, a_i], so
-    [H, C_r]_ab = H_ab (c_r[b] - c_r[a])."""
-    h = build_hamiltonian(spec)
-    digits = np.indices(spec.dims).reshape(spec.n, -1)
-    out = []
-    for r in range(1, spec.d):
-        c = np.diag(eta(r, spec.d)).real[digits].sum(axis=0)
-        out.append(float(np.linalg.norm(h * (c[None, :] - c[:, None]))))
-    return out
-
-
 def _real_matmul(m: np.ndarray, z: np.ndarray) -> np.ndarray:
     """m @ z for real m and complex z, without promoting m to complex.
 
@@ -219,7 +208,11 @@ class Spectrum:
         self.eigvals, self.eigvecs = np.linalg.eigh(j + j.T)
         self._register: tuple[np.ndarray, np.ndarray] | None = None
         self._register_lock = threading.Lock()
-        self._chain = f"d={spec.d}, nodes={spec.n}, couplings={spec.couplings.tolist()}"
+
+    def _describe(self) -> str:
+        """The chain as a refusal names it; built only when a check raises."""
+        spec = self.spec
+        return f"d={spec.d}, nodes={spec.n}, couplings={spec.couplings.tolist()}"
 
     def _check(self, t: float, eigvals: np.ndarray) -> None:
         error = float(np.max(np.abs(eigvals))) * np.finfo(float).eps * abs(t)
@@ -227,7 +220,7 @@ class Spectrum:
             raise FloatingPointError(
                 f"transfer phases exp(-i E t) lose their precision at t = {t!r} "
                 f"(max|E| t eps = {error:.3e} rad > {PHASE_TOL:g}) "
-                f"for the chain {self._chain}"
+                f"for the chain {self._describe()}"
             )
 
     def check_time(self, t: float) -> None:
@@ -334,7 +327,7 @@ def find_pst_time(
         raise ValueError(
             f"t_max = {t_max!r} is too wide for {grid_points} scan points: the step "
             f"{t_max / (grid_points - 1):.6g} exceeds 2 pi / (max E - min E) = "
-            f"{2.0 * math.pi / spread:.6g} for the chain {spectrum._chain}, so the scan "
+            f"{2.0 * math.pi / spread:.6g} for the chain {spectrum._describe()}, so the scan "
             f"would alias; the widest window it resolves is "
             f"{2.0 * math.pi * (grid_points - 1) / spread:.6g}"
         )

@@ -1,4 +1,4 @@
-"""Qudit gates, noise channels, and average gate fidelity.
+"""Weyl-operator noise channels, applied as masks on the density matrix.
 
 The shift and clock gates X|j> = |j+1 mod d>, Z = diag(1, w, ..., w^{d-1})
 with w = exp(2 pi i / d) satisfy Z X = w X Z. Both noise kinds are
@@ -10,11 +10,11 @@ m = 0, holding binomially weighted clock powers
 
 so p = 1 is the identity channel.
 
-A channel exists here in two forms. `KrausChannel` lists its Kraus
-operators sqrt(pi_{m,n}) Z^n X^m; `embed_channel` takes their cross product
-over sites and `apply_channel` sums E rho E^dagger. The average-fidelity
-formula and its Monte Carlo estimator need that list. `WeylTable` holds the
-same channel as one Hadamard mask per shift row m that carries weight:
+A channel exists here in one form, the one runs apply. The Kraus-list form
+(sqrt(pi_{m,n}) Z^n X^m as a list of matrices) is what the average-fidelity
+formula needs, and only the conformance report reads it: it lives in
+qsct.conformance, which `qsct run` never imports. `WeylTable` holds a
+channel as one Hadamard mask per shift row m that carries weight:
 
     (Z^n X^m) rho (Z^n X^m)^dagger [a, b] = w^{n (a-b)} rho[a-m, b-m],
     E(rho)[a, b] = sum_m M_m[a, b] rho[a-m, b-m],
@@ -33,56 +33,17 @@ apply it to the register with `apply_weyl_table`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
-from itertools import product
 from math import ldexp
 
 import numpy as np
 
 from .chain import ConfigError, as_array
-from .linalg import embed_operator
 
-TP_TOL = 1e-12
 # apply_weyl_table gathers the shifted copies of rho in groups of at most this
 # many bytes (every shift at once for a small register)
 _GATHER_BYTES = 1 << 16
 # working precision of the integer mantissas behind the phase-damping weights
 _MANTISSA_BITS = 128
-
-
-def gate_x(d: int) -> np.ndarray:
-    """Cyclic shift X|j> = |j + 1 mod d>."""
-    if d < 2:
-        raise ValueError("d must be at least 2")
-    return np.roll(np.eye(d, dtype=np.complex128), 1, axis=0)
-
-
-def gate_z(d: int) -> np.ndarray:
-    """Clock gate diag(w^0, ..., w^{d-1})."""
-    if d < 2:
-        raise ValueError("d must be at least 2")
-    return np.diag(np.exp(2j * np.pi * np.arange(d) / d))
-
-
-@dataclass
-class KrausChannel:
-    """A completely positive trace-preserving map as a list of Kraus operators."""
-
-    dim: int
-    kraus: list[np.ndarray] = field(repr=False)
-    label: str = ""
-    tp_defect: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        if not self.kraus:
-            raise ValueError("channel needs at least one Kraus operator")
-        for e in self.kraus:
-            if e.shape != (self.dim, self.dim):
-                raise ValueError("Kraus operators must be square with the declared dimension")
-        total = sum(e.conj().T @ e for e in self.kraus)
-        self.tp_defect = float(np.max(np.abs(total - np.eye(self.dim))))
-        if self.tp_defect > TP_TOL:
-            raise ValueError(f"channel is not trace preserving (defect {self.tp_defect:.3e})")
 
 
 def _powers(x: float, count: int) -> list[tuple[int, int]]:
@@ -123,14 +84,6 @@ def _damping_weights(d: int, p: float) -> list[float]:
     return weights
 
 
-def phase_damping(d: int, p: float) -> KrausChannel:
-    """Binomially weighted clock-power channel; p = 1 is the identity."""
-    z = gate_z(d)
-    kraus = [np.sqrt(weight) * np.linalg.matrix_power(z, i)
-             for i, weight in enumerate(_damping_weights(d, p))]
-    return KrausChannel(dim=d, kraus=kraus, label=f"phase-damping(d={d}, p={p})")
-
-
 def check_probability_table(pi, name: str = "pi") -> np.ndarray:
     """pi as a float array, or ConfigError (a ValueError) naming `name` unless
     it is a square table (at least 2 x 2) of finite probabilities summing to 1."""
@@ -145,58 +98,6 @@ def check_probability_table(pi, name: str = "pi") -> np.ndarray:
     if abs(pi.sum() - 1.0) > 1e-12:
         raise ConfigError(f"{name}: must sum to 1, got {float(pi.sum())!r}")
     return pi
-
-
-def weyl_channel(pi: np.ndarray) -> KrausChannel:
-    """Random-unitary channel with Kraus sqrt(pi_{m,n}) Z^n X^m.
-
-    pi is a d x d probability table; row index m selects the shift power,
-    column index n the clock power.
-    """
-    pi = check_probability_table(pi)
-    d = pi.shape[0]
-    x, z = gate_x(d), gate_z(d)
-    x_pows = [np.linalg.matrix_power(x, m) for m in range(d)]
-    z_pows = [np.linalg.matrix_power(z, n) for n in range(d)]
-    kraus = [
-        np.sqrt(max(pi[m, n], 0.0)) * (z_pows[n] @ x_pows[m])
-        for m in range(d)
-        for n in range(d)
-    ]
-    return KrausChannel(dim=d, kraus=kraus, label=f"weyl(d={d})")
-
-
-def embed_channel(ch: KrausChannel, sites: list[int], dims: list[int]) -> KrausChannel:
-    """Independent copies of a local channel on the listed sites (0-based).
-
-    The result's Kraus list is the cross product of the per-site embedded
-    elements; operators on distinct sites commute, so the ordering is fixed
-    but immaterial.
-    """
-    if not sites:
-        raise ValueError("sites must name at least one site")
-    if len(set(sites)) != len(sites):
-        raise ValueError("sites must be distinct")
-    for s in sites:
-        if s < 0 or s >= len(dims):
-            raise ValueError(f"site {s} out of range for {len(dims)} sites")
-        if dims[s] != ch.dim:
-            raise ValueError(f"site {s} has dimension {dims[s]}, channel expects {ch.dim}")
-    per_site = [[embed_operator(e, s, dims) for e in ch.kraus] for s in sorted(sites)]
-    kraus = [reduce(np.matmul, combo) for combo in product(*per_site)]
-    full = int(np.prod(dims))
-    return KrausChannel(dim=full, kraus=kraus, label=f"{ch.label} on sites {sorted(sites)}")
-
-
-def apply_channel(rho: np.ndarray, ch: KrausChannel) -> np.ndarray:
-    """sum_k E_k rho E_k^dagger."""
-    rho = np.asarray(rho)
-    if rho.shape != (ch.dim, ch.dim):
-        raise ValueError(f"state shape {rho.shape} does not match channel dimension {ch.dim}")
-    out = np.zeros_like(rho, dtype=np.complex128)
-    for e in ch.kraus:
-        out += e @ rho @ e.conj().T
-    return out
 
 
 @dataclass(frozen=True)
@@ -242,8 +143,8 @@ def _table(shifts: tuple[int, ...], rows: np.ndarray) -> WeylTable:
 
 
 def phase_damping_table(d: int, p: float) -> WeylTable:
-    """phase_damping(d, p) as a Weyl table: one row, m = 0, of binomial
-    weights; no d x d table is formed."""
+    """Phase damping as a Weyl table (conformance.phase_damping is its Kraus
+    list): one row, m = 0, of binomial weights; no d x d table is formed."""
     return _table((0,), np.array([_damping_weights(d, p)]))
 
 
@@ -257,8 +158,8 @@ def apply_weyl_table(rho: np.ndarray, table: WeylTable, dims) -> np.ndarray:
     multiplied by its mask in place and added, in the order of the shifts.
     Shifts whose gathered copies would pass _GATHER_BYTES are gathered a
     group at a time. O(len(shifts) dim^2) per factor, and no Kraus operator is built;
-    agrees with apply_channel(rho, embed_channel(weyl_channel(pi),
-    range(len(dims)), dims)).
+    agrees with the sum of E rho E^dagger over the cross product of the
+    per-factor Kraus operators sqrt(pi_{m,n}) Z^n X^m.
     """
     if any(size != table.d for size in dims):
         raise ValueError(f"register factors {tuple(dims)} do not all match the channel's {table.d}")
@@ -283,63 +184,3 @@ def apply_weyl_table(rho: np.ndarray, table: WeylTable, dims) -> np.ndarray:
                 acc += term.transpose(2, 0, 3, 4, 1, 5)
         out = acc.reshape(dim, dim)
     return out
-
-
-def average_fidelity(u: np.ndarray, ch: KrausChannel) -> float:
-    """Average fidelity between the channel and a target unitary,
-
-        F = [ tr sum_k M_k^dag M_k + sum_k |tr M_k|^2 ] / (n (n + 1)),
-
-    with M_k = U^dagger E_k. Equals the Haar mean of
-    <psi| U^dag E(|psi><psi|) U |psi>.
-    """
-    u = np.asarray(u)
-    if u.shape != (ch.dim, ch.dim):
-        raise ValueError("unitary dimension does not match the channel")
-    n = ch.dim
-    udag = u.conj().T
-    t1 = 0.0
-    t2 = 0.0
-    for e in ch.kraus:
-        m = udag @ e
-        t1 += float(np.vdot(m, m).real)
-        t2 += float(abs(np.trace(m)) ** 2)
-    return (t1 + t2) / (n * (n + 1))
-
-
-def analytic_favg_2qutrit(p: float) -> float:
-    """Printed two-qutrit dephasing profile (1/15)(3 p^2 + |p^2 - 1| + 4 p + 3)."""
-    if not (0.0 <= p <= 1.0):
-        raise ValueError(f"p must lie in [0, 1], got {p}")
-    return (3.0 * p * p + abs(p * p - 1.0) + 4.0 * p + 3.0) / 15.0
-
-
-def haar_random_kets(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """count x n array of independent Haar-random kets."""
-    kets = rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))
-    kets /= np.linalg.norm(kets, axis=1, keepdims=True)
-    return kets
-
-
-def average_fidelity_monte_carlo(
-    u: np.ndarray,
-    ch: KrausChannel,
-    samples: int = 10_000,
-    seed: int = 0,
-) -> tuple[float, float]:
-    """Haar-mean estimate of <psi| U^dag E(|psi><psi|) U |psi>.
-
-    Returns (mean, standard error); the mean should agree with
-    average_fidelity within a few standard errors.
-    """
-    if samples < 2:
-        raise ValueError("need at least 2 samples")
-    n = ch.dim
-    rng = np.random.default_rng(seed)
-    kets = haar_random_kets(n, samples, rng)
-    targets = kets @ np.asarray(u).T
-    vals = np.zeros(samples)
-    for e in ch.kraus:
-        overlaps = np.einsum("si,si->s", targets.conj(), kets @ e.T)
-        vals += np.abs(overlaps) ** 2
-    return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(samples))

@@ -16,14 +16,17 @@ amplitude pairs), and ChainSpec, NoiseSpec and ExperimentConfig
 check every field's type, finiteness and range, exactly as for a library
 caller. A refused field raises ConfigError, whose message begins with the
 field's JSON name; in a sweep it is prefixed with the refused entry's point,
-e.g. `point-001: noise.p: ...`.
+e.g. `point-001: noise.p: ...`, and a chain that cannot resolve t_total
+names every point it refuses, e.g. `point-001, point-002: t_total: ...`.
 
 `run` loads no more than it needs: the config digest comes from the
 interpreter's built-in SHA-256 (hashlib, and with it OpenSSL, only where
-neither _sha2 nor _sha256 exists), and concurrent.futures is imported only
+neither _sha2 nor _sha256 exists), concurrent.futures is imported only
 by a sweep of more than one point at --jobs > 1, the one case that builds a
-thread pool. manifest.json records the environment a run was taken in
-(Python, numpy, BLAS, CPU count, BLAS thread variables).
+thread pool, and qsct.conformance (the closed forms, the Kraus lists and the
+report's writers) only by `conformance`. manifest.json records the
+environment a run was taken in (Python, numpy, BLAS, CPU count, BLAS thread
+variables).
 
 Exit codes: 0 success, 2 config or usage error, 3 numerical failure.
 """
@@ -50,8 +53,6 @@ from .protocol import (
     ExperimentConfig,
     NoiseSpec,
     PreparedReference,
-    average_fidelity_comparison,
-    conformance_closed_forms,
     engine,
     prepare_references,
     run_experiment,
@@ -301,7 +302,13 @@ def _cmd_run(args) -> int:
         # takes its own entry out of `prepared`, so a chain's state (the
         # register eigenpairs of a dense run among it) is freed as soon as
         # its last point has finished.
-        prepared = prepare_references(configs, parallel_map)
+        try:
+            prepared = prepare_references(configs, parallel_map)
+        except ConfigError as exc:
+            if not (sweep and exc.configs):
+                raise
+            refused = ", ".join(points[i] for i in exc.configs)
+            raise ConfigError(f"{refused}: {exc}") from exc
         reference_csv = {}
         for twin in prepared:
             if twin.key not in reference_csv:
@@ -379,102 +386,19 @@ def _cmd_pst(args) -> int:
     return 0
 
 
-def _conformance_csv(report) -> str:
-    header = ("d,alpha,beta,gamma,a,closed_form,"
-              "concurrence_a_t,purity_a_t,concurrence_a_2t,purity_a_2t,"
-              "dev_concurrence_a_t,dev_purity_a_t,dev_concurrence_a_2t,dev_purity_a_2t")
-    lines = [header]
-    for row in report["l2_rows"]:
-        amps = row["amplitudes"]
-        gamma = amps[2] if len(amps) == 3 else 0.0
-        closed = row["closed_form"]
-        values = (
-            row["concurrence[a=t]"], row["purity[a=t]"],
-            row["concurrence[a=2t]"], row["purity[a=2t]"],
-        )
-        lines.append(",".join(
-            (str(row["d"]), _fmt(amps[0]), _fmt(amps[1]), _fmt(gamma),
-             _fmt(row["a"]), _fmt(closed))
-            + tuple(_fmt(v) for v in values)
-            + tuple(_fmt(abs(closed - v)) for v in values)
-        ))
-    return "\n".join(lines) + "\n"
-
-
-def _conformance_md(report, fidelity_rows) -> str:
-    l4 = report["l4"]
-    out = []
-    out.append("# Closed-form conformance report")
-    out.append("")
-    out.append("## Two-site profiles")
-    out.append("")
-    out.append("The printed closed forms evaluate to 1 at a = 0 "
-               f"(max deviation {report['l2_anchor_max_dev']:.3e}) but do not "
-               "reproduce either the simulated concurrence or the subsystem "
-               "purity under the candidate mappings a = t and a = 2t. "
-               "Maximum absolute deviations over the sampled grid:")
-    out.append("")
-    out.append("| d | quantity | a = t | a = 2t |")
-    out.append("|---|----------|-------|--------|")
-    for d in sorted(report["l2_summary"]):
-        dev = report["l2_summary"][d]["max_abs_deviation"]
-        for quantity in ("concurrence", "purity"):
-            out.append(f"| {d} | {quantity} | {dev[quantity]['a=t']:.6e} "
-                       f"| {dev[quantity]['a=2t']:.6e} |")
-    out.append("")
-    for d in sorted(report["l2_summary"]):
-        best = report["l2_summary"][d]["best"]
-        out.append(f"Closest match for d = {d}: {best['quantity']} under "
-                   f"{best['mapping']} (deviation {best['deviation']:.6e}).")
-    out.append("")
-    out.append("## Four-site, three-level harmonic content")
-    out.append("")
-    out.append("Twice the linear entropy of the half-chain cut, fitted on the "
-               "even cosine harmonics, using the scaled variable a = s t:")
-    out.append("")
-    out.append("| s | residual |")
-    out.append("|---|----------|")
-    for s in sorted(l4["scalings"], key=float):
-        out.append(f"| {s} | {l4['scalings'][s]['residual']:.6e} |")
-    out.append("")
-    out.append(f"Best scaling s = {l4['best_scaling']} "
-               f"(residual {l4['residual']:.6e}). Coefficients:")
-    out.append("")
-    out.append("| harmonic | coefficient |")
-    out.append("|----------|-------------|")
-    for h, c in zip(l4["harmonics"], l4["coefficients"]):
-        out.append(f"| {h} | {c:+.12e} |")
-    out.append("")
-    out.append(f"Coefficient sum {l4['coefficient_sum']:.12e} matches the "
-               f"value at t = 0 ({l4['value_at_zero']:.3e}). The 10th "
-               f"harmonic is absent: |c10| / max|c| = {l4['c10_ratio']:.3e}.")
-    out.append("")
-    out.append("## Average transfer fidelity under per-site dephasing (two qutrits)")
-    out.append("")
-    out.append("The trace formula over the composed map and the closed "
-               "quadratic profile disagree; both are listed. A previously "
-               "reported value for p = 0.85 is 0.62702, which matches "
-               "neither column.")
-    out.append("")
-    out.append("| p | trace formula | closed profile |")
-    out.append("|---|---------------|----------------|")
-    for row in fidelity_rows:
-        out.append(f"| {row['p']:.2f} | {row['trace_formula']:.6f} "
-                   f"| {row['closed_profile']:.6f} |")
-    out.append("")
-    return "\n".join(out)
-
-
 def _cmd_conformance(args) -> int:
+    from . import conformance    # only this subcommand loads the report's code
+
     out_dir = _out_dir(args.out)
     try:
-        report = conformance_closed_forms()
-        fidelity_rows = average_fidelity_comparison()
+        report = conformance.conformance_closed_forms()
+        fidelity_rows = conformance.average_fidelity_comparison()
     except np.linalg.LinAlgError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    _atomic_write(out_dir / "conformance.csv", _conformance_csv(report))
-    _atomic_write(out_dir / "conformance.md", _conformance_md(report, fidelity_rows))
+    _atomic_write(out_dir / "conformance.csv", conformance._conformance_csv(report))
+    _atomic_write(out_dir / "conformance.md",
+                  conformance._conformance_md(report, fidelity_rows))
     print(out_dir / "conformance.csv")
     print(out_dir / "conformance.md")
     return 0

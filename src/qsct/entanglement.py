@@ -14,8 +14,8 @@ coefficients, so one number, its concurrence in closed form, gives all three
 of its measures (sector_concurrence); no SVD is taken of it.
 Every measure takes a stack of states along leading axes and returns an
 array, one call (and one stacked SVD or eigh) for the whole stack; a single
-state gives a float. Closed-form transfer profiles for two-site chains are
-evaluated as printed.
+state gives a float. The printed closed-form transfer profiles of two-site
+chains, which only the conformance report evaluates, live in qsct.conformance.
 """
 
 from __future__ import annotations
@@ -193,60 +193,3 @@ def sector_measures(states: np.ndarray, cut: SectorCut,
         level[pure] = sector_concurrence(np.linalg.eigh(rho[pure])[1][..., -1], cut)
     return tuple(x.reshape(lead) for x in (norm_c, lhs - np.sqrt(gap_a * gap_b), level))
 
-
-def _check_amplitudes(*amps: float) -> None:
-    for a in amps:
-        if a < 0:
-            raise ValueError("amplitudes must be non-negative reals")
-    total = sum(a * a for a in amps)
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"amplitudes are not normalized: sum of squares = {total!r}")
-
-
-def closed_form_l2_d2(alpha: float, beta: float, a):
-    """Two-site, two-level transfer profile
-    (1/4) (4 a^4 + 3 b^4 + 8 a^2 b^2 cos 2a + b^4 cos 4a): the three-level
-    profile with no weight on the second excited level."""
-    return closed_form_l2_d3(alpha, beta, 0.0, a)
-
-
-def closed_form_l2_d3(alpha: float, beta: float, gamma: float, a):
-    """Two-site transfer profile in the excited weight w = b^2 + g^2,
-    (1/4) (4 a^4 + 3 w^2 + 8 a^2 w cos 2a + w^2 cos 4a); broadcasts over a.
-    gamma = 0 gives the two-level profile."""
-    _check_amplitudes(alpha, beta, gamma)
-    a = np.asarray(a, dtype=float)
-    a2 = alpha * alpha
-    w = beta * beta + gamma * gamma
-    out = 0.25 * (
-        4.0 * a2 * a2
-        + 3.0 * w * w
-        + 8.0 * a2 * w * np.cos(2.0 * a)
-        + w * w * np.cos(4.0 * a)
-    )
-    return out if out.ndim else float(out)
-
-
-def fit_cosine_series(samples, harmonics) -> tuple[np.ndarray, float]:
-    """Least-squares fit of value(a) = sum_h c_h cos(h a) over given harmonics.
-
-    samples: iterable of (a, value) pairs. Returns (coefficients in harmonic
-    order, max absolute residual). Raises if the sample set cannot separate
-    the requested harmonics.
-    """
-    pts = np.asarray(list(samples), dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ValueError("samples must be (a, value) pairs")
-    harmonics = np.asarray(list(harmonics), dtype=float)
-    if len(set(harmonics.tolist())) != harmonics.size:
-        raise ValueError("harmonics must be distinct")
-    if pts.shape[0] < 2 * harmonics.size + 1:
-        raise ValueError(
-            f"need at least {2 * harmonics.size + 1} samples for {harmonics.size} harmonics"
-        )
-    design = np.cos(np.outer(pts[:, 0], harmonics))
-    coeffs, _, rank, _ = np.linalg.lstsq(design, pts[:, 1], rcond=None)
-    if rank < harmonics.size:
-        raise ValueError("sample grid does not separate the requested harmonics")
-    residual = float(np.max(np.abs(design @ coeffs - pts[:, 1])))
-    return coeffs, residual

@@ -1,6 +1,6 @@
 """Dense complex linear algebra for small qudit registers: bipartitions, the
-realignment map, the trace norm, partial traces (of a density matrix, or of a
-sector ket or density matrix) and single-site embedding.
+realignment map, the trace norm and partial traces (of a density matrix, or of
+a sector ket or density matrix).
 
 Everything works on plain numpy arrays (complex128, row-major, dense); the
 realignment map, the trace norm and both partial traces also take a stack
@@ -191,17 +191,4 @@ def sector_partial_trace(states: np.ndarray, cut: SectorCut, side: int = 0,
         weight = np.take(flat, cut.diagonals[side], axis=-1)
     out[..., 0, 0] += weight.sum(-1)
     return out
-
-
-def embed_operator(op: np.ndarray, site: int, dims: Sequence[int]) -> np.ndarray:
-    """Place a single-site operator at a 0-based site, identity elsewhere."""
-    dims = [int(d) for d in dims]
-    if site < 0 or site >= len(dims):
-        raise ValueError(f"site {site} out of range for {len(dims)} sites")
-    op = np.asarray(op)
-    if op.shape != (dims[site], dims[site]):
-        raise ValueError("operator does not match the site dimension")
-    left = int(np.prod(dims[:site])) if site else 1
-    right = int(np.prod(dims[site + 1:])) if site + 1 < len(dims) else 1
-    return np.kron(np.kron(np.eye(left), op), np.eye(right))
 

@@ -70,6 +70,10 @@ fidelity_to_input compares the last node against the phase-aligned input:
 perfect transfer delivers the excited levels with a known level-independent
 phase (the end-to-end transfer amplitude's argument), which a receiving node
 can always undo with a local phase gate, so the record aligns it away.
+
+The conformance report, which sets the printed closed forms beside
+_Runner's sector kets and the Kraus-list fidelity formula beside the
+register unitary, is qsct.conformance; `qsct run` never imports it.
 """
 
 from __future__ import annotations
@@ -92,12 +96,8 @@ from .chain import (
 )
 from .channels import (
     WeylTable,
-    analytic_favg_2qutrit,
     apply_weyl_table,
-    average_fidelity,
     check_probability_table,
-    embed_channel,
-    phase_damping,
     phase_damping_table,
     weyl_table,
 )
@@ -105,10 +105,7 @@ from .entanglement import (
     Bipartition,
     amplified_ccnr_margin,
     ccnr,
-    closed_form_l2_d3,
     entanglement_level,
-    fit_cosine_series,
-    sector_concurrence,
     sector_measures,
 )
 from .linalg import SectorCut, inner, partial_trace, sector_partial_trace
@@ -411,13 +408,24 @@ def prepare_references(
     gamma_tolerance, and a chain when they have the same d, n and couplings.
     Each distinct chain (in order of first appearance) is diagonalised once
     and its transfer time searched at most once; mapper (map, or an
-    executor's map) runs the chains, each one's twins in turn.
+    executor's map) runs the chains, each one's twins in turn. A chain whose
+    transfer time cannot be searched refuses every config on it that leaves
+    t_total open: the ConfigError lists their positions in `configs`.
     """
     chains: dict[tuple, dict[tuple, ExperimentConfig]] = {}
     for config in configs:
         chains.setdefault(_chain_key(config.chain), {}).setdefault(_twin_key(config), config)
+
+    def prepare(twins: dict[tuple, ExperimentConfig]) -> dict[tuple, PreparedReference]:
+        try:
+            return _prepare_chain(twins)
+        except ConfigError as exc:
+            exc.configs = tuple(i for i, config in enumerate(configs)
+                                if config.t_total is None and _twin_key(config) in twins)
+            raise
+
     prepared: dict[tuple, PreparedReference] = {}
-    for twins in mapper(_prepare_chain, chains.values()):
+    for twins in mapper(prepare, chains.values()):
         prepared.update(twins)
     return [prepared[_twin_key(config)] for config in configs]
 
@@ -498,132 +506,3 @@ def run_experiment(
         record.gamma_ok = abs(record.concurrence - ref.concurrence) <= config.gamma_tolerance
     return records, reference
 
-
-# ---------------------------------------------------------------------------
-# Conformance: printed closed forms against simulated traces
-# ---------------------------------------------------------------------------
-
-L4_HARMONICS = (0, 2, 4, 6, 8, 10, 12)
-L4_SCALINGS = (0.5, 1.0, 2.0)
-
-
-def conformance_closed_forms(a_points: int = 41, l4_points: int = 320) -> dict:
-    """Compare the printed two-site profiles with simulated traces, and fit the
-    harmonic content of the four-site, three-level trace.
-
-    The two-site closed forms are evaluated as printed and compared (reported,
-    never asserted) against the simulated concurrence and subsystem purity
-    under both candidate time mappings a = t and a = 2t. The four-site trace
-    2 (1 - tr rho_A^2) over the half-chain cut is fitted on the even harmonic
-    set; the result records the best time scaling, the coefficient of the
-    10th harmonic (structurally absent), and the residual. Each ket's
-    concurrence c is sector_concurrence's closed form, its purity 1 - c^2/2
-    and its four-site trace c^2.
-    """
-    if a_points < 5:
-        raise ValueError("a grid needs at least 5 points")
-    if l4_points < 2 * len(L4_HARMONICS) + 1:
-        raise ValueError("l4 grid is too small for the harmonic fit")
-
-    a_grid = np.linspace(0.0, math.pi, a_points)
-    amp_sets = {
-        2: [(1.0, 0.0), (1.0 / math.sqrt(2), 1.0 / math.sqrt(2)),
-            (math.sqrt(0.8), math.sqrt(0.2))],
-        3: [(1.0, 0.0, 0.0),
-            (1.0 / math.sqrt(3), 1.0 / math.sqrt(3), 1.0 / math.sqrt(3)),
-            (math.sqrt(0.5), math.sqrt(0.3), math.sqrt(0.2))],
-    }
-
-    rows: list[dict] = []
-    anchor_dev = 0.0
-    deviations: dict[str, dict[str, dict[str, float]]] = {}
-    for d, sets in amp_sets.items():
-        spectrum = Spectrum(ChainSpec(d=d, n=2))
-        dev = {"concurrence": {"a=t": 0.0, "a=2t": 0.0},
-               "purity": {"a=t": 0.0, "a=2t": 0.0}}
-        for amps in sets:
-            # the run's sector ket and cut sides; t_total only sets the unused step
-            runner = _Runner(ExperimentConfig(chain=spectrum.spec, input_amplitudes=amps),
-                             spectrum, math.pi)
-            weights = (*amps, 0.0)[:3]  # (alpha, beta, gamma); gamma = 0 for d = 2
-            closed0 = closed_form_l2_d3(*weights, 0.0)
-            anchor_dev = max(anchor_dev, abs(closed0 - 1.0))
-            concs = {label: sector_concurrence(runner.sector_ket(t), runner.sides).tolist()
-                     for label, t in (("a=t", a_grid), ("a=2t", a_grid / 2.0))}
-            for i, a in enumerate(a_grid):
-                closed = closed_form_l2_d3(*weights, a)
-                row = {"d": d, "amplitudes": tuple(float(x) for x in amps), "a": float(a),
-                       "closed_form": float(closed)}
-                for label, values in concs.items():
-                    conc = values[i]
-                    pur = 1.0 - conc * conc / 2.0
-                    row[f"concurrence[{label}]"] = conc
-                    row[f"purity[{label}]"] = pur
-                    dev["concurrence"][label] = max(dev["concurrence"][label], abs(closed - conc))
-                    dev["purity"][label] = max(dev["purity"][label], abs(closed - pur))
-                rows.append(row)
-        best = min(
-            ((q, m, dev[q][m]) for q in dev for m in dev[q]),
-            key=lambda item: item[2],
-        )
-        deviations[str(d)] = {
-            "max_abs_deviation": dev,
-            "best": {"quantity": best[0], "mapping": best[1], "deviation": best[2]},
-        }
-
-    # four-site, three-level trace over the half-chain cut
-    spectrum = Spectrum(ChainSpec(d=3, n=4))
-    amps = np.full(3, 1.0 / math.sqrt(3))
-    runner = _Runner(ExperimentConfig(chain=spectrum.spec, input_amplitudes=amps,
-                                      bipartition=2), spectrum, math.pi)
-    ts = np.linspace(0.0, 2.0 * math.pi, l4_points, endpoint=False)
-    q_trace = sector_concurrence(runner.sector_ket(ts), runner.sides) ** 2
-
-    fits = {}
-    for scale in L4_SCALINGS:
-        coeffs, residual = fit_cosine_series(zip(scale * ts, q_trace), L4_HARMONICS)
-        fits[scale] = {"coefficients": coeffs, "residual": residual}
-    best_scale = min(fits, key=lambda s: fits[s]["residual"])
-    best_coeffs = fits[best_scale]["coefficients"]
-    idx_10 = L4_HARMONICS.index(10)
-    l4 = {
-        "harmonics": list(L4_HARMONICS),
-        "scalings": {
-            str(s): {"coefficients": [float(c) for c in fits[s]["coefficients"]],
-                     "residual": float(fits[s]["residual"])}
-            for s in L4_SCALINGS
-        },
-        "best_scaling": float(best_scale),
-        "coefficients": [float(c) for c in best_coeffs],
-        "residual": float(fits[best_scale]["residual"]),
-        "c10_ratio": float(abs(best_coeffs[idx_10]) / np.max(np.abs(best_coeffs))),
-        "coefficient_sum": float(np.sum(best_coeffs)),
-        "value_at_zero": float(q_trace[0]),
-    }
-
-    return {
-        "l2_rows": rows,
-        "l2_anchor_max_dev": float(anchor_dev),
-        "l2_summary": deviations,
-        "l4": l4,
-    }
-
-
-def average_fidelity_comparison(p_values=(0.25, 0.5, 0.85, 1.0)) -> list[dict]:
-    """Average transfer fidelity of the two-qutrit chain under per-site phase
-    damping, computed two ways that do not agree: the trace formula over the
-    composed map, and the closed quadratic profile. Both are reported per p so
-    the gap is visible; neither value is asserted against the other."""
-    spec = ChainSpec(d=3, n=2)
-    spectrum = Spectrum(spec)
-    t_star, _ = find_pst_time(spec, spectrum=spectrum)
-    u = spectrum.unitary(t_star)
-    rows = []
-    for p in p_values:
-        channel = embed_channel(phase_damping(3, float(p)), (0, 1), spec.dims)
-        rows.append({
-            "p": float(p),
-            "trace_formula": float(average_fidelity(u, channel)),
-            "closed_profile": float(analytic_favg_2qutrit(float(p))),
-        })
-    return rows

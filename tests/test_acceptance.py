@@ -17,31 +17,27 @@ from qsct.chain import (
     _TransferAmplitudes,
     _golden_max,
     build_hamiltonian,
-    commutator_defect,
     find_pst_time,
 )
-from qsct.channels import (
-    apply_channel,
+from qsct.cli import main
+from qsct.conformance import (
     average_fidelity,
-    average_fidelity_monte_carlo,
+    closed_form_l2_d3,
+    conformance_closed_forms,
     embed_channel,
     phase_damping,
-    weyl_channel,
 )
-from qsct.cli import main
-from qsct.entanglement import (
-    ccnr,
-    closed_form_l2_d2,
-    closed_form_l2_d3,
-    concurrence_pure,
-)
+from qsct.entanglement import ccnr, concurrence_pure
 from qsct.generators import generator_set
 from qsct.linalg import Bipartition
-from qsct.protocol import (
-    ExperimentConfig,
-    NoiseSpec,
-    conformance_closed_forms,
-    run_experiment,
+from qsct.protocol import ExperimentConfig, NoiseSpec, run_experiment
+
+from oracles import (
+    apply_channel,
+    average_fidelity_monte_carlo,
+    closed_form_l2_d2,
+    commutator_defect,
+    weyl_channel,
 )
 
 

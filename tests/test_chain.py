@@ -12,12 +12,13 @@ from qsct.chain import (
     Spectrum,
     _TransferAmplitudes,
     build_hamiltonian,
-    commutator_defect,
     default_couplings,
     find_pst_time,
 )
+from qsct.conformance import embed_operator
 from qsct.generators import eta
-from qsct.linalg import embed_operator
+
+from oracles import commutator_defect
 
 
 def _complex_propagator(h, t):
@@ -103,7 +104,7 @@ def test_commutator_defect_matches_the_dense_commutator(monkeypatch):
         spec = ChainSpec(d=d, n=n)
         h = rng.normal(size=(spec.dim, spec.dim))
         h += h.T
-        monkeypatch.setattr("qsct.chain.build_hamiltonian", lambda _spec: h)
+        monkeypatch.setattr("oracles.build_hamiltonian", lambda _spec: h)
         expect = []
         for r in range(1, d):
             counter = sum(embed_operator(eta(r, d), s, spec.dims) for s in range(n))

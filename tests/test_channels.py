@@ -6,23 +6,28 @@ import numpy as np
 import pytest
 
 from qsct.channels import (
-    KrausChannel,
     _damping_weights,
-    analytic_favg_2qutrit,
-    apply_channel,
     apply_weyl_table,
-    average_fidelity,
-    average_fidelity_monte_carlo,
-    embed_channel,
-    gate_x,
-    gate_z,
-    haar_random_kets,
-    phase_damping,
     phase_damping_table,
-    weyl_channel,
     weyl_table,
 )
+from qsct.conformance import (
+    KrausChannel,
+    analytic_favg_2qutrit,
+    average_fidelity,
+    embed_channel,
+    gate_z,
+    phase_damping,
+)
 from qsct.linalg import partial_trace
+
+from oracles import (
+    apply_channel,
+    average_fidelity_monte_carlo,
+    gate_x,
+    haar_random_kets,
+    weyl_channel,
+)
 
 
 def test_gates_d2_are_paulis():

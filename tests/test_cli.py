@@ -12,6 +12,12 @@ import pytest
 import qsct
 from qsct.chain import ChainSpec
 from qsct.cli import _environment, _records_csv, config_digest, main, parse_config
+from qsct.conformance import (
+    _conformance_csv,
+    _conformance_md,
+    average_fidelity_comparison,
+    conformance_closed_forms,
+)
 from qsct.protocol import ConfigError, ExperimentConfig, NoiseSpec, run_experiment
 
 ROOT3 = 1.0 / math.sqrt(3.0)
@@ -181,36 +187,53 @@ def test_config_digest_hashlib_fallback():
     assert json.loads(run.stdout) == [config_digest(obj) for obj in DIGEST_INPUTS]
 
 
+WEYL_DENSE_CONFIG = dict(BASE_CONFIG, noise={
+    "kind": "weyl", "topology": "interleaved",
+    "pi": [[0.8, 0.05, 0.0], [0.1, 0.0, 0.0], [0.05, 0.0, 0.0]],
+})
+
+
 def test_run_path_footprint(tmp_path):
-    # a single config and a sweep at --jobs 1 load neither OpenSSL nor the
-    # thread pool's modules; the same sweep at --jobs 2 builds a pool and
-    # writes the same files
+    # a single config and a sweep (a sector point and a dense Weyl point) at
+    # --jobs 1 load neither OpenSSL nor the thread pool's modules; the same
+    # sweep at --jobs 2 builds a pool and writes the same files. No run loads
+    # the conformance report's module or the generator basis; `conformance`
+    # loads its module and writes what the library renders.
     single = _write_config(tmp_path, NOISY_CONFIG, name="single.json")
-    sweep = _write_config(tmp_path, [BASE_CONFIG, NOISY_CONFIG], name="sweep.json")
+    sweep = _write_config(tmp_path, [NOISY_CONFIG, WEYL_DENSE_CONFIG], name="sweep.json")
     script = (
         "import json, sys\n"
         "from qsct.cli import main\n"
         "single, sweep, out = sys.argv[1:]\n"
+        "report = ('qsct.conformance', 'qsct.generators')\n"
         "assert main(['run', '--config', single, '--out', out + '/single']) == 0\n"
         "assert main(['run', '--config', sweep, '--out', out + '/jobs1', '--jobs', '1']) == 0\n"
         "heavy = ('_hashlib', '_ssl', 'concurrent.futures')\n"
-        "loaded = sorted(name for name in heavy if name in sys.modules)\n"
+        "loaded = sorted(name for name in heavy + report if name in sys.modules)\n"
         "assert main(['run', '--config', sweep, '--out', out + '/jobs2', '--jobs', '2']) == 0\n"
-        "print(json.dumps([loaded, 'concurrent.futures' in sys.modules]), file=sys.stderr)\n"
+        "pool = [name in sys.modules for name in ('concurrent.futures',) + report]\n"
+        "assert main(['conformance', '--out', out + '/conf']) == 0\n"
+        "print(json.dumps([loaded, pool, 'qsct.conformance' in sys.modules]), file=sys.stderr)\n"
     )
     run = subprocess.run([sys.executable, "-c", script, str(single), str(sweep), str(tmp_path)],
                          capture_output=True, text=True, env=_subprocess_env())
     assert run.returncode == 0, run.stderr
-    loaded, pool_loaded = json.loads(run.stderr)
+    loaded, pool, report_loaded = json.loads(run.stderr)
     assert loaded == []
-    assert pool_loaded
+    assert pool == [True, False, False]
+    assert report_loaded
     jobs1, jobs2 = tmp_path / "jobs1", tmp_path / "jobs2"
     files = sorted(p.relative_to(jobs1) for p in jobs1.rglob("*") if p.is_file())
     assert files == sorted(p.relative_to(jobs2) for p in jobs2.rglob("*") if p.is_file())
-    assert len(files) == 4
+    assert len(files) == 5
     for rel in files:
         if rel.name != "manifest.json":
             assert (jobs1 / rel).read_bytes() == (jobs2 / rel).read_bytes()
+    assert json.loads((jobs1 / "manifest.json").read_text())["engine"] == ["sector", "dense"]
+    report = conformance_closed_forms()
+    assert (tmp_path / "conf" / "conformance.csv").read_text() == _conformance_csv(report)
+    assert ((tmp_path / "conf" / "conformance.md").read_text()
+            == _conformance_md(report, average_fidelity_comparison()))
 
 
 def test_manifest_records_the_environment(tmp_path, monkeypatch):
@@ -462,6 +485,32 @@ def test_pst_refuses_an_aliasing_window(capsys):
     assert "alias" in err
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_refusal_names_every_refused_point(tmp_path, capsys, jobs):
+    # two points leave t_total open on a chain whose transfer-time search
+    # would alias; the point that sets t_total on another chain is not named
+    aliasing = {"chain": {"d": 2, "nodes": 3, "couplings": [1000, 1000]},
+                "input_amplitudes": [0.6, 0.8]}
+    sweep = [{"chain": {"d": 2, "nodes": 3}, "input_amplitudes": [0.6, 0.8], "t_total": 1.0},
+             aliasing, dict(aliasing, noise=DEPHASING)]
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(_write_config(tmp_path, sweep)), "--out", str(out),
+                 "--jobs", jobs]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: point-001, point-002: t_total: required for this chain, ")
+    assert list(out.iterdir()) == []
+    # a single config's message is the library's refusal, unprefixed
+    single = tmp_path / "single"
+    assert main(["run", "--config", str(_write_config(tmp_path, aliasing, name="one.json")),
+                 "--out", str(single)]) == 2
+    with pytest.raises(ConfigError) as refusal:
+        run_experiment(parse_config(aliasing))
+    assert capsys.readouterr().err == f"config error: {refusal.value}\n"
+    assert refusal.value.configs == (0,)
+    assert err == f"config error: point-001, point-002: {refusal.value}\n"
+    assert list(single.iterdir()) == []
+
+
 def test_run_refuses_a_transfer_search_that_would_alias(tmp_path, capsys):
     config = dict(BASE_CONFIG, chain={"d": 2, "nodes": 3, "couplings": [1000.0, 1000.0]},
                   input_amplitudes=[0.6, 0.8])
@@ -510,9 +559,10 @@ DEPHASING = {"kind": "phase_damping", "topology": "interleaved", "p": 0.9}
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 @pytest.mark.parametrize("failing, code, message", [
-    # the transfer-time search of a twin that three points share would alias
+    # the transfer-time search of a twin that three points share would alias;
+    # the refusal names all three
     ([ALIASING_CONFIG, dict(ALIASING_CONFIG, noise=DEPHASING), dict(ALIASING_CONFIG, seed=3)],
-     2, "config error: t_total: "),
+     2, "config error: point-001, point-002, point-003: t_total: "),
     # the phases of the shared twin's reference lose their precision
     ([dict(LOST_PHASES_CONFIG, noise=DEPHASING), LOST_PHASES_CONFIG,
       dict(LOST_PHASES_CONFIG, noise=dict(DEPHASING, topology="local_after"))],

@@ -8,17 +8,15 @@ import pytest
 from qsct.entanglement import (
     amplified_ccnr_margin,
     ccnr,
-    closed_form_l2_d2,
-    closed_form_l2_d3,
     concurrence_pure,
     entanglement_level,
-    fit_cosine_series,
     mixedness_indicator,
     sector_measures,
 )
+from qsct.conformance import closed_form_l2_d3, fit_cosine_series
 from qsct.linalg import Bipartition, SectorCut, partial_trace
 
-from oracles import partial_trace_pure, schmidt_measures
+from oracles import closed_form_l2_d2, partial_trace_pure, schmidt_measures
 
 PAIR22 = Bipartition(2, 2)
 PAIR33 = Bipartition(3, 3)

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from qsct.conformance import embed_operator
 from qsct.linalg import (
     Bipartition,
-    embed_operator,
     partial_trace,
     realign,
     trace_norm,

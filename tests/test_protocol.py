@@ -8,16 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsct.chain import ChainSpec, Spectrum, build_hamiltonian, find_pst_time
-from qsct.channels import (
+from qsct.channels import apply_weyl_table, phase_damping_table, weyl_table
+from qsct.conformance import (
     KrausChannel,
-    apply_channel,
-    apply_weyl_table,
     average_fidelity,
+    average_fidelity_comparison,
+    conformance_closed_forms,
     embed_channel,
     phase_damping,
-    phase_damping_table,
-    weyl_channel,
-    weyl_table,
 )
 from qsct.entanglement import (
     amplified_ccnr_margin,
@@ -33,8 +31,6 @@ from qsct.protocol import (
     ExperimentConfig,
     NoiseSpec,
     TransferRecord,
-    average_fidelity_comparison,
-    conformance_closed_forms,
     _Runner,
     engine,
     prepare_references,
@@ -43,7 +39,7 @@ from qsct.protocol import (
     run_noisy,
 )
 
-from oracles import partial_trace_pure, schmidt_measures
+from oracles import apply_channel, partial_trace_pure, schmidt_measures, weyl_channel
 
 
 def _config(d=3, n=2, **kwargs):
