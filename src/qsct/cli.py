@@ -26,7 +26,11 @@ by a sweep of more than one point at --jobs > 1, the one case that builds a
 thread pool, and qsct.conformance (the closed forms, the Kraus lists and the
 report's writers) only by `conformance`. manifest.json records the
 environment a run was taken in (Python, numpy, BLAS, CPU count, BLAS thread
-variables).
+variables) and the wall seconds of its four stages (`timings`: parse,
+prepare, points, output).
+
+The `qsct` executable (console_main) freezes the heap once main() returns;
+main() itself never touches gc.
 
 Exit codes: 0 success, 2 config or usage error, 3 numerical failure.
 """
@@ -36,12 +40,14 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import datetime
+import gc
 import json
 import math
 import os
 import shutil
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -268,6 +274,7 @@ def _cmd_run(args) -> int:
     if args.jobs < 1:
         print(f"config error: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
         return 2
+    clock = [time.perf_counter()]   # the start, then the end of each of the four stages
     config_path = Path(args.config)
     try:
         raw = json.loads(config_path.read_text(encoding="utf-8"))
@@ -283,6 +290,7 @@ def _cmd_run(args) -> int:
         return 2
     points = [f"point-{i:03d}" for i in range(len(entries))] if sweep else [""]
     configs = [_parse_point(entry, point) for entry, point in zip(entries, points)]
+    clock.append(time.perf_counter())
 
     out_dir = _out_dir(args.out)
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
@@ -314,6 +322,7 @@ def _cmd_run(args) -> int:
             if twin.key not in reference_csv:
                 _check_finite(twin.records)
                 reference_csv[twin.key] = _records_csv(twin.records)
+        clock.append(time.perf_counter())
 
         def run_point(i: int) -> list[str]:
             twin, prepared[i] = prepared[i], None
@@ -328,6 +337,7 @@ def _cmd_run(args) -> int:
             return list(files)
 
         names = list(parallel_map(run_point, range(len(configs))))
+        clock.append(time.perf_counter())
         if sweep:
             for point, files in zip(points, names):
                 target = out_dir / point
@@ -355,6 +365,9 @@ def _cmd_run(args) -> int:
         "finished": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "output_paths": output_paths,
     }
+    clock.append(time.perf_counter())
+    manifest["timings"] = {stage: end - start for stage, start, end
+                           in zip(("parse", "prepare", "points", "output"), clock, clock[1:])}
     _atomic_write(out_dir / "manifest.json",
                   json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     for rel in output_paths:
@@ -444,5 +457,19 @@ def main(argv=None) -> int:
         return 2
 
 
+def console_main() -> None:
+    """The `qsct` executable: main(), then exit with its code.
+
+    By the time main() returns every file is written and renamed and any
+    thread pool is shut down, so the heap is frozen before exiting: the
+    interpreter's final collections then skip the objects that numpy and
+    qsct made on import, which is most of an exit's cost. Atexit handlers
+    and the flushing of stdout and stderr still run.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    console_main()

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import math
@@ -236,13 +237,20 @@ def test_run_path_footprint(tmp_path):
             == _conformance_md(report, average_fidelity_comparison()))
 
 
+def _assert_stage_timings(manifest: dict) -> None:
+    timings = manifest["timings"]
+    assert set(timings) == {"parse", "prepare", "points", "output"}
+    assert all(isinstance(s, float) and s >= 0.0 for s in timings.values())
+
+
 def test_manifest_records_the_environment(tmp_path, monkeypatch):
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
     out = tmp_path / "out"
     assert main(["run", "--config", str(_write_config(tmp_path, NOISY_CONFIG)),
                  "--out", str(out)]) == 0
-    env = json.loads((out / "manifest.json").read_text())["environment"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    env = manifest["environment"]
     assert env["python"] == ".".join(str(v) for v in sys.version_info[:3])
     assert env["numpy"] == np.__version__
     assert env["cpu_count"] == os.cpu_count()
@@ -250,7 +258,9 @@ def test_manifest_records_the_environment(tmp_path, monkeypatch):
     assert env["thread_env"]["MKL_NUM_THREADS"] is None
     assert set(env["thread_env"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
     assert env["blas"] is None or set(env["blas"]) == {"name", "version"}
-    # the entry changes no byte of the CSVs, and loads no module
+    _assert_stage_timings(manifest)
+    # the environment and the timings change no byte of the CSVs, and
+    # _environment loads no module
     records, reference = run_experiment(parse_config(NOISY_CONFIG))
     assert (out / "results.csv").read_bytes() == _records_csv(records).encode()
     assert (out / "reference.csv").read_bytes() == _records_csv(reference).encode()
@@ -289,7 +299,9 @@ def test_manifest_names_the_engine(tmp_path):
     sweep = [BASE_CONFIG, NOISY_CONFIG, SHIFTING_CONFIG]
     out = tmp_path / "sweep"
     assert main(["run", "--config", str(_write_config(tmp_path, sweep)), "--out", str(out)]) == 0
-    assert json.loads((out / "manifest.json").read_text())["engine"] == ["sector", "sector", "dense"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["engine"] == ["sector", "sector", "dense"]
+    _assert_stage_timings(manifest)
     for i, entry in enumerate(sweep):
         # results.csv is what the library's records print as, with no engine in it
         records, _ = run_experiment(parse_config(entry))
@@ -809,3 +821,62 @@ def test_run_refuses_huge_integers(tmp_path, capsys, text, message):
     cfg = _write_config(tmp_path, None, text=text)
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_main_leaves_the_collector_alone(tmp_path):
+    # main() is the in-process API: neither a single run nor a parallel sweep
+    # pauses the collector or freezes the heap; only the executable's entry does
+    before = (gc.isenabled(), gc.get_freeze_count())
+    single = _write_config(tmp_path, NOISY_CONFIG, name="single.json")
+    sweep = _write_config(tmp_path, [NOISY_CONFIG, WEYL_DENSE_CONFIG], name="sweep.json")
+    assert main(["run", "--config", str(single), "--out", str(tmp_path / "single")]) == 0
+    assert main(["run", "--config", str(sweep), "--out", str(tmp_path / "sweep"),
+                 "--jobs", "2"]) == 0
+    assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+
+def _tree(path: Path) -> dict:
+    """Every file below path but manifest.json, relative path -> bytes."""
+    return {p.relative_to(path): p.read_bytes() for p in path.rglob("*")
+            if p.is_file() and p.name != "manifest.json"}
+
+
+def test_console_entry_freezes_the_heap_and_passes_the_exit_code(tmp_path):
+    # a fresh interpreter calls the executable's entry once per config: the
+    # heap is frozen after the first call, each exit code (0, 2 for a bool
+    # cut, 3 for overflowing phases) reaches SystemExit as main() returned
+    # it, and each run writes what main() writes
+    configs = [_write_config(tmp_path, config, name=f"{name}.json") for name, config in (
+        ("good", NOISY_CONFIG), ("bool_cut", dict(NOISY_CONFIG, bipartition=True)),
+        ("overflowing", OVERFLOWING_CONFIG))]
+    script = (
+        "import gc, json, sys\n"
+        "from qsct.cli import console_main\n"
+        "report, *configs = sys.argv[1:]\n"
+        "codes, frozen = [], [gc.get_freeze_count()]\n"
+        "for config in configs:\n"
+        "    sys.argv = ['qsct', 'run', '--config', config, '--out', config + '.entry']\n"
+        "    try:\n"
+        "        console_main()\n"
+        "    except SystemExit as exc:\n"
+        "        codes.append(exc.code)\n"
+        "    frozen.append(gc.get_freeze_count())\n"
+        "with open(report, 'w') as fh:\n"
+        "    json.dump([codes, frozen], fh)\n"
+    )
+    report = tmp_path / "report.json"
+    run = subprocess.run([sys.executable, "-c", script, str(report), *map(str, configs)],
+                         capture_output=True, text=True, env=_subprocess_env())
+    assert run.returncode == 0, run.stderr
+    codes, frozen = json.loads(report.read_text())
+    assert codes == [0, 2, 3]
+    assert frozen[0] == 0 and frozen[1] > 0
+    assert "config error: bipartition: " in run.stderr
+    for config, code in zip(configs, codes):
+        out = Path(f"{config}.main")
+        assert main(["run", "--config", str(config), "--out", str(out)]) == code
+        entry = Path(f"{config}.entry")
+        assert entry.exists() == out.exists()
+        if out.exists():
+            assert _tree(entry) == _tree(out)
+    assert set(_tree(Path(f"{configs[0]}.entry"))) == {Path("results.csv"), Path("reference.csv")}
