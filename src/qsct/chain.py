@@ -25,7 +25,7 @@ Spectrum diagonalises J and evolves every state of the single-excitation
 sector, a ket through its site amplitudes and a density matrix through
 sector_unitary; the transfer-time search scans the same n eigenpairs. The
 dense register Hamiltonian (build_hamiltonian) is diagonalised only for a
-register evolution (Spectrum.unitary, evolve).
+register evolution (Spectrum.unitary).
 """
 
 from __future__ import annotations
@@ -188,7 +188,7 @@ class Spectrum:
     A density matrix that stays in the sector steps under sector_unitary,
     the same n x n evolution on each excited copy. The dense d^n x d^n
     register Hamiltonian is assembled and diagonalised only when a register
-    evolution is asked for (unitary, evolve), at most once per Spectrum,
+    evolution is asked for (unitary), at most once per Spectrum,
     under a lock, so threads that share the Spectrum build it once; a run
     asks for it only to step a density matrix under interleaved noise with
     shifts. protocol.prepare_references builds one Spectrum per distinct
@@ -199,7 +199,7 @@ class Spectrum:
     A phase exp(-i E t) is only known to about |E t| eps radians; every time
     is checked against PHASE_TOL on the eigenvalues that evolve it: the
     sector's for site_amplitudes, sector_unitary and the transfer-time
-    search (check_time), the register's for unitary and evolve.
+    search (check_time), the register's for unitary.
     """
 
     def __init__(self, spec: ChainSpec):
@@ -252,29 +252,16 @@ class Spectrum:
         u[1:, 1:] = np.kron(np.eye(self.spec.d - 1), hop)
         return u
 
-    def _register_phases(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """(exp(-i E t), eigenvectors) of the register Hamiltonian, which is
-        assembled and diagonalised on the first call of any thread."""
+    def unitary(self, t: float) -> np.ndarray:
+        """exp(-i t H) on the register, as a dense matrix; the register
+        Hamiltonian is assembled and diagonalised on the first call of any
+        thread."""
         with self._register_lock:
             if self._register is None:
                 self._register = np.linalg.eigh(build_hamiltonian(self.spec))
         eigvals, eigvecs = self._register
         self._check(t, eigvals)
-        return np.exp(-1j * t * eigvals), eigvecs
-
-    def evolve(self, ket: np.ndarray, t: float) -> np.ndarray:
-        """exp(-i t H) ket for any register ket; at t = 0 the ket itself, exactly.
-        No run calls it: it is the register-ket evolution that the sector
-        routes are checked against in the tests."""
-        ket = np.asarray(ket, dtype=np.complex128)
-        if t == 0.0:
-            return ket.copy()
-        phases, eigvecs = self._register_phases(t)
-        return _real_matmul(eigvecs, phases * _real_matmul(eigvecs.T, ket))
-
-    def unitary(self, t: float) -> np.ndarray:
-        """exp(-i t H) on the register, as a dense matrix."""
-        phases, eigvecs = self._register_phases(t)
+        phases = np.exp(-1j * t * eigvals)
         return _real_matmul(eigvecs, phases[:, None] * eigvecs.T)
 
 
@@ -316,7 +303,7 @@ def find_pst_time(
     could bracket any near-perfect revival in the window.
     """
     if not (0.0 < t_max < math.inf):
-        raise ValueError("t_max must be positive and finite")
+        raise ValueError(f"t_max must be positive and finite, got {t_max!r}")
     if grid_points < 3:
         raise ValueError("grid needs at least 3 points")
     if spectrum is None:

@@ -6,7 +6,7 @@ Three subcommands:
                write results.csv / reference.csv / manifest.json; a sweep
                diagonalises each distinct chain once and measures each
                noiseless twin once (protocol.prepare_references), and a
-               single config runs as a sweep of one point
+               single config runs as a sweep of one point, down to its files
   pst          print the transfer time and per-level amplitudes for a chain
   conformance  write the closed-form comparison report (csv + md)
 
@@ -18,6 +18,11 @@ caller. A refused field raises ConfigError, whose message begins with the
 field's JSON name; in a sweep it is prefixed with the refused entry's point,
 e.g. `point-001: noise.p: ...`, and a chain that cannot resolve t_total
 names every point it refuses, e.g. `point-001, point-002: t_total: ...`.
+
+Every run stages each point's files in a hidden `.sweep-*` directory inside
+--out and moves them into place (point-NNN/, or --out itself for a single
+config) only once every point has succeeded; the staging directory is removed
+however the run ends, so a failed run leaves --out as it found it.
 
 `run` loads no more than it needs: the config digest comes from the
 interpreter's built-in SHA-256 (hashlib, and with it OpenSSL, only where
@@ -58,7 +63,7 @@ from .protocol import (
     ConfigError,
     ExperimentConfig,
     NoiseSpec,
-    PreparedReference,
+    TransferRecord,
     engine,
     prepare_references,
     run_experiment,
@@ -73,16 +78,9 @@ except ImportError:
     except ImportError:
         from hashlib import sha256 as _sha256
 
-RESULT_COLUMNS = (
-    "step",
-    "time",
-    "ccnr",
-    "ccnr_amplified_margin",
-    "concurrence",
-    "transfer_probability",
-    "fidelity_to_input",
-    "gamma_ok",
-)
+# TransferRecord's fields are results.csv's columns, in their declared order
+_RECORD_FIELDS = dataclasses.fields(TransferRecord)
+RESULT_COLUMNS = tuple(f.name for f in _RECORD_FIELDS)
 
 # JSON key -> dataclass field of each config section; only the chain's n is
 # renamed, to `nodes`
@@ -185,28 +183,26 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17e")
 
 
+# each column is written by its field's declared type, a string since protocol
+# postpones its annotations; the int columns name a record in a refusal
+_FORMATS = {"int": str, "float": _fmt, "bool": lambda value: "true" if value else "false"}
+_COLUMN_FORMATS = tuple((f.name, _FORMATS[f.type]) for f in _RECORD_FIELDS)
+_FLOAT_COLUMNS = tuple(f.name for f in _RECORD_FIELDS if f.type == "float")
+_INT_COLUMNS = tuple(f.name for f in _RECORD_FIELDS if f.type == "int")
+
+
 def _records_csv(records) -> str:
     lines = [",".join(RESULT_COLUMNS)]
     for rec in records:
-        lines.append(",".join((
-            str(rec.step),
-            _fmt(rec.time),
-            _fmt(rec.ccnr),
-            _fmt(rec.ccnr_amplified_margin),
-            _fmt(rec.concurrence),
-            _fmt(rec.transfer_probability),
-            _fmt(rec.fidelity_to_input),
-            "true" if rec.gamma_ok else "false",
-        )))
+        lines.append(",".join(fmt(getattr(rec, name)) for name, fmt in _COLUMN_FORMATS))
     return "\n".join(lines) + "\n"
 
 
 def _check_finite(records) -> None:
     for rec in records:
-        values = (rec.time, rec.ccnr, rec.ccnr_amplified_margin,
-                  rec.concurrence, rec.transfer_probability, rec.fidelity_to_input)
-        if not all(math.isfinite(v) for v in values):
-            raise FloatingPointError(f"non-finite value in step {rec.step}")
+        if not all(math.isfinite(getattr(rec, name)) for name in _FLOAT_COLUMNS):
+            where = ", ".join(f"{name} {getattr(rec, name)}" for name in _INT_COLUMNS)
+            raise FloatingPointError(f"non-finite value in {where}")
 
 
 _PLOT_SCRIPT = """\
@@ -240,24 +236,6 @@ fig.tight_layout()
 fig.savefig("transfer.png", dpi=150)
 print("wrote transfer.png")
 """
-
-
-def _run_one(config: ExperimentConfig, prepared: PreparedReference, reference_csv: str,
-             plot_script: bool = False) -> dict[str, str]:
-    """Execute one experiment from its prepared noiseless twin; returns its
-    output files, name -> text. reference_csv is the twin's records as CSV
-    text, already checked: a noiseless run's results.csv and a noisy run's
-    reference.csv. A noisy run's records are checked before any text is
-    returned."""
-    records, reference = run_experiment(config, prepared)
-    if reference is None:   # a noiseless run: its records are its twin's
-        files = {"results.csv": reference_csv}
-    else:
-        _check_finite(records)
-        files = {"results.csv": _records_csv(records), "reference.csv": reference_csv}
-    if plot_script:
-        files["plot_results.py"] = _PLOT_SCRIPT
-    return files
 
 
 def _parse_point(entry, point: str) -> ExperimentConfig:
@@ -295,10 +273,8 @@ def _cmd_run(args) -> int:
     out_dir = _out_dir(args.out)
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
 
-    # A sweep writes each point's files once, flat in a private staging
-    # directory inside --out, and moves them into point-NNN/ only after every
-    # point has succeeded, so a failing point leaves no partial output behind.
-    stage = tempfile.mkdtemp(prefix=".sweep-", dir=out_dir) if sweep else None
+    # every point's files are staged here, then moved into place once all have succeeded
+    stage = tempfile.mkdtemp(prefix=".sweep-", dir=out_dir)
     pool = None
     if args.jobs > 1 and len(configs) > 1:
         import concurrent.futures   # only a parallel sweep loads the pool's modules
@@ -325,33 +301,38 @@ def _cmd_run(args) -> int:
         clock.append(time.perf_counter())
 
         def run_point(i: int) -> list[str]:
+            """Run point i from its prepared twin and stage its files, a noisy
+            run's records checked first; returns the files' names."""
             twin, prepared[i] = prepared[i], None
-            files = _run_one(configs[i], twin, reference_csv[twin.key], args.plot_script)
+            records, reference = run_experiment(configs[i], twin)
+            if reference is None:   # a noiseless run: its records are its twin's
+                files = {"results.csv": reference_csv[twin.key]}
+            else:
+                _check_finite(records)
+                files = {"results.csv": _records_csv(records),
+                         "reference.csv": reference_csv[twin.key]}
+            if args.plot_script:
+                files["plot_results.py"] = _PLOT_SCRIPT
             for name, text in files.items():
-                if sweep:
-                    with open(os.path.join(stage, f"{points[i]}-{name}"), "w",
-                              encoding="utf-8") as fh:
-                        fh.write(text)
-                else:
-                    _atomic_write(out_dir / name, text)
+                with open(os.path.join(stage, f"{points[i]}-{name}"), "w",
+                          encoding="utf-8") as fh:
+                    fh.write(text)
             return list(files)
 
         names = list(parallel_map(run_point, range(len(configs))))
         clock.append(time.perf_counter())
-        if sweep:
-            for point, files in zip(points, names):
-                target = out_dir / point
-                target.mkdir(exist_ok=True)
-                for name in files:
-                    os.replace(os.path.join(stage, f"{point}-{name}"), os.path.join(target, name))
+        for point, files in zip(points, names):
+            target = out_dir / point    # --out itself when point is ""
+            target.mkdir(exist_ok=True)
+            for name in files:
+                os.replace(os.path.join(stage, f"{point}-{name}"), target / name)
     except (np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     finally:
         if pool is not None:
             pool.shutdown()
-        if sweep:
-            shutil.rmtree(stage, ignore_errors=True)
+        shutil.rmtree(stage, ignore_errors=True)
 
     output_paths = [str(Path(point) / name)
                     for point, files in zip(points, names) for name in files]
@@ -377,16 +358,12 @@ def _cmd_run(args) -> int:
 
 def _cmd_pst(args) -> int:
     spec = ChainSpec(d=args.d, n=args.nodes)
-    if not (0.0 < args.tmax < math.inf):
-        print(f"config error: --tmax must be positive and finite, got {args.tmax}",
-              file=sys.stderr)
-        return 2
     try:
         t_star, amplitude = find_pst_time(spec, t_max=args.tmax)
     except (np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:   # a window the scan would alias
+    except ValueError as exc:   # a window that is not positive and finite, or would alias
         print(f"config error: --tmax: {exc}", file=sys.stderr)
         return 2
     print(f"d            = {spec.d}")

@@ -147,24 +147,18 @@ def test_vacuum_annihilated():
 def test_propagator_identity_at_zero():
     spectrum = Spectrum(ChainSpec(d=2, n=3))
     assert np.allclose(spectrum.unitary(0.0), np.eye(8), atol=1e-14)
-    psi = np.arange(8) / np.linalg.norm(np.arange(8))
-    assert np.array_equal(spectrum.evolve(psi, 0.0), psi)
 
 
 def test_propagator_semigroup():
     spectrum = Spectrum(ChainSpec(d=3, n=2))
     u = spectrum.unitary(0.4) @ spectrum.unitary(0.9)
     assert np.allclose(u, spectrum.unitary(1.3), atol=1e-12)
-    psi = np.eye(9)[5]
-    step = spectrum.evolve(spectrum.evolve(psi, 0.4), 0.9)
-    assert np.allclose(step, spectrum.evolve(psi, 1.3), atol=1e-12)
 
 
 def test_propagator_full_swap_at_pi():
     spectrum = Spectrum(ChainSpec(d=2, n=2))
     u = spectrum.unitary(math.pi)
     assert abs(u[1, 2]) == pytest.approx(1.0, abs=1e-12)  # |10> -> |01| amplitude
-    assert abs(spectrum.evolve(np.eye(4)[2], math.pi)[1]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_spectrum_unitary_zero_couplings():
@@ -249,18 +243,12 @@ def test_find_pst_time_rejects_bad_window():
 
 
 def test_spectrum_evolution_matches_propagator():
-    rng = np.random.default_rng(7)
     for d, n in ((2, 2), (2, 5), (3, 3), (4, 3)):
         spec = ChainSpec(d=d, n=n)
         h = build_hamiltonian(spec)
         spectrum = Spectrum(spec)
-        psi = rng.normal(size=spec.dim) + 1j * rng.normal(size=spec.dim)
-        psi /= np.linalg.norm(psi)
-        assert np.array_equal(spectrum.evolve(psi, 0.0), psi)
         for t in (0.3, math.pi / 7, math.pi, 5.5):
-            u = _complex_propagator(h, t)
-            assert np.max(np.abs(spectrum.evolve(psi, t) - u @ psi)) <= 1e-12
-            assert np.max(np.abs(spectrum.unitary(t) - u)) <= 1e-12
+            assert np.max(np.abs(spectrum.unitary(t) - _complex_propagator(h, t))) <= 1e-12
 
 
 def test_find_pst_time_reuses_given_spectrum(monkeypatch):
@@ -286,13 +274,9 @@ def test_find_pst_time_overflowing_phases_name_the_chain():
 def test_spectrum_refuses_phases_without_precision():
     # |E t| ~ 1.4e308 leaves the phase exp(-i E t) undetermined by ~1e292 rad
     spectrum = Spectrum(ChainSpec(d=2, n=3, couplings=[1e308, 1e308]))
-    ket = np.zeros(8, dtype=complex)
-    ket[4] = 1.0
-    for call in (lambda: spectrum.evolve(ket, 0.5), lambda: spectrum.unitary(0.5),
-                 lambda: spectrum.sector_unitary(0.5)):
+    for call in (spectrum.unitary, spectrum.sector_unitary):
         with pytest.raises(FloatingPointError, match=r"d=2, nodes=3, couplings=\[1e\+308"):
-            call()
-    assert np.array_equal(spectrum.evolve(ket, 0.0), ket)
+            call(0.5)
 
 
 def test_spectrum_phase_precision_threshold():
@@ -374,7 +358,7 @@ def test_spectrum_builds_the_register_lazily_and_once(monkeypatch):
     find_pst_time(spec, spectrum=spectrum)
     assert built == []
     spectrum.unitary(0.5)
-    spectrum.evolve(np.eye(27)[9], 0.5)
+    spectrum.unitary(1.5)
     assert built == [spec]
 
 

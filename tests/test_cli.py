@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import hashlib
 import json
@@ -19,7 +20,7 @@ from qsct.conformance import (
     average_fidelity_comparison,
     conformance_closed_forms,
 )
-from qsct.protocol import ConfigError, ExperimentConfig, NoiseSpec, run_experiment
+from qsct.protocol import ConfigError, ExperimentConfig, NoiseSpec, TransferRecord, run_experiment
 
 ROOT3 = 1.0 / math.sqrt(3.0)
 
@@ -47,6 +48,8 @@ def test_run_noiseless_outputs(tmp_path, capsys):
     lines = (out / "results.csv").read_text().splitlines()
     assert lines[0] == ("step,time,ccnr,ccnr_amplified_margin,concurrence,"
                         "transfer_probability,fidelity_to_input,gamma_ok")
+    # the columns are TransferRecord's fields, in their declared order
+    assert lines[0].split(",") == [f.name for f in dataclasses.fields(TransferRecord)]
     assert len(lines) == 10  # header + steps+1 records
     first = lines[1].split(",")
     assert first[0] == "0"
@@ -543,19 +546,25 @@ OVERFLOWING_CONFIG = dict(BASE_CONFIG, chain={"d": 2, "nodes": 3, "couplings": [
 
 def _assert_failing_sweep_leaves_no_partial_output(tmp_path, capsys, jobs, failing, code,
                                                    message):
+    # failing is the list of a sweep's failing entries, or one failing single
+    # config, which is held to the same rule
+    single = isinstance(failing, dict)
     out = tmp_path / "out"
-    cfg = _write_config(tmp_path, [BASE_CONFIG, *failing, NOISY_CONFIG])
+    cfg = _write_config(tmp_path, failing if single else [BASE_CONFIG, *failing, NOISY_CONFIG])
     assert main(["run", "--config", str(cfg), "--out", str(out), "--jobs", jobs]) == code
     assert message in capsys.readouterr().err
     assert list(out.iterdir()) == []
 
-    # an earlier successful sweep in the same directory is left as it was
-    good = _write_config(tmp_path, [BASE_CONFIG, NOISY_CONFIG], name="good.json")
+    # an earlier successful run in the same directory is left as it was, and
+    # no staging directory or temporary file is left beside it
+    good = _write_config(tmp_path, NOISY_CONFIG if single else [BASE_CONFIG, NOISY_CONFIG],
+                         name="good.json")
     assert main(["run", "--config", str(good), "--out", str(out), "--jobs", jobs]) == 0
-    before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    before = {p: p.read_bytes() if p.is_file() else None for p in out.rglob("*")}
     assert main(["run", "--config", str(cfg), "--out", str(out), "--jobs", jobs]) == code
-    after = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    after = {p: p.read_bytes() if p.is_file() else None for p in out.rglob("*")}
     assert after == before
+    assert not [p for p in after if p.name.startswith(".")]
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -579,7 +588,9 @@ DEPHASING = {"kind": "phase_damping", "topology": "interleaved", "p": 0.9}
     ([dict(LOST_PHASES_CONFIG, noise=DEPHASING), LOST_PHASES_CONFIG,
       dict(LOST_PHASES_CONFIG, noise=dict(DEPHASING, topology="local_after"))],
      3, "lose their precision"),
-], ids=["aliasing", "overflowing"])
+    # a single noisy config whose own twin's reference fails
+    (dict(LOST_PHASES_CONFIG, noise=DEPHASING), 3, "lose their precision"),
+], ids=["aliasing", "overflowing", "single"])
 def test_failing_shared_twin_leaves_no_partial_output(tmp_path, capsys, jobs, failing, code,
                                                       message):
     _assert_failing_sweep_leaves_no_partial_output(tmp_path, capsys, jobs, failing, code, message)
