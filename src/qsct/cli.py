@@ -26,13 +26,16 @@ however the run ends, so a failed run leaves --out as it found it.
 
 `run` loads no more than it needs: the config digest comes from the
 interpreter's built-in SHA-256 (hashlib, and with it OpenSSL, only where
-neither _sha2 nor _sha256 exists), concurrent.futures is imported only
-by a sweep of more than one point at --jobs > 1, the one case that builds a
-thread pool, and qsct.conformance (the closed forms, the Kraus lists and the
-report's writers) only by `conformance`. manifest.json records the
-environment a run was taken in (Python, numpy, BLAS, CPU count, BLAS thread
-variables) and the wall seconds of its four stages (`timings`: parse,
-prepare, points, output).
+neither _sha2 nor _sha256 exists), no run imports concurrent.futures, and
+qsct.conformance (the closed forms, the Kraus lists and the report's writers)
+is imported only by `conformance`. A sweep at --jobs N runs on N workers, the
+calling thread among them (qsct.workers, which only such a sweep imports), so
+it starts at most N - 1 threads; a single config, or a sweep at --jobs 1, runs
+on the built-in map.
+
+manifest.json records the environment a run was taken in (Python, numpy,
+BLAS, CPU count, BLAS thread variables) and the wall seconds of its four
+stages (`timings`: parse, prepare, points, output).
 
 The `qsct` executable (console_main) freezes the heap once main() returns;
 main() itself never touches gc.
@@ -45,9 +48,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import datetime
+import functools
 import gc
 import json
 import math
+import operator
 import os
 import shutil
 import sys
@@ -184,9 +189,15 @@ def _fmt(value: float) -> str:
 
 
 # each column is written by its field's declared type, a string since protocol
-# postpones its annotations; the int columns name a record in a refusal
-_FORMATS = {"int": str, "float": _fmt, "bool": lambda value: "true" if value else "false"}
-_COLUMN_FORMATS = tuple((f.name, _FORMATS[f.type]) for f in _RECORD_FIELDS)
+# postpones its annotations ('%.17e' % x is format(x, '.17e') for every finite
+# float). The one bool column is written into the row template, one template
+# for each of its values; the int columns name a record in a refusal.
+(_FLAG_COLUMN,) = (f.name for f in _RECORD_FIELDS if f.type == "bool")
+_ROWS = tuple(",".join(flag if f.type == "bool" else {"int": "%d", "float": "%.17e"}[f.type]
+                       for f in _RECORD_FIELDS)
+              for flag in ("false", "true"))
+_row_flag = operator.attrgetter(_FLAG_COLUMN)
+_row_values = operator.attrgetter(*(f.name for f in _RECORD_FIELDS if f.type != "bool"))
 _FLOAT_COLUMNS = tuple(f.name for f in _RECORD_FIELDS if f.type == "float")
 _INT_COLUMNS = tuple(f.name for f in _RECORD_FIELDS if f.type == "int")
 
@@ -194,7 +205,7 @@ _INT_COLUMNS = tuple(f.name for f in _RECORD_FIELDS if f.type == "int")
 def _records_csv(records) -> str:
     lines = [",".join(RESULT_COLUMNS)]
     for rec in records:
-        lines.append(",".join(fmt(getattr(rec, name)) for name, fmt in _COLUMN_FORMATS))
+        lines.append(_ROWS[bool(_row_flag(rec))] % _row_values(rec))
     return "\n".join(lines) + "\n"
 
 
@@ -275,11 +286,11 @@ def _cmd_run(args) -> int:
 
     # every point's files are staged here, then moved into place once all have succeeded
     stage = tempfile.mkdtemp(prefix=".sweep-", dir=out_dir)
-    pool = None
-    if args.jobs > 1 and len(configs) > 1:
-        import concurrent.futures   # only a parallel sweep loads the pool's modules
-        pool = concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs)
-    parallel_map = map if pool is None else pool.map
+    if args.jobs == 1 or len(configs) == 1:
+        parallel_map = map
+    else:
+        from .workers import worker_map     # only a parallel sweep compiles it
+        parallel_map = functools.partial(worker_map, args.jobs)
     try:
         # Every point of a noiseless twin shares its chain's spectrum and
         # its reference records, checked and formatted once. Each point
@@ -330,8 +341,6 @@ def _cmd_run(args) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     finally:
-        if pool is not None:
-            pool.shutdown()
         shutil.rmtree(stage, ignore_errors=True)
 
     output_paths = [str(Path(point) / name)
@@ -405,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", required=True, help="path to the JSON config")
     p_run.add_argument("--out", required=True, help="output directory")
     p_run.add_argument("--jobs", type=int, default=1,
-                       help="parallel workers for sweep configs")
+                       help="workers for sweep configs, the calling thread among them")
     p_run.add_argument("--plot-script", action="store_true",
                        help="also write a matplotlib script that renders the CSV")
     p_run.set_defaults(func=_cmd_run)
@@ -437,8 +446,8 @@ def main(argv=None) -> int:
 def console_main() -> None:
     """The `qsct` executable: main(), then exit with its code.
 
-    By the time main() returns every file is written and renamed and any
-    thread pool is shut down, so the heap is frozen before exiting: the
+    By the time main() returns every file is written and renamed and every
+    --jobs worker has been joined, so the heap is frozen before exiting: the
     interpreter's final collections then skip the objects that numpy and
     qsct made on import, which is most of an exit's cost. Atexit handlers
     and the flushing of stdout and stderr still run.

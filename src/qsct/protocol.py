@@ -407,8 +407,8 @@ def prepare_references(
     Configs share a twin when they differ at most in noise, seed and
     gamma_tolerance, and a chain when they have the same d, n and couplings.
     Each distinct chain (in order of first appearance) is diagonalised once
-    and its transfer time searched at most once; mapper (map, or an
-    executor's map) runs the chains, each one's twins in turn. A chain whose
+    and its transfer time searched at most once; mapper (map, or another
+    map-like callable) runs the chains, each one's twins in turn. A chain whose
     transfer time cannot be searched refuses every config on it that leaves
     t_total open: the ConfigError lists their positions in `configs`.
     """

@@ -6,6 +6,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +23,7 @@ from qsct.conformance import (
     conformance_closed_forms,
 )
 from qsct.protocol import ConfigError, ExperimentConfig, NoiseSpec, TransferRecord, run_experiment
+from qsct.workers import worker_map
 
 ROOT3 = 1.0 / math.sqrt(3.0)
 
@@ -62,6 +65,25 @@ def test_run_noiseless_outputs(tmp_path, capsys):
     assert manifest["output_paths"] == ["results.csv"]
     assert manifest["seed"] == 0
     assert len(manifest["config_digest"]) == 64
+
+
+def test_records_csv_matches_per_value_formatting():
+    # the row template against formatting each value on its own, on values
+    # at the edges of the float range, numpy scalars and both flag values
+    floats = [-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -1.0 / 3.0,
+              np.float64(math.pi), np.float64(-1e-300), 1, 0.1 + 0.2]
+    records = [TransferRecord(step, floats[step % 9], *floats[step % 3:step % 3 + 5],
+                              gamma_ok=flag)
+               for step, flag in zip([0, 1, np.int64(2), 3, 17], [True, False, np.True_,
+                                                                   np.False_, True])]
+    expected = ["step,time,ccnr,ccnr_amplified_margin,concurrence,"
+                "transfer_probability,fidelity_to_input,gamma_ok"]
+    for rec in records:
+        expected.append(",".join(
+            [str(rec.step)] + [format(float(getattr(rec, f.name)), ".17e")
+                               for f in dataclasses.fields(TransferRecord) if f.type == "float"]
+            + ["true" if rec.gamma_ok else "false"]))
+    assert _records_csv(records) == "\n".join(expected) + "\n"
 
 
 def test_run_noisy_emits_reference(tmp_path):
@@ -199,10 +221,11 @@ WEYL_DENSE_CONFIG = dict(BASE_CONFIG, noise={
 
 def test_run_path_footprint(tmp_path):
     # a single config and a sweep (a sector point and a dense Weyl point) at
-    # --jobs 1 load neither OpenSSL nor the thread pool's modules; the same
-    # sweep at --jobs 2 builds a pool and writes the same files. No run loads
-    # the conformance report's module or the generator basis; `conformance`
-    # loads its module and writes what the library renders.
+    # --jobs 1 load neither OpenSSL, concurrent.futures nor the worker map;
+    # the same sweep at --jobs 2 runs on two workers, still without
+    # concurrent.futures, and writes the same files. No run loads the
+    # conformance report's module or the generator basis; `conformance` loads
+    # its module and writes what the library renders.
     single = _write_config(tmp_path, NOISY_CONFIG, name="single.json")
     sweep = _write_config(tmp_path, [NOISY_CONFIG, WEYL_DENSE_CONFIG], name="sweep.json")
     script = (
@@ -212,7 +235,7 @@ def test_run_path_footprint(tmp_path):
         "report = ('qsct.conformance', 'qsct.generators')\n"
         "assert main(['run', '--config', single, '--out', out + '/single']) == 0\n"
         "assert main(['run', '--config', sweep, '--out', out + '/jobs1', '--jobs', '1']) == 0\n"
-        "heavy = ('_hashlib', '_ssl', 'concurrent.futures')\n"
+        "heavy = ('_hashlib', '_ssl', 'concurrent.futures', 'qsct.workers')\n"
         "loaded = sorted(name for name in heavy + report if name in sys.modules)\n"
         "assert main(['run', '--config', sweep, '--out', out + '/jobs2', '--jobs', '2']) == 0\n"
         "pool = [name in sys.modules for name in ('concurrent.futures',) + report]\n"
@@ -224,7 +247,7 @@ def test_run_path_footprint(tmp_path):
     assert run.returncode == 0, run.stderr
     loaded, pool, report_loaded = json.loads(run.stderr)
     assert loaded == []
-    assert pool == [True, False, False]
+    assert pool == [False, False, False]
     assert report_loaded
     jobs1, jobs2 = tmp_path / "jobs1", tmp_path / "jobs2"
     files = sorted(p.relative_to(jobs1) for p in jobs1.rglob("*") if p.is_file())
@@ -330,15 +353,151 @@ def test_run_global_phase_damping_past_the_double_range(tmp_path, d, nodes):
     assert results[:-1] == (out / "reference.csv").read_text().splitlines()[:-1]
 
 
-def test_run_sweep_parallel_matches_serial(tmp_path):
+def _count_thread_starts(monkeypatch, limit: int) -> list:
+    """The threads started from now on; a start past `limit` raises instead
+    of starting a thread."""
+    started, start = [], threading.Thread.start
+
+    def counting_start(self):
+        if len(started) == limit:
+            raise RuntimeError(f"more than {limit} threads started")
+        started.append(self)
+        return start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    return started
+
+
+def test_run_sweep_parallel_matches_serial(tmp_path, monkeypatch):
+    # three points on one chain: the chains' phase has one task and runs on
+    # the caller alone, and the points' phase on three workers, the caller
+    # and two threads, however many --jobs asks for
     sweep = [BASE_CONFIG, NOISY_CONFIG, dict(BASE_CONFIG, steps=4)]
     cfg = _write_config(tmp_path, sweep)
-    serial, parallel = tmp_path / "serial", tmp_path / "parallel"
+    serial = tmp_path / "serial"
     assert main(["run", "--config", str(cfg), "--out", str(serial)]) == 0
-    assert main(["run", "--config", str(cfg), "--out", str(parallel), "--jobs", "3"]) == 0
-    for sub in ("point-000", "point-001", "point-002"):
-        assert ((serial / sub / "results.csv").read_bytes()
-                == (parallel / sub / "results.csv").read_bytes())
+    started = _count_thread_starts(monkeypatch, limit=2)
+    for jobs in ("3", "1000000"):
+        parallel = tmp_path / f"jobs{jobs}"
+        started.clear()
+        assert main(["run", "--config", str(cfg), "--out", str(parallel), "--jobs", jobs]) == 0
+        assert len(started) == 2
+        for sub in ("point-000", "point-001", "point-002"):
+            assert ((serial / sub / "results.csv").read_bytes()
+                    == (parallel / sub / "results.csv").read_bytes())
+
+
+def test_worker_map_runs_each_item_once_in_order():
+    # more workers than cores, each item yielding the interpreter lock and
+    # threads switching as often as the interpreter allows: a lost update of
+    # the shared claim would run an item twice or skip one
+    calls, interval = [], sys.getswitchinterval()
+
+    def square(i):
+        calls.append(i)
+        time.sleep(0)
+        return i * i
+
+    sys.setswitchinterval(1e-6)
+    try:
+        results = worker_map(6, square, range(2000))
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [i * i for i in range(2000)]
+    assert sorted(calls) == list(range(2000))
+
+
+@pytest.mark.parametrize("sweep, starts", [
+    ([BASE_CONFIG, NOISY_CONFIG, dict(BASE_CONFIG, steps=4)], 1),   # one chain
+    ([BASE_CONFIG, NOISY_CONFIG,                                    # two chains
+      dict(BASE_CONFIG, chain={"d": 2, "nodes": 3}, input_amplitudes=[0.6, 0.8])], 2),
+], ids=["one-chain", "two-chains"])
+def test_jobs_two_runs_points_on_the_caller(tmp_path, monkeypatch, sweep, starts):
+    # --jobs 2 is the caller and one thread: each phase with two or more tasks
+    # starts one thread, and the caller runs points itself. A thread's point
+    # waits for one of the caller's, so a fast thread cannot take every point.
+    caller, caller_ran, runners = threading.get_ident(), threading.Event(), []
+
+    def recording(config, prepared=None):
+        runners.append(threading.get_ident())
+        if runners[-1] == caller:
+            caller_ran.set()
+        else:
+            caller_ran.wait(timeout=5)
+        return run_experiment(config, prepared)
+
+    monkeypatch.setattr("qsct.cli.run_experiment", recording)
+    started = _count_thread_starts(monkeypatch, limit=2)
+    assert main(["run", "--config", str(_write_config(tmp_path, sweep)),
+                 "--out", str(tmp_path / "out"), "--jobs", "2"]) == 0
+    assert len(started) == starts
+    assert len(runners) == 3
+    assert caller in runners
+    assert set(runners) <= {caller, started[-1].ident}
+
+
+@pytest.mark.parametrize("jobs", ["1", "2", "3"])
+def test_sweep_failure_is_the_first_failing_point(tmp_path, monkeypatch, capsys, jobs):
+    # points 1 and 2 fail with different messages and exit codes; point 1
+    # fails only after point 2 has, yet the run reports point 1, as the
+    # built-in map would. Point 0 takes no time, so at --jobs 2 a worker is
+    # free to take point 2 while point 1 waits.
+    point_two_failed = threading.Event()
+
+    def failing(config, prepared=None):
+        if config.seed == 1:
+            if jobs != "1":
+                assert point_two_failed.wait(timeout=10)
+            raise ConfigError("point-001: refused")
+        if config.seed == 2:
+            point_two_failed.set()
+            raise FloatingPointError("point-002: non-finite")
+        return run_experiment(config, prepared)
+
+    monkeypatch.setattr("qsct.cli.run_experiment", failing)
+    sweep = [dict(BASE_CONFIG, seed=seed) for seed in range(3)]
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(_write_config(tmp_path, sweep)), "--out", str(out),
+                 "--jobs", jobs]) == 2
+    assert capsys.readouterr().err == "config error: point-001: refused\n"
+    assert list(out.iterdir()) == []
+
+
+def test_no_point_is_claimed_after_a_failure(tmp_path, monkeypatch, capsys):
+    # at --jobs 2 point 0 fails. Point 1 may have been claimed before that
+    # failure, and then it returns only once the failing worker is done with
+    # it: a thread has ended, or the caller has begun to join the others. No
+    # later point is claimed, whichever worker failed.
+    caller, failed, joining = threading.current_thread(), threading.Event(), threading.Event()
+    failing_worker, claimed = [], []
+    join = threading.Thread.join
+
+    def noting_join(self, *args, **kwargs):
+        joining.set()
+        return join(self, *args, **kwargs)
+
+    def gated(config, prepared=None):
+        claimed.append(config.seed)
+        if config.seed == 0:
+            failing_worker.append(threading.current_thread())
+            failed.set()
+            raise FloatingPointError("point-000: non-finite")
+        failed.wait(timeout=10)
+        if failing_worker[0] is caller:
+            joining.wait(timeout=10)
+        else:
+            failing_worker[0].join(timeout=10)
+        return run_experiment(config, prepared)
+
+    monkeypatch.setattr(threading.Thread, "join", noting_join)
+    monkeypatch.setattr("qsct.cli.run_experiment", gated)
+    sweep = [dict(BASE_CONFIG, seed=seed) for seed in range(4)]
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(_write_config(tmp_path, sweep)), "--out", str(out),
+                 "--jobs", "2"]) == 3
+    assert capsys.readouterr().err == "numerical failure: point-000: non-finite\n"
+    assert sorted(claimed) in ([0], [0, 1])
+    assert list(out.iterdir()) == []
 
 
 def test_run_plot_script_flag(tmp_path):
