@@ -300,7 +300,11 @@ def find_pst_time(
     on the window (Spectrum.check_time), and then ValueError naming t_max when
     the scan step t_max / (grid_points - 1) exceeds 2 pi / (max E - min E),
     the period of the amplitude's fastest component: such a scan aliases and
-    could bracket any near-perfect revival in the window.
+    could bracket any near-perfect revival in the window. Raises ValueError
+    naming the chain and the window when the scan's largest modulus is at
+    most the scan's tie tolerance 1e-12: a chain that never transfers (a
+    broken link) has no transfer time, and every scan point would tie with
+    t = 0.
     """
     if not (0.0 < t_max < math.inf):
         raise ValueError(f"t_max must be positive and finite, got {t_max!r}")
@@ -322,8 +326,15 @@ def find_pst_time(
     ts = np.linspace(0.0, t_max, grid_points)
     vals = np.abs(amps.amplitude(ts))
     best = int(np.argmax(vals))
-    # earliest index within 1e-12 of the maximum
-    near = np.nonzero(vals >= vals[best] - 1e-12)[0]
+    # scan points within tie of the maximum tie with the earliest of them; a
+    # maximum within tie of 0 ties every point with t = 0
+    tie = 1e-12
+    if vals[best] <= tie:
+        raise ValueError(
+            f"the transfer amplitude of the chain {spectrum._describe()} stays within "
+            f"{tie:g} of 0 on the scanned window [0, {t_max!r}]: the chain does not transfer"
+        )
+    near = np.nonzero(vals >= vals[best] - tie)[0]
     best = int(near[0])
     lo = ts[max(best - 1, 0)]
     hi = ts[min(best + 1, grid_points - 1)]

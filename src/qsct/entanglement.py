@@ -12,10 +12,14 @@ arbitrary density matrix and coincides with the concurrence on pure input. A
 ket on the vacuum plus single excitations has at most two Schmidt
 coefficients, so one number, its concurrence in closed form, gives all three
 of its measures (sector_concurrence); no SVD is taken of it.
+A density matrix within _PURE_TOL of pure gives its level through its ket:
+rho times its column at its largest diagonal entry is that ket up to scale
+and phase (_pure_vector), an O(D^2) product, so no measure takes an eigh.
 Every measure takes a stack of states along leading axes and returns an
-array, one call (and one stacked SVD or eigh) for the whole stack; a single
-state gives a float. The printed closed-form transfer profiles of two-site
-chains, which only the conformance report evaluates, live in qsct.conformance.
+array, one call (and one stacked SVD or matmul) for the whole stack; a
+single state gives a float. The printed closed-form transfer profiles of
+two-site chains, which only the conformance report evaluates, live in
+qsct.conformance.
 """
 
 from __future__ import annotations
@@ -47,6 +51,23 @@ def _purity_gap(rho: np.ndarray) -> np.ndarray:
     """max(0, 1 - tr rho^2) of each Hermitian matrix of a stack (..., D, D)."""
     flat = rho.reshape(*rho.shape[:-2], -1)
     return np.maximum(0.0, 1.0 - inner(flat.conj(), flat).real)
+
+
+def _pure_vector(rho: np.ndarray) -> np.ndarray:
+    """The dominant eigenvector, unnormalized and up to a phase, of each matrix
+    of a stack (K, D, D) within _PURE_TOL of pure (_purity_gap): rho times
+    its column at its largest diagonal entry, one stacked matmul.
+
+    With rho = sum_k lambda_k u_k u_k^dagger, column j is
+    sum_k lambda_k conj(u_k[j]) u_k: the dominant term's coefficient has
+    modulus about sqrt(rho[j, j]) >= 1/sqrt(D), while the other eigenvalues
+    sum to about half the purity gap. The product with rho squares every
+    lambda_k, which leaves an admixture far below rounding. It costs one
+    O(D^2) product per state where a Hermitian eigh costs O(D^3), and each
+    state's vector is the same bit for bit whatever stack it is in.
+    """
+    j = np.argmax(rho.diagonal(axis1=-2, axis2=-1).real, axis=-1)
+    return (rho @ np.take_along_axis(rho, j[:, None, None], axis=-1))[..., 0]
 
 
 def ccnr(rho: np.ndarray, part: Bipartition) -> float | np.ndarray:
@@ -111,8 +132,10 @@ def entanglement_level(rho: np.ndarray, part: Bipartition) -> float | np.ndarray
 
     Routes globally pure input through the Schmidt form of its dominant
     eigenvector (mathematically the same number, numerically stable near 0);
-    genuinely mixed input uses the purity formula. A stack (..., D, D) gives
-    an array (...), its pure matrices taken by one stacked eigh.
+    genuinely mixed input uses the purity formula. The eigenvector is rho
+    times its column at its largest diagonal entry (_pure_vector), divided
+    by its norm. A stack (..., D, D) gives an array (...), its pure matrices
+    taken by one stacked matmul.
     """
     rho = np.asarray(rho)
     part.check(rho.shape[-1])
@@ -122,7 +145,8 @@ def entanglement_level(rho: np.ndarray, part: Bipartition) -> float | np.ndarray
     if not pure.all():
         level[~pure] = mixedness_indicator(stack[~pure], part)
     if pure.any():
-        level[pure] = concurrence_pure(np.linalg.eigh(stack[pure])[1][..., -1], part)
+        psi = _pure_vector(stack[pure])
+        level[pure] = concurrence_pure(psi / _norm(psi)[:, None], part)
     return level.reshape(rho.shape[:-2])[()]
 
 
@@ -167,7 +191,8 @@ def sector_measures(states: np.ndarray, cut: SectorCut,
     one again, meeting at -|x||z|, so the margin's matrix is C - a_c b_c^T
     with the marginals collapsed the same way. The level is the purity
     formula on rho_A, or for a globally pure rho the sector concurrence of
-    its dominant eigenvector.
+    its dominant eigenvector: rho times its column at its largest diagonal
+    entry (_pure_vector), which sector_concurrence takes unnormalized.
     """
     if kets:
         c = sector_concurrence(states, cut)
@@ -190,6 +215,6 @@ def sector_measures(states: np.ndarray, cut: SectorCut,
     level = np.sqrt(2.0 * gap_a)
     pure = _purity_gap(rho) <= _PURE_TOL
     if pure.any():
-        level[pure] = sector_concurrence(np.linalg.eigh(rho[pure])[1][..., -1], cut)
+        level[pure] = sector_concurrence(_pure_vector(rho[pure]), cut)
     return tuple(x.reshape(lead) for x in (norm_c, lhs - np.sqrt(gap_a * gap_b), level))
 

@@ -8,11 +8,15 @@ sector ket holds alpha_0 on the vacuum and alpha_r f_s on level r of site s
 (_Runner.sector_ket). One routine, _Runner.measure, takes every record, from
 a stack of states along a leading axis: sector kets, sector density
 matrices or register density matrices. Each partial trace, measure and
-decomposition (a stacked SVD or eigh) is one call for the whole stack, and
-a single record is a stack of one. A run evolves its states into a
-preallocated stack of at most _STACK_BYTES and measures it when it fills
-and after the last step; every record is the same bit for bit whatever
-stack it is measured in. Of a sector state:
+decomposition (a stacked SVD) is one call for the whole stack, and a single
+record is a stack of one. A density matrix within entanglement._PURE_TOL of
+pure (at t = 0, at perfect transfer, under a Weyl table with all its weight
+on one operator) takes its level from its ket, found as rho times its column
+at its largest diagonal entry, one stacked matmul: the run path's only eighs
+are Spectrum's, of the real J and the real register Hamiltonian. A run
+evolves its states into a preallocated stack of at most _STACK_BYTES and
+measures it when it fills and after the last step; every record is the same
+bit for bit whatever stack it is measured in. Of a sector state:
 
     endpoint pair - the sector partial trace onto the pair's (2d-1)-state
                     sector basis (vac, level r on site 1, level r on site N),

@@ -313,8 +313,24 @@ def test_find_pst_time_refuses_an_aliasing_scan():
     find_pst_time(spec, t_max=0.999 * limit)
     with pytest.raises(ValueError, match="t_max"):
         find_pst_time(spec, t_max=1.001 * limit)
-    # a zero-coupling chain has no fastest component and never aliases
-    assert find_pst_time(ChainSpec(d=2, n=2, couplings=[0.0]), t_max=1e6)[1] == 0.0
+    # a zero-coupling chain has no fastest component and never aliases: it is
+    # refused because it never transfers, not for its window
+    with pytest.raises(ValueError, match="does not transfer") as refusal:
+        find_pst_time(ChainSpec(d=2, n=2, couplings=[0.0]), t_max=1e6)
+    assert "alias" not in str(refusal.value)
+
+
+@pytest.mark.parametrize("n, couplings", [(3, [1.0, 0.0]), (3, [0.0, 1.0]), (3, [0.0, 0.0]),
+                                          (4, [1.0, 0.0, 1.0])],
+                         ids=["last-link", "first-link", "both-links", "middle-link"])
+def test_find_pst_time_refuses_a_chain_that_never_transfers(n, couplings):
+    # the end-to-end amplitude is 0 on the whole window, so every scan point
+    # ties with t = 0; the scan used to return t* ~ 4.7e-11
+    spec = ChainSpec(d=3, n=n, couplings=couplings)
+    assert np.max(np.abs(_TransferAmplitudes(spec).amplitude(np.linspace(0.0, 10.0, 101)))) == 0.0
+    with pytest.raises(ValueError, match=(rf"d=3, nodes={n}, couplings=\[.*\] stays within "
+                                          r"1e-12 of 0 on the scanned window \[0, 6\.28")):
+        find_pst_time(spec)
 
 
 def test_site_amplitudes_match_the_register_evolution():

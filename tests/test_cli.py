@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import gc
 import hashlib
@@ -753,6 +754,44 @@ DEPHASING = {"kind": "phase_damping", "topology": "interleaved", "p": 0.9}
 def test_failing_shared_twin_leaves_no_partial_output(tmp_path, capsys, jobs, failing, code,
                                                       message):
     _assert_failing_sweep_leaves_no_partial_output(tmp_path, capsys, jobs, failing, code, message)
+
+
+# A broken link: node 3 is cut off, so the end-to-end amplitude is 0 at
+# every time and there is no transfer time to search for.
+BROKEN_CHAIN = {"chain": {"d": 3, "nodes": 3, "couplings": [1.0, 0.0]},
+                "input_amplitudes": [0.6, 0.0, 0.8], "steps": 4, "bipartition": "endpoints"}
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_run_refuses_a_chain_that_never_transfers(tmp_path, capsys, jobs):
+    single = tmp_path / "single"
+    assert main(["run", "--config", str(_write_config(tmp_path, BROKEN_CHAIN, name="one.json")),
+                 "--out", str(single)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: t_total: required for this chain, ")
+    assert "couplings=[1.0, 0.0]" in err and "does not transfer" in err
+    assert list(single.iterdir()) == []
+    # a sweep names every point that leaves t_total open, and not the one that sets it
+    sweep = [BROKEN_CHAIN, dict(BROKEN_CHAIN, t_total=2.0), dict(BROKEN_CHAIN, noise=DEPHASING)]
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(_write_config(tmp_path, sweep)), "--out", str(out),
+                 "--jobs", jobs]) == 2
+    assert capsys.readouterr().err == err.replace("config error: ",
+                                                  "config error: point-000, point-002: ")
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("noise", [None, DEPHASING, SHIFTING_CONFIG["noise"]])
+def test_a_chain_that_never_transfers_runs_with_t_total(tmp_path, noise):
+    # a broken link is a deviation to detect: with t_total given it runs, and
+    # nothing ever reaches the last node
+    config = dict(BROKEN_CHAIN, t_total=2.0, **({} if noise is None else {"noise": noise}))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(_write_config(tmp_path, config)), "--out", str(out)]) == 0
+    name = "results.csv" if noise is None else "reference.csv"
+    rows = list(csv.DictReader((out / name).read_text().splitlines()))
+    assert len(rows) == 5
+    assert all(float(row["transfer_probability"]) == 0.0 for row in rows)
 
 
 # A sweep whose points repeat noiseless twins: two amplitude sets on the

@@ -6,15 +6,20 @@ import numpy as np
 import pytest
 
 from qsct.entanglement import (
+    _PURE_TOL,
+    _norm,
+    _pure_vector,
+    _purity_gap,
     amplified_ccnr_margin,
     ccnr,
     concurrence_pure,
     entanglement_level,
     mixedness_indicator,
+    sector_concurrence,
     sector_measures,
 )
 from qsct.conformance import closed_form_l2_d3, fit_cosine_series
-from qsct.linalg import Bipartition, SectorCut, partial_trace
+from qsct.linalg import Bipartition, SectorCut, inner, partial_trace
 
 from oracles import closed_form_l2_d2, partial_trace_pure, schmidt_measures
 
@@ -256,6 +261,8 @@ def test_pure_route_matches_density_route():
                 value, margin, level = schmidt_measures(psi, part)
                 assert value == pytest.approx(ccnr(rho, part), abs=1e-12)
                 assert margin == pytest.approx(amplified_ccnr_margin(rho, part), abs=1e-12)
+                # of a pure state, the margin is ccnr - 1 = (sum s)^2 - 1
+                assert abs(amplified_ccnr_margin(rho, part) - (value - 1.0)) <= 1e-12
                 assert level == pytest.approx(entanglement_level(rho, part), abs=1e-12)
                 assert level == concurrence_pure(psi, part)
             for keep in ([0, n - 1], [n - 1]):
@@ -308,7 +315,7 @@ def test_sector_ket_measures_near_a_product_state(scale):
 @pytest.mark.parametrize("da, db", [(2, 2), (2, 3), (3, 3), (4, 2), (2, 8)])
 def test_stacked_measures_match_each_matrix(da, db):
     # a (2, 3) stack of mixed and globally pure states: each measure is one
-    # call on the stack (the pure ones through one stacked eigh) and agrees
+    # call on the stack (the pure ones through one stacked matmul) and agrees
     # with the call on each matrix alone
     rng = np.random.default_rng(da * 10 + db)
     dim = da * db
@@ -330,3 +337,79 @@ def test_stacked_measures_match_each_matrix(da, db):
     values = concurrence_pure(kets, part)
     for ket, value in zip(kets, values):
         assert abs(value - concurrence_pure(ket, part)) <= 1e-13
+
+
+# A globally pure rho's vector: _pure_vector multiplies rho by its column at
+# its largest diagonal entry, checked against np.linalg.eigh's dominant
+# eigenvector on states within _PURE_TOL of pure.
+
+PURITY_GAPS = (0.0, 1e-16, 1e-14, 1e-13, 1e-12)
+
+
+def _nearly_pure_stack(rng, dim, gaps):
+    """Density matrices (len(gaps), dim, dim): a random ket mixed with a
+    random full-rank state at weight g / 2, so each purity gap is at most g."""
+    stack = np.empty((len(gaps), dim, dim), dtype=complex)
+    for rho, gap in zip(stack, gaps):
+        psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        psi /= np.linalg.norm(psi)
+        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        sigma = g @ g.conj().T
+        sigma /= np.trace(sigma).real
+        rho[:] = (1.0 - gap / 2.0) * np.outer(psi, psi.conj()) + gap / 2.0 * sigma
+    assert np.all(_purity_gap(stack) <= _PURE_TOL)
+    return stack
+
+
+def _assert_equal_up_to_phase(v, u, tol):
+    """Unit vectors v and u (..., D) are equal up to a global phase each."""
+    overlap = inner(u.conj(), v)
+    phase = overlap / np.abs(overlap)
+    assert np.max(np.abs(v - phase[..., None] * u)) <= tol
+
+
+@pytest.mark.parametrize("dim, part", [(4, Bipartition(2, 2)), (9, Bipartition(3, 3)),
+                                       (27, Bipartition(3, 9)), (81, Bipartition(9, 9)),
+                                       (243, Bipartition(9, 27)), (729, Bipartition(27, 27))])
+def test_pure_vector_of_a_register_matches_eigh(dim, part):
+    rng = np.random.default_rng(dim)
+    stack = _nearly_pure_stack(rng, dim, PURITY_GAPS if dim < 729 else PURITY_GAPS[::2])
+    u = np.linalg.eigh(stack)[1][..., -1]
+    v = _pure_vector(stack)
+    psi = v / _norm(v)[:, None]
+    _assert_equal_up_to_phase(psi, u, 1e-13)
+    assert np.max(np.abs(concurrence_pure(psi, part) - concurrence_pure(u, part))) <= 1e-14
+    assert np.max(np.abs(entanglement_level(stack, part) - concurrence_pure(u, part))) <= 1e-14
+
+
+@pytest.mark.parametrize("d, n, cut", [(2, 3, 1), (3, 3, 2), (4, 5, 2), (3, 12, 6)])
+def test_pure_vector_of_a_sector_state_matches_eigh(d, n, cut):
+    # the chain cut's sector basis: vacuum, then level r on site s at 1 + (r-1) n + s
+    rng = np.random.default_rng(d * 100 + n)
+    index = 1 + np.arange((d - 1) * n).reshape(d - 1, n)
+    sides = SectorCut(index[:, :cut].ravel(), index[:, cut:].ravel())
+    stack = _nearly_pure_stack(rng, 1 + (d - 1) * n, PURITY_GAPS)
+    u = np.linalg.eigh(stack)[1][..., -1]
+    v = _pure_vector(stack)
+    _assert_equal_up_to_phase(v / _norm(v)[:, None], u, 1e-13)
+    want = sector_concurrence(u, sides)
+    assert np.max(np.abs(sector_concurrence(v, sides) - want)) <= 1e-14
+    assert np.max(np.abs(sector_measures(stack, sides)[2] - want)) <= 1e-14
+
+
+def test_pure_vector_is_the_same_whatever_stack_it_is_in():
+    # each state's vector, and its level, bit for bit alone and in a stack
+    rng = np.random.default_rng(7)
+    part = Bipartition(3, 9)
+    index = 1 + np.arange(2 * 3).reshape(2, 3)
+    sides = SectorCut(index[:, :1].ravel(), index[:, 1:].ravel())
+    for stack, level in ((_nearly_pure_stack(rng, 27, PURITY_GAPS),
+                          lambda rho: entanglement_level(rho, part)),
+                         (_nearly_pure_stack(rng, 7, PURITY_GAPS),
+                          lambda rho: sector_measures(rho, sides)[2])):
+        vectors, levels = _pure_vector(stack), level(stack)
+        for i in range(len(stack)):
+            alone = np.array(stack[i:i + 1])
+            assert np.array_equal(_pure_vector(alone)[0], vectors[i])
+            assert np.array_equal(_pure_vector(stack[i:])[0], vectors[i])
+            assert level(alone)[0] == levels[i]

@@ -39,7 +39,7 @@ from qsct.protocol import (
     run_noisy,
 )
 
-from oracles import apply_channel, partial_trace_pure, schmidt_measures, weyl_channel
+from oracles import apply_channel, gate_x, partial_trace_pure, schmidt_measures, weyl_channel
 
 
 def _config(d=3, n=2, **kwargs):
@@ -1074,14 +1074,19 @@ def test_pure_noisy_record_at_a_cut_needs_no_register_eigh(monkeypatch):
 
 WEYL_SHIFTING = NoiseSpec(kind="weyl", topology="interleaved",
                           pi=[[0.8, 0.05, 0.0], [0.1, 0.0, 0.0], [0.05, 0.0, 0.0]])
+# all the weight on the shift X: a deterministic unitary error
+UNITARY_SHIFT = NoiseSpec(kind="weyl", topology="interleaved",
+                          pi=[[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
 
 
 @pytest.mark.parametrize("states", [1, 2, 3])
 @pytest.mark.parametrize("cut", ["endpoints", 2])
-@pytest.mark.parametrize("noise", [None, INTERLEAVED_DEPHASING, WEYL_SHIFTING])
+@pytest.mark.parametrize("noise", [None, INTERLEAVED_DEPHASING, WEYL_SHIFTING, UNITARY_SHIFT])
 def test_records_do_not_depend_on_the_stack_size(monkeypatch, noise, cut, states):
     # a budget of 1, 2 or 3 states (the kets of a noiseless run, the sector
-    # or register density matrices of a noisy one) against one stack
+    # or register density matrices of a noisy one) against one stack; the
+    # endpoint pair is pure at t = 0, and under the unitary shift every
+    # register state is pure
     import qsct.protocol
 
     cfg = _config(d=3, n=3, steps=7, t_total=2.0, bipartition=cut, noise=noise,
@@ -1116,3 +1121,78 @@ def test_a_dense_run_takes_two_svds_per_stack(monkeypatch):
         run_experiment(cfg)
         assert len(svds) <= 2 * stacks, (states, svds)
         assert all(shape[0] <= states for shape in svds), svds
+
+
+# Pure states. A globally pure state's level is read from one column of its
+# rho (entanglement._pure_vector), so no run hands np.linalg.eigh a complex
+# matrix. A Weyl table with all its weight on the shift X is a deterministic
+# unitary error: every state of its dense run stays pure.
+
+
+def _unitary_shift_noise(topology, chain):
+    size = chain.dim if topology == "global_after" else chain.d
+    pi = np.zeros((size, size))
+    pi[1, 0] = 1.0
+    return NoiseSpec(kind="weyl", topology=topology, pi=pi)
+
+
+@pytest.mark.parametrize("cut", ["endpoints", 1])
+@pytest.mark.parametrize("kind, topology", [(None, None), *NOISE_CASES,
+                                            *(("unitary_shift", t) for t in NOISE_TOPOLOGIES)])
+def test_no_run_calls_eigh_on_a_complex_matrix(monkeypatch, kind, topology, cut):
+    # every engine, topology and cut: the only eighs are Spectrum's, of the
+    # real J and the real register H. The transfer time is searched, so the
+    # endpoint pair is pure at t = 0 and at the last step.
+    chain = ChainSpec(d=3, n=3)
+    if kind is None:
+        noise = None
+    elif kind == "unitary_shift":
+        noise = _unitary_shift_noise(topology, chain)
+    else:
+        noise = _noise(kind, topology, chain, np.random.default_rng(3))
+    cfg = _config(d=3, n=3, steps=4, bipartition=cut, noise=noise,
+                  input_amplitudes=np.array([0.6, 0.0, 0.8]))
+    assert engine(cfg) == ("sector" if kind in (None, "phase_damping") else "dense")
+    eigh, shapes, complex_shapes = np.linalg.eigh, [], []
+
+    def counting_eigh(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        if np.iscomplexobj(a):
+            complex_shapes.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    run_experiment(cfg)
+    assert shapes and complex_shapes == []
+
+
+@pytest.mark.parametrize("topology", NOISE_TOPOLOGIES)
+def test_unitary_shift_records_meet_the_pure_state_identities(topology):
+    # a second route for the dense run's pure states: across the chain cut,
+    # ccnr is (sum s)^2 of the register ket's Schmidt coefficients s, and
+    # the margin is ccnr - 1; the kets come from the register's own eigh
+    d, n, cut = 3, 4, 2
+    chain = ChainSpec(d=d, n=n)
+    cfg = _config(d=d, n=n, steps=8, t_total=2.0, bipartition=cut,
+                  input_amplitudes=np.array([0.6, 0.48j, 0.64]),
+                  noise=_unitary_shift_noise(topology, chain))
+    assert engine(cfg) == "dense"
+    records, _ = run_experiment(cfg)
+    shift = gate_x(chain.dim)
+    if topology != "global_after":
+        shift = np.ones((1, 1))
+        for _ in range(n):
+            shift = np.kron(shift, gate_x(d))
+    dense = _DenseEvolution(chain, build_hamiltonian(chain))
+    dt = cfg.t_total / cfg.steps
+    first = 1 if topology == "interleaved" else cfg.steps
+    kets = [dense.ket(_dense_ket0(cfg), k * dt) for k in range(first + 1)]
+    kets[first] = shift @ kets[first]
+    u_step = dense.unitary(dt)
+    while len(kets) <= cfg.steps:
+        kets.append(shift @ (u_step @ kets[-1]))
+    assert len(records) == len(kets)
+    for record, ket in zip(records, kets):
+        s = np.linalg.svd(ket.reshape(d**cut, d ** (n - cut)), compute_uv=False)
+        assert abs(record.ccnr - s.sum() ** 2) <= 1e-12, record
+        assert abs(record.ccnr_amplified_margin - (record.ccnr - 1.0)) <= 1e-12, record
