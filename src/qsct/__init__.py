@@ -1,9 +1,8 @@
 """Qudit spin-chain state transfer with entanglement tracking and noise.
 
 The names below come from the modules that `qsct run` loads. The closed-form
-conformance report and the Kraus-list channels it reads are in
-qsct.conformance, and the generator basis in qsct.generators; import them
-from there.
+conformance report and its average fidelity are in qsct.conformance; import
+them from there.
 """
 
 from .chain import ChainSpec, build_hamiltonian, default_couplings, find_pst_time

@@ -40,6 +40,9 @@ import numpy as np
 MAX_DIM = 4096
 # largest phase error, in radians, that exp(-i E t) may carry: about |E t| eps
 PHASE_TOL = 1e-6
+# find_pst_time refuses a chain whose end-to-end amplitude never exceeds this:
+# less than eps of the excitation's weight (its square) ever arrives
+PST_FLOOR = math.sqrt(np.finfo(float).eps)
 
 
 class ConfigError(ValueError):
@@ -302,9 +305,8 @@ def find_pst_time(
     the period of the amplitude's fastest component: such a scan aliases and
     could bracket any near-perfect revival in the window. Raises ValueError
     naming the chain and the window when the scan's largest modulus is at
-    most the scan's tie tolerance 1e-12: a chain that never transfers (a
-    broken link) has no transfer time, and every scan point would tie with
-    t = 0.
+    most PST_FLOOR: a chain that never transfers (a broken link, or one so
+    weak that less than eps of the weight arrives) has no transfer time.
     """
     if not (0.0 < t_max < math.inf):
         raise ValueError(f"t_max must be positive and finite, got {t_max!r}")
@@ -326,15 +328,14 @@ def find_pst_time(
     ts = np.linspace(0.0, t_max, grid_points)
     vals = np.abs(amps.amplitude(ts))
     best = int(np.argmax(vals))
-    # scan points within tie of the maximum tie with the earliest of them; a
-    # maximum within tie of 0 ties every point with t = 0
-    tie = 1e-12
-    if vals[best] <= tie:
+    if vals[best] <= PST_FLOOR:
         raise ValueError(
             f"the transfer amplitude of the chain {spectrum._describe()} stays within "
-            f"{tie:g} of 0 on the scanned window [0, {t_max!r}]: the chain does not transfer"
+            f"{PST_FLOOR:.3g} of 0 on the scanned window [0, {t_max!r}]: the chain does "
+            f"not transfer"
         )
-    near = np.nonzero(vals >= vals[best] - tie)[0]
+    # scan points within 1e-12 of the maximum tie with the earliest of them
+    near = np.nonzero(vals >= vals[best] - 1e-12)[0]
     best = int(near[0])
     lo = ts[max(best - 1, 0)]
     hi = ts[min(best + 1, grid_points - 1)]

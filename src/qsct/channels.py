@@ -10,11 +10,11 @@ m = 0, holding binomially weighted clock powers
 
 so p = 1 is the identity channel.
 
-A channel exists here in one form, the one runs apply. The Kraus-list form
-(sqrt(pi_{m,n}) Z^n X^m as a list of matrices) is what the average-fidelity
-formula needs, and only the conformance report reads it: it lives in
-qsct.conformance, which `qsct run` never imports. `WeylTable` holds a
-channel as one Hadamard mask per shift row m that carries weight:
+A channel exists in one form, the one runs and the conformance report's
+average fidelity apply; no Kraus list (sqrt(pi_{m,n}) Z^n X^m as a list of
+matrices) is built anywhere in the package, and the tests keep that form as
+their independent route. `WeylTable` holds a channel as one Hadamard mask per
+shift row m that carries weight:
 
     (Z^n X^m) rho (Z^n X^m)^dagger [a, b] = w^{n (a-b)} rho[a-m, b-m],
     E(rho)[a, b] = sum_m M_m[a, b] rho[a-m, b-m],
@@ -143,8 +143,8 @@ def _table(shifts: tuple[int, ...], rows: np.ndarray) -> WeylTable:
 
 
 def phase_damping_table(d: int, p: float) -> WeylTable:
-    """Phase damping as a Weyl table (conformance.phase_damping is its Kraus
-    list): one row, m = 0, of binomial weights; no d x d table is formed."""
+    """Phase damping as a Weyl table: one row, m = 0, of binomial weights; no
+    d x d table is formed."""
     return _table((0,), np.array([_damping_weights(d, p)]))
 
 

@@ -27,11 +27,12 @@ however the run ends, so a failed run leaves --out as it found it.
 `run` loads no more than it needs: the config digest comes from the
 interpreter's built-in SHA-256 (hashlib, and with it OpenSSL, only where
 neither _sha2 nor _sha256 exists), no run imports concurrent.futures, and
-qsct.conformance (the closed forms, the Kraus lists and the report's writers)
-is imported only by `conformance`. A sweep at --jobs N runs on N workers, the
-calling thread among them (qsct.workers, which only such a sweep imports), so
-it starts at most N - 1 threads; a single config, or a sweep at --jobs 1, runs
-on the built-in map.
+qsct.conformance (the closed forms, the fidelity formula and the report's
+writers) is imported only by `conformance`. Every twin is prepared on the
+calling thread. A sweep at --jobs N runs its points on N workers, the calling
+thread among them (qsct.workers, which only such a sweep imports), so it
+starts at most N - 1 threads; a single config, or a sweep at --jobs 1, runs on
+the built-in map.
 
 manifest.json records the environment a run was taken in (Python, numpy,
 BLAS, CPU count, BLAS thread variables) and the wall seconds of its four
@@ -298,7 +299,7 @@ def _cmd_run(args) -> int:
         # register eigenpairs of a dense run among it) is freed as soon as
         # its last point has finished.
         try:
-            prepared = prepare_references(configs, parallel_map)
+            prepared = prepare_references(configs)
         except ConfigError as exc:
             if not (sweep and exc.configs):
                 raise

@@ -9,133 +9,58 @@ asserting) where the two disagree:
                         under the time mappings a = t and a = 2t
     four-site trace   - the half-chain trace of a three-level chain, fitted on
                         even cosine harmonics (fit_cosine_series)
-    average fidelity  - the trace formula over the composed two-qutrit
-                        dephasing map against the printed quadratic profile
+    average fidelity  - the trace formula over the two-qutrit transfer under
+                        per-site phase damping against the printed quadratic
+                        profile
 
-The fidelity table needs each channel as a list of Kraus operators:
-`KrausChannel` lists sqrt(pi_{m,n}) Z^n X^m, `phase_damping` its clock
-powers with channels' binomial weights, and `embed_channel` takes their cross
-product over sites. No `qsct run` builds one (runs apply qsct.channels'
-Weyl tables), so none of this is imported on the run path: qsct.cli imports
-the module only for the conformance subcommand.
+average_fidelity takes the Haar-mean fidelity of any Weyl table against a
+target unitary by applying the table to the D^2 matrix units with
+qsct.channels.apply_weyl_table, the routine every run applies; no Kraus
+operator is built. qsct.cli imports this module only for the conformance
+subcommand, so no `qsct run` loads it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import reduce
-from itertools import product
-from typing import Sequence
 
 import numpy as np
 
 from .chain import ChainSpec, Spectrum, find_pst_time
-from .channels import _damping_weights
+from .channels import WeylTable, apply_weyl_table, phase_damping_table
 from .cli import _fmt
 from .entanglement import sector_concurrence
 from .protocol import ExperimentConfig, _Runner
 
-TP_TOL = 1e-12
 L4_HARMONICS = (0, 2, 4, 6, 8, 10, 12)
 L4_SCALINGS = (0.5, 1.0, 2.0)
 
 
 # ---------------------------------------------------------------------------
-# Kraus-list channels and average fidelity
+# Average fidelity
 # ---------------------------------------------------------------------------
 
-def gate_z(d: int) -> np.ndarray:
-    """Clock gate diag(w^0, ..., w^{d-1})."""
-    if d < 2:
-        raise ValueError("d must be at least 2")
-    return np.diag(np.exp(2j * np.pi * np.arange(d) / d))
+def average_fidelity(u: np.ndarray, table: WeylTable, dims) -> float:
+    """Average fidelity between a target unitary and the channel that
+    apply_weyl_table(., table, dims) applies, the Haar mean of
+    <psi| U^dag E(|psi><psi|) U |psi>:
 
+        F = [ D + sum_{i,j} (U^dag E(|i><j|) U)_{ij} ] / (D (D + 1)),
 
-@dataclass
-class KrausChannel:
-    """A completely positive trace-preserving map as a list of Kraus operators."""
-
-    dim: int
-    kraus: list[np.ndarray] = field(repr=False)
-    label: str = ""
-    tp_defect: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        if not self.kraus:
-            raise ValueError("channel needs at least one Kraus operator")
-        for e in self.kraus:
-            if e.shape != (self.dim, self.dim):
-                raise ValueError("Kraus operators must be square with the declared dimension")
-        total = sum(e.conj().T @ e for e in self.kraus)
-        self.tp_defect = float(np.max(np.abs(total - np.eye(self.dim))))
-        if self.tp_defect > TP_TOL:
-            raise ValueError(f"channel is not trace preserving (defect {self.tp_defect:.3e})")
-
-
-def phase_damping(d: int, p: float) -> KrausChannel:
-    """Binomially weighted clock-power channel; p = 1 is the identity."""
-    z = gate_z(d)
-    kraus = [np.sqrt(weight) * np.linalg.matrix_power(z, i)
-             for i, weight in enumerate(_damping_weights(d, p))]
-    return KrausChannel(dim=d, kraus=kraus, label=f"phase-damping(d={d}, p={p})")
-
-
-def embed_operator(op: np.ndarray, site: int, dims: Sequence[int]) -> np.ndarray:
-    """Place a single-site operator at a 0-based site, identity elsewhere."""
-    dims = [int(d) for d in dims]
-    if site < 0 or site >= len(dims):
-        raise ValueError(f"site {site} out of range for {len(dims)} sites")
-    op = np.asarray(op)
-    if op.shape != (dims[site], dims[site]):
-        raise ValueError("operator does not match the site dimension")
-    left = int(np.prod(dims[:site])) if site else 1
-    right = int(np.prod(dims[site + 1:])) if site + 1 < len(dims) else 1
-    return np.kron(np.kron(np.eye(left), op), np.eye(right))
-
-
-def embed_channel(ch: KrausChannel, sites: list[int], dims: list[int]) -> KrausChannel:
-    """Independent copies of a local channel on the listed sites (0-based).
-
-    The result's Kraus list is the cross product of the per-site embedded
-    elements; operators on distinct sites commute, so the ordering is fixed
-    but immaterial.
+    with D = prod(dims). The channel is applied to each of the D^2 matrix
+    units; no Kraus operator is built.
     """
-    if not sites:
-        raise ValueError("sites must name at least one site")
-    if len(set(sites)) != len(sites):
-        raise ValueError("sites must be distinct")
-    for s in sites:
-        if s < 0 or s >= len(dims):
-            raise ValueError(f"site {s} out of range for {len(dims)} sites")
-        if dims[s] != ch.dim:
-            raise ValueError(f"site {s} has dimension {dims[s]}, channel expects {ch.dim}")
-    per_site = [[embed_operator(e, s, dims) for e in ch.kraus] for s in sorted(sites)]
-    kraus = [reduce(np.matmul, combo) for combo in product(*per_site)]
-    full = int(np.prod(dims))
-    return KrausChannel(dim=full, kraus=kraus, label=f"{ch.label} on sites {sorted(sites)}")
-
-
-def average_fidelity(u: np.ndarray, ch: KrausChannel) -> float:
-    """Average fidelity between the channel and a target unitary,
-
-        F = [ tr sum_k M_k^dag M_k + sum_k |tr M_k|^2 ] / (n (n + 1)),
-
-    with M_k = U^dagger E_k. Equals the Haar mean of
-    <psi| U^dag E(|psi><psi|) U |psi>.
-    """
+    dim = int(np.prod(dims))
     u = np.asarray(u)
-    if u.shape != (ch.dim, ch.dim):
-        raise ValueError("unitary dimension does not match the channel")
-    n = ch.dim
-    udag = u.conj().T
-    t1 = 0.0
-    t2 = 0.0
-    for e in ch.kraus:
-        m = udag @ e
-        t1 += float(np.vdot(m, m).real)
-        t2 += float(abs(np.trace(m)) ** 2)
-    return (t1 + t2) / (n * (n + 1))
+    if u.shape != (dim, dim):
+        raise ValueError(f"unitary shape {u.shape} does not match register dimension {dim}")
+    total, unit = 0.0, np.zeros((dim, dim), dtype=np.complex128)
+    for i in range(dim):
+        for j in range(dim):
+            unit[i, j] = 1.0
+            total += (u[:, i].conj() @ apply_weyl_table(unit, table, dims) @ u[:, j]).real
+            unit[i, j] = 0.0
+    return (dim + total) / (dim * (dim + 1))
 
 
 def analytic_favg_2qutrit(p: float) -> float:
@@ -317,10 +242,10 @@ def average_fidelity_comparison(p_values=(0.25, 0.5, 0.85, 1.0)) -> list[dict]:
     u = spectrum.unitary(t_star)
     rows = []
     for p in p_values:
-        channel = embed_channel(phase_damping(3, float(p)), (0, 1), spec.dims)
+        table = phase_damping_table(3, float(p))
         rows.append({
             "p": float(p),
-            "trace_formula": float(average_fidelity(u, channel)),
+            "trace_formula": float(average_fidelity(u, table, spec.dims)),
             "closed_profile": float(analytic_favg_2qutrit(float(p))),
         })
     return rows

@@ -76,7 +76,7 @@ phase (the end-to-end transfer amplitude's argument), which a receiving node
 can always undo with a local phase gate, so the record aligns it away.
 
 The conformance report, which sets the printed closed forms beside
-_Runner's sector kets and the Kraus-list fidelity formula beside the
+_Runner's sector kets and the average fidelity of a Weyl table beside the
 register unitary, is qsct.conformance; `qsct run` never imports it.
 """
 
@@ -84,7 +84,7 @@ from __future__ import annotations
 
 import copy
 import math
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -401,36 +401,30 @@ def _prepare_chain(twins: dict[tuple, ExperimentConfig]) -> dict[tuple, Prepared
     return prepared
 
 
-def prepare_references(
-    configs: Sequence[ExperimentConfig],
-    mapper: Callable[..., Iterable] = map,
-) -> list[PreparedReference]:
+def prepare_references(configs: Sequence[ExperimentConfig]) -> list[PreparedReference]:
     """The noiseless twin of each config, prepared once per distinct twin and
     shared by the configs that have it.
 
     Configs share a twin when they differ at most in noise, seed and
     gamma_tolerance, and a chain when they have the same d, n and couplings.
     Each distinct chain (in order of first appearance) is diagonalised once
-    and its transfer time searched at most once; mapper (map, or another
-    map-like callable) runs the chains, each one's twins in turn. A chain whose
-    transfer time cannot be searched refuses every config on it that leaves
-    t_total open: the ConfigError lists their positions in `configs`.
+    and its transfer time searched at most once, on the calling thread. A
+    chain whose transfer time cannot be searched refuses every config on it
+    that leaves t_total open: the ConfigError lists their positions in
+    `configs`.
     """
     chains: dict[tuple, dict[tuple, ExperimentConfig]] = {}
     for config in configs:
         chains.setdefault(_chain_key(config.chain), {}).setdefault(_twin_key(config), config)
 
-    def prepare(twins: dict[tuple, ExperimentConfig]) -> dict[tuple, PreparedReference]:
+    prepared: dict[tuple, PreparedReference] = {}
+    for twins in chains.values():
         try:
-            return _prepare_chain(twins)
+            prepared.update(_prepare_chain(twins))
         except ConfigError as exc:
             exc.configs = tuple(i for i, config in enumerate(configs)
                                 if config.t_total is None and _twin_key(config) in twins)
             raise
-
-    prepared: dict[tuple, PreparedReference] = {}
-    for twins in mapper(prepare, chains.values()):
-        prepared.update(twins)
     return [prepared[_twin_key(config)] for config in configs]
 
 

@@ -6,26 +6,226 @@ it by sector partial traces; schmidt_measures and partial_trace_pure take the
 general route instead, on the full d^n register ket: the Schmidt coefficients
 from an SVD of the reshaped ket, and the reduced state contracted from the ket.
 
-Kraus lists. Runs apply Weyl-operator noise as masks (qsct.channels);
-weyl_channel lists the same channel's Kraus operators and apply_channel sums
-E rho E^dagger over them, and average_fidelity_monte_carlo estimates the
-average fidelity from Haar-random kets (haar_random_kets) that
-qsct.conformance.average_fidelity takes by its trace formula.
+Kraus lists. Runs and the conformance report apply Weyl-operator noise as
+masks (qsct.channels.apply_weyl_table). Here a channel is a list of Kraus
+operators instead: KrausChannel checks its trace preservation to TP_TOL,
+phase_damping lists the clock powers of gate_z with the library's binomial
+weights, weyl_channel lists sqrt(pi_{m,n}) Z^n X^m, embed_operator places a
+site operator by Kronecker products and embed_channel takes the cross product
+of per-site Kraus lists. apply_channel sums E rho E^dagger over the list,
+average_fidelity takes the Kraus trace formula and
+average_fidelity_monte_carlo the Haar mean over random kets
+(haar_random_kets); both check qsct.conformance.average_fidelity, which takes
+the same mean from a Weyl table.
+
+Generator basis. projector, theta, beta and eta are the paper's traceless
+Hermitian generators, d*d - 1 of them (generator_set), normalized so
+tr(G_a G_b) = 2 delta_ab: the Pauli set for d = 2 and the Gell-Mann set for
+d = 3. They are the generator-sum oracle for the Hamiltonian.
 
 Closed forms and conservation laws. closed_form_l2_d2 is the printed
 two-level profile, and commutator_defect the norms of [H, C_r] for the level
 counters built from the generator basis.
 """
 
+from dataclasses import dataclass, field
+from functools import reduce
+from itertools import product
+from typing import Sequence
+
 import numpy as np
 
 from qsct.chain import ChainSpec, build_hamiltonian
-from qsct.channels import check_probability_table
-from qsct.conformance import KrausChannel, closed_form_l2_d3, gate_z
+from qsct.channels import _damping_weights, check_probability_table
+from qsct.conformance import closed_form_l2_d3
 from qsct.entanglement import concurrence_pure
-from qsct.generators import eta
 from qsct.linalg import Bipartition, trace_norm
 
+TP_TOL = 1e-12
+
+
+# ---------------------------------------------------------------------------
+# The generator basis
+# ---------------------------------------------------------------------------
+
+def projector(k: int, j: int, d: int) -> np.ndarray:
+    """Matrix unit |k><j| on a d-level system, levels counted from 1."""
+    if d < 2:
+        raise ValueError("d must be at least 2")
+    if not (1 <= k <= d and 1 <= j <= d):
+        raise ValueError(f"levels must lie in 1..{d}, got ({k}, {j})")
+    out = np.zeros((d, d), dtype=np.complex128)
+    out[k - 1, j - 1] = 1.0
+    return out
+
+
+def theta(k: int, j: int, d: int) -> np.ndarray:
+    """Symmetric generator |k><j| + |j><k| for k < j."""
+    _check_pair(k, j, d)
+    return projector(k, j, d) + projector(j, k, d)
+
+
+def beta(k: int, j: int, d: int) -> np.ndarray:
+    """Antisymmetric generator -i(|k><j| - |j><k|) for k < j."""
+    _check_pair(k, j, d)
+    return -1j * (projector(k, j, d) - projector(j, k, d))
+
+
+def eta(r: int, d: int) -> np.ndarray:
+    """Diagonal generator sqrt(2/(r(r+1))) (sum_{j<=r} |j><j| - r |r+1><r+1|)."""
+    if d < 2:
+        raise ValueError("d must be at least 2")
+    if not (1 <= r <= d - 1):
+        raise ValueError(f"r must lie in 1..{d - 1}, got {r}")
+    diag = np.zeros(d)
+    diag[:r] = 1.0
+    diag[r] = -float(r)
+    return np.sqrt(2.0 / (r * (r + 1))) * np.diag(diag).astype(np.complex128)
+
+
+def _check_pair(k: int, j: int, d: int) -> None:
+    if d < 2:
+        raise ValueError("d must be at least 2")
+    if not (1 <= k < j <= d):
+        raise ValueError(f"need 1 <= k < j <= {d}, got ({k}, {j})")
+
+
+@dataclass
+class GeneratorSet:
+    """Complete generator family for one local dimension."""
+
+    d: int
+    thetas: dict[tuple[int, int], np.ndarray] = field(repr=False)
+    betas: dict[tuple[int, int], np.ndarray] = field(repr=False)
+    etas: dict[int, np.ndarray] = field(repr=False)
+
+    @property
+    def count(self) -> int:
+        return len(self.thetas) + len(self.betas) + len(self.etas)
+
+    def matrices(self) -> list[np.ndarray]:
+        """All generators in a fixed order: thetas, betas, then etas."""
+        pairs = sorted(self.thetas)
+        return (
+            [self.thetas[p] for p in pairs]
+            + [self.betas[p] for p in pairs]
+            + [self.etas[r] for r in sorted(self.etas)]
+        )
+
+
+def generator_set(d: int) -> GeneratorSet:
+    """Build the full family: d(d-1)/2 thetas, d(d-1)/2 betas, d-1 etas."""
+    if d < 2:
+        raise ValueError("d must be at least 2")
+    pairs = [(k, j) for k in range(1, d + 1) for j in range(k + 1, d + 1)]
+    return GeneratorSet(
+        d=d,
+        thetas={p: theta(*p, d) for p in pairs},
+        betas={p: beta(*p, d) for p in pairs},
+        etas={r: eta(r, d) for r in range(1, d)},
+    )
+
+
+# ---------------------------------------------------------------------------
+# Kraus-list channels and average fidelity
+# ---------------------------------------------------------------------------
+
+def gate_z(d: int) -> np.ndarray:
+    """Clock gate diag(w^0, ..., w^{d-1})."""
+    if d < 2:
+        raise ValueError("d must be at least 2")
+    return np.diag(np.exp(2j * np.pi * np.arange(d) / d))
+
+
+@dataclass
+class KrausChannel:
+    """A completely positive trace-preserving map as a list of Kraus operators."""
+
+    dim: int
+    kraus: list[np.ndarray] = field(repr=False)
+    label: str = ""
+    tp_defect: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        if not self.kraus:
+            raise ValueError("channel needs at least one Kraus operator")
+        for e in self.kraus:
+            if e.shape != (self.dim, self.dim):
+                raise ValueError("Kraus operators must be square with the declared dimension")
+        total = sum(e.conj().T @ e for e in self.kraus)
+        self.tp_defect = float(np.max(np.abs(total - np.eye(self.dim))))
+        if self.tp_defect > TP_TOL:
+            raise ValueError(f"channel is not trace preserving (defect {self.tp_defect:.3e})")
+
+
+def phase_damping(d: int, p: float) -> KrausChannel:
+    """Binomially weighted clock-power channel; p = 1 is the identity."""
+    z = gate_z(d)
+    kraus = [np.sqrt(weight) * np.linalg.matrix_power(z, i)
+             for i, weight in enumerate(_damping_weights(d, p))]
+    return KrausChannel(dim=d, kraus=kraus, label=f"phase-damping(d={d}, p={p})")
+
+
+def embed_operator(op: np.ndarray, site: int, dims: Sequence[int]) -> np.ndarray:
+    """Place a single-site operator at a 0-based site, identity elsewhere."""
+    dims = [int(d) for d in dims]
+    if site < 0 or site >= len(dims):
+        raise ValueError(f"site {site} out of range for {len(dims)} sites")
+    op = np.asarray(op)
+    if op.shape != (dims[site], dims[site]):
+        raise ValueError("operator does not match the site dimension")
+    left = int(np.prod(dims[:site])) if site else 1
+    right = int(np.prod(dims[site + 1:])) if site + 1 < len(dims) else 1
+    return np.kron(np.kron(np.eye(left), op), np.eye(right))
+
+
+def embed_channel(ch: KrausChannel, sites: list[int], dims: list[int]) -> KrausChannel:
+    """Independent copies of a local channel on the listed sites (0-based).
+
+    The result's Kraus list is the cross product of the per-site embedded
+    elements; operators on distinct sites commute, so the ordering is fixed
+    but immaterial.
+    """
+    if not sites:
+        raise ValueError("sites must name at least one site")
+    if len(set(sites)) != len(sites):
+        raise ValueError("sites must be distinct")
+    for s in sites:
+        if s < 0 or s >= len(dims):
+            raise ValueError(f"site {s} out of range for {len(dims)} sites")
+        if dims[s] != ch.dim:
+            raise ValueError(f"site {s} has dimension {dims[s]}, channel expects {ch.dim}")
+    per_site = [[embed_operator(e, s, dims) for e in ch.kraus] for s in sorted(sites)]
+    kraus = [reduce(np.matmul, combo) for combo in product(*per_site)]
+    full = int(np.prod(dims))
+    return KrausChannel(dim=full, kraus=kraus, label=f"{ch.label} on sites {sorted(sites)}")
+
+
+def average_fidelity(u: np.ndarray, ch: KrausChannel) -> float:
+    """Average fidelity between the channel and a target unitary,
+
+        F = [ tr sum_k M_k^dag M_k + sum_k |tr M_k|^2 ] / (n (n + 1)),
+
+    with M_k = U^dagger E_k. Equals the Haar mean of
+    <psi| U^dag E(|psi><psi|) U |psi>.
+    """
+    u = np.asarray(u)
+    if u.shape != (ch.dim, ch.dim):
+        raise ValueError("unitary dimension does not match the channel")
+    n = ch.dim
+    udag = u.conj().T
+    t1 = 0.0
+    t2 = 0.0
+    for e in ch.kraus:
+        m = udag @ e
+        t1 += float(np.vdot(m, m).real)
+        t2 += float(abs(np.trace(m)) ** 2)
+    return (t1 + t2) / (n * (n + 1))
+
+
+# ---------------------------------------------------------------------------
+# Register-ket measures, Weyl Kraus lists, closed forms
+# ---------------------------------------------------------------------------
 
 def _pair_sum(x):
     """sum_{i<j} x_i x_j as an all-positive sum."""

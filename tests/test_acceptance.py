@@ -20,23 +20,20 @@ from qsct.chain import (
     find_pst_time,
 )
 from qsct.cli import main
-from qsct.conformance import (
-    average_fidelity,
-    closed_form_l2_d3,
-    conformance_closed_forms,
-    embed_channel,
-    phase_damping,
-)
+from qsct.conformance import closed_form_l2_d3, conformance_closed_forms
 from qsct.entanglement import ccnr, concurrence_pure
-from qsct.generators import generator_set
 from qsct.linalg import Bipartition
 from qsct.protocol import ExperimentConfig, NoiseSpec, run_experiment
 
 from oracles import (
     apply_channel,
+    average_fidelity,
     average_fidelity_monte_carlo,
     closed_form_l2_d2,
     commutator_defect,
+    embed_channel,
+    generator_set,
+    phase_damping,
     weyl_channel,
 )
 

@@ -15,10 +15,7 @@ from qsct.chain import (
     default_couplings,
     find_pst_time,
 )
-from qsct.conformance import embed_operator
-from qsct.generators import eta
-
-from oracles import commutator_defect
+from oracles import commutator_defect, embed_operator, eta
 
 
 def _complex_propagator(h, t):
@@ -329,8 +326,24 @@ def test_find_pst_time_refuses_a_chain_that_never_transfers(n, couplings):
     spec = ChainSpec(d=3, n=n, couplings=couplings)
     assert np.max(np.abs(_TransferAmplitudes(spec).amplitude(np.linspace(0.0, 10.0, 101)))) == 0.0
     with pytest.raises(ValueError, match=(rf"d=3, nodes={n}, couplings=\[.*\] stays within "
-                                          r"1e-12 of 0 on the scanned window \[0, 6\.28")):
+                                          r"1\.49e-08 of 0 on the scanned window \[0, 6\.28")):
         find_pst_time(spec)
+
+
+@pytest.mark.parametrize("weak, t_star", [(1e-8, 3.130591578728855), (1e-7, 3.140021071435978)])
+def test_find_pst_time_searches_a_weak_link_above_the_floor(weak, t_star):
+    # the largest amplitude is about 2 * weak; above PST_FLOOR = sqrt(eps) the
+    # transfer time is searched as for any chain
+    t, amp = find_pst_time(ChainSpec(d=3, n=3, couplings=[1.0, weak]))
+    assert amp == pytest.approx(2.0 * weak, rel=1e-3)
+    assert t == pytest.approx(t_star, abs=1e-9)
+
+
+def test_find_pst_time_refuses_a_weak_link_below_the_floor():
+    # |amplitude| stays near 2e-9, below PST_FLOOR = sqrt(eps): less than eps
+    # of the weight ever arrives, so there is no transfer time
+    with pytest.raises(ValueError, match=r"couplings=\[1\.0, 1e-09\] stays within 1\.49e-08"):
+        find_pst_time(ChainSpec(d=3, n=3, couplings=[1.0, 1e-9]))
 
 
 def test_site_amplitudes_match_the_register_evolution():

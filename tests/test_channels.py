@@ -11,21 +11,20 @@ from qsct.channels import (
     phase_damping_table,
     weyl_table,
 )
-from qsct.conformance import (
-    KrausChannel,
-    analytic_favg_2qutrit,
-    average_fidelity,
-    embed_channel,
-    gate_z,
-    phase_damping,
-)
+from qsct import conformance
+from qsct.conformance import analytic_favg_2qutrit
 from qsct.linalg import partial_trace
 
 from oracles import (
+    KrausChannel,
     apply_channel,
+    average_fidelity,
     average_fidelity_monte_carlo,
+    embed_channel,
     gate_x,
+    gate_z,
     haar_random_kets,
+    phase_damping,
     weyl_channel,
 )
 
@@ -326,6 +325,46 @@ def test_weyl_table_matches_kraus_sum(d, n):
     for label, table, kraus, factors in cases:
         out = apply_weyl_table(rho, table, factors)
         assert np.max(np.abs(out - apply_channel(rho, kraus))) <= 1e-13, label
+
+
+def _random_unitary(dim, rng):
+    q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@pytest.mark.parametrize("d, n", [(2, 2), (2, 3), (3, 2)])
+def test_table_average_fidelity_matches_kraus_formula(d, n):
+    """conformance.average_fidelity (the table applied to the matrix units)
+    against the Kraus trace formula, for random unitaries: phase damping and
+    random tables with shifts on every site, and random tables on the register
+    as one factor."""
+    rng = np.random.default_rng(100 * d + n)
+    dims, dim = (d,) * n, d**n
+    sites = list(range(n))
+    cases = [(f"local p={p}", phase_damping_table(d, p),
+              embed_channel(phase_damping(d, p), sites, dims), dims) for p in (0.0, 0.37)]
+    for name, pi in _tables(d, rng).items():
+        cases.append((f"local {name}", weyl_table(pi),
+                      embed_channel(weyl_channel(pi), sites, dims), dims))
+    for name, pi in _tables(dim, rng).items():
+        cases.append((f"global {name}", weyl_table(pi), weyl_channel(pi), (dim,)))
+    for label, table, kraus, factors in cases:
+        for _ in range(3):
+            u = _random_unitary(dim, rng)
+            got = conformance.average_fidelity(u, table, factors)
+            assert abs(got - average_fidelity(u, kraus)) <= 1e-13, label
+
+
+def test_table_average_fidelity_anchors():
+    # the identity channel against the identity is 1; against X on one
+    # qutrit, a traceless unitary, it is 1 / (D + 1) = 1/4
+    for d, n in ((2, 1), (2, 3), (3, 2)):
+        identity = phase_damping_table(d, 1.0)
+        assert abs(conformance.average_fidelity(np.eye(d**n), identity, (d,) * n) - 1.0) <= 1e-13
+    fidelity = conformance.average_fidelity(gate_x(3), phase_damping_table(3, 1.0), (3,))
+    assert abs(fidelity - 0.25) <= 1e-13
+    with pytest.raises(ValueError, match="register dimension 9"):
+        conformance.average_fidelity(np.eye(3), phase_damping_table(3, 1.0), (3, 3))
 
 
 def _rolled_weyl_table(rho, table, dims):

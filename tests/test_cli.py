@@ -225,31 +225,38 @@ def test_run_path_footprint(tmp_path):
     # --jobs 1 load neither OpenSSL, concurrent.futures nor the worker map;
     # the same sweep at --jobs 2 runs on two workers, still without
     # concurrent.futures, and writes the same files. No run loads the
-    # conformance report's module or the generator basis; `conformance` loads
-    # its module and writes what the library renders.
+    # conformance report's module; `conformance` loads it and writes what the
+    # library renders. Every module of the package is loaded by one of these
+    # commands or `pst`: none is left that only the tests read.
     single = _write_config(tmp_path, NOISY_CONFIG, name="single.json")
     sweep = _write_config(tmp_path, [NOISY_CONFIG, WEYL_DENSE_CONFIG], name="sweep.json")
     script = (
         "import json, sys\n"
         "from qsct.cli import main\n"
         "single, sweep, out = sys.argv[1:]\n"
-        "report = ('qsct.conformance', 'qsct.generators')\n"
+        "report = ('qsct.conformance',)\n"
         "assert main(['run', '--config', single, '--out', out + '/single']) == 0\n"
         "assert main(['run', '--config', sweep, '--out', out + '/jobs1', '--jobs', '1']) == 0\n"
         "heavy = ('_hashlib', '_ssl', 'concurrent.futures', 'qsct.workers')\n"
         "loaded = sorted(name for name in heavy + report if name in sys.modules)\n"
         "assert main(['run', '--config', sweep, '--out', out + '/jobs2', '--jobs', '2']) == 0\n"
         "pool = [name in sys.modules for name in ('concurrent.futures',) + report]\n"
+        "assert main(['pst', '--d', '3', '--nodes', '3']) == 0\n"
         "assert main(['conformance', '--out', out + '/conf']) == 0\n"
-        "print(json.dumps([loaded, pool, 'qsct.conformance' in sys.modules]), file=sys.stderr)\n"
+        "package = sorted(name for name in sys.modules if name.split('.')[0] == 'qsct')\n"
+        "print(json.dumps([loaded, pool, 'qsct.conformance' in sys.modules, package]),\n"
+        "      file=sys.stderr)\n"
     )
     run = subprocess.run([sys.executable, "-c", script, str(single), str(sweep), str(tmp_path)],
                          capture_output=True, text=True, env=_subprocess_env())
     assert run.returncode == 0, run.stderr
-    loaded, pool, report_loaded = json.loads(run.stderr)
+    loaded, pool, report_loaded, package = json.loads(run.stderr)
     assert loaded == []
-    assert pool == [False, False, False]
+    assert pool == [False, False]
     assert report_loaded
+    sources = Path(qsct.__file__).parent.glob("*.py")
+    assert package == sorted("qsct" if path.stem == "__init__" else f"qsct.{path.stem}"
+                             for path in sources)
     jobs1, jobs2 = tmp_path / "jobs1", tmp_path / "jobs2"
     files = sorted(p.relative_to(jobs1) for p in jobs1.rglob("*") if p.is_file())
     assert files == sorted(p.relative_to(jobs2) for p in jobs2.rglob("*") if p.is_file())
@@ -370,9 +377,9 @@ def _count_thread_starts(monkeypatch, limit: int) -> list:
 
 
 def test_run_sweep_parallel_matches_serial(tmp_path, monkeypatch):
-    # three points on one chain: the chains' phase has one task and runs on
-    # the caller alone, and the points' phase on three workers, the caller
-    # and two threads, however many --jobs asks for
+    # three points on one chain: the chain is prepared on the caller, and
+    # the points run on three workers, the caller and two threads, however
+    # many --jobs asks for
     sweep = [BASE_CONFIG, NOISY_CONFIG, dict(BASE_CONFIG, steps=4)]
     cfg = _write_config(tmp_path, sweep)
     serial = tmp_path / "serial"
@@ -411,12 +418,13 @@ def test_worker_map_runs_each_item_once_in_order():
 @pytest.mark.parametrize("sweep, starts", [
     ([BASE_CONFIG, NOISY_CONFIG, dict(BASE_CONFIG, steps=4)], 1),   # one chain
     ([BASE_CONFIG, NOISY_CONFIG,                                    # two chains
-      dict(BASE_CONFIG, chain={"d": 2, "nodes": 3}, input_amplitudes=[0.6, 0.8])], 2),
+      dict(BASE_CONFIG, chain={"d": 2, "nodes": 3}, input_amplitudes=[0.6, 0.8])], 1),
 ], ids=["one-chain", "two-chains"])
 def test_jobs_two_runs_points_on_the_caller(tmp_path, monkeypatch, sweep, starts):
-    # --jobs 2 is the caller and one thread: each phase with two or more tasks
-    # starts one thread, and the caller runs points itself. A thread's point
-    # waits for one of the caller's, so a fast thread cannot take every point.
+    # --jobs 2 is the caller and one thread: every chain is prepared on the
+    # caller, the points start one thread, and the caller runs points itself.
+    # A thread's point waits for one of the caller's, so a fast thread cannot
+    # take every point.
     caller, caller_ran, runners = threading.get_ident(), threading.Event(), []
 
     def recording(config, prepared=None):
@@ -781,6 +789,21 @@ def test_run_refuses_a_chain_that_never_transfers(tmp_path, capsys, jobs):
     assert list(out.iterdir()) == []
 
 
+def test_run_refuses_a_link_too_weak_to_transfer(tmp_path, capsys):
+    # |amplitude| stays near 2e-9, below PST_FLOOR: less than eps of the
+    # weight ever arrives, so there is no transfer time; with t_total it runs
+    weak = dict(BROKEN_CHAIN, chain={"d": 3, "nodes": 3, "couplings": [1.0, 1e-9]})
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(_write_config(tmp_path, weak)), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: t_total: required for this chain, ")
+    assert "couplings=[1.0, 1e-09]" in err and "does not transfer" in err
+    assert list(out.iterdir()) == []
+    config = _write_config(tmp_path, dict(weak, t_total=2.0), name="timed.json")
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+    assert len((out / "results.csv").read_text().splitlines()) == 6
+
+
 @pytest.mark.parametrize("noise", [None, DEPHASING, SHIFTING_CONFIG["noise"]])
 def test_a_chain_that_never_transfers_runs_with_t_total(tmp_path, noise):
     # a broken link is a deviation to detect: with t_total given it runs, and
@@ -902,8 +925,8 @@ def test_non_finite_reference_writes_no_results(tmp_path, monkeypatch, capsys):
     # reference.csv is the prepared twin's records, checked once per twin
     from qsct.protocol import prepare_references
 
-    def bad_reference(configs, mapper=map):
-        prepared = prepare_references(configs, mapper)
+    def bad_reference(configs):
+        prepared = prepare_references(configs)
         prepared[0].records[-1].ccnr = math.nan
         return prepared
 

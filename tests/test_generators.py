@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qsct.generators import beta, eta, generator_set, projector, theta
+from oracles import beta, eta, generator_set, projector, theta
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)

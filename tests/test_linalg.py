@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from qsct.conformance import embed_operator
 from qsct.linalg import (
     Bipartition,
     partial_trace,
@@ -9,7 +8,7 @@ from qsct.linalg import (
     trace_norm,
 )
 
-from oracles import partial_trace_pure
+from oracles import embed_operator, partial_trace_pure
 
 
 # embed_operator places a site operator by Kronecker products, site 0 the

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from qsct.chain import ChainSpec, _TransferAmplitudes
 
 from qsct.channels import apply_weyl_table, phase_damping_table, weyl_table
-from qsct.conformance import embed_channel, phase_damping
 from qsct.entanglement import (
     amplified_ccnr_margin,
     ccnr,
@@ -20,7 +19,7 @@ from qsct.entanglement import (
 from qsct.linalg import Bipartition, SectorCut, sector_partial_trace
 from qsct.protocol import NOISE_TOPOLOGIES, ExperimentConfig, NoiseSpec, run_experiment
 
-from oracles import apply_channel, schmidt_measures, weyl_channel
+from oracles import apply_channel, embed_channel, phase_damping, schmidt_measures, weyl_channel
 
 SIZES = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2)]
 

@@ -9,21 +9,13 @@ from hypothesis import strategies as st
 
 from qsct.chain import ChainSpec, Spectrum, build_hamiltonian, find_pst_time
 from qsct.channels import apply_weyl_table, phase_damping_table, weyl_table
-from qsct.conformance import (
-    KrausChannel,
-    average_fidelity,
-    average_fidelity_comparison,
-    conformance_closed_forms,
-    embed_channel,
-    phase_damping,
-)
+from qsct.conformance import average_fidelity_comparison, conformance_closed_forms
 from qsct.entanglement import (
     amplified_ccnr_margin,
     ccnr,
     concurrence_pure,
     entanglement_level,
 )
-from qsct.generators import beta, theta
 from qsct.linalg import Bipartition, partial_trace
 from qsct.protocol import (
     NOISE_TOPOLOGIES,
@@ -39,7 +31,19 @@ from qsct.protocol import (
     run_noisy,
 )
 
-from oracles import apply_channel, gate_x, partial_trace_pure, schmidt_measures, weyl_channel
+from oracles import (
+    KrausChannel,
+    apply_channel,
+    average_fidelity,
+    beta,
+    embed_channel,
+    gate_x,
+    partial_trace_pure,
+    phase_damping,
+    schmidt_measures,
+    theta,
+    weyl_channel,
+)
 
 
 def _config(d=3, n=2, **kwargs):
@@ -415,6 +419,9 @@ def test_average_fidelity_comparison_table():
     assert by_p[1.0]["closed_profile"] == pytest.approx(2.0 / 3.0, abs=1e-12)
     assert by_p[0.85]["closed_profile"] == pytest.approx(0.5896666666666667, abs=1e-12)
     assert by_p[1.0]["trace_formula"] == pytest.approx(0.2, abs=1e-6)
+    # the column as conformance.md prints it
+    assert [f"{row['trace_formula']:.6f}" for row in rows] == [
+        "0.128442", "0.136328", "0.173366", "0.200000"]
     # the two columns genuinely disagree; both are reported
     for row in rows:
         assert abs(row["trace_formula"] - row["closed_profile"]) > 0.1
