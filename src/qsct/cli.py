@@ -18,6 +18,9 @@ caller. A refused field raises ConfigError, whose message begins with the
 field's JSON name; in a sweep it is prefixed with the refused entry's point,
 e.g. `point-001: noise.p: ...`, and a chain that cannot resolve t_total
 names every point it refuses, e.g. `point-001, point-002: t_total: ...`.
+A sweep's numerical failure is prefixed the same way: with the points of the
+noiseless twin that failed, or, once the twins are prepared, with the
+earliest failing point.
 
 Every run stages each point's files in a hidden `.sweep-*` directory inside
 --out and moves them into place (point-NNN/, or --out itself for a single
@@ -35,8 +38,10 @@ starts at most N - 1 threads; a single config, or a sweep at --jobs 1, runs on
 the built-in map.
 
 manifest.json records the environment a run was taken in (Python, numpy,
-BLAS, CPU count, BLAS thread variables) and the wall seconds of its four
-stages (`timings`: parse, prepare, points, output).
+BLAS, CPU count, BLAS thread variables), the modulus of the transfer
+amplitude at each searched transfer time (`pst_amplitude`, null where
+t_total was given) and the wall seconds of its four stages (`timings`:
+parse, prepare, points, output).
 
 The `qsct` executable (console_main) freezes the heap once main() returns;
 main() itself never touches gc.
@@ -305,22 +310,34 @@ def _cmd_run(args) -> int:
                 raise
             refused = ", ".join(points[i] for i in exc.configs)
             raise ConfigError(f"{refused}: {exc}") from exc
+        pst_amplitudes = [twin.pst_amplitude for twin in prepared]
         reference_csv = {}
         for twin in prepared:
             if twin.key not in reference_csv:
-                _check_finite(twin.records)
+                try:
+                    _check_finite(twin.records)
+                except FloatingPointError as exc:
+                    exc.configs = tuple(i for i, other in enumerate(prepared)
+                                        if other.key == twin.key)
+                    raise
                 reference_csv[twin.key] = _records_csv(twin.records)
         clock.append(time.perf_counter())
 
         def run_point(i: int) -> list[str]:
             """Run point i from its prepared twin and stage its files, a noisy
-            run's records checked first; returns the files' names."""
+            run's records checked first; returns the files' names. A
+            numerical failure lists the point in its `configs`."""
             twin, prepared[i] = prepared[i], None
-            records, reference = run_experiment(configs[i], twin)
+            try:
+                records, reference = run_experiment(configs[i], twin)
+                if reference is not None:
+                    _check_finite(records)
+            except (np.linalg.LinAlgError, FloatingPointError) as exc:
+                exc.configs = (i,)
+                raise
             if reference is None:   # a noiseless run: its records are its twin's
                 files = {"results.csv": reference_csv[twin.key]}
             else:
-                _check_finite(records)
                 files = {"results.csv": _records_csv(records),
                          "reference.csv": reference_csv[twin.key]}
             if args.plot_script:
@@ -339,7 +356,9 @@ def _cmd_run(args) -> int:
             for name in files:
                 os.replace(os.path.join(stage, f"{point}-{name}"), target / name)
     except (np.linalg.LinAlgError, FloatingPointError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+        # a sweep names the points that failed: those of a twin, or the earliest point
+        failed = ", ".join(points[i] for i in getattr(exc, "configs", ()))
+        print(f"numerical failure: {failed and failed + ': '}{exc}", file=sys.stderr)
         return 3
     finally:
         shutil.rmtree(stage, ignore_errors=True)
@@ -351,6 +370,7 @@ def _cmd_run(args) -> int:
         "config_digest": config_digest(raw),
         "seed": [c.seed for c in configs] if sweep else configs[0].seed,
         "engine": [engine(c) for c in configs] if sweep else engine(configs[0]),
+        "pst_amplitude": pst_amplitudes if sweep else pst_amplitudes[0],
         "environment": _environment(),
         "started": started,
         "finished": datetime.datetime.now(datetime.timezone.utc).isoformat(),

@@ -16,7 +16,10 @@ asserting) where the two disagree:
 average_fidelity takes the Haar-mean fidelity of any Weyl table against a
 target unitary by applying the table to the D^2 matrix units with
 qsct.channels.apply_weyl_table, the routine every run applies; no Kraus
-operator is built. qsct.cli imports this module only for the conformance
+operator is built. The two-site profiles and the four-site trace read the
+sector kets and cut sides of a protocol.PreparedReference, the noiseless
+twin a run measures against; this module takes only public names from
+qsct.protocol. qsct.cli imports this module only for the conformance
 subcommand, so no `qsct run` loads it.
 """
 
@@ -30,7 +33,7 @@ from .chain import ChainSpec, Spectrum, find_pst_time
 from .channels import WeylTable, apply_weyl_table, phase_damping_table
 from .cli import _fmt
 from .entanglement import sector_concurrence
-from .protocol import ExperimentConfig, _Runner
+from .protocol import ExperimentConfig, PreparedReference
 
 L4_HARMONICS = (0, 2, 4, 6, 8, 10, 12)
 L4_SCALINGS = (0.5, 1.0, 2.0)
@@ -164,13 +167,13 @@ def conformance_closed_forms(a_points: int = 41, l4_points: int = 320) -> dict:
         dev = {"concurrence": {"a=t": 0.0, "a=2t": 0.0},
                "purity": {"a=t": 0.0, "a=2t": 0.0}}
         for amps in sets:
-            # the run's sector ket and cut sides; t_total only sets the unused step
-            runner = _Runner(ExperimentConfig(chain=spectrum.spec, input_amplitudes=amps),
-                             spectrum, math.pi)
+            # the run's sector ket and cut sides; t_total only sets the twin's records
+            twin = PreparedReference(ExperimentConfig(chain=spectrum.spec, input_amplitudes=amps,
+                                                      t_total=math.pi), spectrum)
             weights = (*amps, 0.0)[:3]  # (alpha, beta, gamma); gamma = 0 for d = 2
             closed0 = closed_form_l2_d3(*weights, 0.0)
             anchor_dev = max(anchor_dev, abs(closed0 - 1.0))
-            concs = {label: sector_concurrence(runner.sector_ket(t), runner.sides).tolist()
+            concs = {label: sector_concurrence(twin.sector_ket(t), twin.sides).tolist()
                      for label, t in (("a=t", a_grid), ("a=2t", a_grid / 2.0))}
             for i, a in enumerate(a_grid):
                 closed = closed_form_l2_d3(*weights, a)
@@ -196,10 +199,10 @@ def conformance_closed_forms(a_points: int = 41, l4_points: int = 320) -> dict:
     # four-site, three-level trace over the half-chain cut
     spectrum = Spectrum(ChainSpec(d=3, n=4))
     amps = np.full(3, 1.0 / math.sqrt(3))
-    runner = _Runner(ExperimentConfig(chain=spectrum.spec, input_amplitudes=amps,
-                                      bipartition=2), spectrum, math.pi)
+    twin = PreparedReference(ExperimentConfig(chain=spectrum.spec, input_amplitudes=amps,
+                                              t_total=math.pi, bipartition=2), spectrum)
     ts = np.linspace(0.0, 2.0 * math.pi, l4_points, endpoint=False)
-    q_trace = sector_concurrence(runner.sector_ket(ts), runner.sides) ** 2
+    q_trace = sector_concurrence(twin.sector_ket(ts), twin.sides) ** 2
 
     fits = {}
     for scale in L4_SCALINGS:

@@ -5,18 +5,19 @@ time steps, and records entanglement and transfer figures after every step.
 The input never leaves the single-excitation sector, so a pure state is the
 site amplitudes f(t) = exp(-i J t) e_1 of chain.Spectrum (n numbers): its
 sector ket holds alpha_0 on the vacuum and alpha_r f_s on level r of site s
-(_Runner.sector_ket). One routine, _Runner.measure, takes every record, from
-a stack of states along a leading axis: sector kets, sector density
-matrices or register density matrices. Each partial trace, measure and
-decomposition (a stacked SVD) is one call for the whole stack, and a single
-record is a stack of one. A density matrix within entanglement._PURE_TOL of
-pure (at t = 0, at perfect transfer, under a Weyl table with all its weight
-on one operator) takes its level from its ket, found as rho times its column
-at its largest diagonal entry, one stacked matmul: the run path's only eighs
-are Spectrum's, of the real J and the real register Hamiltonian. A run
-evolves its states into a preallocated stack of at most _STACK_BYTES and
-measures it when it fills and after the last step; every record is the same
-bit for bit whatever stack it is measured in. Of a sector state:
+(PreparedReference.sector_ket). One routine, PreparedReference.measure,
+takes every record, from a stack of states along a leading axis: sector
+kets, sector density matrices or register density matrices. Each partial
+trace, measure and decomposition (a stacked SVD) is one call for the whole
+stack, and a single record is a stack of one. A density matrix within
+entanglement._PURE_TOL of pure (at t = 0, at perfect transfer, under a Weyl
+table with all its weight on one operator) takes its level from its ket,
+found as rho times its column at its largest diagonal entry, one stacked
+matmul: the run path's only eighs are Spectrum's, of the real J and the
+real register Hamiltonian. A run evolves its states into a preallocated
+stack of at most _STACK_BYTES and measures it when it fills and after the
+last step; every record is the same bit for bit whatever stack it is
+measured in. Of a sector state:
 
     endpoint pair - the sector partial trace onto the pair's (2d-1)-state
                     sector basis (vac, level r on site 1, level r on site N),
@@ -32,17 +33,19 @@ bit for bit whatever stack it is measured in. Of a sector state:
 A traced excitation leaves only its weight, on the kept vacuum's diagonal,
 so a ket and its density matrix have bit-identical reduced states.
 
-run_experiment measures a configuration's noiseless twin (the same chain,
-amplitudes, steps, t_total and cut, without the noise) from the sector ket,
-the input divided by its norm first. prepare_references diagonalises each
-distinct chain once, searches its transfer time at most once, and measures
-each distinct twin once, so the points of a sweep that share a twin share
-that work (PreparedReference, read and never changed by a run; a single
-config is a sweep of one point). A noisy config copies the reference's
-records up to its first channel application, forms a density matrix from
-the ket there and carries it on, acted on by a Weyl-table channel
-(channels.WeylTable; no Kraus operators are built) whose placement is one of
-three layouts:
+A configuration's noiseless twin (the same chain, amplitudes, steps, t_total
+and cut, without the noise) is one PreparedReference: the chain's Spectrum,
+t_total resolved, the cut, and the reference records it measures from the
+sector ket when it is built, the input divided by its norm first.
+prepare_references diagonalises each distinct chain once, searches its
+transfer time at most once, and builds each distinct twin once, so the
+points of a sweep that share a twin share that work (a single config is a
+sweep of one point). Records are frozen and a twin is never changed, so
+run_experiment hands out the twin's own records, never copies. A noisy
+config takes the reference's records up to its first channel application,
+forms a density matrix from the ket there and carries it on, acted on by a
+Weyl-table channel (channels.WeylTable; no Kraus operators are built) whose
+placement is one of three layouts:
 
     global_after  - one full-register channel after the complete evolution
                     (the single-qudit channel family taken at dimension d^N)
@@ -53,36 +56,36 @@ The noise picks the engine that carries rho (engine(config)). A table with
 no shift, m = 0 its only weighted row (every phase-damping table), only
 multiplies rho[a, b] by its mask, so the state never leaves the sector:
 rho is (1+(d-1)n)^2 on the sector basis of the ket, steps under
-Spectrum.sector_unitary, takes the mask read at the sector states' register
-indices (_Runner.register_index), and is measured as above. A table with
-shifts moves excitations between levels, and so creates new ones: the
-sector rho is scattered into the register at the same indices, rho is
-d^n x d^n, steps under the register unitary (Spectrum.unitary, a chain's
-only diagonalisation of the register Hamiltonian), takes
-channels.apply_weyl_table and is measured on the register by
-entanglement.ccnr, amplified_ccnr_margin and entanglement_level of the
-stack, and linalg.partial_trace. run_noiseless and run_noisy return
-run_experiment's reference and records.
+Spectrum.sector_unitary, takes the mask read at the sector states'
+register indices (PreparedReference.register_index), and is measured as
+above. A table with shifts moves excitations between levels, and so
+creates new ones: the sector rho is scattered into the register at the
+same indices, rho is d^n x d^n, steps under the register unitary
+(Spectrum.unitary, a chain's only diagonalisation of the register
+Hamiltonian), takes channels.apply_weyl_table and is measured on the
+register by entanglement.ccnr, amplified_ccnr_margin and
+entanglement_level of the stack, and linalg.partial_trace. run_noiseless
+and run_noisy return run_experiment's reference and records.
 
 Every record carries a gamma flag: the concurrence-style entanglement level
 is compared step by step against the noiseless profile of the same
-configuration, within an absolute tolerance. A noiseless run is its own
-reference, so every one of its flags is set; lost entanglement under noise
-shows up as gamma violations rather than silent drift.
+configuration, within an absolute tolerance, and set once, when measure
+builds the record. A noiseless run is its own reference, so every one of
+its flags is set; lost entanglement under noise shows up as gamma
+violations rather than silent drift.
 
 fidelity_to_input compares the last node against the phase-aligned input:
 perfect transfer delivers the excited levels with a known level-independent
 phase (the end-to-end transfer amplitude's argument), which a receiving node
 can always undo with a local phase gate, so the record aligns it away.
 
-The conformance report, which sets the printed closed forms beside
-_Runner's sector kets and the average fidelity of a Weyl table beside the
+The conformance report, which sets the printed closed forms beside a
+twin's sector kets and the average fidelity of a Weyl table beside the
 register unitary, is qsct.conformance; `qsct run` never imports it.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
@@ -208,7 +211,7 @@ class ExperimentConfig:
         self.seed = as_int(self.seed, "seed")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TransferRecord:
     step: int
     time: float
@@ -226,20 +229,30 @@ class TransferRecord:
 _STACK_BYTES = 1 << 17
 
 
-class _Runner:
-    """Shared machinery for one configuration: evolution, cut, measures.
+class PreparedReference:
+    """A configuration's noiseless twin: the chain's Spectrum, t_total
+    resolved, the cut and its measures, and the reference records, which it
+    measures once when it is built. Its attributes are set here and never
+    changed, and its records are frozen, so every run of the twin shares
+    them: run_experiment hands out the twin's own record objects.
 
-    t_total is the config's, or the transfer time when the config leaves it
-    open; see prepare_references. The sector basis is the vacuum (level 0,
-    site -1), then level r on site s at 1 + (r-1) n + s (level-major,
-    0-based sites); level and site hold that layout. The sector cuts that
-    measure hold their index arrays, built here once.
+    pst is find_pst_time's (t_star, amplitude) on the chain, read only when
+    the config leaves t_total open: t_total is then t_star and pst_amplitude
+    the amplitude's modulus there, None when the config gives t_total. The
+    sector basis is the vacuum (level 0, site -1), then level r on site s at
+    1 + (r-1) n + s (level-major, 0-based sites); level and site hold that
+    layout. The sector cuts that measure hold their index arrays, built here
+    once.
     """
 
-    def __init__(self, config: ExperimentConfig, spectrum: Spectrum, t_total: float):
+    def __init__(self, config: ExperimentConfig, spectrum: Spectrum,
+                 pst: tuple[float, float] | None = None):
+        self.key = _twin_key(config)
         self.spec = config.chain
         self.spectrum = spectrum
-        self.dt = float(t_total) / config.steps
+        self.t_total, self.pst_amplitude = (pst if config.t_total is None
+                                            else (config.t_total, None))
+        self.dt = float(self.t_total) / config.steps
         # the config accepts a norm off by up to 1e-10; every record reads
         # the normalized input (x / 1.0 == x: a norm of exactly 1 keeps it)
         self.alpha = config.input_amplitudes / np.linalg.norm(config.input_amplitudes)
@@ -267,6 +280,11 @@ class _Runner:
             self.sides = SectorCut(np.arange(1, d), np.arange(d, 2 * d - 1))
         else:
             self.sides = SectorCut(on(0, self.cut), on(self.cut, n))
+        chunk, records = self.stack_size((self.size,)), []
+        for first in range(0, config.steps + 1, chunk):
+            steps = np.arange(first, min(first + chunk, config.steps + 1))
+            records += self.measure(first, self.sector_ket(steps * self.dt))
+        self.records = tuple(records)
 
     def stack_size(self, shape: tuple[int, ...]) -> int:
         """How many complex states of this shape one measured stack holds."""
@@ -297,11 +315,14 @@ class _Runner:
                         mask[np.ix_(level, level)] * rest ** (n - 1),
                         np.outer(mask[level, 0], mask[0, level]) * rest ** (n - 2))
 
-    def measure(self, first: int, states: np.ndarray) -> list[TransferRecord]:
+    def measure(self, first: int, states: np.ndarray,
+                gamma_tolerance: float | None = None) -> list[TransferRecord]:
         """Records of a stack of states at steps first, first + 1, ...: sector
         kets (K, m), sector density matrices (K, m, m) or register density
         matrices (K, d^n, d^n). Each partial trace, measure and decomposition
-        is one call for the whole stack."""
+        is one call for the whole stack. Given gamma_tolerance, each gamma
+        flag compares the record's entanglement level with the reference
+        record's at its step; without it (the reference itself) it is set."""
         kets = states.ndim == 2
         if states.shape[-1] == self.size:
             if self.cut == "endpoints":
@@ -329,6 +350,9 @@ class _Runner:
         chi[:, 1:] *= np.exp(1j * phase)[:, None]
         fidelity = inner((chi.conj()[:, None, :] @ last)[:, 0], chi).real
         columns = (steps, times, *values, transfer, fidelity)
+        if gamma_tolerance is not None:
+            reference = [r.concurrence for r in self.records[first:first + len(states)]]
+            columns += (np.abs(values[2] - reference) <= gamma_tolerance,)
         return [TransferRecord(*row) for row in zip(*(np.asarray(c).tolist() for c in columns))]
 
 
@@ -353,18 +377,6 @@ def engine(config: ExperimentConfig) -> str:
     return "dense"
 
 
-@dataclass(frozen=True)
-class PreparedReference:
-    """A configuration's noiseless twin, prepared once by prepare_references:
-    its runner (the chain's Spectrum, t_total resolved) and its reference
-    records. Every run of the twin reads it and none changes it:
-    run_experiment hands out copies of the records."""
-
-    key: tuple
-    runner: _Runner
-    records: tuple[TransferRecord, ...]
-
-
 def _chain_key(chain: ChainSpec) -> tuple:
     return chain.d, chain.n, chain.couplings.tobytes()
 
@@ -376,31 +388,6 @@ def _twin_key(config: ExperimentConfig) -> tuple:
             config.t_total, config.bipartition)
 
 
-def _prepare_chain(twins: dict[tuple, ExperimentConfig]) -> dict[tuple, PreparedReference]:
-    """The references of distinct twins on one chain: one Spectrum, and one
-    transfer-time search for the twins that leave t_total open; a chain
-    whose amplitude the default search window would alias needs t_total."""
-    spectrum = Spectrum(next(iter(twins.values())).chain)
-    t_star = None
-    prepared = {}
-    for key, config in twins.items():
-        t_total = config.t_total
-        if t_total is None:
-            if t_star is None:
-                try:
-                    t_star, _ = find_pst_time(config.chain, spectrum=spectrum)
-                except ValueError as exc:
-                    raise ConfigError(f"t_total: required for this chain, {exc}") from exc
-            t_total = t_star
-        runner = _Runner(config, spectrum, t_total)
-        chunk, records = runner.stack_size((runner.size,)), []
-        for first in range(0, config.steps + 1, chunk):
-            steps = np.arange(first, min(first + chunk, config.steps + 1))
-            records += runner.measure(first, runner.sector_ket(steps * runner.dt))
-        prepared[key] = PreparedReference(key, runner, tuple(records))
-    return prepared
-
-
 def prepare_references(configs: Sequence[ExperimentConfig]) -> list[PreparedReference]:
     """The noiseless twin of each config, prepared once per distinct twin and
     shared by the configs that have it.
@@ -409,9 +396,11 @@ def prepare_references(configs: Sequence[ExperimentConfig]) -> list[PreparedRefe
     gamma_tolerance, and a chain when they have the same d, n and couplings.
     Each distinct chain (in order of first appearance) is diagonalised once
     and its transfer time searched at most once, on the calling thread. A
-    chain whose transfer time cannot be searched refuses every config on it
-    that leaves t_total open: the ConfigError lists their positions in
-    `configs`.
+    failure lists in its `configs` the positions in `configs` of every config
+    it refuses: a ConfigError or numerical failure of the search, each
+    config on the chain that leaves t_total open; a numerical failure
+    (FloatingPointError, LinAlgError) in measuring a twin, the twin's
+    configs.
     """
     chains: dict[tuple, dict[tuple, ExperimentConfig]] = {}
     for config in configs:
@@ -419,12 +408,22 @@ def prepare_references(configs: Sequence[ExperimentConfig]) -> list[PreparedRefe
 
     prepared: dict[tuple, PreparedReference] = {}
     for twins in chains.values():
-        try:
-            prepared.update(_prepare_chain(twins))
-        except ConfigError as exc:
-            exc.configs = tuple(i for i, config in enumerate(configs)
-                                if config.t_total is None and _twin_key(config) in twins)
-            raise
+        spectrum, pst = Spectrum(next(iter(twins.values())).chain), None
+        for key, config in twins.items():
+            refused = [key]
+            try:
+                if config.t_total is None and pst is None:
+                    refused = [k for k, other in twins.items() if other.t_total is None]
+                    try:
+                        pst = find_pst_time(config.chain, spectrum=spectrum)
+                    except ValueError as exc:
+                        raise ConfigError(f"t_total: required for this chain, {exc}") from exc
+                    refused = [key]
+                prepared[key] = PreparedReference(config, spectrum, pst)
+            except (ConfigError, FloatingPointError, np.linalg.LinAlgError) as exc:
+                exc.configs = tuple(i for i, other in enumerate(configs)
+                                    if _twin_key(other) in refused)
+                raise
     return [prepared[_twin_key(config)] for config in configs]
 
 
@@ -451,47 +450,47 @@ def run_experiment(
     prepared is the config's twin from prepare_references, when the caller
     shares one between configs; without it the twin is prepared here, so
     the chain's sector is diagonalised once and the transfer time searched
-    at most once. The reference measures the sector ket after each step, and
-    is a noiseless run's records. A noisy run's records before its first
-    channel application are copies of the reference's; the density matrix is
-    formed just before that application, on the sector basis when the table
-    has no shift and on the register otherwise (see engine). Each gamma flag
-    compares a record's entanglement level with the reference's.
+    at most once. The reference is the twin's records, the sector ket
+    measured after each step, and is a noiseless run's records. A noisy
+    run's records before its first channel application are the twin's own
+    record objects; the density matrix is formed just before that
+    application, on the sector basis when the table has no shift and on the
+    register otherwise (see engine). Each gamma flag compares a record's
+    entanglement level with the reference's.
     """
     if prepared is None:
         (prepared,) = prepare_references([config])
     elif prepared.key != _twin_key(config):
         raise ValueError("prepared: the noiseless twin of another configuration")
-    runner, spectrum = prepared.runner, prepared.runner.spectrum
-    reference = [copy.copy(record) for record in prepared.records]
+    reference = list(prepared.records)
     if config.noise is None:
         return reference, None
     table, dims = _noise_channel(config)
     first = 1 if config.noise.topology == "interleaved" else config.steps
-    records = [copy.copy(record) for record in prepared.records[:first]]
-    ket = runner.sector_ket(first * runner.dt)
+    records = reference[:first]
+    ket = prepared.sector_ket(first * prepared.dt)
     rho = np.outer(ket, ket.conj())
     if engine(config) == "sector":
-        mask = runner.sector_mask(table, dims)
-        unitary = spectrum.sector_unitary
+        mask = prepared.sector_mask(table, dims)
+        unitary = prepared.spectrum.sector_unitary
 
         def channel(rho: np.ndarray) -> np.ndarray:
             return mask * rho
     else:
-        index = runner.register_index
+        index = prepared.register_index
         register = np.zeros((config.chain.dim,) * 2, dtype=np.complex128)
         register[np.ix_(index, index)] = rho
-        rho, unitary = register, spectrum.unitary
+        rho, unitary = register, prepared.spectrum.unitary
 
         def channel(rho: np.ndarray) -> np.ndarray:
             return apply_weyl_table(rho, table, dims)
     # the states of steps first..steps, evolved into a preallocated stack and
     # measured each time it fills, and after the last step
-    stack = np.empty((min(runner.stack_size(rho.shape), config.steps + 1 - first), *rho.shape),
+    stack = np.empty((min(prepared.stack_size(rho.shape), config.steps + 1 - first), *rho.shape),
                      dtype=np.complex128)
     rho = channel(rho)
     if first < config.steps:
-        u_step = unitary(runner.dt)
+        u_step = unitary(prepared.dt)
     for k in range(first, config.steps + 1):
         if k > first:
             rho = channel(u_step @ rho @ u_step.conj().T)
@@ -499,8 +498,5 @@ def run_experiment(
         stack[i] = rho
         rho = stack[i]  # carried on from its slot: no second copy is kept
         if i + 1 == len(stack) or k == config.steps:
-            records += runner.measure(k - i, stack[:i + 1])
-    for record, ref in zip(records, reference):
-        record.gamma_ok = abs(record.concurrence - ref.concurrence) <= config.gamma_tolerance
+            records += prepared.measure(k - i, stack[:i + 1], config.gamma_tolerance)
     return records, reference
-

@@ -490,7 +490,7 @@ def test_no_point_is_claimed_after_a_failure(tmp_path, monkeypatch, capsys):
         if config.seed == 0:
             failing_worker.append(threading.current_thread())
             failed.set()
-            raise FloatingPointError("point-000: non-finite")
+            raise FloatingPointError("non-finite")
         failed.wait(timeout=10)
         if failing_worker[0] is caller:
             joining.wait(timeout=10)
@@ -927,7 +927,8 @@ def test_non_finite_reference_writes_no_results(tmp_path, monkeypatch, capsys):
 
     def bad_reference(configs):
         prepared = prepare_references(configs)
-        prepared[0].records[-1].ccnr = math.nan
+        records = prepared[0].records
+        prepared[0].records = (*records[:-1], dataclasses.replace(records[-1], ccnr=math.nan))
         return prepared
 
     monkeypatch.setattr("qsct.cli.prepare_references", bad_reference)
@@ -944,6 +945,95 @@ def test_run_refuses_lost_phase_precision(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "lose their precision" in err and "d=2, nodes=3" in err
     assert list((tmp_path / "out").iterdir()) == []
+
+
+PST_CHAIN = {"chain": {"d": 2, "nodes": 3}, "input_amplitudes": [0.6, 0.8]}
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_numerical_failure_names_its_twin(tmp_path, capsys, jobs):
+    # point 1's twin loses its phases at t_total = 1e300; point 0 shares its
+    # chain and is prepared first, and runs
+    single = tmp_path / "single"
+    failing = dict(PST_CHAIN, t_total=1e300)
+    assert main(["run", "--config", str(_write_config(tmp_path, failing, name="one.json")),
+                 "--out", str(single)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: transfer phases exp(-i E t) lose their precision "
+                          "at t = 1e+300 ")
+    out = tmp_path / "out"
+    sweep = [PST_CHAIN, failing, dict(failing, noise=DEPHASING), dict(PST_CHAIN, seed=4)]
+    assert main(["run", "--config", str(_write_config(tmp_path, sweep)), "--out", str(out),
+                 "--jobs", jobs]) == 3
+    assert capsys.readouterr().err == err.replace("numerical failure: ",
+                                                  "numerical failure: point-001, point-002: ")
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_non_finite_reference_names_its_twin(tmp_path, monkeypatch, capsys, jobs):
+    from qsct.protocol import prepare_references
+
+    def bad_reference(configs):
+        prepared = prepare_references(configs)
+        records = prepared[1].records
+        prepared[1].records = (*records[:-1], dataclasses.replace(records[-1], ccnr=math.nan))
+        return prepared
+
+    monkeypatch.setattr("qsct.cli.prepare_references", bad_reference)
+    sweep = [PST_CHAIN, BASE_CONFIG, NOISY_CONFIG]
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(_write_config(tmp_path, sweep)), "--out", str(out),
+                 "--jobs", jobs]) == 3
+    assert capsys.readouterr().err == ("numerical failure: point-001, point-002: "
+                                       "non-finite value in step 8\n")
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("error", ["non-finite", "raised"])
+def test_sweep_numerical_failure_names_the_earliest_failing_point(tmp_path, monkeypatch, capsys,
+                                                                  jobs, error):
+    # points 2 and 3 fail, each either with a non-finite record or by raising
+    def failing(config, prepared=None):
+        records, reference = run_experiment(config, prepared)
+        if config.seed in (2, 3):
+            if error == "raised":
+                raise np.linalg.LinAlgError(f"seed {config.seed}")
+            records[-1] = dataclasses.replace(records[-1], fidelity_to_input=math.inf)
+        return records, reference
+
+    monkeypatch.setattr("qsct.cli.run_experiment", failing)
+    sweep = [dict(NOISY_CONFIG, seed=seed) for seed in range(4)]
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(_write_config(tmp_path, sweep)), "--out", str(out),
+                 "--jobs", jobs]) == 3
+    message = "non-finite value in step 8" if error == "non-finite" else "seed 2"
+    assert capsys.readouterr().err == f"numerical failure: point-002: {message}\n"
+    assert list(out.iterdir()) == []
+
+
+def test_manifest_records_the_pst_amplitude(tmp_path):
+    # the engineered chain transfers perfectly at its searched time; a
+    # config that gives t_total searches nothing
+    amplitudes = {}
+    for name, config in (("searched", PST_CHAIN), ("given", dict(PST_CHAIN, t_total=2.0))):
+        out = tmp_path / name
+        assert main(["run", "--config", str(_write_config(tmp_path, config)),
+                     "--out", str(out)]) == 0
+        amplitudes[name] = json.loads((out / "manifest.json").read_text())["pst_amplitude"]
+    assert abs(amplitudes["searched"] - 1.0) <= 1e-9
+    assert amplitudes["given"] is None
+    sweep = [PST_CHAIN, dict(PST_CHAIN, t_total=2.0), dict(PST_CHAIN, noise=DEPHASING),
+             dict(PST_CHAIN, chain={"d": 3, "nodes": 4}, input_amplitudes=[0.6, 0.0, 0.8])]
+    out = tmp_path / "sweep"
+    assert main(["run", "--config", str(_write_config(tmp_path, sweep)), "--out", str(out),
+                 "--jobs", "2"]) == 0
+    recorded = json.loads((out / "manifest.json").read_text())["pst_amplitude"]
+    assert len(recorded) == len(sweep)
+    assert recorded[0] == recorded[2] == amplitudes["searched"]
+    assert recorded[1] is None
+    assert abs(recorded[3] - 1.0) <= 1e-9
 
 
 @pytest.mark.parametrize("pi, match", [

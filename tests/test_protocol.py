@@ -1,6 +1,8 @@
+import ast
 import dataclasses
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,8 +24,8 @@ from qsct.protocol import (
     ConfigError,
     ExperimentConfig,
     NoiseSpec,
+    PreparedReference,
     TransferRecord,
-    _Runner,
     engine,
     prepare_references,
     run_experiment,
@@ -477,20 +479,24 @@ def test_runs_that_share_a_twin_leave_it_as_it_was():
                dataclasses.replace(noiseless, bipartition=2)]
     prepared = prepare_references(configs)
     assert prepared[0] is prepared[1] is prepared[2] is not prepared[3]
-    assert prepared[0].runner.spectrum is prepared[3].runner.spectrum
+    assert prepared[0].spectrum is prepared[3].spectrum
     kept = [dataclasses.replace(record) for record in prepared[0].records]
     for config, twin in zip(configs, prepared):
         records, reference = run_experiment(config, twin)
         assert (records, reference) == run_experiment(config)
+        assert all(a is b for a, b in zip(reference or records, twin.records, strict=True))
         for record in records + (reference or []):
-            record.ccnr, record.gamma_ok = math.nan, False
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                record.ccnr = math.nan
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                record.gamma_ok = False
     assert list(prepared[0].records) == kept
     with pytest.raises(ValueError, match="prepared"):
         run_experiment(configs[3], prepared[0])
 
 
 @pytest.mark.parametrize("topology", ["interleaved", "local_after"])
-def test_pre_channel_records_are_copies_of_the_reference(topology):
+def test_pre_channel_records_are_the_twins_own(topology):
     # at t = 2 the pair is entangled, and dephasing moves its level by far
     # more than the tolerance
     cfg = _config(steps=8, t_total=2.0,
@@ -499,8 +505,10 @@ def test_pre_channel_records_are_copies_of_the_reference(topology):
     first = 1 if topology == "interleaved" else cfg.steps
     assert any(not r.gamma_ok for r in records)
     assert all(r.gamma_ok for r in reference)
-    assert records[:first] == reference[:first]
-    assert all(a is not b for a, b in zip(records, reference))
+    # records are frozen, so a run hands out its twin's own objects up to
+    # its first channel, and measures its own from there
+    assert all(a is b for a, b in zip(records[:first], reference[:first]))
+    assert all(a is not b for a, b in zip(records[first:], reference[first:]))
 
 
 def _weyl_config(d, topology, pi):
@@ -836,11 +844,11 @@ def test_measure_of_a_sector_ket_matches_its_density_matrix(d, n):
     for cut in ["endpoints", *range(1, n)]:
         cfg = ExperimentConfig(chain=spec, input_amplitudes=amps / np.linalg.norm(amps), steps=4,
                                t_total=2.0, bipartition=cut)
-        runner = _Runner(cfg, spectrum, cfg.t_total)
+        twin = PreparedReference(cfg, spectrum)
         for k in range(cfg.steps + 1):
-            ket = runner.sector_ket(k * runner.dt)
-            (record,) = runner.measure(k, ket[None])
-            (from_rho,) = runner.measure(k, np.outer(ket, ket.conj())[None])
+            ket = twin.sector_ket(k * twin.dt)
+            (record,) = twin.measure(k, ket[None])
+            (from_rho,) = twin.measure(k, np.outer(ket, ket.conj())[None])
             _assert_records_match(record, from_rho, (cut, k))
             if cut != "endpoints" or n == 2:
                 assert record.ccnr_amplified_margin == record.concurrence, (cut, k)
@@ -1014,6 +1022,19 @@ def test_conformance_report_takes_no_svd(monkeypatch):
     svds = _record_svds(monkeypatch)
     conformance_closed_forms()
     assert svds == []
+
+
+def test_conformance_takes_only_public_protocol_names():
+    # the report reads the sector kets of the twin a run builds, through its
+    # public class
+    import qsct.conformance
+
+    tree = ast.parse(Path(qsct.conformance.__file__).read_text(encoding="utf-8"))
+    names = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+             and (node.module, node.level) in (("protocol", 1), ("qsct.protocol", 0))
+             for alias in node.names]
+    assert "PreparedReference" in names
+    assert not [name for name in names if name.startswith("_")]
 
 
 def test_chain_cut_measures_read_the_normalized_input():
