@@ -18,14 +18,18 @@ caller. A refused field raises ConfigError, whose message begins with the
 field's JSON name; in a sweep it is prefixed with the refused entry's point,
 e.g. `point-001: noise.p: ...`, and a chain that cannot resolve t_total
 names every point it refuses, e.g. `point-001, point-002: t_total: ...`.
-A sweep's numerical failure is prefixed the same way: with the points of the
+A sweep's numerical failure, a non-finite record among them (refused where
+protocol measures it), is prefixed the same way: with the points of the
 noiseless twin that failed, or, once the twins are prepared, with the
 earliest failing point.
 
 Every run stages each point's files in a hidden `.sweep-*` directory inside
 --out and moves them into place (point-NNN/, or --out itself for a single
-config) only once every point has succeeded; the staging directory is removed
-however the run ends, so a failed run leaves --out as it found it.
+config) only once every point has succeeded and every destination, the
+manifest's among them, is free of an entry of the other kind (a file where a
+directory goes, a directory where a file goes); the staging directory is
+removed however the run ends, so a failed or refused run leaves --out as it
+found it.
 
 `run` loads no more than it needs: the config digest comes from the
 interpreter's built-in SHA-256 (hashlib, and with it OpenSSL, only where
@@ -54,6 +58,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import datetime
+import errno
 import functools
 import gc
 import json
@@ -184,28 +189,39 @@ def _out_dir(path: str) -> Path:
     return out_dir
 
 
+def _temporary(path: Path) -> Path:
+    """The hidden file that _atomic_write renames onto path."""
+    return path.with_name("." + path.name + ".tmp")
+
+
 def _atomic_write(path: Path, text: str) -> None:
-    tmp = path.with_name("." + path.name + ".tmp")
+    tmp = _temporary(path)
     tmp.write_text(text, encoding="utf-8")
     os.replace(tmp, path)
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".17e")
+def _refuse_blocked(path: Path, directory: bool) -> None:
+    """ConfigError naming --out when path holds an entry of the wrong kind:
+    anything but a directory where one goes, or a directory (not a link to
+    one, which a rename replaces) where a file goes."""
+    if directory:
+        code = errno.ENOTDIR if os.path.lexists(path) and not path.is_dir() else 0
+    else:
+        code = errno.EISDIR if path.is_dir() and not path.is_symlink() else 0
+    if code:
+        raise _path_error("--out", path, OSError(code, os.strerror(code)))
 
 
 # each column is written by its field's declared type, a string since protocol
 # postpones its annotations ('%.17e' % x is format(x, '.17e') for every finite
-# float). The one bool column is written into the row template, one template
-# for each of its values; the int columns name a record in a refusal.
+# float, and protocol's measure hands out no other). The one bool column is
+# written into the row template, one template for each of its values.
 (_FLAG_COLUMN,) = (f.name for f in _RECORD_FIELDS if f.type == "bool")
 _ROWS = tuple(",".join(flag if f.type == "bool" else {"int": "%d", "float": "%.17e"}[f.type]
                        for f in _RECORD_FIELDS)
               for flag in ("false", "true"))
 _row_flag = operator.attrgetter(_FLAG_COLUMN)
 _row_values = operator.attrgetter(*(f.name for f in _RECORD_FIELDS if f.type != "bool"))
-_FLOAT_COLUMNS = tuple(f.name for f in _RECORD_FIELDS if f.type == "float")
-_INT_COLUMNS = tuple(f.name for f in _RECORD_FIELDS if f.type == "int")
 
 
 def _records_csv(records) -> str:
@@ -213,13 +229,6 @@ def _records_csv(records) -> str:
     for rec in records:
         lines.append(_ROWS[bool(_row_flag(rec))] % _row_values(rec))
     return "\n".join(lines) + "\n"
-
-
-def _check_finite(records) -> None:
-    for rec in records:
-        if not all(math.isfinite(getattr(rec, name)) for name in _FLOAT_COLUMNS):
-            where = ", ".join(f"{name} {getattr(rec, name)}" for name in _INT_COLUMNS)
-            raise FloatingPointError(f"non-finite value in {where}")
 
 
 _PLOT_SCRIPT = """\
@@ -299,7 +308,7 @@ def _cmd_run(args) -> int:
         parallel_map = functools.partial(worker_map, args.jobs)
     try:
         # Every point of a noiseless twin shares its chain's spectrum and
-        # its reference records, checked and formatted once. Each point
+        # its reference records, formatted once. Each point
         # takes its own entry out of `prepared`, so a chain's state (the
         # register eigenpairs of a dense run among it) is freed as soon as
         # its last point has finished.
@@ -314,24 +323,16 @@ def _cmd_run(args) -> int:
         reference_csv = {}
         for twin in prepared:
             if twin.key not in reference_csv:
-                try:
-                    _check_finite(twin.records)
-                except FloatingPointError as exc:
-                    exc.configs = tuple(i for i, other in enumerate(prepared)
-                                        if other.key == twin.key)
-                    raise
                 reference_csv[twin.key] = _records_csv(twin.records)
         clock.append(time.perf_counter())
 
         def run_point(i: int) -> list[str]:
-            """Run point i from its prepared twin and stage its files, a noisy
-            run's records checked first; returns the files' names. A
-            numerical failure lists the point in its `configs`."""
+            """Run point i from its prepared twin and stage its files; returns
+            the files' names. A numerical failure, a non-finite record among
+            them, lists the point in its `configs`."""
             twin, prepared[i] = prepared[i], None
             try:
                 records, reference = run_experiment(configs[i], twin)
-                if reference is not None:
-                    _check_finite(records)
             except (np.linalg.LinAlgError, FloatingPointError) as exc:
                 exc.configs = (i,)
                 raise
@@ -350,6 +351,13 @@ def _cmd_run(args) -> int:
 
         names = list(parallel_map(run_point, range(len(configs))))
         clock.append(time.perf_counter())
+        manifest_path = out_dir / "manifest.json"
+        for path in (manifest_path, _temporary(manifest_path)):
+            _refuse_blocked(path, directory=False)
+        for point, files in zip(points, names):
+            _refuse_blocked(out_dir / point, directory=True)
+            for name in files:
+                _refuse_blocked(out_dir / point / name, directory=False)
         for point, files in zip(points, names):
             target = out_dir / point    # --out itself when point is ""
             target.mkdir(exist_ok=True)
@@ -379,8 +387,7 @@ def _cmd_run(args) -> int:
     clock.append(time.perf_counter())
     manifest["timings"] = {stage: end - start for stage, start, end
                            in zip(("parse", "prepare", "points", "output"), clock, clock[1:])}
-    _atomic_write(out_dir / "manifest.json",
-                  json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _atomic_write(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     for rel in output_paths:
         print(out_dir / rel)
     return 0

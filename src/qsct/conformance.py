@@ -31,7 +31,6 @@ import numpy as np
 
 from .chain import ChainSpec, Spectrum, find_pst_time
 from .channels import WeylTable, apply_weyl_table, phase_damping_table
-from .cli import _fmt
 from .entanglement import sector_concurrence
 from .protocol import ExperimentConfig, PreparedReference
 
@@ -252,6 +251,10 @@ def average_fidelity_comparison(p_values=(0.25, 0.5, 0.85, 1.0)) -> list[dict]:
             "closed_profile": float(analytic_favg_2qutrit(float(p))),
         })
     return rows
+
+
+def _fmt(value: float) -> str:
+    return format(float(value), ".17e")
 
 
 def _conformance_csv(report) -> str:

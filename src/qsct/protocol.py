@@ -70,9 +70,10 @@ and run_noisy return run_experiment's reference and records.
 Every record carries a gamma flag: the concurrence-style entanglement level
 is compared step by step against the noiseless profile of the same
 configuration, within an absolute tolerance, and set once, when measure
-builds the record. A noiseless run is its own reference, so every one of
-its flags is set; lost entanglement under noise shows up as gamma
-violations rather than silent drift.
+builds the record. measure also refuses a record with a non-finite float
+field: FloatingPointError("non-finite value in step k"). A noiseless run is
+its own reference, so every one of its flags is set; lost entanglement under
+noise shows up as gamma violations rather than silent drift.
 
 fidelity_to_input compares the last node against the phase-aligned input:
 perfect transfer delivers the excited levels with a known level-independent
@@ -322,7 +323,9 @@ class PreparedReference:
         matrices (K, d^n, d^n). Each partial trace, measure and decomposition
         is one call for the whole stack. Given gamma_tolerance, each gamma
         flag compares the record's entanglement level with the reference
-        record's at its step; without it (the reference itself) it is set."""
+        record's at its step; without it (the reference itself) it is set.
+        A NaN or inf in any float column raises FloatingPointError naming
+        the first such step, so no record leaves here non-finite."""
         kets = states.ndim == 2
         if states.shape[-1] == self.size:
             if self.cut == "endpoints":
@@ -349,7 +352,11 @@ class PreparedReference:
         chi = np.tile(self.alpha, (len(states), 1))
         chi[:, 1:] *= np.exp(1j * phase)[:, None]
         fidelity = inner((chi.conj()[:, None, :] @ last)[:, 0], chi).real
-        columns = (steps, times, *values, transfer, fidelity)
+        floats = np.stack((times, *values, transfer, fidelity))
+        finite = np.isfinite(floats).all(0)
+        if not finite.all():
+            raise FloatingPointError(f"non-finite value in step {steps[np.argmin(finite)]}")
+        columns = (steps, *floats)
         if gamma_tolerance is not None:
             reference = [r.concurrence for r in self.records[first:first + len(states)]]
             columns += (np.abs(values[2] - reference) <= gamma_tolerance,)
@@ -456,7 +463,8 @@ def run_experiment(
     record objects; the density matrix is formed just before that
     application, on the sector basis when the table has no shift and on the
     register otherwise (see engine). Each gamma flag compares a record's
-    entanglement level with the reference's.
+    entanglement level with the reference's. A non-finite record, of the
+    reference or of the run, raises FloatingPointError naming its step.
     """
     if prepared is None:
         (prepared,) = prepare_references([config])

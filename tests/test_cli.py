@@ -145,6 +145,35 @@ def test_out_that_is_a_file(tmp_path, capsys, command, below):
     assert blocker.read_text() == "keep me"
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("config, blocked, message", [
+    # a file where a point's directory goes, in a sweep of three
+    ([BASE_CONFIG, NOISY_CONFIG, dict(BASE_CONFIG, seed=2)], "point-001", "not a directory"),
+    # a directory where a point's file goes
+    ([BASE_CONFIG, NOISY_CONFIG, dict(BASE_CONFIG, seed=2)], "point-000/results.csv",
+     "is a directory"),
+    # a directory where the manifest, or its temporary file, goes
+    (BASE_CONFIG, "manifest.json", "is a directory"),
+    (BASE_CONFIG, ".manifest.json.tmp", "is a directory"),
+])
+def test_blocked_out_destination_is_refused_before_any_move(tmp_path, capsys, jobs, config,
+                                                             blocked, message):
+    # every destination is checked before the first file is moved: exit 2,
+    # naming --out, and --out holds only what it held before
+    out = tmp_path / "out"
+    path = out / blocked
+    if message == "not a directory":
+        out.mkdir()
+        path.write_text("keep me")
+    else:
+        path.mkdir(parents=True)
+    before = sorted(out.rglob("*"))
+    assert main(["run", "--config", str(_write_config(tmp_path, config)), "--out", str(out),
+                 "--jobs", jobs]) == 2
+    assert capsys.readouterr().err == f"config error: --out: {path}: {message}\n"
+    assert sorted(out.rglob("*")) == before
+
+
 def test_run_numerical_failure_exit_code(tmp_path, monkeypatch):
     def boom(config, prepared=None):
         raise np.linalg.LinAlgError("no convergence")
@@ -921,17 +950,24 @@ def test_sweep_shares_each_chain(tmp_path, monkeypatch, jobs):
     assert sorted(register_eighs) == [8, 27]
 
 
+def _poison_sector_measures(monkeypatch, poisoned):
+    """qsct.protocol.sector_measures with the last state's ccnr set to NaN in
+    each stack for which poisoned(states) holds: a value measure must refuse."""
+    measures = qsct.protocol.sector_measures
+
+    def poisoning(states, *args, **kwargs):
+        values = measures(states, *args, **kwargs)
+        if poisoned(states):
+            values = (np.where(np.arange(len(states)) == len(states) - 1, math.nan, values[0]),
+                      *values[1:])
+        return values
+
+    monkeypatch.setattr(qsct.protocol, "sector_measures", poisoning)
+
+
 def test_non_finite_reference_writes_no_results(tmp_path, monkeypatch, capsys):
-    # reference.csv is the prepared twin's records, checked once per twin
-    from qsct.protocol import prepare_references
-
-    def bad_reference(configs):
-        prepared = prepare_references(configs)
-        records = prepared[0].records
-        prepared[0].records = (*records[:-1], dataclasses.replace(records[-1], ccnr=math.nan))
-        return prepared
-
-    monkeypatch.setattr("qsct.cli.prepare_references", bad_reference)
+    # the twin's last ket measures NaN: measure refuses it as the twin is prepared
+    _poison_sector_measures(monkeypatch, lambda states: states.ndim == 2)
     cfg = _write_config(tmp_path, NOISY_CONFIG)
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
     assert "non-finite value in step 8" in capsys.readouterr().err
@@ -972,15 +1008,9 @@ def test_sweep_numerical_failure_names_its_twin(tmp_path, capsys, jobs):
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_sweep_non_finite_reference_names_its_twin(tmp_path, monkeypatch, capsys, jobs):
-    from qsct.protocol import prepare_references
-
-    def bad_reference(configs):
-        prepared = prepare_references(configs)
-        records = prepared[1].records
-        prepared[1].records = (*records[:-1], dataclasses.replace(records[-1], ccnr=math.nan))
-        return prepared
-
-    monkeypatch.setattr("qsct.cli.prepare_references", bad_reference)
+    # only the d = 3, n = 2 twin's kets (5 sector states) measure NaN; PST_CHAIN's
+    # twin (4 sector states) is measured first, and is not refused
+    _poison_sector_measures(monkeypatch, lambda states: states.shape == (9, 5))
     sweep = [PST_CHAIN, BASE_CONFIG, NOISY_CONFIG]
     out = tmp_path / "out"
     assert main(["run", "--config", str(_write_config(tmp_path, sweep)), "--out", str(out),
@@ -994,15 +1024,23 @@ def test_sweep_non_finite_reference_names_its_twin(tmp_path, monkeypatch, capsys
 @pytest.mark.parametrize("error", ["non-finite", "raised"])
 def test_sweep_numerical_failure_names_the_earliest_failing_point(tmp_path, monkeypatch, capsys,
                                                                   jobs, error):
-    # points 2 and 3 fail, each either with a non-finite record or by raising
+    # points 2 and 3 fail, each either with a non-finite record or by raising;
+    # a non-finite record is one whose sector rho measures NaN, on the thread
+    # that runs point 2 or 3 only
+    failing_here = threading.local()
+
     def failing(config, prepared=None):
-        records, reference = run_experiment(config, prepared)
         if config.seed in (2, 3):
             if error == "raised":
                 raise np.linalg.LinAlgError(f"seed {config.seed}")
-            records[-1] = dataclasses.replace(records[-1], fidelity_to_input=math.inf)
-        return records, reference
+            failing_here.on = True
+        try:
+            return run_experiment(config, prepared)
+        finally:
+            failing_here.on = False
 
+    _poison_sector_measures(monkeypatch, lambda states: (states.ndim == 3
+                                                         and getattr(failing_here, "on", False)))
     monkeypatch.setattr("qsct.cli.run_experiment", failing)
     sweep = [dict(NOISY_CONFIG, seed=seed) for seed in range(4)]
     out = tmp_path / "out"

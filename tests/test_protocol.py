@@ -17,6 +17,7 @@ from qsct.entanglement import (
     ccnr,
     concurrence_pure,
     entanglement_level,
+    sector_measures,
 )
 from qsct.linalg import Bipartition, partial_trace
 from qsct.protocol import (
@@ -509,6 +510,78 @@ def test_pre_channel_records_are_the_twins_own(topology):
     # its first channel, and measures its own from there
     assert all(a is b for a, b in zip(records[:first], reference[:first]))
     assert all(a is not b for a, b in zip(records[first:], reference[first:]))
+
+
+def _with_nan(values):
+    """values with NaN at a stack's third-last and last states."""
+    values = np.array(values, dtype=float)
+    values[[-3, -1]] = math.nan
+    return values
+
+
+def _poison_sector_measures(monkeypatch, column, poisoned):
+    """qsct.protocol.sector_measures with one column of the three made NaN by
+    _with_nan in each stack for which poisoned(states) holds."""
+    def poisoning(states, *args, **kwargs):
+        values = list(sector_measures(states, *args, **kwargs))
+        if poisoned(states):
+            values[column] = _with_nan(values[column])
+        return tuple(values)
+
+    monkeypatch.setattr("qsct.protocol.sector_measures", poisoning)
+
+
+# Each run below is of 8 steps measured in one stack, so the stack's
+# third-last and last states are steps 6 and 8, and measure names step 6.
+NON_FINITE = r"^non-finite value in step 6$"
+
+
+def test_a_non_finite_reference_is_refused_by_every_run(monkeypatch):
+    # the twin's sector kets measure NaN: no run returns its records
+    _poison_sector_measures(monkeypatch, 0, lambda states: states.ndim == 2)
+    cfg = _config(steps=8, noise=NoiseSpec(kind="phase_damping", topology="interleaved", p=0.5))
+    for run in (run_noiseless, run_noisy, run_experiment,
+                lambda config: run_experiment(dataclasses.replace(config, noise=None))):
+        with pytest.raises(FloatingPointError, match=NON_FINITE):
+            run(cfg)
+
+
+def test_a_non_finite_sector_rho_record_is_refused(monkeypatch):
+    # phase damping keeps rho on the sector; its level measures NaN
+    _poison_sector_measures(monkeypatch, 2, lambda states: states.ndim == 3)
+    cfg = _config(steps=8, noise=NoiseSpec(kind="phase_damping", topology="interleaved", p=0.5))
+    assert engine(cfg) == "sector"
+    for run in (run_noisy, run_experiment):
+        with pytest.raises(FloatingPointError, match=NON_FINITE):
+            run(cfg)
+    assert len(run_noiseless(cfg)) == 9
+
+
+def test_a_non_finite_register_rho_record_is_refused(monkeypatch):
+    # a Weyl table with shifts carries rho on the register, measured by ccnr
+    monkeypatch.setattr("qsct.protocol.ccnr", lambda rho, part: _with_nan(ccnr(rho, part)))
+    pi = np.zeros((3, 3))
+    pi[0, 0], pi[1, 0] = 0.9, 0.1
+    cfg = _config(steps=8, noise=NoiseSpec(kind="weyl", topology="interleaved", pi=pi))
+    assert engine(cfg) == "dense"
+    for run in (run_noisy, run_experiment):
+        with pytest.raises(FloatingPointError, match=NON_FINITE):
+            run(cfg)
+    assert len(run_noiseless(cfg)) == 9
+
+
+def test_prepare_references_names_the_configs_of_a_non_finite_twin(monkeypatch):
+    # only the d = 3, n = 2 twin (5 sector states) measures NaN; the d = 2,
+    # n = 3 chain's twin (4 sector states) is prepared first
+    _poison_sector_measures(monkeypatch, 1, lambda states: states.shape[-1] == 5)
+    twin = _config(steps=8)
+    configs = [_config(d=2, n=3, steps=8), twin,
+               dataclasses.replace(twin, noise=NoiseSpec(kind="phase_damping",
+                                                         topology="local_after", p=0.5)),
+               _config(d=2, n=3, steps=8, seed=1), dataclasses.replace(twin, seed=4)]
+    with pytest.raises(FloatingPointError, match=NON_FINITE) as caught:
+        prepare_references(configs)
+    assert caught.value.configs == (1, 2, 4)
 
 
 def _weyl_config(d, topology, pi):
