@@ -23,7 +23,8 @@ sum_s value_s * d^(N - s).
 
 Spectrum diagonalises J and evolves every state of the single-excitation
 sector, a ket through its site amplitudes and a density matrix through
-sector_unitary; the transfer-time search scans the same n eigenpairs. The
+sector_unitary; the transfer-time search (find_pst_time) takes that
+Spectrum as its one chain input and scans the same n eigenpairs. The
 dense register Hamiltonian (build_hamiltonian) is diagonalised only for a
 register evolution (Spectrum.unitary).
 """
@@ -268,38 +269,16 @@ class Spectrum:
         return _real_matmul(eigvecs, phases[:, None] * eigvecs.T)
 
 
-class _TransferAmplitudes:
-    """End-to-end transfer amplitude <e_N| exp(-i J t) |e_1> of one chain.
-
-    Every excited level hops on the same J, so this one amplitude is every
-    level's.
-    """
-
-    def __init__(self, spec: ChainSpec, spectrum: Spectrum | None = None):
-        if spectrum is None:
-            spectrum = Spectrum(spec)
-        self.eigvals = spectrum.eigvals
-        self.weights = spectrum.eigvecs[-1] * spectrum.eigvecs[0]
-
-    def amplitude(self, t: np.ndarray | float) -> np.ndarray:
-        """<e_N | U_t | e_1>, complex; the shape of t."""
-        phases = np.exp(-1j * np.multiply.outer(self.eigvals, np.asarray(t, dtype=float)))
-        return np.tensordot(self.weights, phases, axes=(0, 0))
-
-
 def find_pst_time(
-    spec: ChainSpec,
-    t_max: float = 2.0 * math.pi,
-    grid_points: int = 2000,
-    tol: float = 1e-10,
-    spectrum: Spectrum | None = None,
+    spectrum: Spectrum, t_max: float = 2.0 * math.pi, grid_points: int = 2000
 ) -> tuple[float, float]:
-    """Locate the time maximizing the modulus of the transfer amplitude.
+    """Locate the time maximizing the modulus of the chain's end-to-end
+    transfer amplitude <e_N| exp(-i J t) |e_1>, every excited level's, from
+    the n eigenpairs of spectrum; nothing is diagonalised here.
 
     Coarse scan over [0, t_max] followed by golden-section refinement of the
     best bracket; ties resolve to the earliest time. Returns (t_star, amplitude).
-    Pass the chain's spectrum when the caller already has one. Raises
-    FloatingPointError when the phases exp(-i lambda t) lose their precision
+    Raises FloatingPointError when the phases exp(-i lambda t) lose their precision
     on the window (Spectrum.check_time), and then ValueError naming t_max when
     the scan step t_max / (grid_points - 1) exceeds 2 pi / (max E - min E),
     the period of the amplitude's fastest component: such a scan aliases and
@@ -312,8 +291,6 @@ def find_pst_time(
         raise ValueError(f"t_max must be positive and finite, got {t_max!r}")
     if grid_points < 3:
         raise ValueError("grid needs at least 3 points")
-    if spectrum is None:
-        spectrum = Spectrum(spec)
     spectrum.check_time(t_max)
     spread = float(spectrum.eigvals[-1] - spectrum.eigvals[0])
     if t_max * spread > 2.0 * math.pi * (grid_points - 1):
@@ -324,9 +301,15 @@ def find_pst_time(
             f"would alias; the widest window it resolves is "
             f"{2.0 * math.pi * (grid_points - 1) / spread:.6g}"
         )
-    amps = _TransferAmplitudes(spec, spectrum)
+    weights = spectrum.eigvecs[-1] * spectrum.eigvecs[0]
+
+    def modulus(t) -> np.ndarray:
+        """|<e_N| exp(-i J t) |e_1>|; the shape of t."""
+        phases = np.exp(-1j * np.multiply.outer(spectrum.eigvals, np.asarray(t, dtype=float)))
+        return np.abs(np.tensordot(weights, phases, axes=(0, 0)))
+
     ts = np.linspace(0.0, t_max, grid_points)
-    vals = np.abs(amps.amplitude(ts))
+    vals = modulus(ts)
     best = int(np.argmax(vals))
     if vals[best] <= PST_FLOOR:
         raise ValueError(
@@ -339,8 +322,8 @@ def find_pst_time(
     best = int(near[0])
     lo = ts[max(best - 1, 0)]
     hi = ts[min(best + 1, grid_points - 1)]
-    t_star = _golden_max(lambda t: float(abs(amps.amplitude(t))), lo, hi, tol)
-    return t_star, float(abs(amps.amplitude(t_star)))
+    t_star = _golden_max(modulus, lo, hi, 1e-10)
+    return t_star, float(modulus(t_star))
 
 
 def _golden_max(f, lo: float, hi: float, tol: float) -> float:

@@ -29,7 +29,8 @@ config) only once every point has succeeded and every destination, the
 manifest's among them, is free of an entry of the other kind (a file where a
 directory goes, a directory where a file goes); the staging directory is
 removed however the run ends, so a failed or refused run leaves --out as it
-found it.
+found it. `conformance` checks its two files and their temporary names the
+same way before it writes anything.
 
 `run` loads no more than it needs: the config digest comes from the
 interpreter's built-in SHA-256 (hashlib, and with it OpenSSL, only where
@@ -74,7 +75,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .chain import ChainSpec, as_real, find_pst_time
+from .chain import ChainSpec, Spectrum, as_real, find_pst_time
 from .protocol import (
     ConfigError,
     ExperimentConfig,
@@ -396,7 +397,7 @@ def _cmd_run(args) -> int:
 def _cmd_pst(args) -> int:
     spec = ChainSpec(d=args.d, n=args.nodes)
     try:
-        t_star, amplitude = find_pst_time(spec, t_max=args.tmax)
+        t_star, amplitude = find_pst_time(Spectrum(spec), t_max=args.tmax)
     except (np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
@@ -417,17 +418,19 @@ def _cmd_conformance(args) -> int:
     from . import conformance    # only this subcommand loads the report's code
 
     out_dir = _out_dir(args.out)
+    paths = [out_dir / "conformance.csv", out_dir / "conformance.md"]
+    for path in paths + [_temporary(path) for path in paths]:
+        _refuse_blocked(path, directory=False)
     try:
         report = conformance.conformance_closed_forms()
         fidelity_rows = conformance.average_fidelity_comparison()
     except np.linalg.LinAlgError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    _atomic_write(out_dir / "conformance.csv", conformance._conformance_csv(report))
-    _atomic_write(out_dir / "conformance.md",
-                  conformance._conformance_md(report, fidelity_rows))
-    print(out_dir / "conformance.csv")
-    print(out_dir / "conformance.md")
+    _atomic_write(paths[0], conformance._conformance_csv(report))
+    _atomic_write(paths[1], conformance._conformance_md(report, fidelity_rows))
+    for path in paths:
+        print(path)
     return 0
 
 

@@ -36,6 +36,9 @@ from .protocol import ExperimentConfig, PreparedReference
 
 L4_HARMONICS = (0, 2, 4, 6, 8, 10, 12)
 L4_SCALINGS = (0.5, 1.0, 2.0)
+A_POINTS = 41           # the two-site profiles' grid of a on [0, pi]
+L4_POINTS = 320         # the four-site trace's samples on [0, 2 pi)
+FIDELITY_P = (0.25, 0.5, 0.85, 1.0)     # the phase-damping strengths of the fidelity table
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +134,7 @@ def fit_cosine_series(samples, harmonics) -> tuple[np.ndarray, float]:
 # The report: printed closed forms against simulated traces
 # ---------------------------------------------------------------------------
 
-def conformance_closed_forms(a_points: int = 41, l4_points: int = 320) -> dict:
+def conformance_closed_forms() -> dict:
     """Compare the printed two-site profiles with simulated traces, and fit the
     harmonic content of the four-site, three-level trace.
 
@@ -144,12 +147,7 @@ def conformance_closed_forms(a_points: int = 41, l4_points: int = 320) -> dict:
     concurrence c is sector_concurrence's closed form, its purity 1 - c^2/2
     and its four-site trace c^2.
     """
-    if a_points < 5:
-        raise ValueError("a grid needs at least 5 points")
-    if l4_points < 2 * len(L4_HARMONICS) + 1:
-        raise ValueError("l4 grid is too small for the harmonic fit")
-
-    a_grid = np.linspace(0.0, math.pi, a_points)
+    a_grid = np.linspace(0.0, math.pi, A_POINTS)
     amp_sets = {
         2: [(1.0, 0.0), (1.0 / math.sqrt(2), 1.0 / math.sqrt(2)),
             (math.sqrt(0.8), math.sqrt(0.2))],
@@ -200,7 +198,7 @@ def conformance_closed_forms(a_points: int = 41, l4_points: int = 320) -> dict:
     amps = np.full(3, 1.0 / math.sqrt(3))
     twin = PreparedReference(ExperimentConfig(chain=spectrum.spec, input_amplitudes=amps,
                                               t_total=math.pi, bipartition=2), spectrum)
-    ts = np.linspace(0.0, 2.0 * math.pi, l4_points, endpoint=False)
+    ts = np.linspace(0.0, 2.0 * math.pi, L4_POINTS, endpoint=False)
     q_trace = sector_concurrence(twin.sector_ket(ts), twin.sides) ** 2
 
     fits = {}
@@ -233,22 +231,22 @@ def conformance_closed_forms(a_points: int = 41, l4_points: int = 320) -> dict:
     }
 
 
-def average_fidelity_comparison(p_values=(0.25, 0.5, 0.85, 1.0)) -> list[dict]:
+def average_fidelity_comparison() -> list[dict]:
     """Average transfer fidelity of the two-qutrit chain under per-site phase
     damping, computed two ways that do not agree: the trace formula over the
     composed map, and the closed quadratic profile. Both are reported per p so
     the gap is visible; neither value is asserted against the other."""
     spec = ChainSpec(d=3, n=2)
     spectrum = Spectrum(spec)
-    t_star, _ = find_pst_time(spec, spectrum=spectrum)
+    t_star, _ = find_pst_time(spectrum)
     u = spectrum.unitary(t_star)
     rows = []
-    for p in p_values:
-        table = phase_damping_table(3, float(p))
+    for p in FIDELITY_P:
+        table = phase_damping_table(3, p)
         rows.append({
-            "p": float(p),
+            "p": p,
             "trace_formula": float(average_fidelity(u, table, spec.dims)),
-            "closed_profile": float(analytic_favg_2qutrit(float(p))),
+            "closed_profile": float(analytic_favg_2qutrit(p)),
         })
     return rows
 

@@ -243,11 +243,15 @@ class PreparedReference:
     sector basis is the vacuum (level 0, site -1), then level r on site s at
     1 + (r-1) n + s (level-major, 0-based sites); level and site hold that
     layout. The sector cuts that measure hold their index arrays, built here
-    once.
+    once. A spectrum of another chain (another d, n or couplings) raises
+    ValueError naming spectrum, as run_experiment refuses a twin of another
+    configuration.
     """
 
     def __init__(self, config: ExperimentConfig, spectrum: Spectrum,
                  pst: tuple[float, float] | None = None):
+        if _chain_key(spectrum.spec) != _chain_key(config.chain):
+            raise ValueError("spectrum: the spectrum of another chain")
         self.key = _twin_key(config)
         self.spec = config.chain
         self.spectrum = spectrum
@@ -422,7 +426,7 @@ def prepare_references(configs: Sequence[ExperimentConfig]) -> list[PreparedRefe
                 if config.t_total is None and pst is None:
                     refused = [k for k, other in twins.items() if other.t_total is None]
                     try:
-                        pst = find_pst_time(config.chain, spectrum=spectrum)
+                        pst = find_pst_time(spectrum)
                     except ValueError as exc:
                         raise ConfigError(f"t_total: required for this chain, {exc}") from exc
                     refused = [key]

@@ -14,7 +14,7 @@ import pytest
 
 from qsct.chain import (
     ChainSpec,
-    _TransferAmplitudes,
+    Spectrum,
     _golden_max,
     build_hamiltonian,
     find_pst_time,
@@ -95,7 +95,7 @@ def test_criterion_03_perfect_transfer():
     with criterion(3, "perfect state transfer", budget=30.0):
         for d in (2, 3):
             for n in (2, 3, 4, 5):
-                t_star, amplitude = find_pst_time(ChainSpec(d=d, n=n))
+                t_star, amplitude = find_pst_time(Spectrum(ChainSpec(d=d, n=n)))
                 assert amplitude >= 1.0 - 1e-6
                 if d == 2:
                     assert abs(t_star - math.pi) <= 1e-6
@@ -106,7 +106,7 @@ def test_criterion_04_entanglement_profile():
         for d in (2, 3):
             spec = ChainSpec(d=d, n=2)
             part = Bipartition(d, d)
-            t_star, _ = find_pst_time(spec)
+            t_star, _ = find_pst_time(Spectrum(spec))
             grid = np.linspace(0.0, t_star, 200)
             conc = np.array([concurrence_pure(ket, part)
                              for ket in _evolved_kets(spec, grid, _plus_state(d))])
@@ -194,7 +194,7 @@ def test_criterion_07_channels():
 def test_criterion_08_average_fidelity(tmp_path):
     with criterion(8, "average fidelity", budget=60.0):
         spec = ChainSpec(d=3, n=2)
-        t_star, _ = find_pst_time(spec)
+        t_star, _ = find_pst_time(Spectrum(spec))
         eigvals, eigvecs = np.linalg.eigh(build_hamiltonian(spec))
         u = (eigvecs * np.exp(-1j * eigvals * t_star)) @ eigvecs.conj().T
         for p in (0.5, 0.85, 1.0):

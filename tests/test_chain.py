@@ -10,7 +10,6 @@ import pytest
 from qsct.chain import (
     ChainSpec,
     Spectrum,
-    _TransferAmplitudes,
     build_hamiltonian,
     default_couplings,
     find_pst_time,
@@ -25,7 +24,15 @@ def _complex_propagator(h, t):
 
 
 def _transfer_amplitude(spec, t):
-    return float(abs(_TransferAmplitudes(spec).amplitude(t)))
+    """|<e_N| exp(-i J t) |e_1>|, the last of the chain's site amplitudes."""
+    return float(abs(Spectrum(spec).site_amplitudes(t)[-1]))
+
+
+def _register_transfer_amplitudes(spec, t):
+    """<level r on site N| exp(-i t H) |level r on site 1> for r = 1..d-1, from
+    a complex eigh of the register Hamiltonian: shares no eigh with Spectrum."""
+    u = _complex_propagator(build_hamiltonian(spec), t)
+    return np.array([u[r, r * spec.d ** (spec.n - 1)] for r in range(1, spec.d)])
 
 
 def test_default_couplings_n2():
@@ -202,12 +209,14 @@ def test_transfer_phase_pattern():
     # end-to-end amplitude at t=pi carries phase (-i)^(N-1), same for every level
     for d, n in ((2, 2), (2, 3), (3, 4), (3, 5)):
         spec = ChainSpec(d=d, n=n)
-        amp = _TransferAmplitudes(spec).amplitude(math.pi)
-        assert amp == pytest.approx((-1j) ** (n - 1), abs=1e-10)
+        phase = (-1j) ** (n - 1)
+        assert Spectrum(spec).site_amplitudes(math.pi)[-1] == pytest.approx(phase, abs=1e-10)
+        amps = _register_transfer_amplitudes(spec, math.pi)
+        assert amps == pytest.approx([phase] * (d - 1), abs=1e-10)
 
 
 def test_find_pst_time_qubit_pair():
-    t_star, amplitude = find_pst_time(ChainSpec(d=2, n=2))
+    t_star, amplitude = find_pst_time(Spectrum(ChainSpec(d=2, n=2)))
     assert amplitude >= 1.0 - 1e-6
     assert abs(t_star - math.pi) < 1e-6
 
@@ -215,20 +224,22 @@ def test_find_pst_time_qubit_pair():
 def test_find_pst_time_common_across_lengths():
     times = []
     for n in (2, 3, 4, 5):
-        t_star, amplitude = find_pst_time(ChainSpec(d=2, n=n))
+        t_star, amplitude = find_pst_time(Spectrum(ChainSpec(d=2, n=n)))
         assert amplitude >= 1.0 - 1e-6
         times.append(t_star)
     assert max(times) - min(times) < 1e-6
 
 
 def test_find_pst_time_qutrit_levels():
-    t_star, amplitude = find_pst_time(ChainSpec(d=3, n=4))
+    spec = ChainSpec(d=3, n=4)
+    t_star, amplitude = find_pst_time(Spectrum(spec))
     assert amplitude >= 1.0 - 1e-6
-    assert _transfer_amplitude(ChainSpec(d=3, n=4), t_star) >= 1.0 - 1e-6
+    # every level arrives, on the register's own propagator
+    assert np.min(np.abs(_register_transfer_amplitudes(spec, t_star))) >= 1.0 - 1e-6
 
 
 def test_find_pst_time_coarse_grid_still_returns():
-    t_star, amplitude = find_pst_time(ChainSpec(d=2, n=2), grid_points=7)
+    t_star, amplitude = find_pst_time(Spectrum(ChainSpec(d=2, n=2)), grid_points=7)
     assert 0.0 <= t_star <= 2.0 * math.pi
     assert 0.0 <= amplitude <= 1.0 + 1e-12
 
@@ -236,7 +247,7 @@ def test_find_pst_time_coarse_grid_still_returns():
 def test_find_pst_time_rejects_bad_window():
     for t_max in (0.0, math.nan, math.inf):
         with pytest.raises(ValueError):
-            find_pst_time(ChainSpec(d=2, n=2), t_max=t_max)
+            find_pst_time(Spectrum(ChainSpec(d=2, n=2)), t_max=t_max)
 
 
 def test_spectrum_evolution_matches_propagator():
@@ -248,24 +259,39 @@ def test_spectrum_evolution_matches_propagator():
             assert np.max(np.abs(spectrum.unitary(t) - _complex_propagator(h, t))) <= 1e-12
 
 
-def test_find_pst_time_reuses_given_spectrum(monkeypatch):
-    spec = ChainSpec(d=3, n=3)
-    spectrum = Spectrum(spec)
-    expect = find_pst_time(spec)
+def test_find_pst_time_never_diagonalises(monkeypatch):
+    # the search reads the eigenpairs of the Spectrum it is given
+    spectrum = Spectrum(ChainSpec(d=3, n=3))
 
     def no_eigh(*args, **kwargs):
-        raise AssertionError("find_pst_time diagonalised again")
+        raise AssertionError("find_pst_time diagonalised")
 
     monkeypatch.setattr(np.linalg, "eigh", no_eigh)
-    assert find_pst_time(spec, spectrum=spectrum) == expect
+    t_star, amplitude = find_pst_time(spectrum)
+    assert abs(t_star - math.pi) < 1e-6
+    assert amplitude >= 1.0 - 1e-6
+
+
+@pytest.mark.parametrize("d, n, couplings, t_hex, amp_hex", [
+    (2, 2, None, "0x1.921fb5170931dp+1", "0x1.ffffffffffffep-1"),
+    (3, 4, None, "0x1.921fb51c6cb00p+1", "0x1.0000000000001p+0"),
+    (4, 5, None, "0x1.921fb5265b4e0p+1", "0x1.fffffffffffffp-1"),
+    (3, 3, [1.0, 1e-8], "0x1.90b7398fe3002p+1", "0x1.579644d755cddp-26"),
+    (2, 5, [1.0, 0.3, 0.7, 1.0], "0x1.ffee49889e2d2p+1", "0x1.c343d460cd55fp-2"),
+], ids=["d2-n2", "d3-n4", "d4-n5", "weak-link", "uneven"])
+def test_find_pst_time_bits(d, n, couplings, t_hex, amp_hex):
+    # the search's (t_star, amplitude), bit for bit: t_star is the transfer
+    # time of every run that leaves t_total open
+    t_star, amplitude = find_pst_time(Spectrum(ChainSpec(d=d, n=n, couplings=couplings)))
+    assert (t_star.hex(), amplitude.hex()) == (t_hex, amp_hex)
 
 
 def test_find_pst_time_overflowing_phases_name_the_chain():
-    spec = ChainSpec(d=2, n=3, couplings=[1e308, 1e308])
+    spectrum = Spectrum(ChainSpec(d=2, n=3, couplings=[1e308, 1e308]))
     with pytest.raises(FloatingPointError, match=r"d=2, nodes=3, couplings=\[1e\+308, 1e\+308\]"):
-        find_pst_time(spec)
+        find_pst_time(spectrum)
     with pytest.raises(FloatingPointError, match="nodes=5"):
-        find_pst_time(ChainSpec(d=2, n=5), t_max=1e308)
+        find_pst_time(Spectrum(ChainSpec(d=2, n=5)), t_max=1e308)
 
 
 def test_spectrum_refuses_phases_without_precision():
@@ -285,7 +311,7 @@ def test_spectrum_phase_precision_threshold():
     with pytest.raises(FloatingPointError, match="nodes=5"):
         spectrum.check_time(1.01 * limit)
     with pytest.raises(FloatingPointError, match="nodes=5"):
-        find_pst_time(ChainSpec(d=2, n=5), t_max=1.01 * limit)
+        find_pst_time(Spectrum(ChainSpec(d=2, n=5)), t_max=1.01 * limit)
 
 
 def test_find_pst_time_ends_on_a_wide_window():
@@ -296,24 +322,24 @@ def test_find_pst_time_ends_on_a_wide_window():
     # best bracket is the last one.
     k = 159155
     t_max = (2 * k - 1) * math.pi
-    t_star, amp = find_pst_time(ChainSpec(d=2, n=2), t_max=t_max, grid_points=k + 1)
+    t_star, amp = find_pst_time(Spectrum(ChainSpec(d=2, n=2)), t_max=t_max, grid_points=k + 1)
     assert t_max - 2.0 * math.pi < t_star <= t_max
     assert amp == pytest.approx(1.0, abs=1e-6)
 
 
 def test_find_pst_time_refuses_an_aliasing_scan():
     # d=4 n=5: eigenvalues -2..2, so the scan step may not exceed pi / 2
-    spec = ChainSpec(d=4, n=5)
+    spectrum = Spectrum(ChainSpec(d=4, n=5))
     with pytest.raises(ValueError, match=r"t_max = 1000000\.0 .*d=4, nodes=5"):
-        find_pst_time(spec, t_max=1e6)
+        find_pst_time(spectrum, t_max=1e6)
     limit = 2.0 * math.pi / 4.0 * 1999
-    find_pst_time(spec, t_max=0.999 * limit)
+    find_pst_time(spectrum, t_max=0.999 * limit)
     with pytest.raises(ValueError, match="t_max"):
-        find_pst_time(spec, t_max=1.001 * limit)
+        find_pst_time(spectrum, t_max=1.001 * limit)
     # a zero-coupling chain has no fastest component and never aliases: it is
     # refused because it never transfers, not for its window
     with pytest.raises(ValueError, match="does not transfer") as refusal:
-        find_pst_time(ChainSpec(d=2, n=2, couplings=[0.0]), t_max=1e6)
+        find_pst_time(Spectrum(ChainSpec(d=2, n=2, couplings=[0.0])), t_max=1e6)
     assert "alias" not in str(refusal.value)
 
 
@@ -324,17 +350,18 @@ def test_find_pst_time_refuses_a_chain_that_never_transfers(n, couplings):
     # the end-to-end amplitude is 0 on the whole window, so every scan point
     # ties with t = 0; the scan used to return t* ~ 4.7e-11
     spec = ChainSpec(d=3, n=n, couplings=couplings)
-    assert np.max(np.abs(_TransferAmplitudes(spec).amplitude(np.linspace(0.0, 10.0, 101)))) == 0.0
+    arrived = Spectrum(spec).site_amplitudes(np.linspace(0.0, 10.0, 101))[..., -1]
+    assert np.max(np.abs(arrived)) == 0.0
     with pytest.raises(ValueError, match=(rf"d=3, nodes={n}, couplings=\[.*\] stays within "
                                           r"1\.49e-08 of 0 on the scanned window \[0, 6\.28")):
-        find_pst_time(spec)
+        find_pst_time(Spectrum(spec))
 
 
 @pytest.mark.parametrize("weak, t_star", [(1e-8, 3.130591578728855), (1e-7, 3.140021071435978)])
 def test_find_pst_time_searches_a_weak_link_above_the_floor(weak, t_star):
     # the largest amplitude is about 2 * weak; above PST_FLOOR = sqrt(eps) the
     # transfer time is searched as for any chain
-    t, amp = find_pst_time(ChainSpec(d=3, n=3, couplings=[1.0, weak]))
+    t, amp = find_pst_time(Spectrum(ChainSpec(d=3, n=3, couplings=[1.0, weak])))
     assert amp == pytest.approx(2.0 * weak, rel=1e-3)
     assert t == pytest.approx(t_star, abs=1e-9)
 
@@ -343,7 +370,7 @@ def test_find_pst_time_refuses_a_weak_link_below_the_floor():
     # |amplitude| stays near 2e-9, below PST_FLOOR = sqrt(eps): less than eps
     # of the weight ever arrives, so there is no transfer time
     with pytest.raises(ValueError, match=r"couplings=\[1\.0, 1e-09\] stays within 1\.49e-08"):
-        find_pst_time(ChainSpec(d=3, n=3, couplings=[1.0, 1e-9]))
+        find_pst_time(Spectrum(ChainSpec(d=3, n=3, couplings=[1.0, 1e-9])))
 
 
 def test_site_amplitudes_match_the_register_evolution():
@@ -384,7 +411,7 @@ def test_spectrum_builds_the_register_lazily_and_once(monkeypatch):
     spectrum = Spectrum(spec)
     spectrum.site_amplitudes(1.0)
     spectrum.sector_unitary(1.0)
-    find_pst_time(spec, spectrum=spectrum)
+    find_pst_time(spectrum)
     assert built == []
     spectrum.unitary(0.5)
     spectrum.unitary(1.5)

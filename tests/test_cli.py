@@ -174,6 +174,20 @@ def test_blocked_out_destination_is_refused_before_any_move(tmp_path, capsys, jo
     assert sorted(out.rglob("*")) == before
 
 
+@pytest.mark.parametrize("blocked", ["conformance.csv", "conformance.md",
+                                     ".conformance.csv.tmp", ".conformance.md.tmp"])
+def test_blocked_conformance_destination_writes_nothing(tmp_path, capsys, blocked):
+    # a directory where a report file, or its temporary file, goes: both
+    # files are checked before the first is written, so the report exits 2,
+    # naming --out, and --out holds only that directory
+    out = tmp_path / "out"
+    path = out / blocked
+    path.mkdir(parents=True)
+    assert main(["conformance", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: --out: {path}: is a directory\n"
+    assert sorted(out.rglob("*")) == [path]
+
+
 def test_run_numerical_failure_exit_code(tmp_path, monkeypatch):
     def boom(config, prepared=None):
         raise np.linalg.LinAlgError("no convergence")
@@ -926,12 +940,14 @@ def test_sweep_shares_each_chain(tmp_path, monkeypatch, jobs):
     spectrum_class, find, eigh = qsct.protocol.Spectrum, qsct.protocol.find_pst_time, np.linalg.eigh
 
     def counting_spectrum(spec):
-        spectra.append((spec.d, spec.n))
-        return spectrum_class(spec)
+        spectra.append(spectrum_class(spec))
+        return spectra[-1]
 
-    def counting_find(spec, **kwargs):
-        searches.append((spec.d, spec.n))
-        return find(spec, **kwargs)
+    def counting_find(spectrum, **kwargs):
+        # the search is handed a Spectrum the run built, never a chain
+        assert any(spectrum is built for built in spectra)
+        searches.append((spectrum.spec.d, spectrum.spec.n))
+        return find(spectrum, **kwargs)
 
     def counting_eigh(a, *args, **kwargs):
         # the real register Hamiltonian, not a (complex) density matrix
@@ -945,7 +961,7 @@ def test_sweep_shares_each_chain(tmp_path, monkeypatch, jobs):
     out = tmp_path / "out"
     assert main(["run", "--config", str(_write_config(tmp_path, sweep)), "--out", str(out),
                  "--jobs", jobs]) == 0
-    assert sorted(spectra) == [(2, 3), (2, 3), (3, 3)]
+    assert sorted((s.spec.d, s.spec.n) for s in spectra) == [(2, 3), (2, 3), (3, 3)]
     assert sorted(searches) == [(2, 3), (3, 3)]
     assert sorted(register_eighs) == [8, 27]
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qsct.chain import ChainSpec, _TransferAmplitudes
+from qsct.chain import ChainSpec, Spectrum
 
 from qsct.channels import apply_weyl_table, phase_damping_table, weyl_table
 from qsct.entanglement import (
@@ -100,7 +100,7 @@ def test_record_probabilities_lie_in_the_unit_interval(config):
 
 @pytest.mark.parametrize("chain", CHAINS)       # few enough to take every one
 def test_default_chain_transfers_every_level_at_pi(chain):
-    amplitude = abs(_TransferAmplitudes(ChainSpec(*chain)).amplitude(math.pi))
+    amplitude = abs(Spectrum(ChainSpec(*chain)).site_amplitudes(math.pi)[-1])
     assert amplitude >= 1.0 - 1e-9
 
 

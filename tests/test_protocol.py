@@ -409,7 +409,7 @@ def test_conformance_columns_match_complex_eigh_oracle():
 def test_average_fidelity_table_matches_complex_eigh_oracle():
     spec = ChainSpec(d=3, n=2)
     w, v = np.linalg.eigh(build_hamiltonian(spec))
-    u = (v * np.exp(-1j * find_pst_time(spec)[0] * w)) @ v.conj().T
+    u = (v * np.exp(-1j * find_pst_time(Spectrum(spec))[0] * w)) @ v.conj().T
     for row in average_fidelity_comparison():
         channel = embed_channel(phase_damping(3, row["p"]), (0, 1), spec.dims)
         assert abs(row["trace_formula"] - average_fidelity(u, channel)) <= 1e-13
@@ -926,6 +926,24 @@ def test_measure_of_a_sector_ket_matches_its_density_matrix(d, n):
             if cut != "endpoints" or n == 2:
                 assert record.ccnr_amplified_margin == record.concurrence, (cut, k)
                 assert record.ccnr == 1.0 + record.concurrence, (cut, k)
+
+
+def test_prepared_reference_refuses_the_spectrum_of_another_chain():
+    # a twin measured on another chain's dynamics would pass as this
+    # config's: on the engineered chain the last transfer probability reads
+    # 1 - 1e-11, where this chain's own is 0.1133
+    chain = ChainSpec(d=2, n=5, couplings=[1.0, 0.3, 0.7, 1.0])
+    cfg = ExperimentConfig(chain=chain, input_amplitudes=np.array([0.6, 0.8]), steps=4,
+                           t_total=math.pi)
+    for other in (ChainSpec(d=2, n=5), ChainSpec(d=3, n=5, couplings=chain.couplings),
+                  ChainSpec(d=2, n=4, couplings=chain.couplings[:3])):
+        with pytest.raises(ValueError, match=r"^spectrum: the spectrum of another chain$"):
+            PreparedReference(cfg, Spectrum(other))
+    # the same chain, built apart, is no other chain
+    twin = PreparedReference(cfg, Spectrum(ChainSpec(d=2, n=5, couplings=[1.0, 0.3, 0.7, 1.0])))
+    records, _ = run_experiment(cfg, twin)
+    assert records == run_experiment(cfg)[0]
+    assert records[-1].transfer_probability == pytest.approx(0.1133, abs=1e-4)
 
 
 def _dense_cut(cut, n):
