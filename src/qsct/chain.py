@@ -49,7 +49,8 @@ PST_FLOOR = math.sqrt(np.finfo(float).eps)
 class ConfigError(ValueError):
     """Invalid configuration; the message begins with the offending field.
     A refusal from protocol.prepare_references lists in `configs` the
-    positions of every config it refuses."""
+    positions of every config it refuses; qsct.cli.main prints any
+    ConfigError as `config error: ...` and exits 2."""
 
     configs: tuple[int, ...] = ()
 
@@ -277,7 +278,12 @@ def find_pst_time(
     the n eigenpairs of spectrum; nothing is diagonalised here.
 
     Coarse scan over [0, t_max] followed by golden-section refinement of the
-    best bracket; ties resolve to the earliest time. Returns (t_star, amplitude).
+    best bracket; ties resolve to the earliest time. A scan value may sit up
+    to (spread h)^2 / 32 below the peak it samples (spread = max E - min E,
+    h the scan step), so each earlier local maximum of the scan within that
+    of the best is refined too, in time order, and the first whose peak
+    reaches the best's within 1e-12 is the transfer time: the first revival,
+    as in perfect transfer's definition. Returns (t_star, amplitude).
     Raises FloatingPointError when the phases exp(-i lambda t) lose their precision
     on the window (Spectrum.check_time), and then ValueError naming t_max when
     the scan step t_max / (grid_points - 1) exceeds 2 pi / (max E - min E),
@@ -318,12 +324,23 @@ def find_pst_time(
             f"not transfer"
         )
     # scan points within 1e-12 of the maximum tie with the earliest of them
-    near = np.nonzero(vals >= vals[best] - 1e-12)[0]
-    best = int(near[0])
-    lo = ts[max(best - 1, 0)]
-    hi = ts[min(best + 1, grid_points - 1)]
-    t_star = _golden_max(modulus, lo, hi, 1e-10)
-    return t_star, float(modulus(t_star))
+    best = int(np.nonzero(vals >= vals[best] - 1e-12)[0][0])
+
+    def refine(i: int) -> tuple[float, float]:
+        """The peak in the bracket of scan point i, and its modulus."""
+        t = _golden_max(modulus, ts[max(i - 1, 0)], ts[min(i + 1, grid_points - 1)], 1e-10)
+        return t, float(modulus(t))
+
+    t_star, amplitude = refine(best)
+    # the bound on a sample's shortfall: |d^2/dt^2| <= (spread / 2)^2 once a
+    # global phase is removed, as the weights' moduli sum to at most 1
+    slack = (spread * (ts[1] - ts[0])) ** 2 / 32.0
+    for i in np.nonzero(vals[:best] >= vals[best] - slack)[0]:
+        if vals[i] >= vals[max(i - 1, 0)] and vals[i] >= vals[i + 1]:
+            t, value = refine(i)
+            if value >= amplitude - 1e-12:
+                return t, value
+    return t_star, amplitude
 
 
 def _golden_max(f, lo: float, hi: float, tol: float) -> float:

@@ -15,13 +15,18 @@ sections, known and required keys, chain.nodes as ChainSpec.n, [re, im]
 amplitude pairs), and ChainSpec, NoiseSpec and ExperimentConfig
 check every field's type, finiteness and range, exactly as for a library
 caller. A refused field raises ConfigError, whose message begins with the
-field's JSON name; in a sweep it is prefixed with the refused entry's point,
-e.g. `point-001: noise.p: ...`, and a chain that cannot resolve t_total
-names every point it refuses, e.g. `point-001, point-002: t_total: ...`.
-A sweep's numerical failure, a non-finite record among them (refused where
-protocol measures it), is prefixed the same way: with the points of the
-noiseless twin that failed, or, once the twins are prepared, with the
-earliest failing point.
+field's JSON name (`pst` names its flag instead: --d, --nodes, --tmax).
+
+main() is the one place that turns an exception into a message and an exit
+code, for every subcommand: a ConfigError prints `config error: ...` and
+exits 2, a LinAlgError or FloatingPointError (a non-finite record among
+them, refused where protocol measures it) prints `numerical failure: ...`
+and exits 3. Within a sweep each failure lists in its `configs` the points
+it concerns, and `run` prefixes them in one place: the refused entry, e.g.
+`point-001: noise.p: ...`; every point on a chain that cannot resolve
+t_total, e.g. `point-001, point-002: t_total: ...`; the points of the
+noiseless twin that failed; or, once the twins are prepared, the earliest
+failing point.
 
 Every run stages each point's files in a hidden `.sweep-*` directory inside
 --out and moves them into place (point-NNN/, or --out itself for a single
@@ -51,7 +56,8 @@ parse, prepare, points, output).
 The `qsct` executable (console_main) freezes the heap once main() returns;
 main() itself never touches gc.
 
-Exit codes: 0 success, 2 config or usage error, 3 numerical failure.
+Exit codes: 0 success, 2 config or usage error, 3 numerical failure; the
+same for run, pst and conformance.
 """
 
 from __future__ import annotations
@@ -265,20 +271,9 @@ print("wrote transfer.png")
 """
 
 
-def _parse_point(entry, point: str) -> ExperimentConfig:
-    """parse_config of one entry; a sweep point's refusal names the point."""
-    try:
-        return parse_config(entry)
-    except ConfigError as exc:
-        if not point:
-            raise
-        raise ConfigError(f"{point}: {exc}") from exc
-
-
 def _cmd_run(args) -> int:
     if args.jobs < 1:
-        print(f"config error: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
-        return 2
+        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     clock = [time.perf_counter()]   # the start, then the end of each of the four stages
     config_path = Path(args.config)
     try:
@@ -291,35 +286,35 @@ def _cmd_run(args) -> int:
     sweep = isinstance(raw, list)
     entries = raw if sweep else [raw]
     if not entries:
-        print("config error: config: empty sweep", file=sys.stderr)
-        return 2
+        raise ConfigError("config: empty sweep")
     points = [f"point-{i:03d}" for i in range(len(entries))] if sweep else [""]
-    configs = [_parse_point(entry, point) for entry, point in zip(entries, points)]
-    clock.append(time.perf_counter())
-
-    out_dir = _out_dir(args.out)
-    started = datetime.datetime.now(datetime.timezone.utc).isoformat()
-
-    # every point's files are staged here, then moved into place once all have succeeded
-    stage = tempfile.mkdtemp(prefix=".sweep-", dir=out_dir)
-    if args.jobs == 1 or len(configs) == 1:
-        parallel_map = map
-    else:
-        from .workers import worker_map     # only a parallel sweep compiles it
-        parallel_map = functools.partial(worker_map, args.jobs)
+    stage = None
     try:
+        configs = []
+        for i, entry in enumerate(entries):
+            try:
+                configs.append(parse_config(entry))
+            except ConfigError as exc:
+                exc.configs = (i,)
+                raise
+        clock.append(time.perf_counter())
+
+        out_dir = _out_dir(args.out)
+        started = datetime.datetime.now(datetime.timezone.utc).isoformat()
+        # every point's files are staged here, then moved into place once all have succeeded
+        stage = tempfile.mkdtemp(prefix=".sweep-", dir=out_dir)
+        if args.jobs == 1 or len(configs) == 1:
+            parallel_map = map
+        else:
+            from .workers import worker_map     # only a parallel sweep compiles it
+            parallel_map = functools.partial(worker_map, args.jobs)
+
         # Every point of a noiseless twin shares its chain's spectrum and
         # its reference records, formatted once. Each point
         # takes its own entry out of `prepared`, so a chain's state (the
         # register eigenpairs of a dense run among it) is freed as soon as
         # its last point has finished.
-        try:
-            prepared = prepare_references(configs)
-        except ConfigError as exc:
-            if not (sweep and exc.configs):
-                raise
-            refused = ", ".join(points[i] for i in exc.configs)
-            raise ConfigError(f"{refused}: {exc}") from exc
+        prepared = prepare_references(configs)
         pst_amplitudes = [twin.pst_amplitude for twin in prepared]
         reference_csv = {}
         for twin in prepared:
@@ -364,13 +359,16 @@ def _cmd_run(args) -> int:
             target.mkdir(exist_ok=True)
             for name in files:
                 os.replace(os.path.join(stage, f"{point}-{name}"), target / name)
-    except (np.linalg.LinAlgError, FloatingPointError) as exc:
-        # a sweep names the points that failed: those of a twin, or the earliest point
+    except (ConfigError, np.linalg.LinAlgError, FloatingPointError) as exc:
+        # a sweep names the points that failed: a refused entry, those of a
+        # twin, or the earliest failing point; a single config's point is ""
         failed = ", ".join(points[i] for i in getattr(exc, "configs", ()))
-        print(f"numerical failure: {failed and failed + ': '}{exc}", file=sys.stderr)
-        return 3
+        if not failed:
+            raise
+        raise type(exc)(f"{failed}: {exc}") from exc
     finally:
-        shutil.rmtree(stage, ignore_errors=True)
+        if stage is not None:
+            shutil.rmtree(stage, ignore_errors=True)
 
     output_paths = [str(Path(point) / name)
                     for point, files in zip(points, names) for name in files]
@@ -395,15 +393,17 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_pst(args) -> int:
-    spec = ChainSpec(d=args.d, n=args.nodes)
     try:
-        t_star, amplitude = find_pst_time(Spectrum(spec), t_max=args.tmax)
-    except (np.linalg.LinAlgError, FloatingPointError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
+        spec = ChainSpec(d=args.d, n=args.nodes)
+    except ConfigError as exc:  # named by its JSON field, chain.d or chain.nodes
+        field, message = str(exc).split(": ", 1)
+        flag = {"chain.d": "--d", "chain.nodes": "--nodes"}[field]
+        raise ConfigError(f"{flag}: {message}") from exc
+    spectrum = Spectrum(spec)
+    try:
+        t_star, amplitude = find_pst_time(spectrum, t_max=args.tmax)
     except ValueError as exc:   # a window that is not positive and finite, or would alias
-        print(f"config error: --tmax: {exc}", file=sys.stderr)
-        return 2
+        raise ConfigError(f"--tmax: {exc}") from exc
     print(f"d            = {spec.d}")
     print(f"nodes        = {spec.n}")
     print(f"t_star       = {t_star:.12g}")
@@ -421,12 +421,8 @@ def _cmd_conformance(args) -> int:
     paths = [out_dir / "conformance.csv", out_dir / "conformance.md"]
     for path in paths + [_temporary(path) for path in paths]:
         _refuse_blocked(path, directory=False)
-    try:
-        report = conformance.conformance_closed_forms()
-        fidelity_rows = conformance.average_fidelity_comparison()
-    except np.linalg.LinAlgError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
+    report = conformance.conformance_closed_forms()
+    fidelity_rows = conformance.average_fidelity_comparison()
     _atomic_write(paths[0], conformance._conformance_csv(report))
     _atomic_write(paths[1], conformance._conformance_md(report, fidelity_rows))
     for path in paths:
@@ -472,6 +468,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except (np.linalg.LinAlgError, FloatingPointError) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
 
 
 def console_main() -> None:

@@ -286,6 +286,36 @@ def test_find_pst_time_bits(d, n, couplings, t_hex, amp_hex):
     assert (t_star.hex(), amplitude.hex()) == (t_hex, amp_hex)
 
 
+@pytest.mark.parametrize("t_max", [2.0 * math.pi, 50.0])
+def test_find_pst_time_returns_the_earliest_of_tying_revivals(t_max):
+    # couplings (a, b) give eigenvalues 0, +-sqrt(a^2 + b^2): every later peak
+    # repeats the first one's modulus, and the scan samples the first one
+    # lower than a later one, by less than (spread h)^2 / 32
+    spectrum = Spectrum(ChainSpec(d=2, n=3, couplings=[0.989, 1.148]))
+    t_star, amplitude = find_pst_time(spectrum, t_max=t_max)
+    assert abs(t_star - 2.0732972130889697) < 1e-9
+    assert amplitude == pytest.approx(0.988989231389031, abs=1e-15)
+
+
+@pytest.mark.parametrize("t_max", [10.0, 20.0, 50.0, 100.0])
+@pytest.mark.parametrize("d, n", [(3, 4), (4, 5)])
+def test_find_pst_time_engineered_chain_transfers_first_at_pi(d, n, t_max):
+    # the engineered chain revives perfectly at every odd multiple of pi
+    t_star, amplitude = find_pst_time(Spectrum(ChainSpec(d=d, n=n)), t_max=t_max)
+    assert abs(t_star - math.pi) < 1e-6
+    assert amplitude >= 1.0 - 1e-6
+
+
+def test_find_pst_time_keeps_a_later_peak_that_is_higher():
+    # the peak at 14.0489 (0.827341) falls within the scan's bound of the
+    # best scan value but refines lower than the peak at 31.2554 (0.827410)
+    spectrum = Spectrum(ChainSpec(d=2, n=5, couplings=[0.84, 1.01, 0.86, 1.42]))
+    assert float(abs(spectrum.site_amplitudes(14.0489)[-1])) == pytest.approx(0.827341, abs=1e-6)
+    t_star, amplitude = find_pst_time(spectrum, t_max=50.0)
+    assert t_star == 31.255370039593455
+    assert amplitude == pytest.approx(0.827410, abs=1e-6)
+
+
 def test_find_pst_time_overflowing_phases_name_the_chain():
     spectrum = Spectrum(ChainSpec(d=2, n=3, couplings=[1e308, 1e308]))
     with pytest.raises(FloatingPointError, match=r"d=2, nodes=3, couplings=\[1e\+308, 1e\+308\]"):

@@ -601,8 +601,27 @@ def test_pst_qutrit_four_nodes(capsys):
 
 
 def test_pst_invalid_chain(capsys):
+    # a refusal names the flag, not the JSON field that a config would name
     assert main(["pst", "--d", "2", "--nodes", "1"]) == 2
+    assert capsys.readouterr().err == "config error: --nodes: chain needs at least 2 sites, got 1\n"
     assert main(["pst", "--d", "1", "--nodes", "3"]) == 2
+    assert (capsys.readouterr().err
+            == "config error: --d: local dimension must be at least 2, got 1\n")
+    assert main(["pst", "--d", "2", "--nodes", "13"]) == 2
+    assert (capsys.readouterr().err
+            == "config error: --nodes: register dimension 2**13 exceeds the supported 4096\n")
+
+
+@pytest.mark.parametrize("error", [FloatingPointError, np.linalg.LinAlgError])
+def test_conformance_numerical_failure_exit_code(tmp_path, monkeypatch, capsys, error):
+    def failing():
+        raise error("x")
+
+    monkeypatch.setattr("qsct.conformance.conformance_closed_forms", failing)
+    out = tmp_path / "conf"
+    assert main(["conformance", "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "numerical failure: x\n"
+    assert list(out.iterdir()) == []
 
 
 def test_conformance_outputs(tmp_path):
@@ -693,6 +712,25 @@ def test_run_rejects_jobs_below_one(tmp_path, capsys, jobs):
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out"),
                  "--jobs", jobs]) == 2
     assert "--jobs" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_refuses_an_empty_sweep(tmp_path, capsys):
+    cfg = _write_config(tmp_path, [])
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "config error: config: empty sweep\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_refused_sweep_entry_creates_no_out(tmp_path, capsys, jobs):
+    # every entry is parsed before --out is made
+    sweep = [NOISY_CONFIG, dict(NOISY_CONFIG, noise=dict(NOISY_CONFIG["noise"], p=2.0))]
+    cfg = _write_config(tmp_path, sweep)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                 "--jobs", jobs]) == 2
+    assert (capsys.readouterr().err
+            == "config error: point-001: noise.p: expected a strength in [0, 1], got 2.0\n")
     assert not (tmp_path / "out").exists()
 
 
