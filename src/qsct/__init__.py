@@ -21,8 +21,6 @@ from .protocol import (
     NoiseSpec,
     TransferRecord,
     run_experiment,
-    run_noiseless,
-    run_noisy,
 )
 
 __version__ = "0.1.0"

@@ -24,7 +24,10 @@ sum_s value_s * d^(N - s).
 Spectrum diagonalises J and evolves every state of the single-excitation
 sector, a ket through its site amplitudes and a density matrix through
 sector_unitary; the transfer-time search (find_pst_time) takes that
-Spectrum as its one chain input and scans the same n eigenpairs. The
+Spectrum as its one chain input and scans the same n eigenpairs. Every
+local maximum of its scan that may sit under the window's highest peak is
+refined, all in one vectorised golden section, and the earliest refined
+peak within 1e-12 of the highest is the transfer time. The
 dense register Hamiltonian (build_hamiltonian) is diagonalised only for a
 register evolution (Spectrum.unitary).
 """
@@ -37,6 +40,8 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
+
+from .linalg import inner
 
 MAX_DIM = 4096
 # largest phase error, in radians, that exp(-i E t) may carry: about |E t| eps
@@ -277,13 +282,16 @@ def find_pst_time(
     transfer amplitude <e_N| exp(-i J t) |e_1>, every excited level's, from
     the n eigenpairs of spectrum; nothing is diagonalised here.
 
-    Coarse scan over [0, t_max] followed by golden-section refinement of the
-    best bracket; ties resolve to the earliest time. A scan value may sit up
-    to (spread h)^2 / 32 below the peak it samples (spread = max E - min E,
-    h the scan step), so each earlier local maximum of the scan within that
-    of the best is refined too, in time order, and the first whose peak
-    reaches the best's within 1e-12 is the transfer time: the first revival,
-    as in perfect transfer's definition. Returns (t_star, amplitude).
+    A scan of grid_points times over [0, t_max] picks the candidate peaks,
+    and one golden section refines all of them at once. A scan value may sit
+    up to (spread h)^2 / 32 below the peak it samples (spread = max E - min E,
+    h the scan step), so every local maximum of the scan within that slack
+    of the best value is a candidate, earlier or later, and so is the
+    earliest sample within 1e-12 of the best. Where spread h > 1, the samples
+    within the slack are first rescanned ceil(spread h) times finer, with
+    their neighbours. The transfer time is the earliest refined peak within
+    1e-12 of the highest: the first revival, as in perfect transfer's
+    definition. Returns (t_star, amplitude).
     Raises FloatingPointError when the phases exp(-i lambda t) lose their precision
     on the window (Spectrum.check_time), and then ValueError naming t_max when
     the scan step t_max / (grid_points - 1) exceeds 2 pi / (max E - min E),
@@ -309,59 +317,68 @@ def find_pst_time(
         )
     weights = spectrum.eigvecs[-1] * spectrum.eigvecs[0]
 
-    def modulus(t) -> np.ndarray:
-        """|<e_N| exp(-i J t) |e_1>|; the shape of t."""
-        phases = np.exp(-1j * np.multiply.outer(spectrum.eigvals, np.asarray(t, dtype=float)))
-        return np.abs(np.tensordot(weights, phases, axes=(0, 0)))
+    def modulus(t: np.ndarray) -> np.ndarray:
+        """|<e_N| exp(-i J t) |e_1>| at each time of t, each as for its time alone."""
+        return np.abs(inner(weights, np.exp(-1j * np.multiply.outer(t, spectrum.eigvals))))
 
     ts = np.linspace(0.0, t_max, grid_points)
     vals = modulus(ts)
-    best = int(np.argmax(vals))
-    if vals[best] <= PST_FLOOR:
+    top = vals.max()
+    if top <= PST_FLOOR:
         raise ValueError(
             f"the transfer amplitude of the chain {spectrum._describe()} stays within "
             f"{PST_FLOOR:.3g} of 0 on the scanned window [0, {t_max!r}]: the chain does "
             f"not transfer"
         )
-    # scan points within 1e-12 of the maximum tie with the earliest of them
-    best = int(np.nonzero(vals >= vals[best] - 1e-12)[0][0])
-
-    def refine(i: int) -> tuple[float, float]:
-        """The peak in the bracket of scan point i, and its modulus."""
-        t = _golden_max(modulus, ts[max(i - 1, 0)], ts[min(i + 1, grid_points - 1)], 1e-10)
-        return t, float(modulus(t))
-
-    t_star, amplitude = refine(best)
-    # the bound on a sample's shortfall: |d^2/dt^2| <= (spread / 2)^2 once a
-    # global phase is removed, as the weights' moduli sum to at most 1
-    slack = (spread * (ts[1] - ts[0])) ** 2 / 32.0
-    for i in np.nonzero(vals[:best] >= vals[best] - slack)[0]:
-        if vals[i] >= vals[max(i - 1, 0)] and vals[i] >= vals[i + 1]:
-            t, value = refine(i)
-            if value >= amplitude - 1e-12:
-                return t, value
-    return t_star, amplitude
-
-
-def _golden_max(f, lo: float, hi: float, tol: float) -> float:
-    """Golden-section maximization on a bracket; returns the midpoint at tol width.
-
-    The width never goes below a few ulps of the bracket's end, where it
-    could no longer shrink.
-    """
-    tol = max(tol, 4.0 * math.ulp(max(abs(lo), abs(hi))))
+    # |d^2/dt^2| <= (spread / 2)^2 once a global phase is removed, as the
+    # weights' moduli sum to at most 1: the sample nearest a peak, h / 2 from
+    # it at most, sits at most the slack below it
+    h = ts[1] - ts[0]
+    slack = (spread * h) ** 2 / 32.0
+    m = math.ceil(spread * h)
+    if m > 1:
+        # under 2 pi samples per period of the fastest component, the sample
+        # nearest the highest peak can sit below a neighbour on the next hill
+        # and so be no local maximum (seen from spread h ~ 3.9 up to the
+        # aliasing limit 2 pi). The samples within the slack, which include
+        # the nearest sample of every peak above the best value, are rescanned
+        # with their neighbours on a grid m times finer (spread h / m <= 1).
+        # Each rescanned stretch ends on a neighbour below the slack, so no
+        # candidate's bracket spans the gap to the next stretch.
+        near = np.flatnonzero(vals >= top - slack)
+        last = m * (grid_points - 1)
+        index = np.unique(np.clip(m * near[:, None] + np.arange(-m, m + 1), 0, last))
+        ts = np.linspace(0.0, t_max, last + 1)[index]
+        vals = modulus(ts)
+        top, slack = vals.max(), slack / m**2
+    # the candidates: every local maximum of the scan within the slack of its
+    # best value, and the earliest sample within 1e-12 of that value. A local
+    # maximum's bracket [t_{i-1}, t_{i+1}] holds the peak its sample sits
+    # under: the climb from t_i to that peak rises all the way, so it cannot
+    # pass a neighbour that samples no higher than t_i.
+    left, right = np.r_[vals[0], vals[:-1]], np.r_[vals[1:], vals[-1]]
+    peaks = (vals >= left) & (vals >= right) & (vals >= top - slack)
+    peaks[np.argmax(vals >= top - 1e-12)] = True
+    i = np.flatnonzero(peaks)
+    a, b = ts[np.maximum(i - 1, 0)], ts[np.minimum(i + 1, ts.size - 1)]
+    # one golden section refines every bracket, each to a width of 1e-10, or
+    # of a few ulps of its end where it could no longer shrink
+    tol = np.maximum(1e-10, 4.0 * np.spacing(b))
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
+    c, d = b - inv_phi * (b - a), a + inv_phi * (b - a)
+    fc, fd = modulus(c), modulus(d)
+    while (live := b - a > tol).any():
+        lower = live & (fc >= fd)       # the peak is in [a, d]: d moves to c
+        upper = live & ~lower           # the peak is in [c, b]: c moves to d
+        a, b = np.where(upper, c, a), np.where(lower, d, b)
+        c, d = np.where(upper, d, c), np.where(lower, c, d)
+        fc, fd = np.where(upper, fd, fc), np.where(lower, fc, fd)
+        c = np.where(lower, b - inv_phi * (b - a), c)
+        d = np.where(upper, a + inv_phi * (b - a), d)
+        fresh = modulus(np.where(lower, c, d))
+        fc, fd = np.where(lower, fresh, fc), np.where(upper, fresh, fd)
+    t = 0.5 * (a + b)
+    value = modulus(t)
+    # the earliest refined peak within 1e-12 of the highest: the first revival
+    first = np.argmax(value >= value.max() - 1e-12)
+    return float(t[first]), float(value[first])

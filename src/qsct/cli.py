@@ -407,10 +407,7 @@ def _cmd_pst(args) -> int:
     print(f"d            = {spec.d}")
     print(f"nodes        = {spec.n}")
     print(f"t_star       = {t_star:.12g}")
-    print(f"min_amplitude = {amplitude:.12g}")
-    print("level  amplitude")
-    for level in range(1, spec.d):
-        print(f"{level:<6d} {amplitude:.12g}")
+    print(f"amplitude    = {amplitude:.12g}")
     return 0
 
 

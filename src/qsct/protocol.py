@@ -64,8 +64,7 @@ same indices, rho is d^n x d^n, steps under the register unitary
 (Spectrum.unitary, a chain's only diagonalisation of the register
 Hamiltonian), takes channels.apply_weyl_table and is measured on the
 register by entanglement.ccnr, amplified_ccnr_margin and
-entanglement_level of the stack, and linalg.partial_trace. run_noiseless
-and run_noisy return run_experiment's reference and records.
+entanglement_level of the stack, and linalg.partial_trace.
 
 Every record carries a gamma flag: the concurrence-style entanglement level
 is compared step by step against the noiseless profile of the same
@@ -89,7 +88,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -436,20 +435,6 @@ def prepare_references(configs: Sequence[ExperimentConfig]) -> list[PreparedRefe
                                     if _twin_key(other) in refused)
                 raise
     return [prepared[_twin_key(config)] for config in configs]
-
-
-def run_noiseless(config: ExperimentConfig) -> list[TransferRecord]:
-    """Pure-state stepwise evolution, the config's noise left out; steps+1
-    records at times k * t_total / steps (run_experiment's reference)."""
-    return run_experiment(replace(config, noise=None))[0]
-
-
-def run_noisy(config: ExperimentConfig) -> list[TransferRecord]:
-    """Density-matrix stepwise evolution with the configured noise placement
-    (run_experiment's records); ConfigError without a noise section."""
-    if config.noise is None:
-        raise ConfigError("noise section is required for a noisy run")
-    return run_experiment(config)[0]
 
 
 def run_experiment(

@@ -26,8 +26,12 @@ d = 3. They are the generator-sum oracle for the Hamiltonian.
 Closed forms and conservation laws. closed_form_l2_d2 is the printed
 two-level profile, and commutator_defect the norms of [H, C_r] for the level
 counters built from the generator basis.
+
+Peaks. golden_max maximises one scalar function on one bracket, a peak off
+a grid, by golden section.
 """
 
+import math
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import product
@@ -347,3 +351,21 @@ def commutator_defect(spec: ChainSpec) -> list[float]:
         c = np.diag(eta(r, spec.d)).real[digits].sum(axis=0)
         out.append(float(np.linalg.norm(h * (c[None, :] - c[:, None]))))
     return out
+
+
+def golden_max(f, lo: float, hi: float, tol: float) -> float:
+    """Golden-section maximisation of f on [lo, hi]; the midpoint at tol width."""
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c, d = b - inv_phi * (b - a), a + inv_phi * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > tol:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - inv_phi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv_phi * (b - a)
+            fd = f(d)
+    return 0.5 * (a + b)

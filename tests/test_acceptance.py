@@ -15,7 +15,6 @@ import pytest
 from qsct.chain import (
     ChainSpec,
     Spectrum,
-    _golden_max,
     build_hamiltonian,
     find_pst_time,
 )
@@ -33,6 +32,7 @@ from oracles import (
     commutator_defect,
     embed_channel,
     generator_set,
+    golden_max,
     phase_damping,
     weyl_channel,
 )
@@ -124,8 +124,8 @@ def test_criterion_04_entanglement_profile():
                 return concurrence_pure(ket, part)
 
             best = int(np.argmax(conc))
-            t_peak = _golden_max(conc_at, grid[max(best - 1, 0)],
-                                 grid[min(best + 1, 199)], 1e-12)
+            t_peak = golden_max(conc_at, grid[max(best - 1, 0)],
+                                grid[min(best + 1, 199)], 1e-12)
             assert conc_at(t_peak) >= 0.5 - 1e-9
 
             for ket, c in zip(_evolved_kets(spec, grid, _plus_state(d)), conc):

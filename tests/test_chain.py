@@ -14,7 +14,7 @@ from qsct.chain import (
     default_couplings,
     find_pst_time,
 )
-from oracles import commutator_defect, embed_operator, eta
+from oracles import commutator_defect, embed_operator, eta, golden_max
 
 
 def _complex_propagator(h, t):
@@ -286,6 +286,39 @@ def test_find_pst_time_bits(d, n, couplings, t_hex, amp_hex):
     assert (t_star.hex(), amplitude.hex()) == (t_hex, amp_hex)
 
 
+@pytest.mark.parametrize("couplings, t_max", [
+    (None, 2.0 * math.pi), (None, 50.0), ([0.989, 1.148], 2.0 * math.pi),
+    ([1.0, 0.3, 0.7, 1.0], 10.0), ([0.84, 1.01, 0.86, 1.42], 300.0),
+    ([1.1, 0.9, 1.3, 0.8, 1.2], 100.0), ([0.5, 1.7, 0.2, 1.1, 0.9, 1.3], 500.0),
+])
+def test_find_pst_time_matches_one_bracket_at_a_time(couplings, t_max):
+    # the loop that the search vectorises, on windows where spread h <= 1: each
+    # modulus a single np.dot, each candidate's bracket refined alone by a
+    # scalar golden section; the same (t_star, amplitude), bit for bit
+    n = 5 if couplings is None else len(couplings) + 1
+    spectrum = Spectrum(ChainSpec(d=3, n=n, couplings=couplings))
+    weights = spectrum.eigvecs[-1] * spectrum.eigvecs[0]
+
+    def modulus(t):
+        return float(abs(np.dot(weights, np.exp(-1j * (t * spectrum.eigvals)))))
+
+    ts = np.linspace(0.0, t_max, 2000)
+    spread = spectrum.eigvals[-1] - spectrum.eigvals[0]
+    assert spread * ts[1] <= 1.0
+    vals = [modulus(t) for t in ts]
+    top, slack = max(vals), (spread * ts[1]) ** 2 / 32.0
+    first_tie = next(i for i, v in enumerate(vals) if v >= top - 1e-12)
+    peaks = []
+    for i, value in enumerate(vals):
+        lo, hi = max(i - 1, 0), min(i + 1, len(ts) - 1)
+        if i == first_tie or value >= max(vals[lo], vals[hi], top - slack):
+            t = golden_max(modulus, ts[lo], ts[hi], max(1e-10, 4.0 * math.ulp(ts[hi])))
+            peaks.append((t, modulus(t)))
+    highest = max(value for _, value in peaks)
+    want = next(peak for peak in peaks if peak[1] >= highest - 1e-12)
+    assert find_pst_time(spectrum, t_max=t_max) == want
+
+
 @pytest.mark.parametrize("t_max", [2.0 * math.pi, 50.0])
 def test_find_pst_time_returns_the_earliest_of_tying_revivals(t_max):
     # couplings (a, b) give eigenvalues 0, +-sqrt(a^2 + b^2): every later peak
@@ -314,6 +347,45 @@ def test_find_pst_time_keeps_a_later_peak_that_is_higher():
     t_star, amplitude = find_pst_time(spectrum, t_max=50.0)
     assert t_star == 31.255370039593455
     assert amplitude == pytest.approx(0.827410, abs=1e-6)
+
+
+# A later peak that the scan samples below the best scan value, above every
+# other peak of its window: (couplings, t_max, t_star, amplitude).
+HIGHER_LATER_PEAKS = [
+    ([0.84, 1.01, 0.86, 1.42], 100.0, 76.55964168307523, 0.827478571622066),
+    ([0.84, 1.01, 0.86, 1.42], 300.0, 257.7767277799986, 0.8277487348079676),
+    ([0.84, 1.01, 0.86, 1.42], 350.0, 348.38527069105226, 0.8278814790420563),
+    ([0.84, 1.01, 0.86, 1.42], 3448.3, 3429.075640131119, 0.8314645694432946),
+    ([1.1, 0.9, 1.3, 0.8, 1.2], 3270.8, 2304.753202663256, 0.982981374565503),
+]
+
+
+@pytest.mark.parametrize("couplings, t_max, t_want, amp_want", HIGHER_LATER_PEAKS)
+def test_find_pst_time_refines_a_higher_later_peak(couplings, t_max, t_want, amp_want):
+    spectrum = Spectrum(ChainSpec(d=2, n=len(couplings) + 1, couplings=couplings))
+    t_star, amplitude = find_pst_time(spectrum, t_max=t_max)
+    assert abs(t_star - t_want) < 1e-6
+    assert amplitude == pytest.approx(amp_want, abs=1e-9)
+    assert amplitude == pytest.approx(float(abs(spectrum.site_amplitudes(t_star)[-1])), abs=1e-14)
+
+
+@pytest.mark.parametrize("couplings, t_max, t_want, amp_want", [
+    ([1.95, 0.28, 1.46, 0.59, 1.04], 2770.3, 2143.097425587106, 0.2745238106914851),
+    ([1.98, 0.21, 1.97], 2984.3, 403.4628898841537, 0.9988681320370458),
+])
+def test_find_pst_time_rescans_a_peak_whose_sample_is_no_local_maximum(
+        couplings, t_max, t_want, amp_want):
+    # near the aliasing limit the scan sample nearest the window's highest
+    # peak samples lower than a neighbour on the next hill, so no bracket of
+    # a scan local maximum holds that peak; a grid with spread h <= 1 does
+    spectrum = Spectrum(ChainSpec(d=2, n=len(couplings) + 1, couplings=couplings))
+    ts = np.linspace(0.0, t_max, 2000)
+    scan = np.abs(spectrum.site_amplitudes(ts)[:, -1])
+    nearest = int(round(t_want / ts[1]))
+    assert scan[nearest] < max(scan[nearest - 1], scan[nearest + 1])
+    t_star, amplitude = find_pst_time(spectrum, t_max=t_max)
+    assert abs(t_star - t_want) < 1e-6
+    assert amplitude == pytest.approx(amp_want, abs=1e-9)
 
 
 def test_find_pst_time_overflowing_phases_name_the_chain():
@@ -348,12 +420,14 @@ def test_find_pst_time_ends_on_a_wide_window():
     # the golden-section bracket cannot shrink below the ulp of t ~ 1e6,
     # which is above the default tol of 1e-10. The window ends on the revival
     # t = (2k - 1) pi of |sin(t / 2)|, and k scan steps of 2 pi - pi / k (under
-    # the aliasing limit 2 pi / (max E - min E) = 2 pi) rise to it, so the
-    # best bracket is the last one.
+    # the aliasing limit 2 pi / (max E - min E) = 2 pi) rise to it. The scan
+    # is too coarse to bracket the revivals, so the search rescans it 7 times
+    # finer and refines every revival, up to the last one; all of them reach
+    # 1, and the first, pi, is the transfer time.
     k = 159155
     t_max = (2 * k - 1) * math.pi
     t_star, amp = find_pst_time(Spectrum(ChainSpec(d=2, n=2)), t_max=t_max, grid_points=k + 1)
-    assert t_max - 2.0 * math.pi < t_star <= t_max
+    assert abs(t_star - math.pi) < 1e-6
     assert amp == pytest.approx(1.0, abs=1e-6)
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qsct.chain import ChainSpec, Spectrum
+from qsct.chain import ChainSpec, Spectrum, find_pst_time
 
 from qsct.channels import apply_weyl_table, phase_damping_table, weyl_table
 from qsct.entanglement import (
@@ -207,3 +207,20 @@ def test_sector_partial_trace_of_a_ket_is_that_of_its_density_matrix(data):
     from_ket = sector_partial_trace(ket, cut, kets=True)
     assert np.array_equal(from_ket, sector_partial_trace(np.outer(ket, ket.conj()), cut))
     assert from_ket.shape == (1 + len(keep),) * 2
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_find_pst_time_reaches_the_window_s_highest_peak(data):
+    # random couplings on 3 to 6 nodes, on windows up to 0.99 of the widest
+    # that the 2000-point scan resolves: no time of a scan 16 times finer
+    # beats the search, and the amplitude returned is the one at t_star
+    n = data.draw(st.integers(3, 6))
+    couplings = data.draw(st.lists(st.floats(0.2, 2.0), min_size=n - 1, max_size=n - 1))
+    spectrum = Spectrum(ChainSpec(d=2, n=n, couplings=couplings))
+    limit = 2.0 * math.pi * 1999 / (spectrum.eigvals[-1] - spectrum.eigvals[0])
+    t_max = data.draw(st.floats(0.01, 0.99)) * limit
+    t_star, amplitude = find_pst_time(spectrum, t_max=t_max)
+    finer = np.abs(spectrum.site_amplitudes(np.linspace(0.0, t_max, 16 * 1999 + 1))[:, -1])
+    assert amplitude >= finer.max() - 1e-9, (couplings, t_max)
+    assert amplitude == pytest.approx(abs(spectrum.site_amplitudes(t_star)[-1]), abs=1e-14)

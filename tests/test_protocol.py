@@ -30,8 +30,6 @@ from qsct.protocol import (
     engine,
     prepare_references,
     run_experiment,
-    run_noiseless,
-    run_noisy,
 )
 
 from oracles import (
@@ -163,7 +161,7 @@ def test_library_rejects_non_finite_values(field, bad):
 
 def test_noiseless_profile_rise_and_fall():
     for d in (2, 3):
-        records = run_noiseless(_config(d=d, steps=16))
+        records = run_experiment(_config(d=d, steps=16))[0]
         conc = [r.concurrence for r in records]
         assert conc[0] <= 1e-6
         assert conc[-1] <= 1e-6
@@ -175,7 +173,7 @@ def test_noiseless_profile_rise_and_fall():
 
 def test_noiseless_record_count_and_times():
     cfg = _config(steps=16)
-    records = run_noiseless(cfg)
+    records = run_experiment(cfg)[0]
     assert len(records) == 17
     assert records[0].time == 0.0
     assert records[8].time == pytest.approx(records[-1].time / 2.0, abs=1e-12)
@@ -184,7 +182,7 @@ def test_noiseless_record_count_and_times():
 def test_noiseless_ground_input_stays_separable():
     amps = np.zeros(3, dtype=complex)
     amps[0] = 1.0
-    records = run_noiseless(_config(input_amplitudes=amps, steps=8))
+    records = run_experiment(_config(input_amplitudes=amps, steps=8))[0]
     for r in records:
         assert r.concurrence <= 1e-10
         assert abs(r.ccnr - 1.0) <= 1e-10
@@ -216,7 +214,7 @@ def test_first_last_reduced_state_exact_at_t0():
 
 def test_endpoints_bipartition_runs():
     cfg = _config(d=2, n=3, bipartition="endpoints", steps=8)
-    records = run_noiseless(cfg)
+    records = run_experiment(cfg)[0]
     assert records[0].concurrence <= 1e-10  # product across the 1..N pair at t=0
     assert max(r.concurrence for r in records) > 0.1
 
@@ -233,14 +231,9 @@ def test_two_site_endpoints_are_cut_one(noise):
 
 def test_interior_cut_runs():
     cfg = _config(d=2, n=3, bipartition=2, steps=8)
-    records = run_noiseless(cfg)
+    records = run_experiment(cfg)[0]
     assert len(records) == 9
     assert max(r.concurrence for r in records) > 0.1
-
-
-def test_noisy_requires_noise_section():
-    with pytest.raises(ConfigError):
-        run_noisy(_config())
 
 
 # every noise kind x topology on d=3 n=3; the uniform Weyl tables have shifts
@@ -253,15 +246,15 @@ RUN_NOISES = [None,
 @pytest.mark.parametrize("bipartition", ["endpoints", 1])
 @pytest.mark.parametrize("noise", RUN_NOISES)
 def test_run_functions_return_the_records_of_run_experiment(noise, bipartition):
-    # t_total is left to the transfer-time search, which each call repeats
+    # t_total is left to the transfer-time search, which each call repeats: a
+    # noisy run's reference is the records of its config without the noise
     cfg = _config(d=3, n=3, steps=4, bipartition=bipartition, noise=noise)
     records, reference = run_experiment(cfg)
+    assert run_experiment(cfg) == (records, reference)
     if noise is None:
         assert reference is None
-        assert run_noiseless(cfg) == records
     else:
-        assert run_noiseless(cfg) == reference
-        assert run_noisy(cfg) == records
+        assert run_experiment(dataclasses.replace(cfg, noise=None)) == (reference, None)
         assert records != reference
 
 
@@ -342,8 +335,8 @@ def test_determinism_bit_identical():
 
 
 def test_step_count_independence():
-    coarse = run_noiseless(_config(steps=16))
-    fine = run_noiseless(_config(steps=160))
+    coarse = run_experiment(_config(steps=16))[0]
+    fine = run_experiment(_config(steps=160))[0]
     for k, record in enumerate(coarse):
         twin = fine[10 * k]
         assert twin.time == pytest.approx(record.time, abs=1e-12)
@@ -540,7 +533,7 @@ def test_a_non_finite_reference_is_refused_by_every_run(monkeypatch):
     # the twin's sector kets measure NaN: no run returns its records
     _poison_sector_measures(monkeypatch, 0, lambda states: states.ndim == 2)
     cfg = _config(steps=8, noise=NoiseSpec(kind="phase_damping", topology="interleaved", p=0.5))
-    for run in (run_noiseless, run_noisy, run_experiment,
+    for run in (run_experiment,
                 lambda config: run_experiment(dataclasses.replace(config, noise=None))):
         with pytest.raises(FloatingPointError, match=NON_FINITE):
             run(cfg)
@@ -551,10 +544,9 @@ def test_a_non_finite_sector_rho_record_is_refused(monkeypatch):
     _poison_sector_measures(monkeypatch, 2, lambda states: states.ndim == 3)
     cfg = _config(steps=8, noise=NoiseSpec(kind="phase_damping", topology="interleaved", p=0.5))
     assert engine(cfg) == "sector"
-    for run in (run_noisy, run_experiment):
-        with pytest.raises(FloatingPointError, match=NON_FINITE):
-            run(cfg)
-    assert len(run_noiseless(cfg)) == 9
+    with pytest.raises(FloatingPointError, match=NON_FINITE):
+        run_experiment(cfg)
+    assert len(run_experiment(dataclasses.replace(cfg, noise=None))[0]) == 9
 
 
 def test_a_non_finite_register_rho_record_is_refused(monkeypatch):
@@ -564,10 +556,9 @@ def test_a_non_finite_register_rho_record_is_refused(monkeypatch):
     pi[0, 0], pi[1, 0] = 0.9, 0.1
     cfg = _config(steps=8, noise=NoiseSpec(kind="weyl", topology="interleaved", pi=pi))
     assert engine(cfg) == "dense"
-    for run in (run_noisy, run_experiment):
-        with pytest.raises(FloatingPointError, match=NON_FINITE):
-            run(cfg)
-    assert len(run_noiseless(cfg)) == 9
+    with pytest.raises(FloatingPointError, match=NON_FINITE):
+        run_experiment(cfg)
+    assert len(run_experiment(dataclasses.replace(cfg, noise=None))[0]) == 9
 
 
 def test_prepare_references_names_the_configs_of_a_non_finite_twin(monkeypatch):
@@ -898,7 +889,7 @@ def test_sector_records_match_a_dense_evolution(d, n):
         cfg = ExperimentConfig(chain=spec, input_amplitudes=amps, steps=6,
                                t_total=math.pi, bipartition=cut)
         ket0 = _dense_ket0(cfg)
-        for got in run_noiseless(cfg):
+        for got in run_experiment(cfg)[0]:
             want = _dense_record(cfg, got.step, dense.ket(ket0, got.time), dense.transfer(got.time))
             _assert_records_match(got, want, (cut, got.step))
 
@@ -991,7 +982,7 @@ def test_sector_density_records_match_a_dense_evolution(d, n):
         wants = {}
         for cut in cuts:
             cut_config = dataclasses.replace(config, bipartition=cut)
-            records = run_noisy(cut_config)
+            records = run_experiment(cut_config)[0]
             for k, rho in states[first:]:
                 key = (k, _dense_cut(cut, n))
                 if key not in wants:
@@ -1133,10 +1124,10 @@ def test_chain_cut_measures_read_the_normalized_input():
     # of the normalized input, to rounding
     amps = np.array([0.6, 0.8, 0.0])
     for cut in (1, 2, 3):
-        exact = run_noiseless(_config(d=3, n=4, steps=8, t_total=2.0, bipartition=cut,
-                                      input_amplitudes=amps))
-        off = run_noiseless(_config(d=3, n=4, steps=8, t_total=2.0, bipartition=cut,
-                                    input_amplitudes=amps * (1.0 + 5e-11)))
+        exact = run_experiment(_config(d=3, n=4, steps=8, t_total=2.0, bipartition=cut,
+                                       input_amplitudes=amps))[0]
+        off = run_experiment(_config(d=3, n=4, steps=8, t_total=2.0, bipartition=cut,
+                                     input_amplitudes=amps * (1.0 + 5e-11)))[0]
         for got, want in zip(off, exact):
             for name in ("ccnr", "ccnr_amplified_margin", "concurrence"):
                 assert abs(getattr(got, name) - getattr(want, name)) <= 1e-15, (cut, got.step, name)
@@ -1184,7 +1175,7 @@ def test_pure_noisy_record_at_a_cut_needs_no_register_eigh(monkeypatch):
                   noise=NoiseSpec(kind="phase_damping", topology="global_after", p=1.0))
     records, register_eighs, _ = _register_eighs_and_peak(monkeypatch, cfg)
     assert register_eighs == []
-    reference = run_noiseless(cfg)
+    reference = run_experiment(dataclasses.replace(cfg, noise=None))[0]
     assert records[-1].concurrence == pytest.approx(reference[-1].concurrence, abs=1e-12)
 
 
