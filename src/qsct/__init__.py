@@ -5,7 +5,7 @@ conformance report and its average fidelity are in qsct.conformance; import
 them from there.
 """
 
-from .chain import ChainSpec, build_hamiltonian, default_couplings, find_pst_time
+from .chain import ChainSpec, default_couplings, find_pst_time
 from .channels import WeylTable, apply_weyl_table, phase_damping_table, weyl_table
 from .entanglement import (
     amplified_ccnr_margin,

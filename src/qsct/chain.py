@@ -12,24 +12,21 @@ sites minus its diagonal sum_a |aa><aa|:
 
     H = sum_i J_i (SWAP_{i,i+1} - sum_a |aa><aa|_{i,i+1}),
 
-a real matrix with one entry J_i per hop |.. a b ..> -> |.. b a ..>, a != b;
-build_hamiltonian assembles it in that form. A single excitation of any
-level hops on the n x n tridiagonal matrix J with off-diagonals J_i, the
-same for every level, and the vacuum is annihilated.
+a real matrix with one entry J_i per hop |.. a b ..> -> |.. b a ..>, a != b.
+A hop keeps how many sites sit at each level (Christandl et al., PRL 92,
+187902 (2004)), so H is block-diagonal over those count vectors, and it is
+never built whole. A single excitation of any level hops on the n x n
+tridiagonal matrix J with off-diagonals J_i, and the vacuum is annihilated.
 With J_i = sqrt(i (N - i)) / 2 that matrix is the angular-momentum J_x, and
 the end-to-end transfer amplitude reaches 1 at t = pi independent of N.
 Site 1 is the most significant tensor factor: basis index =
 sum_s value_s * d^(N - s).
 
-Spectrum diagonalises J and evolves every state of the single-excitation
-sector, a ket through its site amplitudes and a density matrix through
-sector_unitary; the transfer-time search (find_pst_time) takes that
-Spectrum as its one chain input and scans the same n eigenpairs. Every
-local maximum of its scan that may sit under the window's highest peak is
-refined, all in one vectorised golden section, and the earliest refined
-peak within 1e-12 of the highest is the transfer time. The
-dense register Hamiltonian (build_hamiltonian) is diagonalised only for a
-register evolution (Spectrum.unitary).
+Spectrum evolves a sector ket through its site amplitudes, and a density
+matrix through Spectrum.unitary, one eigh per partition of n. The
+transfer-time search (find_pst_time) scans J's n eigenpairs and refines
+every local maximum that may sit under the window's highest peak in one
+vectorised golden section; the earliest within 1e-12 of the highest wins.
 """
 
 from __future__ import annotations
@@ -49,6 +46,7 @@ PHASE_TOL = 1e-6
 # find_pst_time refuses a chain whose end-to-end amplitude never exceeds this:
 # less than eps of the excitation's weight (its square) ever arrives
 PST_FLOOR = math.sqrt(np.finfo(float).eps)
+_PHASE_BYTES = 1 << 20     # find_pst_time's phases exp(-i E t) held at once
 
 
 class ConfigError(ValueError):
@@ -158,66 +156,49 @@ def default_couplings(n: int) -> np.ndarray:
     return np.sqrt(i * (n - i)) / 2.0
 
 
-def build_hamiltonian(spec: ChainSpec) -> np.ndarray:
-    """The register Hamiltonian as a real symmetric hopping matrix: bond i
-    takes every basis state whose sites i and i+1 differ to the state with
-    those two sites exchanged, with amplitude J_i."""
-    digits = np.indices(spec.dims).reshape(spec.n, -1)
-    h = np.zeros((spec.dim, spec.dim))
-    for i, coupling in enumerate(spec.couplings):
-        hop = np.flatnonzero(digits[i] != digits[i + 1])
-        swapped = digits[:, hop]
-        swapped[[i, i + 1]] = swapped[[i + 1, i]]
-        h[np.ravel_multi_index(swapped, spec.dims), hop] = coupling
-    return h
-
-
 def _real_matmul(m: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """m @ z for real m and complex z, without promoting m to complex.
-
-    The real and imaginary parts of z are interleaved as twice the columns of
-    one real product, so no complex copy of the (register-sized) m is made.
-    """
+    """m @ z for real m and complex z, with z's parts interleaved: m stays real."""
     z = np.ascontiguousarray(z, dtype=np.complex128)
     pairs = z.reshape(z.shape[0], -1).view(np.float64)
     return (m @ pairs).view(np.complex128).reshape((m.shape[0],) + z.shape[1:])
 
 
+def _hopping(spec: ChainSpec, keys: np.ndarray) -> np.ndarray:
+    """H on the register states keys, descending: bond i takes each state
+    whose sites i and i+1 differ to the state with the two exchanged, J_i."""
+    digits, h = np.array(np.unravel_index(keys, spec.dims)), np.zeros((keys.size,) * 2)
+    for i, coupling in enumerate(spec.couplings):
+        hop = np.flatnonzero(digits[i] != digits[i + 1])
+        swapped = digits[:, hop]
+        swapped[[i, i + 1]] = swapped[[i + 1, i]]
+        h[np.searchsorted(-keys, -np.ravel_multi_index(swapped, spec.dims)), hop] = coupling
+    return h
+
+
 class Spectrum:
-    """The spectrum of one chain: the single-excitation problem, and the
-    register Hamiltonian on demand.
+    """The spectrum of one chain, one level-count block at a time.
 
-    An input sum_r alpha_r |r> (x) |0...0> never leaves span{vac} (+) the d-1
-    single-excitation copies, one per excited level r with the excitation on
-    site s = 1..n. H annihilates the vacuum and acts on every copy as the
-    same real symmetric tridiagonal n x n matrix J with off-diagonals
-    spec.couplings. One eigh of J (eigvals, eigvecs) therefore gives every
-    pure state of a run through the site amplitudes f(t) = exp(-i J t) e_1:
-    the register ket is alpha_0 |vac> + sum_{r,s} alpha_r f_s(t) |r on site s>.
-
-    A density matrix that stays in the sector steps under sector_unitary,
-    the same n x n evolution on each excited copy. The dense d^n x d^n
-    register Hamiltonian is assembled and diagonalised only when a register
-    evolution is asked for (unitary), at most once per Spectrum,
-    under a lock, so threads that share the Spectrum build it once; a run
-    asks for it only to step a density matrix under interleaved noise with
-    shifts. protocol.prepare_references builds one Spectrum per distinct
-    chain of a sweep (or of a single experiment), shared by the
-    transfer-time search, every reference record and every run on that
-    chain; qsct run lets it go once the last of those runs has finished.
+    With a block's levels relabelled, the most occupied 0 (ties by level),
+    and its states ordered by relabelled register index, descending, every
+    block of one partition of n has the same real hopping matrix, so one
+    eigh per partition evolves them all (unitary). An input
+    sum_r alpha_r |r> (x) |0...0> stays on the vacuum and the d-1 blocks of
+    (n-1, 1), each J in site order, whose eigh (eigvals, eigvecs) is taken
+    here: the ket is alpha_0 |vac> + sum_{r,s} alpha_r f_s(t) |r on site s>,
+    f(t) = exp(-i J t) e_1 (site_amplitudes). Any other partition is
+    diagonalised once, when a unitary first needs it, under a lock.
 
     A phase exp(-i E t) is only known to about |E t| eps radians; every time
-    is checked against PHASE_TOL on the eigenvalues that evolve it: the
-    sector's for site_amplitudes, sector_unitary and the transfer-time
-    search (check_time), the register's for unitary.
+    is checked against PHASE_TOL on the eigenvalues that evolve it: J's for
+    site_amplitudes and find_pst_time (check_time), each block's for unitary.
     """
 
     def __init__(self, spec: ChainSpec):
         self.spec = spec
         j = np.diag(spec.couplings, 1)
         self.eigvals, self.eigvecs = np.linalg.eigh(j + j.T)
-        self._register: tuple[np.ndarray, np.ndarray] | None = None
-        self._register_lock = threading.Lock()
+        self._blocks = {1: (self.eigvals, self.eigvecs)}  # each partition's eigh; J's is 1
+        self._lock = threading.Lock()
 
     def _describe(self) -> str:
         """The chain as a refusal names it; built only when a check raises."""
@@ -250,29 +231,42 @@ class Spectrum:
         f[t == 0.0] = np.eye(1, self.spec.n)
         return f
 
-    def sector_unitary(self, t: float) -> np.ndarray:
-        """exp(-i t H) on the sector basis: the vacuum, then level r on site s
-        at index 1 + (r-1) n + s (level-major, 0-based sites), which is
-        1 (+) (I_{d-1} (x) exp(-i J t)); built from the n x n eigenpairs."""
-        self.check_time(t)
-        hop = _real_matmul(self.eigvecs, np.exp(-1j * t * self.eigvals)[:, None] * self.eigvecs.T)
-        size = 1 + (self.spec.d - 1) * self.spec.n
-        u = np.zeros((size, size), dtype=np.complex128)
-        u[0, 0] = 1.0
-        u[1:, 1:] = np.kron(np.eye(self.spec.d - 1), hop)
+    def unitary(self, t: float, states: np.ndarray | None = None) -> np.ndarray:
+        """exp(-i t H) on the register indices states, in their order, the
+        whole register by default; the identity at t = 0. Each block is
+        V exp(-i E t) V^T from its partition's eigh: on the sector,
+        1 (+) (I_{d-1} (x) exp(-i J t)) from J's. ValueError naming states
+        unless they are a union of whole level-count blocks."""
+        spec = self.spec
+        states = np.arange(spec.dim) if states is None else np.asarray(states)
+        digits = np.array(np.unravel_index(states, spec.dims))
+        counts = (digits == np.arange(spec.d)[:, None, None]).sum(1)
+        factorial = np.cumprod(np.r_[1, 1:spec.n + 1])
+        size = factorial[spec.n] // factorial[counts].prod(0)
+        # a block is named by its digits sorted, read as a register index
+        block = np.ravel_multi_index(np.sort(digits, axis=0, kind="stable"), spec.dims)
+        if np.any(np.bincount(states) > 1) or np.any(np.bincount(block)[block] != size):
+            raise ValueError("states: not a union of level-count blocks of the register")
+        if t == 0.0:
+            return np.eye(states.size, dtype=np.complex128)
+        # each state's levels relabelled, the most occupied 0 (all sorts stable: one kernel)
+        relabel = np.argsort(np.argsort(-counts, axis=0, kind="stable"), axis=0, kind="stable")
+        relabelled = np.take_along_axis(relabel, digits, axis=0)
+        keys = np.ravel_multi_index(relabelled, spec.dims)
+        partition = np.ravel_multi_index(np.sort(relabelled, axis=0, kind="stable"), spec.dims)
+        # each partition's states, block by block, each block in its own order
+        order = np.lexsort((-keys, block, partition))
+        u = np.zeros((states.size, states.size), dtype=np.complex128)
+        for rows in np.split(order, np.flatnonzero(np.diff(partition[order])) + 1):
+            rows = rows.reshape(-1, size[rows[0]])
+            with self._lock:    # each partition's eigh, once per Spectrum
+                if (key := partition[rows[0, 0]]) not in self._blocks:
+                    self._blocks[key] = np.linalg.eigh(_hopping(spec, keys[rows[0]]))
+                eigvals, eigvecs = self._blocks[key]
+            self._check(t, eigvals)
+            phases = np.exp(-1j * t * eigvals)[:, None] * eigvecs.T
+            u[rows[:, :, None], rows[:, None, :]] = _real_matmul(eigvecs, phases)
         return u
-
-    def unitary(self, t: float) -> np.ndarray:
-        """exp(-i t H) on the register, as a dense matrix; the register
-        Hamiltonian is assembled and diagonalised on the first call of any
-        thread."""
-        with self._register_lock:
-            if self._register is None:
-                self._register = np.linalg.eigh(build_hamiltonian(self.spec))
-        eigvals, eigvecs = self._register
-        self._check(t, eigvals)
-        phases = np.exp(-1j * t * eigvals)
-        return _real_matmul(eigvecs, phases[:, None] * eigvecs.T)
 
 
 def find_pst_time(
@@ -316,10 +310,15 @@ def find_pst_time(
             f"{2.0 * math.pi * (grid_points - 1) / spread:.6g}"
         )
     weights = spectrum.eigvecs[-1] * spectrum.eigvecs[0]
+    rows = max(1, _PHASE_BYTES // (16 * spectrum.eigvals.size))
 
     def modulus(t: np.ndarray) -> np.ndarray:
-        """|<e_N| exp(-i J t) |e_1>| at each time of t, each as for its time alone."""
-        return np.abs(inner(weights, np.exp(-1j * np.multiply.outer(t, spectrum.eigvals))))
+        """|<e_N| exp(-i J t) |e_1>| at each time of t, each as for it alone."""
+        out = np.empty(t.shape)
+        for i in range(0, t.size, rows):
+            phases = np.exp(-1j * np.multiply.outer(t[i:i + rows], spectrum.eigvals))
+            out[i:i + rows] = np.abs(inner(weights, phases))
+        return out
 
     ts = np.linspace(0.0, t_max, grid_points)
     vals = modulus(ts)
@@ -339,16 +338,16 @@ def find_pst_time(
     if m > 1:
         # under 2 pi samples per period of the fastest component, the sample
         # nearest the highest peak can sit below a neighbour on the next hill
-        # and so be no local maximum (seen from spread h ~ 3.9 up to the
-        # aliasing limit 2 pi). The samples within the slack, which include
-        # the nearest sample of every peak above the best value, are rescanned
-        # with their neighbours on a grid m times finer (spread h / m <= 1).
-        # Each rescanned stretch ends on a neighbour below the slack, so no
-        # candidate's bracket spans the gap to the next stretch.
-        near = np.flatnonzero(vals >= top - slack)
-        last = m * (grid_points - 1)
-        index = np.unique(np.clip(m * near[:, None] + np.arange(-m, m + 1), 0, last))
-        ts = np.linspace(0.0, t_max, last + 1)[index]
+        # and be no local maximum (spread h from ~3.9 to 2 pi). The samples
+        # within the slack, among them the nearest of each peak above the best
+        # value, are rescanned with their neighbours m times finer (spread h /
+        # m <= 1); each stretch ends on a neighbour below the slack, so no
+        # bracket spans the gap to the next stretch.
+        near = m * np.flatnonzero(vals >= top - slack)
+        fine = np.zeros(m * (grid_points - 1) + 1, dtype=bool)
+        for offset in range(-m, m + 1):
+            fine[np.clip(near + offset, 0, fine.size - 1)] = True
+        ts = np.linspace(0.0, t_max, fine.size)[fine]
         vals = modulus(ts)
         top, slack = vals.max(), slack / m**2
     # the candidates: every local maximum of the scan within the slack of its
@@ -356,11 +355,13 @@ def find_pst_time(
     # maximum's bracket [t_{i-1}, t_{i+1}] holds the peak its sample sits
     # under: the climb from t_i to that peak rises all the way, so it cannot
     # pass a neighbour that samples no higher than t_i.
-    left, right = np.r_[vals[0], vals[:-1]], np.r_[vals[1:], vals[-1]]
-    peaks = (vals >= left) & (vals >= right) & (vals >= top - slack)
+    peaks = vals >= top - slack
+    peaks[1:] &= vals[1:] >= vals[:-1]
+    peaks[:-1] &= vals[:-1] >= vals[1:]
     peaks[np.argmax(vals >= top - 1e-12)] = True
     i = np.flatnonzero(peaks)
     a, b = ts[np.maximum(i - 1, 0)], ts[np.minimum(i + 1, ts.size - 1)]
+    del ts, vals, peaks, i      # the scan: only its brackets are refined
     # one golden section refines every bracket, each to a width of 1e-10, or
     # of a few ulps of its end where it could no longer shrink
     tol = np.maximum(1e-10, 4.0 * np.spacing(b))

@@ -312,7 +312,7 @@ def _cmd_run(args) -> int:
         # Every point of a noiseless twin shares its chain's spectrum and
         # its reference records, formatted once. Each point
         # takes its own entry out of `prepared`, so a chain's state (the
-        # register eigenpairs of a dense run among it) is freed as soon as
+        # block eigenpairs of a dense run among it) is freed as soon as
         # its last point has finished.
         prepared = prepare_references(configs)
         pst_amplitudes = [twin.pst_amplitude for twin in prepared]

@@ -8,8 +8,8 @@ of states along leading axes, one call for the whole stack. The
 operating envelope is full-register dimensions up to a few thousand, where
 LAPACK through numpy is the only backend worth having. There are no matrix
 exponentials here: `qsct.chain.Spectrum` owns every evolution, the n x n
-single-excitation sector's and, where a density matrix must be stepped, the
-register's, each a phase rotation in its own eigenbasis.
+sector's and, where a density matrix is stepped, each level-count block's
+of the register, each a phase rotation in its own eigenbasis.
 """
 
 from __future__ import annotations

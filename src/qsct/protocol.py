@@ -14,10 +14,10 @@ entanglement._PURE_TOL of pure (at t = 0, at perfect transfer, under a Weyl
 table with all its weight on one operator) takes its level from its ket,
 found as rho times its column at its largest diagonal entry, one stacked
 matmul: the run path's only eighs are Spectrum's, of the real J and the
-real register Hamiltonian. A run evolves its states into a preallocated
-stack of at most _STACK_BYTES and measures it when it fills and after the
-last step; every record is the same bit for bit whatever stack it is
-measured in. Of a sector state:
+real hopping matrices of the register's level-count blocks. A run evolves
+its states into a preallocated stack of at most _STACK_BYTES and measures
+it when it fills and after the last step; every record is the same bit for
+bit whatever stack it is measured in. Of a sector state:
 
     endpoint pair - the sector partial trace onto the pair's (2d-1)-state
                     sector basis (vac, level r on site 1, level r on site N),
@@ -52,19 +52,18 @@ placement is one of three layouts:
     local_after   - independent per-site channels after the complete evolution
     interleaved   - per step: the unitary, then the per-site channels
 
-The noise picks the engine that carries rho (engine(config)). A table with
-no shift, m = 0 its only weighted row (every phase-damping table), only
-multiplies rho[a, b] by its mask, so the state never leaves the sector:
-rho is (1+(d-1)n)^2 on the sector basis of the ket, steps under
-Spectrum.sector_unitary, takes the mask read at the sector states'
-register indices (PreparedReference.register_index), and is measured as
-above. A table with shifts moves excitations between levels, and so
-creates new ones: the sector rho is scattered into the register at the
-same indices, rho is d^n x d^n, steps under the register unitary
-(Spectrum.unitary, a chain's only diagonalisation of the register
-Hamiltonian), takes channels.apply_weyl_table and is measured on the
-register by entanglement.ccnr, amplified_ccnr_margin and
-entanglement_level of the stack, and linalg.partial_trace.
+The noise picks the engine that carries rho (engine(config)); either way
+rho steps under Spectrum.unitary on the register states it is written on.
+A table with no shift, m = 0 its only weighted row (every phase-damping
+table), only multiplies rho[a, b] by its mask, so the state never leaves
+the sector: rho is (1+(d-1)n)^2 on the sector states' register indices
+(PreparedReference.register_index), takes the mask read at those indices,
+and is measured as above. A table with shifts moves excitations between
+levels, and so creates new ones: the sector rho is scattered into the
+register at the same indices, rho is d^n x d^n, takes
+channels.apply_weyl_table and is measured on the register by
+entanglement.ccnr, amplified_ccnr_margin and entanglement_level of the
+stack, and linalg.partial_trace.
 
 Every record carries a gamma flag: the concurrence-style entanglement level
 is compared step by step against the noiseless profile of the same
@@ -467,17 +466,17 @@ def run_experiment(
     records = reference[:first]
     ket = prepared.sector_ket(first * prepared.dt)
     rho = np.outer(ket, ket.conj())
+    # the register states rho is written on: the sector's, or (None) all
+    basis = prepared.register_index
     if engine(config) == "sector":
         mask = prepared.sector_mask(table, dims)
-        unitary = prepared.spectrum.sector_unitary
 
         def channel(rho: np.ndarray) -> np.ndarray:
             return mask * rho
     else:
-        index = prepared.register_index
         register = np.zeros((config.chain.dim,) * 2, dtype=np.complex128)
-        register[np.ix_(index, index)] = rho
-        rho, unitary = register, prepared.spectrum.unitary
+        register[np.ix_(basis, basis)] = rho
+        rho, basis = register, None
 
         def channel(rho: np.ndarray) -> np.ndarray:
             return apply_weyl_table(rho, table, dims)
@@ -487,7 +486,7 @@ def run_experiment(
                      dtype=np.complex128)
     rho = channel(rho)
     if first < config.steps:
-        u_step = unitary(prepared.dt)
+        u_step = prepared.spectrum.unitary(prepared.dt, basis)
     for k in range(first, config.steps + 1):
         if k > first:
             rho = channel(u_step @ rho @ u_step.conj().T)

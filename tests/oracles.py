@@ -23,6 +23,11 @@ Hermitian generators, d*d - 1 of them (generator_set), normalized so
 tr(G_a G_b) = 2 delta_ab: the Pauli set for d = 2 and the Gell-Mann set for
 d = 3. They are the generator-sum oracle for the Hamiltonian.
 
+The dense Hamiltonian. build_hamiltonian assembles the d^n x d^n register
+Hamiltonian bond by bond as a real hopping matrix; the library never builds
+it, and evolves each level-count block of it instead (qsct.chain.Spectrum).
+An eigh of it is the dense oracle for Spectrum.unitary.
+
 Closed forms and conservation laws. closed_form_l2_d2 is the printed
 two-level profile, and commutator_defect the norms of [H, C_r] for the level
 counters built from the generator basis.
@@ -39,7 +44,7 @@ from typing import Sequence
 
 import numpy as np
 
-from qsct.chain import ChainSpec, build_hamiltonian
+from qsct.chain import ChainSpec
 from qsct.channels import _damping_weights, check_probability_table
 from qsct.conformance import closed_form_l2_d3
 from qsct.entanglement import concurrence_pure
@@ -331,6 +336,20 @@ def average_fidelity_monte_carlo(
         overlaps = np.einsum("si,si->s", targets.conj(), kets @ e.T)
         vals += np.abs(overlaps) ** 2
     return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(samples))
+
+
+def build_hamiltonian(spec: ChainSpec) -> np.ndarray:
+    """The register Hamiltonian as a real symmetric hopping matrix: bond i
+    takes every basis state whose sites i and i+1 differ to the state with
+    those two sites exchanged, with amplitude J_i."""
+    digits = np.indices(spec.dims).reshape(spec.n, -1)
+    h = np.zeros((spec.dim, spec.dim))
+    for i, coupling in enumerate(spec.couplings):
+        hop = np.flatnonzero(digits[i] != digits[i + 1])
+        swapped = digits[:, hop]
+        swapped[[i, i + 1]] = swapped[[i + 1, i]]
+        h[np.ravel_multi_index(swapped, spec.dims), hop] = coupling
+    return h
 
 
 def closed_form_l2_d2(alpha: float, beta: float, a):

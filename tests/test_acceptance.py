@@ -15,7 +15,6 @@ import pytest
 from qsct.chain import (
     ChainSpec,
     Spectrum,
-    build_hamiltonian,
     find_pst_time,
 )
 from qsct.cli import main
@@ -28,6 +27,7 @@ from oracles import (
     apply_channel,
     average_fidelity,
     average_fidelity_monte_carlo,
+    build_hamiltonian,
     closed_form_l2_d2,
     commutator_defect,
     embed_channel,

@@ -3,6 +3,7 @@ import math
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,17 +11,37 @@ import pytest
 from qsct.chain import (
     ChainSpec,
     Spectrum,
-    build_hamiltonian,
+    _real_matmul,
     default_couplings,
     find_pst_time,
 )
-from oracles import commutator_defect, embed_operator, eta, golden_max
+from oracles import build_hamiltonian, commutator_defect, embed_operator, eta, golden_max
 
 
 def _complex_propagator(h, t):
     """exp(-i t H) from a complex eigh of H: an oracle that shares nothing with Spectrum."""
     w, v = np.linalg.eigh(h)
     return (v * np.exp(-1j * t * w)) @ v.conj().T
+
+
+def _sector(spec):
+    """Register indices of the sector basis: the vacuum, then level r on
+    1-based site s at r d^(n-s), level-major."""
+    d, n = spec.d, spec.n
+    return np.array([0] + [r * d ** (n - s) for r in range(1, d) for s in range(1, n + 1)])
+
+
+def _spy_eigh(monkeypatch, delay=0.0):
+    """Record the shape of every matrix np.linalg.eigh is handed from here on."""
+    eigh, shapes = np.linalg.eigh, []
+
+    def spy(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        time.sleep(delay)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    return shapes
 
 
 def _transfer_amplitude(spec, t):
@@ -259,6 +280,39 @@ def test_spectrum_evolution_matches_propagator():
             assert np.max(np.abs(spectrum.unitary(t) - _complex_propagator(h, t))) <= 1e-12
 
 
+@pytest.mark.parametrize("d, n", [(d, n) for d in range(2, 28) for n in range(2, 10)
+                                  if d**n <= 729])
+def test_unitary_matches_the_dense_oracle(d, n):
+    spec = ChainSpec(d=d, n=n, couplings=np.random.default_rng(100 * d + n).uniform(0.2, 2.0, n - 1))
+    spectrum = Spectrum(spec)
+    t = 1.3
+    u = spectrum.unitary(t)
+    assert np.max(np.abs(u - _complex_propagator(build_hamiltonian(spec), t))) <= 1e-13
+    assert np.array_equal(spectrum.unitary(0.0), np.eye(spec.dim))
+    assert np.array_equal(spectrum.unitary(0.0, _sector(spec)), np.eye(len(_sector(spec))))
+    # on the sector: 1 (+) (I_{d-1} (x) exp(-i J t)), from J's own eigh
+    j = np.diag(spec.couplings, 1)
+    w, v = np.linalg.eigh(j + j.T)
+    expect = np.zeros((1 + (d - 1) * n,) * 2, dtype=complex)
+    expect[0, 0] = 1.0
+    expect[1:, 1:] = np.kron(np.eye(d - 1), _real_matmul(v, np.exp(-1j * t * w)[:, None] * v.T))
+    assert np.array_equal(spectrum.unitary(t, _sector(spec)), expect)
+    # the sector's rows and columns of the whole register's unitary
+    assert np.array_equal(u[np.ix_(_sector(spec), _sector(spec))], expect)
+
+
+def test_unitary_refuses_states_that_split_a_block():
+    spectrum = Spectrum(ChainSpec(d=3, n=3))
+    sector = _sector(spectrum.spec)
+    for states in (sector[:-1], np.r_[sector, 0], np.r_[sector, 4]):
+        with pytest.raises(ValueError, match="states: not a union of level-count blocks"):
+            spectrum.unitary(0.5, states)
+    # any order of whole blocks: the vacuum's, and the three states with one 1 and two 2s
+    u = spectrum.unitary(0.5, [17, 0, 25, 23])
+    whole = spectrum.unitary(0.5)
+    assert np.array_equal(u, whole[np.ix_([17, 0, 25, 23], [17, 0, 25, 23])])
+
+
 def test_find_pst_time_never_diagonalises(monkeypatch):
     # the search reads the eigenpairs of the Spectrum it is given
     spectrum = Spectrum(ChainSpec(d=3, n=3))
@@ -399,9 +453,9 @@ def test_find_pst_time_overflowing_phases_name_the_chain():
 def test_spectrum_refuses_phases_without_precision():
     # |E t| ~ 1.4e308 leaves the phase exp(-i E t) undetermined by ~1e292 rad
     spectrum = Spectrum(ChainSpec(d=2, n=3, couplings=[1e308, 1e308]))
-    for call in (spectrum.unitary, spectrum.sector_unitary):
+    for states in (None, _sector(spectrum.spec)):
         with pytest.raises(FloatingPointError, match=r"d=2, nodes=3, couplings=\[1e\+308"):
-            call(0.5)
+            spectrum.unitary(0.5, states)
 
 
 def test_spectrum_phase_precision_threshold():
@@ -424,9 +478,18 @@ def test_find_pst_time_ends_on_a_wide_window():
     # is too coarse to bracket the revivals, so the search rescans it 7 times
     # finer and refines every revival, up to the last one; all of them reach
     # 1, and the first, pi, is the transfer time.
+    # The phases are evaluated in bounded chunks, so the 1.1 million rescanned
+    # times and 159155 brackets take about 25 MB at their peak, not 88 MB.
     k = 159155
     t_max = (2 * k - 1) * math.pi
-    t_star, amp = find_pst_time(Spectrum(ChainSpec(d=2, n=2)), t_max=t_max, grid_points=k + 1)
+    spectrum = Spectrum(ChainSpec(d=2, n=2))
+    tracemalloc.start()
+    try:
+        t_star, amp = find_pst_time(spectrum, t_max=t_max, grid_points=k + 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20, peak
     assert abs(t_star - math.pi) < 1e-6
     assert amp == pytest.approx(1.0, abs=1e-6)
 
@@ -495,48 +558,40 @@ def test_site_amplitudes_match_the_register_evolution():
             assert abs(np.linalg.norm(f) - 1.0) <= 1e-14
 
 
-def test_sector_unitary_is_the_register_propagator_on_the_sector():
+def test_unitary_on_the_sector_is_the_register_propagator_there():
     rng = np.random.default_rng(4)
     for d, n in ((2, 2), (2, 5), (3, 4), (4, 3)):
         spec = ChainSpec(d=d, n=n, couplings=rng.uniform(0.2, 2.0, n - 1))
-        # the vacuum, then level r on site s, level-major
-        sector = [0] + [r * d ** (n - s) for r in range(1, d) for s in range(1, n + 1)]
+        sector = _sector(spec)
         for t in (0.4, math.pi, 7.3):
             u = _complex_propagator(build_hamiltonian(spec), t)
-            assert np.max(np.abs(Spectrum(spec).sector_unitary(t) - u[np.ix_(sector, sector)])) <= 1e-12
+            assert np.max(np.abs(Spectrum(spec).unitary(t, sector) - u[np.ix_(sector, sector)])) <= 1e-12
 
 
 def test_spectrum_builds_the_register_lazily_and_once(monkeypatch):
+    # J's eigh is taken when the Spectrum is built; the sector needs only it
+    # and the vacuum's 1 x 1 block, and the whole register one eigh per other
+    # partition of n, on its first call: (1, 1, 1) here, as (2, 1) is J
     spec = ChainSpec(d=3, n=3)
-    built = []
-    original = build_hamiltonian
-    monkeypatch.setattr("qsct.chain.build_hamiltonian",
-                        lambda s: built.append(s) or original(s))
     spectrum = Spectrum(spec)
+    shapes = _spy_eigh(monkeypatch)
     spectrum.site_amplitudes(1.0)
-    spectrum.sector_unitary(1.0)
+    spectrum.unitary(1.0, _sector(spec))
     find_pst_time(spectrum)
-    assert built == []
+    assert shapes == [(1, 1)]
     spectrum.unitary(0.5)
     spectrum.unitary(1.5)
-    assert built == [spec]
+    spectrum.unitary(1.0, _sector(spec))
+    assert shapes == [(1, 1), (6, 6)]
 
 
 def test_threads_sharing_a_spectrum_build_the_register_once(monkeypatch):
     # the points of a sweep share their chain's Spectrum across --jobs
-    # threads; a slow build widens the window in which a second thread could
-    # start its own
-    spec = ChainSpec(d=2, n=4)
-    built = []
-    original = build_hamiltonian
-
-    def slow_build(s):
-        built.append(s)
-        time.sleep(0.05)
-        return original(s)
-
-    monkeypatch.setattr("qsct.chain.build_hamiltonian", slow_build)
-    spectrum = Spectrum(spec)
+    # threads; a slow eigh widens the window in which a second thread could
+    # diagonalise a partition again. (3, 4) has the partitions (4), (3, 1)
+    # (J, taken when the Spectrum is built), (2, 2) and (2, 1, 1).
+    spectrum = Spectrum(ChainSpec(d=3, n=4))
+    shapes = _spy_eigh(monkeypatch, delay=0.05)
     start = threading.Barrier(8)
     unitaries = []
 
@@ -555,6 +610,6 @@ def test_threads_sharing_a_spectrum_build_the_register_once(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
-    assert built == [spec]
+    assert sorted(shapes) == [(1, 1), (6, 6), (12, 12)]
     assert len(unitaries) == 8
     assert all(np.array_equal(u, unitaries[0]) for u in unitaries)

@@ -265,7 +265,8 @@ WEYL_DENSE_CONFIG = dict(BASE_CONFIG, noise={
 
 def test_run_path_footprint(tmp_path):
     # a single config and a sweep (a sector point and a dense Weyl point) at
-    # --jobs 1 load neither OpenSSL, concurrent.futures nor the worker map;
+    # --jobs 1 load neither OpenSSL, concurrent.futures, numpy.ma (about
+    # 1.4 MB, which a plain np.unique imports) nor the worker map;
     # the same sweep at --jobs 2 runs on two workers, still without
     # concurrent.futures, and writes the same files. No run loads the
     # conformance report's module; `conformance` loads it and writes what the
@@ -280,7 +281,7 @@ def test_run_path_footprint(tmp_path):
         "report = ('qsct.conformance',)\n"
         "assert main(['run', '--config', single, '--out', out + '/single']) == 0\n"
         "assert main(['run', '--config', sweep, '--out', out + '/jobs1', '--jobs', '1']) == 0\n"
-        "heavy = ('_hashlib', '_ssl', 'concurrent.futures', 'qsct.workers')\n"
+        "heavy = ('_hashlib', '_ssl', 'concurrent.futures', 'qsct.workers', 'numpy.ma')\n"
         "loaded = sorted(name for name in heavy + report if name in sys.modules)\n"
         "assert main(['run', '--config', sweep, '--out', out + '/jobs2', '--jobs', '2']) == 0\n"
         "pool = [name in sys.modules for name in ('concurrent.futures',) + report]\n"
@@ -975,8 +976,7 @@ def test_sweep_shares_each_chain(tmp_path, monkeypatch, jobs):
     import qsct.protocol
 
     sweep = _twin_sweep()
-    chain_dims = {27, 8}
-    spectra, searches, register_eighs = [], [], []
+    spectra, searches, eighs = [], [], []
     spectrum_class, find, eigh = qsct.protocol.Spectrum, qsct.protocol.find_pst_time, np.linalg.eigh
 
     def counting_spectrum(spec):
@@ -990,9 +990,7 @@ def test_sweep_shares_each_chain(tmp_path, monkeypatch, jobs):
         return find(spectrum, **kwargs)
 
     def counting_eigh(a, *args, **kwargs):
-        # the real register Hamiltonian, not a (complex) density matrix
-        if np.shape(a)[-1] in chain_dims and np.isrealobj(a):
-            register_eighs.append(np.shape(a)[-1])
+        eighs.append(np.shape(a)[-1])
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(qsct.protocol, "Spectrum", counting_spectrum)
@@ -1003,7 +1001,11 @@ def test_sweep_shares_each_chain(tmp_path, monkeypatch, jobs):
                  "--jobs", jobs]) == 0
     assert sorted((s.spec.d, s.spec.n) for s in spectra) == [(2, 3), (2, 3), (3, 3)]
     assert sorted(searches) == [(2, 3), (3, 3)]
-    assert sorted(register_eighs) == [8, 27]
+    # each Spectrum's J (3 x 3), then each partition of n = 3 that a step
+    # needs, once per chain however many points step it: the vacuum (1 x 1)
+    # of both chains that step, and (1, 1, 1) (6 x 6), which only the qutrit
+    # chain's dense points reach
+    assert sorted(eighs) == [1, 1, 3, 3, 3, 6]
 
 
 def _poison_sector_measures(monkeypatch, poisoned):

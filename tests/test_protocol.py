@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsct.chain import ChainSpec, Spectrum, build_hamiltonian, find_pst_time
+from qsct.chain import ChainSpec, Spectrum, find_pst_time
 from qsct.channels import apply_weyl_table, phase_damping_table, weyl_table
 from qsct.conformance import average_fidelity_comparison, conformance_closed_forms
 from qsct.entanglement import (
@@ -37,6 +37,7 @@ from oracles import (
     apply_channel,
     average_fidelity,
     beta,
+    build_hamiltonian,
     embed_channel,
     gate_x,
     partial_trace_pure,
@@ -435,18 +436,19 @@ SHIFTING_PI = np.array([[0.8, 0.1], [0.1, 0.0]])
 ])
 @pytest.mark.parametrize("t_total", [None, 2.0])
 def test_one_register_eigh_per_experiment(monkeypatch, noise, t_total):
-    # only interleaved noise with shifts (the Weyl case) steps a register
-    # density matrix, and so needs the register spectrum; every other run
-    # lives on the sector
+    # an experiment diagonalises its chain once, block by block: J (3 x 3)
+    # when its Spectrum is built, and the vacuum's 1 x 1 block when
+    # interleaved noise first steps rho, on the sector or (the Weyl case,
+    # with shifts) on the register, whose blocks here are only those two
+    # partitions of n = 3; no eigh is register-sized
     import qsct.protocol
 
     cfg = _config(d=2, n=3, steps=4, bipartition="endpoints", noise=noise, t_total=t_total)
     eigh, find = np.linalg.eigh, qsct.protocol.find_pst_time
-    register_eighs, searches = [], []
+    eighs, searches = [], []
 
     def counting_eigh(a, *args, **kwargs):
-        if np.shape(a)[-1] == cfg.chain.dim:
-            register_eighs.append(np.shape(a))
+        eighs.append(np.shape(a))
         return eigh(a, *args, **kwargs)
 
     def counting_find(*args, **kwargs):
@@ -456,9 +458,32 @@ def test_one_register_eigh_per_experiment(monkeypatch, noise, t_total):
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     monkeypatch.setattr(qsct.protocol, "find_pst_time", counting_find)
     records, reference = run_experiment(cfg)
-    assert len(register_eighs) == (1 if noise is not None and noise.kind == "weyl" else 0)
+    stepped = noise is not None and noise.topology == "interleaved"
+    assert eighs == ([(3, 3), (1, 1)] if stepped else [(3, 3)])
     assert len(searches) == (1 if t_total is None else 0)
     assert (reference is None) == (noise is None)
+
+
+def test_a_dense_run_takes_one_eigh_per_partition(monkeypatch):
+    # d=3, n=6: 28 level-count blocks of 7 partitions of 6, one eigh each
+    # (J, of (5, 1), when the Spectrum is built); the largest, (2, 2, 2), has
+    # 90 states, and the 729 x 729 register is never handed to eigh
+    import qsct.chain
+
+    cfg = _config(d=3, n=6, steps=2, t_total=1.0, bipartition="endpoints",
+                  input_amplitudes=np.array([0.6, 0.0, 0.8]),
+                  noise=NoiseSpec(kind="weyl", topology="interleaved",
+                                  pi=[[0.8, 0.05, 0.0], [0.1, 0.0, 0.0], [0.05, 0.0, 0.0]]))
+    assert engine(cfg) == "dense"
+    eigh, shapes = np.linalg.eigh, []
+
+    def counting_eigh(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(qsct.chain.np.linalg, "eigh", counting_eigh)
+    run_experiment(cfg)
+    assert sorted(shapes) == [(b, b) for b in (1, 6, 15, 20, 30, 60, 90)]
 
 
 def test_runs_that_share_a_twin_leave_it_as_it_was():
@@ -1251,8 +1276,9 @@ def _unitary_shift_noise(topology, chain):
                                             *(("unitary_shift", t) for t in NOISE_TOPOLOGIES)])
 def test_no_run_calls_eigh_on_a_complex_matrix(monkeypatch, kind, topology, cut):
     # every engine, topology and cut: the only eighs are Spectrum's, of the
-    # real J and the real register H. The transfer time is searched, so the
-    # endpoint pair is pure at t = 0 and at the last step.
+    # real J and the real hopping matrices of the register's blocks. The
+    # transfer time is searched, so the endpoint pair is pure at t = 0 and at
+    # the last step.
     chain = ChainSpec(d=3, n=3)
     if kind is None:
         noise = None
