@@ -24,9 +24,10 @@ sum_s value_s * d^(N - s).
 
 Spectrum evolves a sector ket through its site amplitudes, and a density
 matrix through Spectrum.unitary, one eigh per partition of n. The
-transfer-time search (find_pst_time) scans J's n eigenpairs and refines
-every local maximum that may sit under the window's highest peak in one
-vectorised golden section; the earliest within 1e-12 of the highest wins.
+transfer-time search (find_pst_time) scans J's n eigenpairs with a step
+that J's spread sets, and refines every local maximum that may sit under
+the window's highest peak in one vectorised golden section; the earliest
+within 1e-12 of the highest wins.
 """
 
 from __future__ import annotations
@@ -269,45 +270,39 @@ class Spectrum:
         return u
 
 
-def find_pst_time(
-    spectrum: Spectrum, t_max: float = 2.0 * math.pi, grid_points: int = 2000
-) -> tuple[float, float]:
+def find_pst_time(spectrum: Spectrum, t_max: float = 2.0 * math.pi) -> tuple[float, float]:
     """Locate the time maximizing the modulus of the chain's end-to-end
     transfer amplitude <e_N| exp(-i J t) |e_1>, every excited level's, from
     the n eigenpairs of spectrum; nothing is diagonalised here.
 
-    A scan of grid_points times over [0, t_max] picks the candidate peaks,
-    and one golden section refines all of them at once. A scan value may sit
-    up to (spread h)^2 / 32 below the peak it samples (spread = max E - min E,
-    h the scan step), so every local maximum of the scan within that slack
-    of the best value is a candidate, earlier or later, and so is the
-    earliest sample within 1e-12 of the best. Where spread h > 1, the samples
-    within the slack are first rescanned ceil(spread h) times finer, with
-    their neighbours. The transfer time is the earliest refined peak within
-    1e-12 of the highest: the first revival, as in perfect transfer's
-    definition. Returns (t_star, amplitude).
+    One uniform scan of [0, t_max] picks the candidate peaks, and one golden
+    section refines all of them at once. The scan takes 1999 m steps of
+    h / m, with h = t_max / 1999, spread = max E - min E and m = ceil(spread h)
+    or 1, so that spread h / m <= 1: m = 1 on windows up to 1999 / spread.
+    A scan value may sit up to (spread h / m)^2 / 32 below the peak it
+    samples, so every local maximum of the scan within that slack of the
+    best value is a candidate, earlier or later, and so is the earliest
+    sample within 1e-12 of the best. The transfer time is the earliest
+    refined peak within 1e-12 of the highest: the first revival, as in
+    perfect transfer's definition. Returns (t_star, amplitude).
     Raises FloatingPointError when the phases exp(-i lambda t) lose their precision
-    on the window (Spectrum.check_time), and then ValueError naming t_max when
-    the scan step t_max / (grid_points - 1) exceeds 2 pi / (max E - min E),
-    the period of the amplitude's fastest component: such a scan aliases and
-    could bracket any near-perfect revival in the window. Raises ValueError
-    naming the chain and the window when the scan's largest modulus is at
-    most PST_FLOOR: a chain that never transfers (a broken link, or one so
-    weak that less than eps of the weight arrives) has no transfer time.
+    on the window (Spectrum.check_time), and then ValueError naming t_max and
+    the chain when the window is longer than 1999 periods 2 pi / spread of
+    the amplitude's fastest component, the widest the search scans (m <= 7).
+    Raises ValueError naming the chain and the window when the scan's largest
+    modulus is at most PST_FLOOR: a chain that never transfers (a broken
+    link, or one so weak that less than eps of the weight arrives) has no
+    transfer time.
     """
     if not (0.0 < t_max < math.inf):
         raise ValueError(f"t_max must be positive and finite, got {t_max!r}")
-    if grid_points < 3:
-        raise ValueError("grid needs at least 3 points")
     spectrum.check_time(t_max)
     spread = float(spectrum.eigvals[-1] - spectrum.eigvals[0])
-    if t_max * spread > 2.0 * math.pi * (grid_points - 1):
+    if t_max * spread > 2.0 * math.pi * 1999:
         raise ValueError(
-            f"t_max = {t_max!r} is too wide for {grid_points} scan points: the step "
-            f"{t_max / (grid_points - 1):.6g} exceeds 2 pi / (max E - min E) = "
-            f"{2.0 * math.pi / spread:.6g} for the chain {spectrum._describe()}, so the scan "
-            f"would alias; the widest window it resolves is "
-            f"{2.0 * math.pi * (grid_points - 1) / spread:.6g}"
+            f"t_max = {t_max!r} exceeds the widest window the transfer-time search "
+            f"scans for the chain {spectrum._describe()}: 1999 periods of its fastest "
+            f"component, 1999 * 2 pi / (max E - min E) = {2.0 * math.pi * 1999 / spread:.6g}"
         )
     weights = spectrum.eigvecs[-1] * spectrum.eigvecs[0]
     rows = max(1, _PHASE_BYTES // (16 * spectrum.eigvals.size))
@@ -320,7 +315,13 @@ def find_pst_time(
             out[i:i + rows] = np.abs(inner(weights, phases))
         return out
 
-    ts = np.linspace(0.0, t_max, grid_points)
+    # under 2 pi samples per period of the fastest component, the sample
+    # nearest the highest peak can sit below a neighbour on the next hill and
+    # be no local maximum (seen for spread h from ~3.9 to 2 pi); the step
+    # h / m, spread h / m <= 1, keeps it one
+    h = t_max / 1999
+    m = max(1, math.ceil(spread * h))
+    ts = np.linspace(0.0, t_max, 1999 * m + 1)
     vals = modulus(ts)
     top = vals.max()
     if top <= PST_FLOOR:
@@ -330,26 +331,9 @@ def find_pst_time(
             f"not transfer"
         )
     # |d^2/dt^2| <= (spread / 2)^2 once a global phase is removed, as the
-    # weights' moduli sum to at most 1: the sample nearest a peak, h / 2 from
+    # weights' moduli sum to at most 1: the sample nearest a peak, h / 2m from
     # it at most, sits at most the slack below it
-    h = ts[1] - ts[0]
-    slack = (spread * h) ** 2 / 32.0
-    m = math.ceil(spread * h)
-    if m > 1:
-        # under 2 pi samples per period of the fastest component, the sample
-        # nearest the highest peak can sit below a neighbour on the next hill
-        # and be no local maximum (spread h from ~3.9 to 2 pi). The samples
-        # within the slack, among them the nearest of each peak above the best
-        # value, are rescanned with their neighbours m times finer (spread h /
-        # m <= 1); each stretch ends on a neighbour below the slack, so no
-        # bracket spans the gap to the next stretch.
-        near = m * np.flatnonzero(vals >= top - slack)
-        fine = np.zeros(m * (grid_points - 1) + 1, dtype=bool)
-        for offset in range(-m, m + 1):
-            fine[np.clip(near + offset, 0, fine.size - 1)] = True
-        ts = np.linspace(0.0, t_max, fine.size)[fine]
-        vals = modulus(ts)
-        top, slack = vals.max(), slack / m**2
+    slack = (spread * h) ** 2 / 32.0 / m**2
     # the candidates: every local maximum of the scan within the slack of its
     # best value, and the earliest sample within 1e-12 of that value. A local
     # maximum's bracket [t_{i-1}, t_{i+1}] holds the peak its sample sits

@@ -15,7 +15,8 @@ sections, known and required keys, chain.nodes as ChainSpec.n, [re, im]
 amplitude pairs), and ChainSpec, NoiseSpec and ExperimentConfig
 check every field's type, finiteness and range, exactly as for a library
 caller. A refused field raises ConfigError, whose message begins with the
-field's JSON name (`pst` names its flag instead: --d, --nodes, --tmax).
+field's JSON name, or with its flag where a flag sets it (`run --jobs`;
+`pst` --d, --nodes, --tmax).
 
 main() is the one place that turns an exception into a message and an exit
 code, for every subcommand: a ConfigError prints `config error: ...` and
@@ -273,7 +274,7 @@ print("wrote transfer.png")
 
 def _cmd_run(args) -> int:
     if args.jobs < 1:
-        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
+        raise ConfigError(f"--jobs: expected at least 1, got {args.jobs}")
     clock = [time.perf_counter()]   # the start, then the end of each of the four stages
     config_path = Path(args.config)
     try:
@@ -402,7 +403,7 @@ def _cmd_pst(args) -> int:
     spectrum = Spectrum(spec)
     try:
         t_star, amplitude = find_pst_time(spectrum, t_max=args.tmax)
-    except ValueError as exc:   # a window that is not positive and finite, or would alias
+    except ValueError as exc:   # a window that is not positive and finite, or too long
         raise ConfigError(f"--tmax: {exc}") from exc
     print(f"d            = {spec.d}")
     print(f"nodes        = {spec.n}")

@@ -259,12 +259,6 @@ def test_find_pst_time_qutrit_levels():
     assert np.min(np.abs(_register_transfer_amplitudes(spec, t_star))) >= 1.0 - 1e-6
 
 
-def test_find_pst_time_coarse_grid_still_returns():
-    t_star, amplitude = find_pst_time(Spectrum(ChainSpec(d=2, n=2)), grid_points=7)
-    assert 0.0 <= t_star <= 2.0 * math.pi
-    assert 0.0 <= amplitude <= 1.0 + 1e-12
-
-
 def test_find_pst_time_rejects_bad_window():
     for t_max in (0.0, math.nan, math.inf):
         with pytest.raises(ValueError):
@@ -326,17 +320,32 @@ def test_find_pst_time_never_diagonalises(monkeypatch):
     assert amplitude >= 1.0 - 1e-6
 
 
-@pytest.mark.parametrize("d, n, couplings, t_hex, amp_hex", [
-    (2, 2, None, "0x1.921fb5170931dp+1", "0x1.ffffffffffffep-1"),
-    (3, 4, None, "0x1.921fb51c6cb00p+1", "0x1.0000000000001p+0"),
-    (4, 5, None, "0x1.921fb5265b4e0p+1", "0x1.fffffffffffffp-1"),
-    (3, 3, [1.0, 1e-8], "0x1.90b7398fe3002p+1", "0x1.579644d755cddp-26"),
-    (2, 5, [1.0, 0.3, 0.7, 1.0], "0x1.ffee49889e2d2p+1", "0x1.c343d460cd55fp-2"),
-], ids=["d2-n2", "d3-n4", "d4-n5", "weak-link", "uneven"])
-def test_find_pst_time_bits(d, n, couplings, t_hex, amp_hex):
+UNEVEN_5 = [0.84, 1.01, 0.86, 1.42]
+
+
+@pytest.mark.parametrize("d, n, couplings, t_max, m, t_hex, amp_hex", [
+    (2, 2, None, 2.0 * math.pi, 1, "0x1.921fb5170931dp+1", "0x1.ffffffffffffep-1"),
+    (3, 4, None, 2.0 * math.pi, 1, "0x1.921fb51c6cb00p+1", "0x1.0000000000001p+0"),
+    (4, 5, None, 2.0 * math.pi, 1, "0x1.921fb5265b4e0p+1", "0x1.fffffffffffffp-1"),
+    (3, 3, [1.0, 1e-8], 2.0 * math.pi, 1, "0x1.90b7398fe3002p+1", "0x1.579644d755cddp-26"),
+    (2, 5, [1.0, 0.3, 0.7, 1.0], 2.0 * math.pi, 1, "0x1.ffee49889e2d2p+1",
+     "0x1.c343d460cd55fp-2"),
+    (2, 5, UNEVEN_5, 800.0, 2, "0x1.7a0fd5c5135b6p+9", "0x1.a82bd8fd0fddap-1"),
+    (2, 5, UNEVEN_5, 1400.0, 3, "0x1.5b988b493dc0cp+10", "0x1.a8997855f519ep-1"),
+    (2, 5, UNEVEN_5, 1741.6, 4, "0x1.aae0db71fdbf9p+10", "0x1.a8cc842547bcfp-1"),
+    (2, 5, UNEVEN_5, 2500.0, 5, "0x1.35b5f3929108ep+11", "0x1.a93e04e27d65dp-1"),
+    (2, 5, UNEVEN_5, 3000.0, 6, "0x1.74010de86e223p+11", "0x1.a97f8d012c66dp-1"),
+    (2, 5, UNEVEN_5, 3448.3, 7, "0x1.aca26ba4da2d8p+11", "0x1.a9b5b95b1555fp-1"),
+], ids=["d2-n2", "d3-n4", "d4-n5", "weak-link", "uneven",
+        "finer-m2", "finer-m3", "finer-m4", "finer-m5", "finer-m6", "finer-m7"])
+def test_find_pst_time_bits(d, n, couplings, t_max, m, t_hex, amp_hex):
     # the search's (t_star, amplitude), bit for bit: t_star is the transfer
-    # time of every run that leaves t_total open
-    t_star, amplitude = find_pst_time(Spectrum(ChainSpec(d=d, n=n, couplings=couplings)))
+    # time of every run that leaves t_total open. Where spread h > 1
+    # (h = t_max / 1999), the scan steps m = ceil(spread h) times finer
+    spectrum = Spectrum(ChainSpec(d=d, n=n, couplings=couplings))
+    spread = spectrum.eigvals[-1] - spectrum.eigvals[0]
+    assert max(1, math.ceil(spread * t_max / 1999)) == m
+    t_star, amplitude = find_pst_time(spectrum, t_max=t_max)
     assert (t_star.hex(), amplitude.hex()) == (t_hex, amp_hex)
 
 
@@ -429,9 +438,10 @@ def test_find_pst_time_refines_a_higher_later_peak(couplings, t_max, t_want, amp
 ])
 def test_find_pst_time_rescans_a_peak_whose_sample_is_no_local_maximum(
         couplings, t_max, t_want, amp_want):
-    # near the aliasing limit the scan sample nearest the window's highest
-    # peak samples lower than a neighbour on the next hill, so no bracket of
-    # a scan local maximum holds that peak; a grid with spread h <= 1 does
+    # near the window bound a 2000-point scan's sample nearest the window's
+    # highest peak samples lower than a neighbour on the next hill, so no
+    # bracket of a local maximum of that scan holds the peak; the search's
+    # scan, with a step of at most 1 / spread, does
     spectrum = Spectrum(ChainSpec(d=2, n=len(couplings) + 1, couplings=couplings))
     ts = np.linspace(0.0, t_max, 2000)
     scan = np.abs(spectrum.site_amplitudes(ts)[:, -1])
@@ -472,30 +482,28 @@ def test_spectrum_phase_precision_threshold():
 
 def test_find_pst_time_ends_on_a_wide_window():
     # the golden-section bracket cannot shrink below the ulp of t ~ 1e6,
-    # which is above the default tol of 1e-10. The window ends on the revival
-    # t = (2k - 1) pi of |sin(t / 2)|, and k scan steps of 2 pi - pi / k (under
-    # the aliasing limit 2 pi / (max E - min E) = 2 pi) rise to it. The scan
-    # is too coarse to bracket the revivals, so the search rescans it 7 times
-    # finer and refines every revival, up to the last one; all of them reach
-    # 1, and the first, pi, is the transfer time.
-    # The phases are evaluated in bounded chunks, so the 1.1 million rescanned
-    # times and 159155 brackets take about 25 MB at their peak, not 88 MB.
-    k = 159155
-    t_max = (2 * k - 1) * math.pi
-    spectrum = Spectrum(ChainSpec(d=2, n=2))
+    # which is above the default tol of 1e-10, so it stops at 4 ulps. The
+    # amplitude of the weak pair is |sin(1e-3 t)|, and the window ends on its
+    # revival t = 635 pi / 2e-3, 317.5 periods in, so the last bracket ends
+    # there; every revival reaches 1, and the first, pi / 2e-3, is the
+    # transfer time. The flat top of a slow revival pins t only to about
+    # sqrt(eps) / 1e-3. The 2000 scanned times and the 318 brackets take
+    # about 0.2 MB at their peak.
+    t_max = 635 * math.pi / 2e-3
+    spectrum = Spectrum(ChainSpec(d=2, n=2, couplings=[1e-3]))
     tracemalloc.start()
     try:
-        t_star, amp = find_pst_time(spectrum, t_max=t_max, grid_points=k + 1)
+        t_star, amp = find_pst_time(spectrum, t_max=t_max)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 40 * 2**20, peak
-    assert abs(t_star - math.pi) < 1e-6
-    assert amp == pytest.approx(1.0, abs=1e-6)
+    assert peak < 2**20, peak
+    assert abs(t_star - math.pi / 2e-3) < 1e-4
+    assert amp == pytest.approx(1.0, abs=1e-12)
 
 
 def test_find_pst_time_refuses_an_aliasing_scan():
-    # d=4 n=5: eigenvalues -2..2, so the scan step may not exceed pi / 2
+    # d=4 n=5: eigenvalues -2..2, so the window may span 1999 periods pi / 2
     spectrum = Spectrum(ChainSpec(d=4, n=5))
     with pytest.raises(ValueError, match=r"t_max = 1000000\.0 .*d=4, nodes=5"):
         find_pst_time(spectrum, t_max=1e6)
@@ -503,11 +511,11 @@ def test_find_pst_time_refuses_an_aliasing_scan():
     find_pst_time(spectrum, t_max=0.999 * limit)
     with pytest.raises(ValueError, match="t_max"):
         find_pst_time(spectrum, t_max=1.001 * limit)
-    # a zero-coupling chain has no fastest component and never aliases: it is
-    # refused because it never transfers, not for its window
+    # a zero-coupling chain has no fastest component and so no widest window:
+    # it is refused because it never transfers, not for its window
     with pytest.raises(ValueError, match="does not transfer") as refusal:
         find_pst_time(Spectrum(ChainSpec(d=2, n=2, couplings=[0.0])), t_max=1e6)
-    assert "alias" not in str(refusal.value)
+    assert "widest window" not in str(refusal.value)
 
 
 @pytest.mark.parametrize("n, couplings", [(3, [1.0, 0.0]), (3, [0.0, 1.0]), (3, [0.0, 0.0]),

@@ -714,7 +714,8 @@ def test_run_rejects_jobs_below_one(tmp_path, capsys, jobs):
     cfg = _write_config(tmp_path, BASE_CONFIG)
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out"),
                  "--jobs", jobs]) == 2
-    assert "--jobs" in capsys.readouterr().err
+    # named by its flag, as every refused field is
+    assert capsys.readouterr().err == f"config error: --jobs: expected at least 1, got {jobs}\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -744,18 +745,20 @@ def test_pst_rejects_bad_tmax(capsys, tmax):
 
 
 def test_pst_refuses_an_aliasing_window(capsys):
-    # the 2000-point scan of [0, 1e6] steps 500, far above the amplitude's
-    # fastest period pi / 2, and would report a revival at 255337 pi
+    # [0, 1e6] spans about 640000 periods pi / 2 of the amplitude's fastest
+    # component, past the 1999 that the search scans
     assert main(["pst", "--d", "4", "--nodes", "5", "--tmax", "1e6"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: --tmax: ")
-    assert "alias" in err
+    assert err.startswith("config error: --tmax: t_max = 1000000.0 exceeds the widest window ")
+    assert err.endswith(": 1999 periods of its fastest component, "
+                        "1999 * 2 pi / (max E - min E) = 3140.02\n")
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_sweep_refusal_names_every_refused_point(tmp_path, capsys, jobs):
-    # two points leave t_total open on a chain whose transfer-time search
-    # would alias; the point that sets t_total on another chain is not named
+    # two points leave t_total open on a chain whose default window is
+    # longer than the transfer-time search scans; the point that sets
+    # t_total on another chain is not named
     aliasing = {"chain": {"d": 2, "nodes": 3, "couplings": [1000, 1000]},
                 "input_amplitudes": [0.6, 0.8]}
     sweep = [{"chain": {"d": 2, "nodes": 3}, "input_amplitudes": [0.6, 0.8], "t_total": 1.0},
@@ -832,8 +835,8 @@ DEPHASING = {"kind": "phase_damping", "topology": "interleaved", "p": 0.9}
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 @pytest.mark.parametrize("failing, code, message", [
-    # the transfer-time search of a twin that three points share would alias;
-    # the refusal names all three
+    # the default window of a twin that three points share is longer than
+    # the transfer-time search scans; the refusal names all three
     ([ALIASING_CONFIG, dict(ALIASING_CONFIG, noise=DEPHASING), dict(ALIASING_CONFIG, seed=3)],
      2, "config error: point-001, point-002, point-003: t_total: "),
     # the phases of the shared twin's reference lose their precision
