@@ -173,8 +173,9 @@ def sector_measures(states: np.ndarray, cut: SectorCut,
     or with kets=True kets (..., m), leading axes a stack; each measure is an
     array (...). The states are a chain's whole sector states across a chain
     cut, or the (2d-1)-state endpoint pair (sides 1..d-1 and d..2d-2) that a
-    partial trace leaves. A stack takes one stacked SVD, and the gathers use
-    the index arrays that cut holds.
+    partial trace leaves. A stack takes one stacked SVD; every block is an
+    np.take from the cut's two sides, so each state of a stack is gathered
+    contiguous and reduces as it would alone.
 
     The vacuum is at index 0; cut.a and cut.b list the indices of the
     excitations on sides A and B (k_A and k_B of them). A ket's two Schmidt
@@ -197,18 +198,22 @@ def sector_measures(states: np.ndarray, cut: SectorCut,
     if kets:
         c = sector_concurrence(states, cut)
         return 1.0 + c, c, c
-    lead, m = states.shape[:-2], cut.size
-    rho = states.reshape(-1, m, m)
-    reduced = [sector_partial_trace(rho, cut, side) for side in (0, 1)]
-    flats = [r.reshape(len(rho), -1) for r in reduced]
-    norms = [_norm(r[:, 1:, 1:].reshape(len(rho), -1)) for r in reduced]
-    shape, dst, src = cut.compressed
-    c = np.zeros((len(rho), shape[0] * shape[1]), dtype=np.complex128)
-    c[:, dst] = np.take(rho.reshape(len(rho), -1), src, axis=-1)
-    c[:, shape[1] - 1], c[:, -shape[1]] = norms[1], norms[0]
-    c = c.reshape(len(rho), *shape)
-    vec_a, vec_b = (np.concatenate((np.take(flat, idx, axis=-1), norm[:, None]), axis=1)
-                    for flat, idx, norm in zip(flats, cut.vecs, norms))
+    lead, (ka, kb) = states.shape[:-2], (len(cut.a), len(cut.b))
+    rho = states.reshape(-1, *states.shape[-2:])
+    rho_a, rho_b = reduced = [sector_partial_trace(rho, cut, side) for side in (0, 1)]
+    norm_a, norm_b = (_norm(r[:, 1:, 1:].reshape(len(rho), -1)) for r in reduced)
+    # C: row 0 holds rho[0, 0], rho[0, b], rho[b, 0] and column 0 rho[a, 0],
+    # rho[0, a]; then the blocks rho[a, b] and rho[b, a]^T, and the norms
+    c = np.zeros((len(rho), 2 + 2 * ka, 2 + 2 * kb), dtype=np.complex128)
+    c[:, :1 + ka, :1 + kb] = np.take(np.take(rho, cut.rows[0], axis=1), cut.rows[1], axis=2)
+    c[:, 0, 1 + kb:-1] = np.take(rho[:, :, 0], cut.b, axis=-1)
+    c[:, 1 + ka:-1, 0] = np.take(rho[:, 0], cut.a, axis=-1)
+    c[:, 1 + ka:-1, 1 + kb:-1] = np.take(np.take(rho, cut.b, axis=1), cut.a, axis=2).swapaxes(1, 2)
+    c[:, 0, -1], c[:, -1, 0] = norm_b, norm_a
+    # vec rho_A and vec rho_B collapsed alike: (rho_A[0, 0], rho_A[a, 0],
+    # rho_A[0, a]) and (rho_B[0, 0], rho_B[0, b], rho_B[b, 0]), then the norm
+    vec_a = np.concatenate((rho_a[:, :, 0], rho_a[:, 0, 1:], norm_a[:, None]), axis=1)
+    vec_b = np.concatenate((rho_b[:, 0], rho_b[:, 1:, 0], norm_b[:, None]), axis=1)
     gap_a, gap_b = (_purity_gap(r) for r in reduced)
     # C and C - a_c b_c^T: one stacked SVD
     norm_c, lhs = trace_norm(np.stack((c, c - vec_a[:, :, None] * vec_b[:, None, :])))

@@ -130,40 +130,15 @@ def partial_trace(rho: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> 
 class SectorCut:
     """span{vac} (+) single excitations, on a sector basis with the vacuum at
     index 0, split between the excitations a and b (every index but 0 in one
-    of them). It holds the index arrays that its partial traces
-    (sector_partial_trace) and measures (entanglement.sector_measures) gather,
-    built once, so a run builds none per state."""
+    of them). It holds the two sides and each side's sector basis, its vacuum
+    then its excitations (rows), O(k_A + k_B) indices; its partial traces
+    (sector_partial_trace) and measures (entanglement.sector_measures) gather
+    their blocks straight from these."""
 
     def __init__(self, a, b):
         self.a = a = np.asarray(a, dtype=np.intp)
         self.b = b = np.asarray(b, dtype=np.intp)
-        ka, kb = len(a), len(b)
-        self.size = m = 1 + ka + kb
-        # each side's sector basis, its vacuum then its excitations; of a
-        # density matrix flattened to m^2 entries, the side's block and the
-        # diagonal entries that tracing it out sums, the other side's. Every
-        # gather is an np.take along the last axis, which leaves each state
-        # of a stack contiguous, so its reductions run as for a state alone.
         self.rows = (np.concatenate(([0], a)), np.concatenate(([0], b)))
-        self.blocks = tuple((rows[:, None] * m + rows).ravel() for rows in self.rows)
-        self.diagonals = (b * (m + 1), a * (m + 1))
-        # the compressed realigned matrix of entanglement.sector_measures,
-        # (2 + 2k_A) x (2 + 2k_B), flat: the flat entries dst take the flat
-        # density-matrix entries src, rho[0, 0], rho[0, b], rho[b, 0] (row 0),
-        # rho[a, 0], rho[0, a] (column 0), rho[a, b] and rho[b, a]^T; its last
-        # row and column hold the norms
-        i, j, cols = np.arange(ka)[:, None], np.arange(kb), 2 + 2 * kb
-        dst = ([0], 1 + j, 1 + kb + j, (1 + i[:, 0]) * cols, (1 + ka + i[:, 0]) * cols,
-               (1 + i) * cols + 1 + j, (1 + ka + i) * cols + 1 + kb + j)
-        src = ([0], b, b * m, a * m, a, a[:, None] * m + b, b * m + a[:, None])
-        self.compressed = ((2 + 2 * ka, cols),
-                           *(np.concatenate([np.ravel(x) for x in part]) for part in (dst, src)))
-        # vec rho_A and vec rho_B, collapsed alike, from each flat reduced
-        # state: (rho_A[0, 0], rho_A[a, 0], rho_A[0, a]) and (rho_B[0, 0],
-        # rho_B[0, b], rho_B[b, 0]), then the norm
-        sa, sb = np.arange(1, 1 + ka), np.arange(1, 1 + kb)
-        self.vecs = (np.concatenate(([0], sa * (1 + ka), sa)),
-                     np.concatenate(([0], sb, sb * (1 + kb))))
 
 
 def sector_partial_trace(states: np.ndarray, cut: SectorCut, side: int = 0,
@@ -177,7 +152,9 @@ def sector_partial_trace(states: np.ndarray, cut: SectorCut, side: int = 0,
     in order, (..., 1 + k, 1 + k). A traced excitation leaves the kept side
     in its vacuum, so only its weight remains, on the vacuum's diagonal. A
     ket x gives the outer product of its kept rows plus the traced rows'
-    weight sum |x_t|^2, bit for bit what its density matrix gives.
+    weight sum |x_t|^2, bit for bit what its density matrix gives. Every
+    gather is an np.take along the stack's last axes, which leaves each state
+    of a stack contiguous, so its reductions run as for a state alone.
     """
     if kets:
         kept = np.take(states, cut.rows[side], axis=-1)
@@ -185,10 +162,9 @@ def sector_partial_trace(states: np.ndarray, cut: SectorCut, side: int = 0,
         weight = weight * weight.conj()
         out = kept[..., :, None] * kept.conj()[..., None, :]
     else:
-        flat = states.reshape(*states.shape[:-2], -1)
-        k = len(cut.rows[side])
-        out = np.take(flat, cut.blocks[side], axis=-1).reshape(*flat.shape[:-1], k, k)
-        weight = np.take(flat, cut.diagonals[side], axis=-1)
+        rows = cut.rows[side]
+        out = np.take(np.take(states, rows, axis=-2), rows, axis=-1)
+        weight = np.take(states.diagonal(axis1=-2, axis2=-1), (cut.b, cut.a)[side], axis=-1)
     out[..., 0, 0] += weight.sum(-1)
     return out
 

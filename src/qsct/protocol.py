@@ -240,10 +240,10 @@ class PreparedReference:
     the amplitude's modulus there, None when the config gives t_total. The
     sector basis is the vacuum (level 0, site -1), then level r on site s at
     1 + (r-1) n + s (level-major, 0-based sites); level and site hold that
-    layout. The sector cuts that measure hold their index arrays, built here
-    once. A spectrum of another chain (another d, n or couplings) raises
-    ValueError naming spectrum, as run_experiment refuses a twin of another
-    configuration.
+    layout. The sector cuts that measure hold only their two sides, O(n)
+    indices each, built here once. A spectrum of another chain (another d,
+    n or couplings) raises ValueError naming spectrum, as run_experiment
+    refuses a twin of another configuration.
     """
 
     def __init__(self, config: ExperimentConfig, spectrum: Spectrum,

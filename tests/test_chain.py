@@ -436,7 +436,7 @@ def test_find_pst_time_refines_a_higher_later_peak(couplings, t_max, t_want, amp
     ([1.95, 0.28, 1.46, 0.59, 1.04], 2770.3, 2143.097425587106, 0.2745238106914851),
     ([1.98, 0.21, 1.97], 2984.3, 403.4628898841537, 0.9988681320370458),
 ])
-def test_find_pst_time_rescans_a_peak_whose_sample_is_no_local_maximum(
+def test_find_pst_time_finds_a_peak_whose_coarse_sample_is_no_local_maximum(
         couplings, t_max, t_want, amp_want):
     # near the window bound a 2000-point scan's sample nearest the window's
     # highest peak samples lower than a neighbour on the next hill, so no
@@ -502,7 +502,7 @@ def test_find_pst_time_ends_on_a_wide_window():
     assert amp == pytest.approx(1.0, abs=1e-12)
 
 
-def test_find_pst_time_refuses_an_aliasing_scan():
+def test_find_pst_time_refuses_a_window_past_1999_periods():
     # d=4 n=5: eigenvalues -2..2, so the window may span 1999 periods pi / 2
     spectrum = Spectrum(ChainSpec(d=4, n=5))
     with pytest.raises(ValueError, match=r"t_max = 1000000\.0 .*d=4, nodes=5"):

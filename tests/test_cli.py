@@ -744,7 +744,7 @@ def test_pst_rejects_bad_tmax(capsys, tmax):
     assert "--tmax" in capsys.readouterr().err
 
 
-def test_pst_refuses_an_aliasing_window(capsys):
+def test_pst_refuses_a_window_past_1999_periods(capsys):
     # [0, 1e6] spans about 640000 periods pi / 2 of the amplitude's fastest
     # component, past the 1999 that the search scans
     assert main(["pst", "--d", "4", "--nodes", "5", "--tmax", "1e6"]) == 2
@@ -759,10 +759,10 @@ def test_sweep_refusal_names_every_refused_point(tmp_path, capsys, jobs):
     # two points leave t_total open on a chain whose default window is
     # longer than the transfer-time search scans; the point that sets
     # t_total on another chain is not named
-    aliasing = {"chain": {"d": 2, "nodes": 3, "couplings": [1000, 1000]},
+    too_wide = {"chain": {"d": 2, "nodes": 3, "couplings": [1000, 1000]},
                 "input_amplitudes": [0.6, 0.8]}
     sweep = [{"chain": {"d": 2, "nodes": 3}, "input_amplitudes": [0.6, 0.8], "t_total": 1.0},
-             aliasing, dict(aliasing, noise=DEPHASING)]
+             too_wide, dict(too_wide, noise=DEPHASING)]
     out = tmp_path / "out"
     assert main(["run", "--config", str(_write_config(tmp_path, sweep)), "--out", str(out),
                  "--jobs", jobs]) == 2
@@ -771,17 +771,17 @@ def test_sweep_refusal_names_every_refused_point(tmp_path, capsys, jobs):
     assert list(out.iterdir()) == []
     # a single config's message is the library's refusal, unprefixed
     single = tmp_path / "single"
-    assert main(["run", "--config", str(_write_config(tmp_path, aliasing, name="one.json")),
+    assert main(["run", "--config", str(_write_config(tmp_path, too_wide, name="one.json")),
                  "--out", str(single)]) == 2
     with pytest.raises(ConfigError) as refusal:
-        run_experiment(parse_config(aliasing))
+        run_experiment(parse_config(too_wide))
     assert capsys.readouterr().err == f"config error: {refusal.value}\n"
     assert refusal.value.configs == (0,)
     assert err == f"config error: point-001, point-002: {refusal.value}\n"
     assert list(single.iterdir()) == []
 
 
-def test_run_refuses_a_transfer_search_that_would_alias(tmp_path, capsys):
+def test_run_refuses_a_default_window_past_1999_periods(tmp_path, capsys):
     config = dict(BASE_CONFIG, chain={"d": 2, "nodes": 3, "couplings": [1000.0, 1000.0]},
                   input_amplitudes=[0.6, 0.8])
     cfg = _write_config(tmp_path, config)
@@ -828,7 +828,7 @@ def test_failing_sweep_leaves_no_partial_output(tmp_path, capsys, jobs):
                                                    3, "d=2, nodes=3")
 
 
-ALIASING_CONFIG = dict(OVERFLOWING_CONFIG, chain={"d": 2, "nodes": 3, "couplings": [1000.0, 1000.0]})
+TOO_WIDE_CONFIG = dict(OVERFLOWING_CONFIG, chain={"d": 2, "nodes": 3, "couplings": [1000.0, 1000.0]})
 LOST_PHASES_CONFIG = dict(OVERFLOWING_CONFIG, t_total=1.0, steps=2)
 DEPHASING = {"kind": "phase_damping", "topology": "interleaved", "p": 0.9}
 
@@ -837,7 +837,7 @@ DEPHASING = {"kind": "phase_damping", "topology": "interleaved", "p": 0.9}
 @pytest.mark.parametrize("failing, code, message", [
     # the default window of a twin that three points share is longer than
     # the transfer-time search scans; the refusal names all three
-    ([ALIASING_CONFIG, dict(ALIASING_CONFIG, noise=DEPHASING), dict(ALIASING_CONFIG, seed=3)],
+    ([TOO_WIDE_CONFIG, dict(TOO_WIDE_CONFIG, noise=DEPHASING), dict(TOO_WIDE_CONFIG, seed=3)],
      2, "config error: point-001, point-002, point-003: t_total: "),
     # the phases of the shared twin's reference lose their precision
     ([dict(LOST_PHASES_CONFIG, noise=DEPHASING), LOST_PHASES_CONFIG,
@@ -845,7 +845,7 @@ DEPHASING = {"kind": "phase_damping", "topology": "interleaved", "p": 0.9}
      3, "lose their precision"),
     # a single noisy config whose own twin's reference fails
     (dict(LOST_PHASES_CONFIG, noise=DEPHASING), 3, "lose their precision"),
-], ids=["aliasing", "overflowing", "single"])
+], ids=["too-wide-window", "overflowing", "single"])
 def test_failing_shared_twin_leaves_no_partial_output(tmp_path, capsys, jobs, failing, code,
                                                       message):
     _assert_failing_sweep_leaves_no_partial_output(tmp_path, capsys, jobs, failing, code, message)

@@ -1,8 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from qsct.entanglement import sector_measures
 from qsct.linalg import (
     Bipartition,
+    SectorCut,
     partial_trace,
     realign,
     trace_norm,
@@ -245,3 +249,26 @@ def test_partial_trace_pure_matches_density_route():
         psi /= np.linalg.norm(psi)
         expect = partial_trace(np.outer(psi, psi.conj()), dims, keep)
         assert np.max(np.abs(partial_trace_pure(psi, dims, keep) - expect)) <= 1e-15
+
+
+def test_sector_cut_holds_only_its_two_sides():
+    # a cut of m = 2001 sector states holds O(m) indices; every block of its
+    # partial traces and measures is gathered from them, so it builds no
+    # O(m^2) map of flat indices (76.5 MB of them at this size)
+    tracemalloc.start()
+    try:
+        cut = SectorCut(np.arange(1, 1001), np.arange(1001, 2001))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+    rng = np.random.default_rng(7)
+    kets = np.zeros((3, 2001), dtype=complex)
+    kets[0, [1, 1001]] = 1.0  # |a_1> + |b_1>, unnormalized: maximally entangled
+    kets[1, [0, 500]] = 1.0  # |vac> + |a_500>: a product across the cut
+    kets[2] = rng.normal(size=2001) + 1j * rng.normal(size=2001)
+    q_0, q_a, q_b = (np.sum(np.abs(kets[2, s]) ** 2) for s in (0, cut.a, cut.b))
+    want = [1.0, 0.0, 2.0 * np.sqrt(q_a * q_b) / (q_0 + q_a + q_b)]
+    ccnr, margin, level = sector_measures(kets, cut, kets=True)
+    assert np.allclose(level, want, rtol=1e-13, atol=1e-15)
+    assert np.array_equal(margin, level) and np.array_equal(ccnr, 1.0 + level)
