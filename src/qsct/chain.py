@@ -23,11 +23,12 @@ Site 1 is the most significant tensor factor: basis index =
 sum_s value_s * d^(N - s).
 
 Spectrum evolves a sector ket through its site amplitudes, and a density
-matrix through Spectrum.unitary, one eigh per partition of n. The
-transfer-time search (find_pst_time) scans J's n eigenpairs with a step
-that J's spread sets, and refines every local maximum that may sit under
-the window's highest peak in one vectorised golden section; the earliest
-within 1e-12 of the highest wins.
+matrix through Spectrum.unitary on blocks named by their level counts, one
+eigh per partition of n; the sector's needs none past J's, at any n. The
+transfer-time search (find_pst_time) scans J's n eigenpairs with a step that
+J's spread sets, and refines every local maximum that may sit under the
+window's highest peak in one vectorised golden section; the earliest within
+1e-12 of the highest wins.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ import math
 import numbers
 import threading
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -164,10 +166,20 @@ def _real_matmul(m: np.ndarray, z: np.ndarray) -> np.ndarray:
     return (m @ pairs).view(np.complex128).reshape((m.shape[0],) + z.shape[1:])
 
 
-def _hopping(spec: ChainSpec, keys: np.ndarray) -> np.ndarray:
-    """H on the register states keys, descending: bond i takes each state
+def _block_states(counts: tuple[int, ...]) -> np.ndarray:
+    """Digit columns of the states with counts[l] sites at level l, descending."""
+    digits, left = np.empty((0, 1), dtype=np.intp), np.array([counts[::-1]])
+    for _ in range(sum(counts)):
+        prefix, level = np.nonzero(left > 0)
+        left = left[prefix] - np.eye(len(counts), dtype=np.intp)[level]
+        digits = np.vstack((digits[:, prefix], len(counts) - 1 - level))
+    return digits
+
+
+def _hopping(spec: ChainSpec, digits: np.ndarray) -> np.ndarray:
+    """H on the digit columns digits, descending: bond i takes each state
     whose sites i and i+1 differ to the state with the two exchanged, J_i."""
-    digits, h = np.array(np.unravel_index(keys, spec.dims)), np.zeros((keys.size,) * 2)
+    keys, h = np.ravel_multi_index(digits, spec.dims), np.zeros((digits.shape[1],) * 2)
     for i, coupling in enumerate(spec.couplings):
         hop = np.flatnonzero(digits[i] != digits[i + 1])
         swapped = digits[:, hop]
@@ -179,10 +191,11 @@ def _hopping(spec: ChainSpec, keys: np.ndarray) -> np.ndarray:
 class Spectrum:
     """The spectrum of one chain, one level-count block at a time.
 
-    With a block's levels relabelled, the most occupied 0 (ties by level),
-    and its states ordered by relabelled register index, descending, every
-    block of one partition of n has the same real hopping matrix, so one
-    eigh per partition evolves them all (unitary). An input
+    A block is named by its level counts, a partition by its non-zero counts,
+    sorted. With a block's levels relabelled (the most occupied 0, ties by
+    level) and its states by relabelled register index, descending, all
+    blocks of a partition share one real hopping matrix and one eigh
+    (unitary); the vacuum's, of (n), is held. An input
     sum_r alpha_r |r> (x) |0...0> stays on the vacuum and the d-1 blocks of
     (n-1, 1), each J in site order, whose eigh (eigvals, eigvecs) is taken
     here: the ket is alpha_0 |vac> + sum_{r,s} alpha_r f_s(t) |r on site s>,
@@ -198,7 +211,8 @@ class Spectrum:
         self.spec = spec
         j = np.diag(spec.couplings, 1)
         self.eigvals, self.eigvecs = np.linalg.eigh(j + j.T)
-        self._blocks = {1: (self.eigvals, self.eigvecs)}  # each partition's eigh; J's is 1
+        self._blocks = {(spec.n,): (np.zeros(1), np.ones((1, 1))),  # each partition's
+                        (spec.n - 1, 1): (self.eigvals, self.eigvecs)}  # eigh: vacuum, J
         self._lock = threading.Lock()
 
     def _describe(self) -> str:
@@ -232,41 +246,39 @@ class Spectrum:
         f[t == 0.0] = np.eye(1, self.spec.n)
         return f
 
-    def unitary(self, t: float, states: np.ndarray | None = None) -> np.ndarray:
-        """exp(-i t H) on the register indices states, in their order, the
-        whole register by default; the identity at t = 0. Each block is
-        V exp(-i E t) V^T from its partition's eigh: on the sector,
-        1 (+) (I_{d-1} (x) exp(-i J t)) from J's. ValueError naming states
-        unless they are a union of whole level-count blocks."""
-        spec = self.spec
-        states = np.arange(spec.dim) if states is None else np.asarray(states)
-        digits = np.array(np.unravel_index(states, spec.dims))
-        counts = (digits == np.arange(spec.d)[:, None, None]).sum(1)
-        factorial = np.cumprod(np.r_[1, 1:spec.n + 1])
-        size = factorial[spec.n] // factorial[counts].prod(0)
-        # a block is named by its digits sorted, read as a register index
-        block = np.ravel_multi_index(np.sort(digits, axis=0, kind="stable"), spec.dims)
-        if np.any(np.bincount(states) > 1) or np.any(np.bincount(block)[block] != size):
-            raise ValueError("states: not a union of level-count blocks of the register")
+    def unitary(self, t: float, counts: np.ndarray | None = None) -> np.ndarray:
+        """exp(-i t H) on the blocks whose level counts are the rows of counts
+        (B, d), in their order, each in the class's state order, or on the
+        whole register in register order; the identity at t = 0. Each block is
+        V exp(-i E t) V^T from its partition's eigh. ValueError naming counts
+        unless each row is d non-negative integers summing to n."""
+        spec, d, n, whole = self.spec, self.spec.d, self.spec.n, counts is None
+        counts = (np.eye(d, dtype=int)[list(combinations_with_replacement(range(d), n))].sum(1)
+                  if whole else np.asarray(counts))     # whole: each block, by its digits sorted
+        if not (counts.dtype.kind in "iu" and counts.ndim == 2 and counts.shape[1] == d
+                and np.all(counts >= 0) and np.all(counts.sum(1) == n)):
+            raise ValueError(f"counts: expected rows of {d} non-negative integers summing to {n}")
+        # each block's levels, the most occupied first (at most n occupied), and its partition
+        order = np.argsort(-counts.astype(np.int64), axis=1, kind="stable")[:, :n]
+        keys = [tuple(filter(None, row)) for row in np.take_along_axis(counts, order, 1).tolist()]
+        start = np.cumsum([0] + [math.factorial(n) // math.prod(map(math.factorial, key))
+                                 for key in keys])
+        size = spec.dim if whole else int(start[-1])
         if t == 0.0:
-            return np.eye(states.size, dtype=np.complex128)
-        # each state's levels relabelled, the most occupied 0 (all sorts stable: one kernel)
-        relabel = np.argsort(np.argsort(-counts, axis=0, kind="stable"), axis=0, kind="stable")
-        relabelled = np.take_along_axis(relabel, digits, axis=0)
-        keys = np.ravel_multi_index(relabelled, spec.dims)
-        partition = np.ravel_multi_index(np.sort(relabelled, axis=0, kind="stable"), spec.dims)
-        # each partition's states, block by block, each block in its own order
-        order = np.lexsort((-keys, block, partition))
-        u = np.zeros((states.size, states.size), dtype=np.complex128)
-        for rows in np.split(order, np.flatnonzero(np.diff(partition[order])) + 1):
-            rows = rows.reshape(-1, size[rows[0]])
+            return np.eye(size, dtype=np.complex128)
+        u = np.zeros((size, size), dtype=np.complex128)
+        for key in dict.fromkeys(keys):
+            rows = [i for i, other in enumerate(keys) if other == key]
             with self._lock:    # each partition's eigh, once per Spectrum
-                if (key := partition[rows[0, 0]]) not in self._blocks:
-                    self._blocks[key] = np.linalg.eigh(_hopping(spec, keys[rows[0]]))
+                if key not in self._blocks:
+                    self._blocks[key] = np.linalg.eigh(_hopping(spec, _block_states(key)))
                 eigvals, eigvecs = self._blocks[key]
             self._check(t, eigvals)
+            # the register index of each state, its levels restored, or its place
+            at = (d ** np.arange(n - 1, -1, -1) @ order[rows][:, _block_states(key)] if whole
+                  else start[rows, None] + np.arange(eigvals.size))
             phases = np.exp(-1j * t * eigvals)[:, None] * eigvecs.T
-            u[rows[:, :, None], rows[:, None, :]] = _real_matmul(eigvecs, phases)
+            u[at[:, :, None], at[:, None, :]] = _real_matmul(eigvecs, phases)
         return u
 
 

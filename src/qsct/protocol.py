@@ -53,14 +53,14 @@ placement is one of three layouts:
     interleaved   - per step: the unitary, then the per-site channels
 
 The noise picks the engine that carries rho (engine(config)); either way
-rho steps under Spectrum.unitary on the register states it is written on.
+rho steps under Spectrum.unitary on the level-count blocks it is written on.
 A table with no shift, m = 0 its only weighted row (every phase-damping
 table), only multiplies rho[a, b] by its mask, so the state never leaves
-the sector: rho is (1+(d-1)n)^2 on the sector states' register indices
-(PreparedReference.register_index), takes the mask read at those indices,
-and is measured as above. A table with shifts moves excitations between
-levels, and so creates new ones: the sector rho is scattered into the
-register at the same indices, rho is d^n x d^n, takes
+the sector: rho is (1+(d-1)n)^2 on the sector's blocks
+(PreparedReference.blocks), takes the mask at its states (sector_mask), and
+is measured as above. A table with shifts moves excitations between levels,
+and so creates new ones: the sector rho is scattered into the register at
+its states' register indices, rho is d^n x d^n, takes
 channels.apply_weyl_table and is measured on the register by
 entanglement.ccnr, amplified_ccnr_margin and entanglement_level of the
 stack, and linalg.partial_trace.
@@ -268,8 +268,6 @@ class PreparedReference:
         self.excited_weight = float(np.sum(np.abs(self.alpha[1:]) ** 2))
         self.level = np.r_[0, np.repeat(np.arange(1, d), n)]
         self.site = np.r_[-1, np.tile(np.arange(n), d - 1)]
-        # register index of each sector state: r d^(n-1-s), 0 for the vacuum
-        self.register_index = self.level * d ** (n - 1 - self.site)
 
         def on(lo: int, hi: int) -> np.ndarray:
             """Sector indices of the excitations on sites lo..hi-1, level-major."""
@@ -288,6 +286,11 @@ class PreparedReference:
             steps = np.arange(first, min(first + chunk, config.steps + 1))
             records += self.measure(first, self.sector_ket(steps * self.dt))
         self.records = tuple(records)
+
+    @property
+    def blocks(self) -> np.ndarray:
+        """The level counts of the sector's blocks, in the sector basis's order."""
+        return np.eye(self.spec.d, dtype=int) + (self.spec.n - 1) * np.eye(1, self.spec.d, dtype=int)
 
     def stack_size(self, shape: tuple[int, ...]) -> int:
         """How many complex states of this shape one measured stack holds."""
@@ -309,10 +312,10 @@ class PreparedReference:
         mask at the two states' register indices, M_D[a, b] for one
         register-wide factor, else prod_s M[a_s, b_s], in which a site that
         neither state excites contributes M[0, 0]."""
-        mask = table.masks[0]
-        if len(dims) == 1:
-            return mask[np.ix_(self.register_index, self.register_index)]
-        level, site, n = self.level, self.site, self.spec.n
+        mask, level, site, n = table.masks[0], self.level, self.site, self.spec.n
+        if len(dims) == 1:      # register index r d^(n-1-s), 0 for the vacuum
+            index = level * self.spec.d ** (n - 1 - site)
+            return mask[np.ix_(index, index)]
         rest = mask[0, 0]
         return np.where(site[:, None] == site[None, :],
                         mask[np.ix_(level, level)] * rest ** (n - 1),
@@ -466,17 +469,17 @@ def run_experiment(
     records = reference[:first]
     ket = prepared.sector_ket(first * prepared.dt)
     rho = np.outer(ket, ket.conj())
-    # the register states rho is written on: the sector's, or (None) all
-    basis = prepared.register_index
+    blocks = prepared.blocks    # rho's: the sector's, or (None) the whole register
     if engine(config) == "sector":
         mask = prepared.sector_mask(table, dims)
 
         def channel(rho: np.ndarray) -> np.ndarray:
             return mask * rho
-    else:
+    else:   # the sector states' register indices r d^(n-1-s), 0 for the vacuum
+        index = prepared.level * config.chain.d ** (config.chain.n - 1 - prepared.site)
         register = np.zeros((config.chain.dim,) * 2, dtype=np.complex128)
-        register[np.ix_(basis, basis)] = rho
-        rho, basis = register, None
+        register[np.ix_(index, index)] = rho
+        rho, blocks = register, None
 
         def channel(rho: np.ndarray) -> np.ndarray:
             return apply_weyl_table(rho, table, dims)
@@ -486,7 +489,7 @@ def run_experiment(
                      dtype=np.complex128)
     rho = channel(rho)
     if first < config.steps:
-        u_step = prepared.spectrum.unitary(prepared.dt, basis)
+        u_step = prepared.spectrum.unitary(prepared.dt, blocks)
     for k in range(first, config.steps + 1):
         if k > first:
             rho = channel(u_step @ rho @ u_step.conj().T)

@@ -26,7 +26,8 @@ d = 3. They are the generator-sum oracle for the Hamiltonian.
 The dense Hamiltonian. build_hamiltonian assembles the d^n x d^n register
 Hamiltonian bond by bond as a real hopping matrix; the library never builds
 it, and evolves each level-count block of it instead (qsct.chain.Spectrum).
-An eigh of it is the dense oracle for Spectrum.unitary.
+An eigh of it is the dense oracle for Spectrum.unitary, and block_states
+gives the register indices of the blocks that unitary names by their counts.
 
 Closed forms and conservation laws. closed_form_l2_d2 is the printed
 two-level profile, and commutator_defect the norms of [H, C_r] for the level
@@ -350,6 +351,22 @@ def build_hamiltonian(spec: ChainSpec) -> np.ndarray:
         swapped[[i, i + 1]] = swapped[[i + 1, i]]
         h[np.ravel_multi_index(swapped, spec.dims), hop] = coupling
     return h
+
+
+def block_states(spec: ChainSpec, counts) -> np.ndarray:
+    """Register indices of the level-count blocks whose counts are the rows
+    of counts, block after block, each block's states by relabelled register
+    index, descending: its levels relabelled, the most occupied 0 (ties by
+    level). The order of Spectrum.unitary(t, counts)."""
+    digits = np.array(np.unravel_index(np.arange(spec.dim), spec.dims))
+    state_counts = (digits == np.arange(spec.d)[:, None, None]).sum(1).T
+    out = []
+    for row in np.asarray(counts):
+        states = np.flatnonzero((state_counts == row).all(1))
+        relabel = np.argsort(np.argsort(-row, kind="stable"), kind="stable")
+        keys = np.ravel_multi_index(relabel[digits[:, states]], spec.dims)
+        out.append(states[np.argsort(-keys, kind="stable")])
+    return np.concatenate(out)
 
 
 def closed_form_l2_d2(alpha: float, beta: float, a):

@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import qsct.chain
 from qsct.chain import (
     ChainSpec,
     Spectrum,
@@ -15,7 +16,14 @@ from qsct.chain import (
     default_couplings,
     find_pst_time,
 )
-from oracles import build_hamiltonian, commutator_defect, embed_operator, eta, golden_max
+from oracles import (
+    block_states,
+    build_hamiltonian,
+    commutator_defect,
+    embed_operator,
+    eta,
+    golden_max,
+)
 
 
 def _complex_propagator(h, t):
@@ -25,10 +33,22 @@ def _complex_propagator(h, t):
 
 
 def _sector(spec):
-    """Register indices of the sector basis: the vacuum, then level r on
-    1-based site s at r d^(n-s), level-major."""
-    d, n = spec.d, spec.n
-    return np.array([0] + [r * d ** (n - s) for r in range(1, d) for s in range(1, n + 1)])
+    """The sector's level-count blocks: the vacuum (n, 0, ...), then one
+    excitation of level r, (n-1, ..., 1 at r, ...), for r = 1..d-1."""
+    return np.array([[spec.n] + [0] * (spec.d - 1)]
+                    + [[spec.n - 1] + [int(r == level) for r in range(1, spec.d)]
+                       for level in range(1, spec.d)])
+
+
+def _sector_step(spectrum, t):
+    """1 (+) (I_{d-1} (x) V exp(-i E t) V^T), from J's own eigh."""
+    spec = spectrum.spec
+    j = np.diag(spec.couplings, 1)
+    w, v = np.linalg.eigh(j + j.T)
+    expect = np.zeros((1 + (spec.d - 1) * spec.n,) * 2, dtype=complex)
+    expect[0, 0] = 1.0
+    expect[1:, 1:] = np.kron(np.eye(spec.d - 1), _real_matmul(v, np.exp(-1j * t * w)[:, None] * v.T))
+    return expect
 
 
 def _spy_eigh(monkeypatch, delay=0.0):
@@ -283,28 +303,31 @@ def test_unitary_matches_the_dense_oracle(d, n):
     u = spectrum.unitary(t)
     assert np.max(np.abs(u - _complex_propagator(build_hamiltonian(spec), t))) <= 1e-13
     assert np.array_equal(spectrum.unitary(0.0), np.eye(spec.dim))
-    assert np.array_equal(spectrum.unitary(0.0, _sector(spec)), np.eye(len(_sector(spec))))
+    sector = _sector(spec)
+    assert np.array_equal(spectrum.unitary(0.0, sector), np.eye(1 + (d - 1) * n))
     # on the sector: 1 (+) (I_{d-1} (x) exp(-i J t)), from J's own eigh
-    j = np.diag(spec.couplings, 1)
-    w, v = np.linalg.eigh(j + j.T)
-    expect = np.zeros((1 + (d - 1) * n,) * 2, dtype=complex)
-    expect[0, 0] = 1.0
-    expect[1:, 1:] = np.kron(np.eye(d - 1), _real_matmul(v, np.exp(-1j * t * w)[:, None] * v.T))
-    assert np.array_equal(spectrum.unitary(t, _sector(spec)), expect)
+    expect = _sector_step(spectrum, t)
+    assert np.array_equal(spectrum.unitary(t, sector), expect)
     # the sector's rows and columns of the whole register's unitary
-    assert np.array_equal(u[np.ix_(_sector(spec), _sector(spec))], expect)
+    states = block_states(spec, sector)
+    assert np.array_equal(u[np.ix_(states, states)], expect)
+    # so is any set of blocks, in any order
+    rng = np.random.default_rng(10 * d + n)
+    digits = np.array(np.unravel_index(np.arange(spec.dim), spec.dims))
+    every = np.unique((digits == np.arange(d)[:, None, None]).sum(1).T, axis=0)
+    counts = rng.permutation(every)[:rng.integers(1, len(every) + 1)]
+    states = block_states(spec, counts)
+    assert np.array_equal(spectrum.unitary(t, counts), u[np.ix_(states, states)])
 
 
-def test_unitary_refuses_states_that_split_a_block():
+def test_unitary_refuses_counts_that_are_not_level_counts():
+    # each row must be d non-negative integers summing to n: O(B d) to check
     spectrum = Spectrum(ChainSpec(d=3, n=3))
-    sector = _sector(spectrum.spec)
-    for states in (sector[:-1], np.r_[sector, 0], np.r_[sector, 4]):
-        with pytest.raises(ValueError, match="states: not a union of level-count blocks"):
-            spectrum.unitary(0.5, states)
-    # any order of whole blocks: the vacuum's, and the three states with one 1 and two 2s
-    u = spectrum.unitary(0.5, [17, 0, 25, 23])
-    whole = spectrum.unitary(0.5)
-    assert np.array_equal(u, whole[np.ix_([17, 0, 25, 23], [17, 0, 25, 23])])
+    for counts in ([[3, 0]], [[2, 1, 0, 0]], [[1, 1, 0]], [[4, -1, 0]], [[3, 0, 0], [2, 2, 0]],
+                   [[3.0, 0.0, 0.0]], [[True, True, True]], [3, 0, 0]):
+        with pytest.raises(ValueError, match="counts: expected rows of 3 non-negative integers "
+                                             "summing to 3"):
+            spectrum.unitary(0.5, counts)
 
 
 def test_find_pst_time_never_diagonalises(monkeypatch):
@@ -463,9 +486,9 @@ def test_find_pst_time_overflowing_phases_name_the_chain():
 def test_spectrum_refuses_phases_without_precision():
     # |E t| ~ 1.4e308 leaves the phase exp(-i E t) undetermined by ~1e292 rad
     spectrum = Spectrum(ChainSpec(d=2, n=3, couplings=[1e308, 1e308]))
-    for states in (None, _sector(spectrum.spec)):
+    for counts in (None, _sector(spectrum.spec)):
         with pytest.raises(FloatingPointError, match=r"d=2, nodes=3, couplings=\[1e\+308"):
-            spectrum.unitary(0.5, states)
+            spectrum.unitary(0.5, counts)
 
 
 def test_spectrum_phase_precision_threshold():
@@ -570,34 +593,37 @@ def test_unitary_on_the_sector_is_the_register_propagator_there():
     rng = np.random.default_rng(4)
     for d, n in ((2, 2), (2, 5), (3, 4), (4, 3)):
         spec = ChainSpec(d=d, n=n, couplings=rng.uniform(0.2, 2.0, n - 1))
-        sector = _sector(spec)
+        states = block_states(spec, _sector(spec))
         for t in (0.4, math.pi, 7.3):
             u = _complex_propagator(build_hamiltonian(spec), t)
-            assert np.max(np.abs(Spectrum(spec).unitary(t, sector) - u[np.ix_(sector, sector)])) <= 1e-12
+            step = Spectrum(spec).unitary(t, _sector(spec))
+            assert np.max(np.abs(step - u[np.ix_(states, states)])) <= 1e-12
 
 
 def test_spectrum_builds_the_register_lazily_and_once(monkeypatch):
-    # J's eigh is taken when the Spectrum is built; the sector needs only it
-    # and the vacuum's 1 x 1 block, and the whole register one eigh per other
-    # partition of n, on its first call: (1, 1, 1) here, as (2, 1) is J
+    # J's eigh is taken when the Spectrum is built, and the vacuum's 1 x 1
+    # block is stored beside it, so the sector needs no eigh; the whole
+    # register takes one per other partition of n, on its first call:
+    # (1, 1, 1) here, as (2, 1) is J
     spec = ChainSpec(d=3, n=3)
     spectrum = Spectrum(spec)
     shapes = _spy_eigh(monkeypatch)
     spectrum.site_amplitudes(1.0)
     spectrum.unitary(1.0, _sector(spec))
     find_pst_time(spectrum)
-    assert shapes == [(1, 1)]
+    assert shapes == []
     spectrum.unitary(0.5)
     spectrum.unitary(1.5)
     spectrum.unitary(1.0, _sector(spec))
-    assert shapes == [(1, 1), (6, 6)]
+    assert shapes == [(6, 6)]
 
 
 def test_threads_sharing_a_spectrum_build_the_register_once(monkeypatch):
     # the points of a sweep share their chain's Spectrum across --jobs
     # threads; a slow eigh widens the window in which a second thread could
-    # diagonalise a partition again. (3, 4) has the partitions (4), (3, 1)
-    # (J, taken when the Spectrum is built), (2, 2) and (2, 1, 1).
+    # diagonalise a partition again. (3, 4) has the partitions (4) and
+    # (3, 1) (the vacuum and J, both held when the Spectrum is built), (2, 2)
+    # and (2, 1, 1).
     spectrum = Spectrum(ChainSpec(d=3, n=4))
     shapes = _spy_eigh(monkeypatch, delay=0.05)
     start = threading.Barrier(8)
@@ -618,6 +644,27 @@ def test_threads_sharing_a_spectrum_build_the_register_once(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
-    assert sorted(shapes) == [(1, 1), (6, 6), (12, 12)]
+    assert sorted(shapes) == [(6, 6), (12, 12)]
     assert len(unitaries) == 8
     assert all(np.array_equal(u, unitaries[0]) for u in unitaries)
+
+
+@pytest.mark.parametrize("n, peak_mb", [(40, 1), (200, 8)])
+def test_a_sector_step_past_the_cap_is_o_n_squared(monkeypatch, n, peak_mb):
+    # 3**40 and 3**200 states: no register index, no d^n-sized array; the
+    # vacuum and J are held, so no hopping matrix is built either
+    monkeypatch.setattr(qsct.chain, "MAX_DIM", 3**n)
+    spectrum = Spectrum(ChainSpec(d=3, n=n))
+    shapes = _spy_eigh(monkeypatch)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        step = spectrum.unitary(0.7, _sector(spectrum.spec))
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(step, _sector_step(spectrum, 0.7))
+    assert shapes == [(n, n)]       # _sector_step's own eigh of J
+    assert peak < peak_mb * 2**20
+    assert elapsed < 0.5

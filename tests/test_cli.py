@@ -1005,10 +1005,10 @@ def test_sweep_shares_each_chain(tmp_path, monkeypatch, jobs):
     assert sorted((s.spec.d, s.spec.n) for s in spectra) == [(2, 3), (2, 3), (3, 3)]
     assert sorted(searches) == [(2, 3), (3, 3)]
     # each Spectrum's J (3 x 3), then each partition of n = 3 that a step
-    # needs, once per chain however many points step it: the vacuum (1 x 1)
-    # of both chains that step, and (1, 1, 1) (6 x 6), which only the qutrit
-    # chain's dense points reach
-    assert sorted(eighs) == [1, 1, 3, 3, 3, 6]
+    # needs, once per chain however many points step it: (1, 1, 1) (6 x 6),
+    # which only the qutrit chain's dense points reach. The vacuum's 1 x 1
+    # block is held beside J, so no step diagonalises it
+    assert sorted(eighs) == [3, 3, 3, 6]
 
 
 def _poison_sector_measures(monkeypatch, poisoned):

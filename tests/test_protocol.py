@@ -436,11 +436,11 @@ SHIFTING_PI = np.array([[0.8, 0.1], [0.1, 0.0]])
 ])
 @pytest.mark.parametrize("t_total", [None, 2.0])
 def test_one_register_eigh_per_experiment(monkeypatch, noise, t_total):
-    # an experiment diagonalises its chain once, block by block: J (3 x 3)
-    # when its Spectrum is built, and the vacuum's 1 x 1 block when
-    # interleaved noise first steps rho, on the sector or (the Weyl case,
-    # with shifts) on the register, whose blocks here are only those two
-    # partitions of n = 3; no eigh is register-sized
+    # an experiment diagonalises its chain once: J (3 x 3) when its Spectrum
+    # is built, beside which the vacuum's 1 x 1 block is held. Interleaved
+    # noise steps rho on the sector or (the Weyl case, with shifts) on the
+    # register, whose blocks here are only those two partitions of n = 3, so
+    # it takes no eigh; no eigh is register-sized
     import qsct.protocol
 
     cfg = _config(d=2, n=3, steps=4, bipartition="endpoints", noise=noise, t_total=t_total)
@@ -458,16 +458,16 @@ def test_one_register_eigh_per_experiment(monkeypatch, noise, t_total):
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     monkeypatch.setattr(qsct.protocol, "find_pst_time", counting_find)
     records, reference = run_experiment(cfg)
-    stepped = noise is not None and noise.topology == "interleaved"
-    assert eighs == ([(3, 3), (1, 1)] if stepped else [(3, 3)])
+    assert eighs == [(3, 3)]
     assert len(searches) == (1 if t_total is None else 0)
     assert (reference is None) == (noise is None)
 
 
 def test_a_dense_run_takes_one_eigh_per_partition(monkeypatch):
     # d=3, n=6: 28 level-count blocks of 7 partitions of 6, one eigh each
-    # (J, of (5, 1), when the Spectrum is built); the largest, (2, 2, 2), has
-    # 90 states, and the 729 x 729 register is never handed to eigh
+    # but the vacuum's, which is held (J, of (5, 1), is taken when the
+    # Spectrum is built); the largest, (2, 2, 2), has 90 states, and the
+    # 729 x 729 register is never handed to eigh
     import qsct.chain
 
     cfg = _config(d=3, n=6, steps=2, t_total=1.0, bipartition="endpoints",
@@ -483,7 +483,7 @@ def test_a_dense_run_takes_one_eigh_per_partition(monkeypatch):
 
     monkeypatch.setattr(qsct.chain.np.linalg, "eigh", counting_eigh)
     run_experiment(cfg)
-    assert sorted(shapes) == [(b, b) for b in (1, 6, 15, 20, 30, 60, 90)]
+    assert sorted(shapes) == [(b, b) for b in (6, 15, 20, 30, 60, 90)]
 
 
 def test_runs_that_share_a_twin_leave_it_as_it_was():
