@@ -27,8 +27,8 @@ matrix through Spectrum.unitary on blocks named by their level counts, one
 eigh per partition of n; the sector's needs none past J's, at any n. The
 transfer-time search (find_pst_time) scans J's n eigenpairs with a step that
 J's spread sets, and refines every local maximum that may sit under the
-window's highest peak in one vectorised golden section; the earliest within
-1e-12 of the highest wins.
+window's highest peak in one vectorised bisection on the sign of d|A|^2/dt;
+the earliest within 1e-12 of the highest wins.
 """
 
 from __future__ import annotations
@@ -200,7 +200,8 @@ class Spectrum:
     (n-1, 1), each J in site order, whose eigh (eigvals, eigvecs) is taken
     here: the ket is alpha_0 |vac> + sum_{r,s} alpha_r f_s(t) |r on site s>,
     f(t) = exp(-i J t) e_1 (site_amplitudes). Any other partition is
-    diagonalised once, when a unitary first needs it, under a lock.
+    diagonalised once, when a unitary first needs it, under a lock, and a
+    partition's states (_block_states) are enumerated once, likewise.
 
     A phase exp(-i E t) is only known to about |E t| eps radians; every time
     is checked against PHASE_TOL on the eigenvalues that evolve it: J's for
@@ -213,6 +214,7 @@ class Spectrum:
         self.eigvals, self.eigvecs = np.linalg.eigh(j + j.T)
         self._blocks = {(spec.n,): (np.zeros(1), np.ones((1, 1))),  # each partition's
                         (spec.n - 1, 1): (self.eigvals, self.eigvecs)}  # eigh: vacuum, J
+        self._states = {}       # each partition's digit columns, once a unitary needs them
         self._lock = threading.Lock()
 
     def _describe(self) -> str:
@@ -269,13 +271,15 @@ class Spectrum:
         u = np.zeros((size, size), dtype=np.complex128)
         for key in dict.fromkeys(keys):
             rows = [i for i, other in enumerate(keys) if other == key]
-            with self._lock:    # each partition's eigh, once per Spectrum
+            with self._lock:    # each partition's states and eigh, once per Spectrum
+                if (whole or key not in self._blocks) and key not in self._states:
+                    self._states[key] = _block_states(key)
                 if key not in self._blocks:
-                    self._blocks[key] = np.linalg.eigh(_hopping(spec, _block_states(key)))
+                    self._blocks[key] = np.linalg.eigh(_hopping(spec, self._states[key]))
                 eigvals, eigvecs = self._blocks[key]
             self._check(t, eigvals)
             # the register index of each state, its levels restored, or its place
-            at = (d ** np.arange(n - 1, -1, -1) @ order[rows][:, _block_states(key)] if whole
+            at = (d ** np.arange(n - 1, -1, -1) @ order[rows][:, self._states[key]] if whole
                   else start[rows, None] + np.arange(eigvals.size))
             phases = np.exp(-1j * t * eigvals)[:, None] * eigvecs.T
             u[at[:, :, None], at[:, None, :]] = _real_matmul(eigvecs, phases)
@@ -287,10 +291,11 @@ def find_pst_time(spectrum: Spectrum, t_max: float = 2.0 * math.pi) -> tuple[flo
     transfer amplitude <e_N| exp(-i J t) |e_1>, every excited level's, from
     the n eigenpairs of spectrum; nothing is diagonalised here.
 
-    One uniform scan of [0, t_max] picks the candidate peaks, and one golden
-    section refines all of them at once. The scan takes 1999 m steps of
-    h / m, with h = t_max / 1999, spread = max E - min E and m = ceil(spread h)
-    or 1, so that spread h / m <= 1: m = 1 on windows up to 1999 / spread.
+    One uniform scan of [0, t_max] picks the candidate peaks, and one
+    bisection on the sign of d|A|^2/dt refines all of them at once. The scan
+    takes 1999 m steps of h / m, with h = t_max / 1999, spread = max E - min E
+    and m = ceil(spread h) or 1, so that spread h / m <= 1: m = 1 on windows
+    up to 1999 / spread.
     A scan value may sit up to (spread h / m)^2 / 32 below the peak it
     samples, so every local maximum of the scan within that slack of the
     best value is a candidate, earlier or later, and so is the earliest
@@ -319,12 +324,12 @@ def find_pst_time(spectrum: Spectrum, t_max: float = 2.0 * math.pi) -> tuple[flo
     weights = spectrum.eigvecs[-1] * spectrum.eigvecs[0]
     rows = max(1, _PHASE_BYTES // (16 * spectrum.eigvals.size))
 
-    def modulus(t: np.ndarray) -> np.ndarray:
-        """|<e_N| exp(-i J t) |e_1>| at each time of t, each as for it alone."""
-        out = np.empty(t.shape)
+    def amplitude(t: np.ndarray, w: np.ndarray = weights) -> np.ndarray:
+        """sum_k w[..., k] exp(-i E_k t) at each time of t, each as for it alone."""
+        out = np.empty(w.shape[:-1] + t.shape, dtype=np.complex128)
         for i in range(0, t.size, rows):
             phases = np.exp(-1j * np.multiply.outer(t[i:i + rows], spectrum.eigvals))
-            out[i:i + rows] = np.abs(inner(weights, phases))
+            out[..., i:i + rows] = inner(w[..., None, :], phases)
         return out
 
     # under 2 pi samples per period of the fastest component, the sample
@@ -334,7 +339,7 @@ def find_pst_time(spectrum: Spectrum, t_max: float = 2.0 * math.pi) -> tuple[flo
     h = t_max / 1999
     m = max(1, math.ceil(spread * h))
     ts = np.linspace(0.0, t_max, 1999 * m + 1)
-    vals = modulus(ts)
+    vals = np.abs(amplitude(ts))     # |<e_N| exp(-i J t) |e_1>|
     top = vals.max()
     if top <= PST_FLOOR:
         raise ValueError(
@@ -358,24 +363,17 @@ def find_pst_time(spectrum: Spectrum, t_max: float = 2.0 * math.pi) -> tuple[flo
     i = np.flatnonzero(peaks)
     a, b = ts[np.maximum(i - 1, 0)], ts[np.minimum(i + 1, ts.size - 1)]
     del ts, vals, peaks, i      # the scan: only its brackets are refined
-    # one golden section refines every bracket, each to a width of 1e-10, or
-    # of a few ulps of its end where it could no longer shrink
-    tol = np.maximum(1e-10, 4.0 * np.spacing(b))
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    c, d = b - inv_phi * (b - a), a + inv_phi * (b - a)
-    fc, fd = modulus(c), modulus(d)
-    while (live := b - a > tol).any():
-        lower = live & (fc >= fd)       # the peak is in [a, d]: d moves to c
-        upper = live & ~lower           # the peak is in [c, b]: c moves to d
-        a, b = np.where(upper, c, a), np.where(lower, d, b)
-        c, d = np.where(upper, d, c), np.where(lower, c, d)
-        fc, fd = np.where(upper, fd, fc), np.where(lower, fc, fd)
-        c = np.where(lower, b - inv_phi * (b - a), c)
-        d = np.where(upper, a + inv_phi * (b - a), d)
-        fresh = modulus(np.where(lower, c, d))
-        fc, fd = np.where(lower, fresh, fc), np.where(upper, fresh, fd)
+    # one bisection refines every bracket to a few ulps of its end on the sign
+    # of d|A|^2/dt, which stays resolved where moduli differ by less than eps
+    # near a peak; a bracket whose slope keeps one sign closes on its higher end
+    pair = np.stack((weights, weights * spectrum.eigvals))     # A and i A'
+    while (live := b - a > 4.0 * np.spacing(b)).any():
+        mid = 0.5 * (a + b)
+        at, rate = amplitude(mid, pair)
+        rising = (at.conj() * rate).imag > 0.0      # Re(conj(A) A')
+        a, b = np.where(live & rising, mid, a), np.where(live & ~rising, mid, b)
     t = 0.5 * (a + b)
-    value = modulus(t)
+    value = np.abs(amplitude(t))
     # the earliest refined peak within 1e-12 of the highest: the first revival
     first = np.argmax(value >= value.max() - 1e-12)
     return float(t[first]), float(value[first])

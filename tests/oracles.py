@@ -34,7 +34,9 @@ two-level profile, and commutator_defect the norms of [H, C_r] for the level
 counters built from the generator basis.
 
 Peaks. golden_max maximises one scalar function on one bracket, a peak off
-a grid, by golden section.
+a grid, by golden section: it compares values, so it fixes a flat peak only
+to about sqrt(eps) of its curvature scale. sign_bisection refines one bracket
+on the sign of a slope, as qsct.chain.find_pst_time does every bracket at once.
 """
 
 import math
@@ -404,4 +406,17 @@ def golden_max(f, lo: float, hi: float, tol: float) -> float:
             a, c, fc = c, d, fd
             d = a + inv_phi * (b - a)
             fd = f(d)
+    return 0.5 * (a + b)
+
+
+def sign_bisection(slope, lo: float, hi: float) -> float:
+    """Bisection of [lo, hi] to 4 ulps of its end: lo moves to the midpoint where
+    slope is positive there, hi where it is not; then the midpoint."""
+    a, b = lo, hi
+    while b - a > 4.0 * math.ulp(b):
+        mid = 0.5 * (a + b)
+        if slope(mid) > 0.0:
+            a = mid
+        else:
+            b = mid
     return 0.5 * (a + b)

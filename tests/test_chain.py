@@ -22,7 +22,7 @@ from oracles import (
     commutator_defect,
     embed_operator,
     eta,
-    golden_max,
+    sign_bisection,
 )
 
 
@@ -347,18 +347,18 @@ UNEVEN_5 = [0.84, 1.01, 0.86, 1.42]
 
 
 @pytest.mark.parametrize("d, n, couplings, t_max, m, t_hex, amp_hex", [
-    (2, 2, None, 2.0 * math.pi, 1, "0x1.921fb5170931dp+1", "0x1.ffffffffffffep-1"),
-    (3, 4, None, 2.0 * math.pi, 1, "0x1.921fb51c6cb00p+1", "0x1.0000000000001p+0"),
-    (4, 5, None, 2.0 * math.pi, 1, "0x1.921fb5265b4e0p+1", "0x1.fffffffffffffp-1"),
-    (3, 3, [1.0, 1e-8], 2.0 * math.pi, 1, "0x1.90b7398fe3002p+1", "0x1.579644d755cddp-26"),
-    (2, 5, [1.0, 0.3, 0.7, 1.0], 2.0 * math.pi, 1, "0x1.ffee49889e2d2p+1",
-     "0x1.c343d460cd55fp-2"),
-    (2, 5, UNEVEN_5, 800.0, 2, "0x1.7a0fd5c5135b6p+9", "0x1.a82bd8fd0fddap-1"),
-    (2, 5, UNEVEN_5, 1400.0, 3, "0x1.5b988b493dc0cp+10", "0x1.a8997855f519ep-1"),
-    (2, 5, UNEVEN_5, 1741.6, 4, "0x1.aae0db71fdbf9p+10", "0x1.a8cc842547bcfp-1"),
-    (2, 5, UNEVEN_5, 2500.0, 5, "0x1.35b5f3929108ep+11", "0x1.a93e04e27d65dp-1"),
-    (2, 5, UNEVEN_5, 3000.0, 6, "0x1.74010de86e223p+11", "0x1.a97f8d012c66dp-1"),
-    (2, 5, UNEVEN_5, 3448.3, 7, "0x1.aca26ba4da2d8p+11", "0x1.a9b5b95b1555fp-1"),
+    (2, 2, None, 2.0 * math.pi, 1, "0x1.921fb54442d1ap+1", "0x1.ffffffffffffep-1"),
+    (3, 4, None, 2.0 * math.pi, 1, "0x1.921fb54442d16p+1", "0x1.0000000000001p+0"),
+    (4, 5, None, 2.0 * math.pi, 1, "0x1.921fb54442d1ap+1", "0x1.fffffffffffffp-1"),
+    (3, 3, [1.0, 1e-8], 2.0 * math.pi, 1, "0x1.90b7398ff6c52p+1", "0x1.579644d756189p-26"),
+    (2, 5, [1.0, 0.3, 0.7, 1.0], 2.0 * math.pi, 1, "0x1.ffee499428776p+1",
+     "0x1.c343d460cd55ep-2"),
+    (2, 5, UNEVEN_5, 800.0, 2, "0x1.7a0fd5c4bc4d6p+9", "0x1.a82bd8fd0fda4p-1"),
+    (2, 5, UNEVEN_5, 1400.0, 3, "0x1.5b988b4966d54p+10", "0x1.a8997855f5195p-1"),
+    (2, 5, UNEVEN_5, 1741.6, 4, "0x1.aae0db71b54d8p+10", "0x1.a8cc842547bebp-1"),
+    (2, 5, UNEVEN_5, 2500.0, 5, "0x1.35b5f3927e7a8p+11", "0x1.a93e04e27d64dp-1"),
+    (2, 5, UNEVEN_5, 3000.0, 6, "0x1.74010de869e10p+11", "0x1.a97f8d012c631p-1"),
+    (2, 5, UNEVEN_5, 3448.3, 7, "0x1.aca26ba4f4c02p+11", "0x1.a9b5b95b155c6p-1"),
 ], ids=["d2-n2", "d3-n4", "d4-n5", "weak-link", "uneven",
         "finer-m2", "finer-m3", "finer-m4", "finer-m5", "finer-m6", "finer-m7"])
 def test_find_pst_time_bits(d, n, couplings, t_max, m, t_hex, amp_hex):
@@ -380,13 +380,20 @@ def test_find_pst_time_bits(d, n, couplings, t_max, m, t_hex, amp_hex):
 def test_find_pst_time_matches_one_bracket_at_a_time(couplings, t_max):
     # the loop that the search vectorises, on windows where spread h <= 1: each
     # modulus a single np.dot, each candidate's bracket refined alone by a
-    # scalar golden section; the same (t_star, amplitude), bit for bit
+    # scalar bisection on the sign of d|A|^2/dt; the same (t_star,
+    # amplitude), bit for bit
     n = 5 if couplings is None else len(couplings) + 1
     spectrum = Spectrum(ChainSpec(d=3, n=n, couplings=couplings))
     weights = spectrum.eigvecs[-1] * spectrum.eigvecs[0]
+    rates = weights * spectrum.eigvals
 
     def modulus(t):
         return float(abs(np.dot(weights, np.exp(-1j * (t * spectrum.eigvals)))))
+
+    def slope(t):
+        # Re(conj(A) A') with A' = -i sum w E exp(-i E t)
+        phases = np.exp(-1j * (t * spectrum.eigvals))
+        return (np.conj(np.dot(weights, phases)) * np.dot(rates, phases)).imag
 
     ts = np.linspace(0.0, t_max, 2000)
     spread = spectrum.eigvals[-1] - spectrum.eigvals[0]
@@ -398,7 +405,7 @@ def test_find_pst_time_matches_one_bracket_at_a_time(couplings, t_max):
     for i, value in enumerate(vals):
         lo, hi = max(i - 1, 0), min(i + 1, len(ts) - 1)
         if i == first_tie or value >= max(vals[lo], vals[hi], top - slack):
-            t = golden_max(modulus, ts[lo], ts[hi], max(1e-10, 4.0 * math.ulp(ts[hi])))
+            t = sign_bisection(slope, ts[lo], ts[hi])
             peaks.append((t, modulus(t)))
     highest = max(value for _, value in peaks)
     want = next(peak for peak in peaks if peak[1] >= highest - 1e-12)
@@ -409,10 +416,12 @@ def test_find_pst_time_matches_one_bracket_at_a_time(couplings, t_max):
 def test_find_pst_time_returns_the_earliest_of_tying_revivals(t_max):
     # couplings (a, b) give eigenvalues 0, +-sqrt(a^2 + b^2): every later peak
     # repeats the first one's modulus, and the scan samples the first one
-    # lower than a later one, by less than (spread h)^2 / 32
+    # lower than a later one, by less than (spread h)^2 / 32. The first
+    # revival is at pi / sqrt(a^2 + b^2)
     spectrum = Spectrum(ChainSpec(d=2, n=3, couplings=[0.989, 1.148]))
     t_star, amplitude = find_pst_time(spectrum, t_max=t_max)
-    assert abs(t_star - 2.0732972130889697) < 1e-9
+    first = math.pi / math.hypot(0.989, 1.148)
+    assert abs(t_star - first) <= 4.0 * math.ulp(first)
     assert amplitude == pytest.approx(0.988989231389031, abs=1e-15)
 
 
@@ -421,8 +430,26 @@ def test_find_pst_time_returns_the_earliest_of_tying_revivals(t_max):
 def test_find_pst_time_engineered_chain_transfers_first_at_pi(d, n, t_max):
     # the engineered chain revives perfectly at every odd multiple of pi
     t_star, amplitude = find_pst_time(Spectrum(ChainSpec(d=d, n=n)), t_max=t_max)
-    assert abs(t_star - math.pi) < 1e-6
-    assert amplitude >= 1.0 - 1e-6
+    assert abs(t_star - math.pi) <= 4.0 * math.ulp(math.pi)
+    assert amplitude == pytest.approx(1.0, abs=1e-12)
+
+
+def test_find_pst_time_gives_pi_to_a_few_ulps_on_every_engineered_chain():
+    # the sign of d|A|^2/dt resolves the peak where |A| itself is flat to eps;
+    # 64**2 and 2**12 are 4096
+    chains = [(d, n) for d in range(2, 65) for n in range(2, 13) if d**n <= 4096]
+    for d, n in chains:
+        t_star, amplitude = find_pst_time(Spectrum(ChainSpec(d=d, n=n)))
+        assert abs(t_star - math.pi) <= 4.0 * math.ulp(math.pi), (d, n, t_star)
+        assert amplitude == pytest.approx(1.0, abs=1e-12), (d, n, amplitude)
+
+
+def test_find_pst_time_resolves_the_slow_revival_of_a_weak_pair():
+    # |A| = |sin(1e-3 t)|: the peak at pi / 2e-3 is flat to eps over ~1e-5
+    t_star, amplitude = find_pst_time(Spectrum(ChainSpec(d=2, n=2, couplings=[1e-3])),
+                                      t_max=2000.0)
+    assert t_star == pytest.approx(math.pi / 2e-3, rel=1e-12, abs=0.0)
+    assert amplitude == pytest.approx(1.0, abs=1e-12)
 
 
 def test_find_pst_time_keeps_a_later_peak_that_is_higher():
@@ -431,7 +458,7 @@ def test_find_pst_time_keeps_a_later_peak_that_is_higher():
     spectrum = Spectrum(ChainSpec(d=2, n=5, couplings=[0.84, 1.01, 0.86, 1.42]))
     assert float(abs(spectrum.site_amplitudes(14.0489)[-1])) == pytest.approx(0.827341, abs=1e-6)
     t_star, amplitude = find_pst_time(spectrum, t_max=50.0)
-    assert t_star == 31.255370039593455
+    assert t_star == 31.255370050310844
     assert amplitude == pytest.approx(0.827410, abs=1e-6)
 
 
@@ -504,14 +531,12 @@ def test_spectrum_phase_precision_threshold():
 
 
 def test_find_pst_time_ends_on_a_wide_window():
-    # the golden-section bracket cannot shrink below the ulp of t ~ 1e6,
-    # which is above the default tol of 1e-10, so it stops at 4 ulps. The
-    # amplitude of the weak pair is |sin(1e-3 t)|, and the window ends on its
-    # revival t = 635 pi / 2e-3, 317.5 periods in, so the last bracket ends
-    # there; every revival reaches 1, and the first, pi / 2e-3, is the
-    # transfer time. The flat top of a slow revival pins t only to about
-    # sqrt(eps) / 1e-3. The 2000 scanned times and the 318 brackets take
-    # about 0.2 MB at their peak.
+    # every bracket shrinks to 4 ulps of its end, t ~ 1e6 here. The amplitude
+    # of the weak pair is |sin(1e-3 t)|, and the window ends on its revival
+    # t = 635 pi / 2e-3, 317.5 periods in, so the last bracket ends there;
+    # every revival reaches 1, and the first, pi / 2e-3, is the transfer
+    # time. The 2000 scanned times and the 318 brackets take about 0.2 MB at
+    # their peak.
     t_max = 635 * math.pi / 2e-3
     spectrum = Spectrum(ChainSpec(d=2, n=2, couplings=[1e-3]))
     tracemalloc.start()
@@ -521,7 +546,7 @@ def test_find_pst_time_ends_on_a_wide_window():
     finally:
         tracemalloc.stop()
     assert peak < 2**20, peak
-    assert abs(t_star - math.pi / 2e-3) < 1e-4
+    assert t_star == pytest.approx(math.pi / 2e-3, rel=1e-9, abs=0.0)
     assert amp == pytest.approx(1.0, abs=1e-12)
 
 
@@ -616,6 +641,23 @@ def test_spectrum_builds_the_register_lazily_and_once(monkeypatch):
     spectrum.unitary(1.5)
     spectrum.unitary(1.0, _sector(spec))
     assert shapes == [(6, 6)]
+
+
+def test_whole_register_unitaries_enumerate_each_partition_once(monkeypatch):
+    # (3, 3) has the partitions (3), (2, 1) and (1, 1, 1); each one's states
+    # are enumerated on the first whole-register call and kept with its eigh
+    spectrum, fresh = Spectrum(ChainSpec(d=3, n=3)), Spectrum(ChainSpec(d=3, n=3))
+    want = [fresh.unitary(0.5), fresh.unitary(1.5)]
+    enumerate_states, keys = qsct.chain._block_states, []
+
+    def counting(counts):
+        keys.append(counts)
+        return enumerate_states(counts)
+
+    monkeypatch.setattr(qsct.chain, "_block_states", counting)
+    got = [spectrum.unitary(0.5), spectrum.unitary(1.5)]
+    assert sorted(keys) == [(1, 1, 1), (2, 1), (3,)]
+    assert all(np.array_equal(u, v) for u, v in zip(got, want))
 
 
 def test_threads_sharing_a_spectrum_build_the_register_once(monkeypatch):
