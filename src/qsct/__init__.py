@@ -7,13 +7,7 @@ them from there.
 
 from .chain import ChainSpec, default_couplings, find_pst_time
 from .channels import WeylTable, apply_weyl_table, phase_damping_table, weyl_table
-from .entanglement import (
-    amplified_ccnr_margin,
-    ccnr,
-    concurrence_pure,
-    entanglement_level,
-    mixedness_indicator,
-)
+from .entanglement import concurrence_pure, register_measures
 from .linalg import Bipartition, partial_trace, realign, trace_norm
 from .protocol import (
     ConfigError,

@@ -6,20 +6,19 @@ correlations first:
 
     ||(rho_AB - rho_A (x) rho_B)^R||_tr > sqrt((1 - tr rho_A^2)(1 - tr rho_B^2))
 
-For pure global states the concurrence sqrt(2 (1 - tr rho_A^2)) measures the
-same bipartition; the mixedness indicator applies the identical formula to an
-arbitrary density matrix and coincides with the concurrence on pure input. A
-ket on the vacuum plus single excitations has at most two Schmidt
-coefficients, so one number, its concurrence in closed form, gives all three
-of its measures (sector_concurrence); no SVD is taken of it.
-A density matrix within _PURE_TOL of pure gives its level through its ket:
-rho times its column at its largest diagonal entry is that ket up to scale
-and phase (_pure_vector), an O(D^2) product, so no measure takes an eigh.
-Every measure takes a stack of states along leading axes and returns an
-array, one call (and one stacked SVD or matmul) for the whole stack; a
-single state gives a float. The printed closed-form transfer profiles of
-two-site chains, which only the conformance report evaluates, live in
-qsct.conformance.
+Every record takes the two tests and the concurrence-style level
+sqrt(2 (1 - tr rho_A^2)), the concurrence of a pure global state, from one
+routine per state form: register_measures of register density matrices and
+sector_measures of states on the vacuum plus single excitations. A ket there
+has at most two Schmidt coefficients, so one number, its concurrence in
+closed form, gives all three of its measures (sector_concurrence); no SVD is
+taken of it. A density matrix within _PURE_TOL of pure gives its level
+through its ket: rho times its column at its largest diagonal entry is that
+ket up to scale and phase (_pure_vector), an O(D^2) product, so no measure
+takes an eigh. Every measure takes a stack of states along leading axes and
+returns an array, one call for the whole stack. The printed closed-form
+transfer profiles of two-site chains, which only the conformance report
+evaluates, live in qsct.conformance.
 """
 
 from __future__ import annotations
@@ -70,30 +69,6 @@ def _pure_vector(rho: np.ndarray) -> np.ndarray:
     return (rho @ np.take_along_axis(rho, j[:, None, None], axis=-1))[..., 0]
 
 
-def ccnr(rho: np.ndarray, part: Bipartition) -> float | np.ndarray:
-    """Trace norm of the realigned density matrix; > 1 flags entanglement.
-    A stack (..., D, D) gives an array (...) from one stacked SVD."""
-    return trace_norm(realign(rho, part))
-
-
-def amplified_ccnr_margin(rho: np.ndarray, part: Bipartition) -> float | np.ndarray:
-    """Left side minus right side of the amplified realignment test.
-
-    Positive margin flags entanglement; the test is strictly stronger than
-    the plain realignment criterion on states with mixed marginals. The
-    realigned rho_A (x) rho_B is vec rho_A vec rho_B^T, so it is subtracted
-    from the realigned rho as that outer product. A stack (..., D, D) gives
-    an array (...) from one stacked SVD.
-    """
-    rho = np.asarray(rho)
-    part.check(rho.shape[-1])
-    rho_a = partial_trace(rho, [part.dim_a, part.dim_b], keep=[0])
-    rho_b = partial_trace(rho, [part.dim_a, part.dim_b], keep=[1])
-    lhs = trace_norm(realign_minus_product(rho, part, rho_a, rho_b))
-    gap_a, gap_b = (_purity_gap(r) for r in (rho_a, rho_b))
-    return (lhs - np.sqrt(gap_a * gap_b))[()]
-
-
 def concurrence_pure(psi: np.ndarray, part: Bipartition) -> float | np.ndarray:
     """sqrt(2 (1 - tr rho_A^2)) for a normalized ket; a stack of kets
     (..., D) gives an array (...).
@@ -118,36 +93,38 @@ def concurrence_pure(psi: np.ndarray, part: Bipartition) -> float | np.ndarray:
     return (2.0 * np.sqrt(np.maximum(0.0, inner(q[..., :-1], tail[..., 1:]))))[()]
 
 
-def mixedness_indicator(rho: np.ndarray, part: Bipartition) -> float | np.ndarray:
-    """sqrt(2 (1 - tr rho_A^2)) of the reduced state of subsystem A; a stack
-    (..., D, D) gives an array (...)."""
-    rho = np.asarray(rho)
-    part.check(rho.shape[-1])
-    rho_a = partial_trace(rho, [part.dim_a, part.dim_b], keep=[0])
-    return np.sqrt(2.0 * _purity_gap(rho_a))[()]
+def register_measures(states: np.ndarray,
+                      part: Bipartition) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(ccnr, amplified ccnr margin, entanglement level) across part of
+    register density matrices (..., D, D), leading axes a stack; each measure
+    is an array (...). The register twin of sector_measures.
 
-
-def entanglement_level(rho: np.ndarray, part: Bipartition) -> float | np.ndarray:
-    """Concurrence-style level of a density matrix over the given bipartition.
-
-    Routes globally pure input through the Schmidt form of its dominant
-    eigenvector (mathematically the same number, numerically stable near 0);
-    genuinely mixed input uses the purity formula. The eigenvector is rho
-    times its column at its largest diagonal entry (_pure_vector), divided
-    by its norm. A stack (..., D, D) gives an array (...), its pure matrices
-    taken by one stacked matmul.
+    ccnr is the trace norm of the realigned rho, > 1 flagging entanglement.
+    The margin is the left side minus the right side of the amplified test,
+    positive flagging entanglement, strictly stronger than ccnr on states
+    with mixed marginals: the realigned rho_A (x) rho_B is
+    vec rho_A vec rho_B^T, subtracted from the realigned rho as that outer
+    product. Each is one stacked SVD, and rho_A and rho_B one partial trace
+    each, which the margin and the level share. The level is
+    sqrt(2 (1 - tr rho_A^2)), or for a globally pure rho, through the Schmidt
+    form of its dominant eigenvector (the same number, stable near 0):
+    rho times its column at its largest diagonal entry (_pure_vector),
+    divided by its norm, for the pure matrices of the stack at once.
     """
-    rho = np.asarray(rho)
-    part.check(rho.shape[-1])
-    stack = rho.reshape(-1, *rho.shape[-2:])
-    pure = _purity_gap(stack) <= _PURE_TOL
-    level = np.empty(len(stack))
-    if not pure.all():
-        level[~pure] = mixedness_indicator(stack[~pure], part)
+    states = np.asarray(states)
+    part.check(states.shape[-1])
+    lead, dims = states.shape[:-2], [part.dim_a, part.dim_b]
+    rho = states.reshape(-1, *states.shape[-2:])
+    rho_a, rho_b = (partial_trace(rho, dims, keep=[side]) for side in (0, 1))
+    gap_a, gap_b = _purity_gap(rho_a), _purity_gap(rho_b)
+    norm = trace_norm(realign(rho, part))
+    lhs = trace_norm(realign_minus_product(rho, part, rho_a, rho_b))
+    level = np.sqrt(2.0 * gap_a)
+    pure = _purity_gap(rho) <= _PURE_TOL
     if pure.any():
-        psi = _pure_vector(stack[pure])
+        psi = _pure_vector(rho[pure])
         level[pure] = concurrence_pure(psi / _norm(psi)[:, None], part)
-    return level.reshape(rho.shape[:-2])[()]
+    return tuple(x.reshape(lead) for x in (norm, lhs - np.sqrt(gap_a * gap_b), level))
 
 
 def sector_concurrence(v: np.ndarray, cut: SectorCut) -> float | np.ndarray:
@@ -168,7 +145,7 @@ def sector_concurrence(v: np.ndarray, cut: SectorCut) -> float | np.ndarray:
 
 def sector_measures(states: np.ndarray, cut: SectorCut,
                     kets: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(ccnr, amplified_ccnr_margin, entanglement_level) across a cut of
+    """(ccnr, amplified ccnr margin, entanglement level) across a cut of
     states on span{vac} (+) single excitations: density matrices (..., m, m),
     or with kets=True kets (..., m), leading axes a stack; each measure is an
     array (...). The states are a chain's whole sector states across a chain

@@ -60,10 +60,9 @@ the sector: rho is (1+(d-1)n)^2 on the sector's blocks
 (PreparedReference.blocks), takes the mask at its states (sector_mask), and
 is measured as above. A table with shifts moves excitations between levels,
 and so creates new ones: the sector rho is scattered into the register at
-its states' register indices, rho is d^n x d^n, takes
-channels.apply_weyl_table and is measured on the register by
-entanglement.ccnr, amplified_ccnr_margin and entanglement_level of the
-stack, and linalg.partial_trace.
+its states' register indices (PreparedReference.register_index), rho is
+d^n x d^n, takes channels.apply_weyl_table and is measured on the register
+by entanglement.register_measures of the stack, and linalg.partial_trace.
 
 Every record carries a gamma flag: the concurrence-style entanglement level
 is compared step by step against the noiseless profile of the same
@@ -107,14 +106,8 @@ from .channels import (
     phase_damping_table,
     weyl_table,
 )
-from .entanglement import (
-    Bipartition,
-    amplified_ccnr_margin,
-    ccnr,
-    entanglement_level,
-    sector_measures,
-)
-from .linalg import SectorCut, inner, partial_trace, sector_partial_trace
+from .entanglement import register_measures, sector_measures
+from .linalg import Bipartition, SectorCut, inner, partial_trace, sector_partial_trace
 
 NOISE_KINDS = ("phase_damping", "weyl")
 NOISE_TOPOLOGIES = ("global_after", "local_after", "interleaved")
@@ -292,6 +285,13 @@ class PreparedReference:
         """The level counts of the sector's blocks, in the sector basis's order."""
         return np.eye(self.spec.d, dtype=int) + (self.spec.n - 1) * np.eye(1, self.spec.d, dtype=int)
 
+    @property
+    def register_index(self) -> np.ndarray:
+        """The sector states' register indices r d^(n-1-s), 0 for the vacuum,
+        formed when asked for: only a register-wide mask and the dense engine
+        read them."""
+        return self.level * self.spec.d ** (self.spec.n - 1 - self.site)
+
     def stack_size(self, shape: tuple[int, ...]) -> int:
         """How many complex states of this shape one measured stack holds."""
         return max(1, _STACK_BYTES // (16 * math.prod(shape)))
@@ -313,8 +313,8 @@ class PreparedReference:
         register-wide factor, else prod_s M[a_s, b_s], in which a site that
         neither state excites contributes M[0, 0]."""
         mask, level, site, n = table.masks[0], self.level, self.site, self.spec.n
-        if len(dims) == 1:      # register index r d^(n-1-s), 0 for the vacuum
-            index = level * self.spec.d ** (n - 1 - site)
+        if len(dims) == 1:
+            index = self.register_index
             return mask[np.ix_(index, index)]
         rest = mask[0, 0]
         return np.where(site[:, None] == site[None, :],
@@ -342,8 +342,7 @@ class PreparedReference:
         else:
             dims, end = self.spec.dims, self.spec.n - 1
             pair = partial_trace(states, dims, keep=[0, end]) if self.cut == "endpoints" else states
-            values = (ccnr(pair, self.part), amplified_ccnr_margin(pair, self.part),
-                      entanglement_level(pair, self.part))
+            values = register_measures(pair, self.part)
             last = partial_trace(states, dims, keep=[end])
         steps = np.arange(first, first + len(states))
         times = steps * self.dt
@@ -475,8 +474,8 @@ def run_experiment(
 
         def channel(rho: np.ndarray) -> np.ndarray:
             return mask * rho
-    else:   # the sector states' register indices r d^(n-1-s), 0 for the vacuum
-        index = prepared.level * config.chain.d ** (config.chain.n - 1 - prepared.site)
+    else:
+        index = prepared.register_index
         register = np.zeros((config.chain.dim,) * 2, dtype=np.complex128)
         register[np.ix_(index, index)] = rho
         rho, blocks = register, None

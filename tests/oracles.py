@@ -9,8 +9,8 @@ from an SVD of the reshaped ket, and the reduced state contracted from the ket.
 Kraus lists. Runs and the conformance report apply Weyl-operator noise as
 masks (qsct.channels.apply_weyl_table). Here a channel is a list of Kraus
 operators instead: KrausChannel checks its trace preservation to TP_TOL,
-phase_damping lists the clock powers of gate_z with the library's binomial
-weights, weyl_channel lists sqrt(pi_{m,n}) Z^n X^m, embed_operator places a
+phase_damping lists the clock powers of gate_z with binomial weights taken
+in exact rationals and rounded once, weyl_channel lists sqrt(pi_{m,n}) Z^n X^m, embed_operator places a
 site operator by Kronecker products and embed_channel takes the cross product
 of per-site Kraus lists. apply_channel sums E rho E^dagger over the list,
 average_fidelity takes the Kraus trace formula and
@@ -41,6 +41,7 @@ on the sign of a slope, as qsct.chain.find_pst_time does every bracket at once.
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import reduce
 from itertools import product
 from typing import Sequence
@@ -48,7 +49,7 @@ from typing import Sequence
 import numpy as np
 
 from qsct.chain import ChainSpec
-from qsct.channels import _damping_weights, check_probability_table
+from qsct.channels import check_probability_table
 from qsct.conformance import closed_form_l2_d3
 from qsct.entanglement import concurrence_pure
 from qsct.linalg import Bipartition, trace_norm
@@ -171,10 +172,13 @@ class KrausChannel:
 
 
 def phase_damping(d: int, p: float) -> KrausChannel:
-    """Binomially weighted clock-power channel; p = 1 is the identity."""
+    """Binomially weighted clock-power channel; p = 1 is the identity. The
+    weight C(d-1, i) lo^i hi^(d-1-i) of Z^i, lo = (1-p)/2 and hi = (1+p)/2,
+    is exact in rationals and rounded to a float once."""
     z = gate_z(d)
-    kraus = [np.sqrt(weight) * np.linalg.matrix_power(z, i)
-             for i, weight in enumerate(_damping_weights(d, p))]
+    lo, hi = (1 - Fraction(p)) / 2, (1 + Fraction(p)) / 2
+    kraus = [math.sqrt(math.comb(d - 1, i) * lo**i * hi ** (d - 1 - i))
+             * np.linalg.matrix_power(z, i) for i in range(d)]
     return KrausChannel(dim=d, kraus=kraus, label=f"phase-damping(d={d}, p={p})")
 
 
@@ -246,7 +250,7 @@ def _pair_sum(x):
 
 
 def schmidt_measures(psi, part: Bipartition):
-    """(ccnr, amplified_ccnr_margin, concurrence_pure) of |psi><psi| from one small SVD.
+    """(ccnr, amplified ccnr margin, concurrence_pure) of |psi><psi| from one small SVD.
 
     With |psi> = sum_i s_i |a_i>|b_i> and q = s^2, the realigned |psi><psi| has
     singular values s_i s_j, so ccnr = (sum s)^2. Subtracting rho_A (x) rho_B

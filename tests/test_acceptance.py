@@ -19,7 +19,7 @@ from qsct.chain import (
 )
 from qsct.cli import main
 from qsct.conformance import closed_form_l2_d3, conformance_closed_forms
-from qsct.entanglement import ccnr, concurrence_pure
+from qsct.entanglement import concurrence_pure, register_measures
 from qsct.linalg import Bipartition
 from qsct.protocol import ExperimentConfig, NoiseSpec, run_experiment
 
@@ -130,7 +130,7 @@ def test_criterion_04_entanglement_profile():
 
             for ket, c in zip(_evolved_kets(spec, grid, _plus_state(d)), conc):
                 rho = np.outer(ket, ket.conj())
-                assert (ccnr(rho, part) > 1.0 + 1e-8) == (c > 1e-8)
+                assert (register_measures(rho, part)[0] > 1.0 + 1e-8) == (c > 1e-8)
 
 
 def test_criterion_05_closed_form_anchors(tmp_path):

@@ -131,9 +131,9 @@ def test_phase_damping_table_of_a_large_register_holds_one_row():
 
 def test_phase_damping_rejects_bad_p():
     with pytest.raises(ValueError):
-        phase_damping(3, -0.1)
+        phase_damping_table(3, -0.1)
     with pytest.raises(ValueError):
-        phase_damping(3, 1.1)
+        phase_damping_table(3, 1.1)
 
 
 def test_phase_damping_unital():

@@ -10,11 +10,8 @@ from qsct.entanglement import (
     _norm,
     _pure_vector,
     _purity_gap,
-    amplified_ccnr_margin,
-    ccnr,
     concurrence_pure,
-    entanglement_level,
-    mixedness_indicator,
+    register_measures,
     sector_concurrence,
     sector_measures,
 )
@@ -52,17 +49,17 @@ def _random_product_density(rng, da, db):
 def test_ccnr_pure_product_is_one():
     ket = np.kron([1.0, 1.0] / np.sqrt(2.0), [1.0, 0.0])
     rho = np.outer(ket, ket.conj()).astype(complex)
-    assert ccnr(rho, PAIR22) == pytest.approx(1.0, abs=1e-10)
+    assert register_measures(rho, PAIR22)[0] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_ccnr_bell_state():
     rho = np.outer(_bell(), _bell().conj())
-    assert ccnr(rho, PAIR22) == pytest.approx(2.0, abs=1e-12)
+    assert register_measures(rho, PAIR22)[0] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_ccnr_qutrit_pair():
     rho = np.outer(_qutrit_pair(), _qutrit_pair().conj())
-    assert ccnr(rho, PAIR33) == pytest.approx(3.0, abs=1e-12)
+    assert register_measures(rho, PAIR33)[0] == pytest.approx(3.0, abs=1e-12)
 
 
 def test_amplified_margin_bell():
@@ -75,18 +72,18 @@ def test_amplified_margin_bell():
     rhs = math.sqrt((1 - np.vdot(rho_a, rho_a).real) * (1 - np.vdot(rho_b, rho_b).real))
     assert lhs == pytest.approx(1.5, abs=1e-12)
     assert rhs == pytest.approx(0.5, abs=1e-12)
-    assert amplified_ccnr_margin(rho, PAIR22) == pytest.approx(1.0, abs=1e-12)
+    assert register_measures(rho, PAIR22)[1] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_amplified_margin_product_states():
     rng = np.random.default_rng(14)
     for _ in range(5):
         rho = _random_product_density(rng, 2, 3)
-        assert amplified_ccnr_margin(rho, Bipartition(2, 3)) <= 1e-10
+        assert register_measures(rho, Bipartition(2, 3))[1] <= 1e-10
 
 
 def test_amplified_margin_maximally_mixed():
-    assert amplified_ccnr_margin(np.eye(4, dtype=complex) / 4.0, PAIR22) <= 0.0
+    assert register_measures(np.eye(4, dtype=complex) / 4.0, PAIR22)[1] <= 0.0
 
 
 def test_concurrence_product_state():
@@ -121,35 +118,40 @@ def test_concurrence_rejects_unnormalized():
         concurrence_pure(np.array([1.0, 1.0, 0.0, 0.0], dtype=complex), PAIR22)
 
 
-def test_mixedness_matches_concurrence_on_pure():
+def test_purity_route_meets_concurrence_near_pure():
+    # a purity gap of about 2e-9, past _PURE_TOL: the level takes the purity
+    # formula on rho_A, within 1e-7 of the concurrence of the ket
     rng = np.random.default_rng(23)
     for _ in range(5):
         ket = rng.normal(size=9) + 1j * rng.normal(size=9)
         ket /= np.linalg.norm(ket)
-        rho = np.outer(ket, ket.conj())
-        assert mixedness_indicator(rho, PAIR33) == pytest.approx(
+        rho = (1.0 - 1e-9) * np.outer(ket, ket.conj()) + 1e-9 * np.eye(9) / 9.0
+        assert _purity_gap(rho) > _PURE_TOL
+        assert register_measures(rho, PAIR33)[2] == pytest.approx(
             concurrence_pure(ket, PAIR33), abs=1e-7)
 
 
-def test_mixedness_pure_product_is_zero():
+def test_register_measures_pure_product_qutrit_pair():
     ket = np.kron([1.0, 0.0, 0.0], [0.0, 1.0, 0.0]).astype(complex)
-    assert mixedness_indicator(np.outer(ket, ket.conj()), PAIR33) <= 1e-6
+    value, margin, level = register_measures(np.outer(ket, ket.conj()), PAIR33)
+    assert value == pytest.approx(1.0, abs=1e-12)
+    assert margin <= 1e-12 and level <= 1e-12
 
 
 def test_entanglement_level_pure_global():
     # pure global input takes the exact Schmidt route
     ket = np.kron([1.0, 1.0] / np.sqrt(2.0), [1.0, 0.0]).astype(complex)
     rho = np.outer(ket, ket.conj())
-    assert entanglement_level(rho, PAIR22) <= 1e-12
+    assert register_measures(rho, PAIR22)[2] <= 1e-12
     rho_bell = np.outer(_bell(), _bell().conj())
-    assert entanglement_level(rho_bell, PAIR22) == pytest.approx(1.0, abs=1e-10)
+    assert register_measures(rho_bell, PAIR22)[2] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_entanglement_level_mixed_global():
     rho = 0.5 * np.outer(_bell(), _bell().conj()) + 0.5 * np.eye(4) / 4.0
     rho_a = partial_trace(rho, [2, 2], keep=[0])
     expect = math.sqrt(2.0 * (1.0 - np.vdot(rho_a, rho_a).real))
-    assert entanglement_level(rho, PAIR22) == pytest.approx(expect, abs=1e-12)
+    assert register_measures(rho, PAIR22)[2] == pytest.approx(expect, abs=1e-12)
 
 
 def test_closed_form_l2_d2_anchors():
@@ -259,11 +261,12 @@ def test_pure_route_matches_density_route():
             for cut in range(1, n):
                 part = Bipartition(d**cut, d ** (n - cut))
                 value, margin, level = schmidt_measures(psi, part)
-                assert value == pytest.approx(ccnr(rho, part), abs=1e-12)
-                assert margin == pytest.approx(amplified_ccnr_margin(rho, part), abs=1e-12)
+                dense = register_measures(rho, part)
+                assert value == pytest.approx(dense[0], abs=1e-12)
+                assert margin == pytest.approx(dense[1], abs=1e-12)
                 # of a pure state, the margin is ccnr - 1 = (sum s)^2 - 1
-                assert abs(amplified_ccnr_margin(rho, part) - (value - 1.0)) <= 1e-12
-                assert level == pytest.approx(entanglement_level(rho, part), abs=1e-12)
+                assert abs(dense[1] - (value - 1.0)) <= 1e-12
+                assert level == pytest.approx(dense[2], abs=1e-12)
                 assert level == concurrence_pure(psi, part)
             for keep in ([0, n - 1], [n - 1]):
                 pure = partial_trace_pure(psi, dims, keep)
@@ -273,7 +276,7 @@ def test_pure_route_matches_density_route():
 def test_schmidt_measures_known_states():
     value, margin, level = schmidt_measures(_bell(), PAIR22)
     assert value == pytest.approx(2.0, abs=1e-14)
-    assert margin == pytest.approx(amplified_ccnr_margin(np.outer(_bell(), _bell().conj()), PAIR22),
+    assert margin == pytest.approx(register_measures(np.outer(_bell(), _bell().conj()), PAIR22)[1],
                                    abs=1e-14)
     assert level == pytest.approx(1.0, abs=1e-14)
     with pytest.raises(ValueError):
@@ -314,9 +317,9 @@ def test_sector_ket_measures_near_a_product_state(scale):
 
 @pytest.mark.parametrize("da, db", [(2, 2), (2, 3), (3, 3), (4, 2), (2, 8)])
 def test_stacked_measures_match_each_matrix(da, db):
-    # a (2, 3) stack of mixed and globally pure states: each measure is one
-    # call on the stack (the pure ones through one stacked matmul) and agrees
-    # with the call on each matrix alone
+    # a (2, 3) stack of mixed and globally pure states: the three measures
+    # are one call on the stack (the pure ones through one stacked matmul)
+    # and agree with the call on each matrix alone
     rng = np.random.default_rng(da * 10 + db)
     dim = da * db
     stack = np.empty((2, 3, dim, dim), dtype=complex)
@@ -325,13 +328,12 @@ def test_stacked_measures_match_each_matrix(da, db):
         rho = g @ g.conj().T
         stack[index] = rho / np.trace(rho).real
     part = Bipartition(da, db)
-    for measure in (ccnr, amplified_ccnr_margin, entanglement_level, mixedness_indicator):
-        values = measure(stack, part)
-        assert values.shape == (2, 3), measure
-        for index in np.ndindex(2, 3):
-            single = measure(stack[index], part)
-            assert isinstance(single, float), measure
-            assert abs(values[index] - single) <= 1e-13, (measure, index)
+    stacked = register_measures(stack, part)
+    for index in np.ndindex(2, 3):
+        for name, values, single in zip(("ccnr", "margin", "level"), stacked,
+                                        register_measures(stack[index], part)):
+            assert values.shape == (2, 3) and single.shape == (), name
+            assert abs(values[index] - single) <= 1e-13, (name, index)
     kets = rng.normal(size=(4, dim)) + 1j * rng.normal(size=(4, dim))
     kets /= np.linalg.norm(kets, axis=1, keepdims=True)
     values = concurrence_pure(kets, part)
@@ -379,7 +381,7 @@ def test_pure_vector_of_a_register_matches_eigh(dim, part):
     psi = v / _norm(v)[:, None]
     _assert_equal_up_to_phase(psi, u, 1e-13)
     assert np.max(np.abs(concurrence_pure(psi, part) - concurrence_pure(u, part))) <= 1e-14
-    assert np.max(np.abs(entanglement_level(stack, part) - concurrence_pure(u, part))) <= 1e-14
+    assert np.max(np.abs(register_measures(stack, part)[2] - concurrence_pure(u, part))) <= 1e-14
 
 
 @pytest.mark.parametrize("d, n, cut", [(2, 3, 1), (3, 3, 2), (4, 5, 2), (3, 12, 6)])
@@ -404,7 +406,7 @@ def test_pure_vector_is_the_same_whatever_stack_it_is_in():
     index = 1 + np.arange(2 * 3).reshape(2, 3)
     sides = SectorCut(index[:, :1].ravel(), index[:, 1:].ravel())
     for stack, level in ((_nearly_pure_stack(rng, 27, PURITY_GAPS),
-                          lambda rho: entanglement_level(rho, part)),
+                          lambda rho: register_measures(rho, part)[2]),
                          (_nearly_pure_stack(rng, 7, PURITY_GAPS),
                           lambda rho: sector_measures(rho, sides)[2])):
         vectors, levels = _pure_vector(stack), level(stack)

@@ -10,12 +10,7 @@ from hypothesis import strategies as st
 from qsct.chain import ChainSpec, Spectrum, find_pst_time
 
 from qsct.channels import apply_weyl_table, phase_damping_table, weyl_table
-from qsct.entanglement import (
-    amplified_ccnr_margin,
-    ccnr,
-    entanglement_level,
-    sector_measures,
-)
+from qsct.entanglement import register_measures, sector_measures
 from qsct.linalg import Bipartition, SectorCut, sector_partial_trace
 from qsct.protocol import NOISE_TOPOLOGIES, ExperimentConfig, NoiseSpec, run_experiment
 
@@ -125,7 +120,7 @@ def test_schmidt_measures_match_the_density_matrix_route(data):
         ket = np.kron(rng.normal(size=d**cut), rng.normal(size=d ** (n - cut))) + 0j
     ket /= np.linalg.norm(ket)
     rho = np.outer(ket, ket.conj())
-    dense = (ccnr(rho, part), amplified_ccnr_margin(rho, part), entanglement_level(rho, part))
+    dense = register_measures(rho, part)
     assert np.allclose(schmidt_measures(ket, part), dense, rtol=0.0, atol=1e-10)
 
 
@@ -158,8 +153,7 @@ def test_sector_measures_match_the_register_measures(data):
     scattered[np.ix_(register, register)] = rho
     index = 1 + np.arange((d - 1) * n).reshape(d - 1, n)
     part = Bipartition(d**cut, d ** (n - cut))
-    dense = (ccnr(scattered, part), amplified_ccnr_margin(scattered, part),
-             entanglement_level(scattered, part))
+    dense = register_measures(scattered, part)
     sector = sector_measures(state, SectorCut(index[:, :cut].ravel(), index[:, cut:].ravel()),
                              kets=ket)
     assert np.allclose(sector, dense, rtol=0.0, atol=1e-12), (d, n, cut, ket, rank)

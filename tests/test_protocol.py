@@ -12,13 +12,7 @@ from hypothesis import strategies as st
 from qsct.chain import ChainSpec, Spectrum, find_pst_time
 from qsct.channels import apply_weyl_table, phase_damping_table, weyl_table
 from qsct.conformance import average_fidelity_comparison, conformance_closed_forms
-from qsct.entanglement import (
-    amplified_ccnr_margin,
-    ccnr,
-    concurrence_pure,
-    entanglement_level,
-    sector_measures,
-)
+from qsct.entanglement import concurrence_pure, register_measures, sector_measures
 from qsct.linalg import Bipartition, partial_trace
 from qsct.protocol import (
     NOISE_TOPOLOGIES,
@@ -575,8 +569,14 @@ def test_a_non_finite_sector_rho_record_is_refused(monkeypatch):
 
 
 def test_a_non_finite_register_rho_record_is_refused(monkeypatch):
-    # a Weyl table with shifts carries rho on the register, measured by ccnr
-    monkeypatch.setattr("qsct.protocol.ccnr", lambda rho, part: _with_nan(ccnr(rho, part)))
+    # a Weyl table with shifts carries rho on the register, measured by
+    # register_measures: its ccnr made NaN
+    def poisoning(states, part):
+        values = list(register_measures(states, part))
+        values[0] = _with_nan(values[0])
+        return tuple(values)
+
+    monkeypatch.setattr("qsct.protocol.register_measures", poisoning)
     pi = np.zeros((3, 3))
     pi[0, 0], pi[1, 0] = 0.9, 0.1
     cfg = _config(steps=8, noise=NoiseSpec(kind="weyl", topology="interleaved", pi=pi))
@@ -728,8 +728,7 @@ def _dense_record(config, step, state, transfer):
             rho_cut, part = reduce_to(state, dims, keep=[0, n - 1]), Bipartition(d, d)
         else:
             rho_cut, part = state, Bipartition(d**cut, d ** (n - cut))
-        values = (ccnr(rho_cut, part), amplified_ccnr_margin(rho_cut, part),
-                  entanglement_level(rho_cut, part))
+        values = [float(x) for x in register_measures(rho_cut, part)]
     rho_last = reduce_to(state, dims, keep=[n - 1])
     alpha = config.input_amplitudes
     chi = alpha.copy()
@@ -1061,7 +1060,7 @@ def test_endpoint_pair_measures_match_the_register_pair(monkeypatch, d, noise):
         assert pair.shape == (2 * d - 1, 2 * d - 1)
         rho = np.zeros((d * d, d * d), dtype=complex)
         rho[np.ix_(at, at)] = pair
-        want = (ccnr(rho, part), amplified_ccnr_margin(rho, part), entanglement_level(rho, part))
+        want = register_measures(rho, part)
         for name, got, expect, small in zip(("ccnr", "margin", "level"), values, want, (False, True, True)):
             tol = 1e-8 if small and abs(expect) <= 1e-3 else 1e-12
             assert abs(got - expect) <= tol, (step, name, got, expect)
