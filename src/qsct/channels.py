@@ -21,7 +21,7 @@ shift row m that carries weight:
     M_m[a, b]    = sum_n pi_{m,n} w^{n (a-b)}.
 
 `apply_weyl_table` applies it site by site on the reshaped density tensor,
-one gather of every shifted copy per site and one elementwise product per
+one gather of the shifted copy and one elementwise product per site and
 row, and builds no Kraus operator; experiment runs use this form. A table
 whose only row is m = 0 (phase damping among them) shifts nothing: it
 multiplies rho[a, b] by prod_s M_0[a_s, b_s] and so never moves an
@@ -39,9 +39,6 @@ import numpy as np
 
 from .chain import ConfigError, as_array
 
-# apply_weyl_table gathers the shifted copies of rho in groups of at most this
-# many bytes (every shift at once for a small register)
-_GATHER_BYTES = 1 << 16
 # working precision of the integer mantissas behind the phase-damping weights
 _MANTISSA_BITS = 128
 
@@ -111,12 +108,6 @@ class WeylTable:
     d: int
     shifts: tuple[int, ...]
     masks: tuple[np.ndarray, ...] = field(repr=False)
-    # rolls[j, a] = (a - shifts[j]) mod d: the level that shift j moves to a
-    rolls: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        shifts = np.array(self.shifts, dtype=np.intp).reshape(-1, 1)
-        object.__setattr__(self, "rolls", (np.arange(self.d) - shifts) % self.d)
 
 
 def weyl_table(pi) -> WeylTable:
@@ -153,11 +144,10 @@ def apply_weyl_table(rho: np.ndarray, table: WeylTable, dims) -> np.ndarray:
     with factor dimensions `dims` (pass the register dimension alone for one
     register-wide channel).
 
-    Per factor: one gather of the density tensor at that factor's rolled row
-    and column indices for every shift m at once (table.rolls); each term is
-    multiplied by its mask in place and added, in the order of the shifts.
-    Shifts whose gathered copies would pass _GATHER_BYTES are gathered a
-    group at a time. O(len(shifts) dim^2) per factor, and no Kraus operator is built;
+    Per factor and shift m, in the order of the shifts: one gather of the
+    density tensor at that factor's row and column levels rolled by m (the
+    level (a - m) mod d at a), multiplied by the shift's mask in place and
+    added. O(len(shifts) dim^2) per factor, and no Kraus operator is built;
     agrees with the sum of E rho E^dagger over the cross product of the
     per-factor Kraus operators sqrt(pi_{m,n}) Z^n X^m.
     """
@@ -168,7 +158,8 @@ def apply_weyl_table(rho: np.ndarray, table: WeylTable, dims) -> np.ndarray:
     if rho.shape != (dim, dim):
         raise ValueError(f"state shape {rho.shape} does not match register dimension {dim}")
     d = table.d
-    group = max(1, _GATHER_BYTES // (16 * dim * dim))
+    # rolls[j, a] = (a - shifts[j]) mod d: the level that shift j moves to a
+    rolls = (np.arange(d) - np.array(table.shifts)[:, None]) % d
     out = rho
     for s in range(len(dims)):
         left = d**s
@@ -176,11 +167,9 @@ def apply_weyl_table(rho: np.ndarray, table: WeylTable, dims) -> np.ndarray:
         # the factor's row and column level first: (d, d, left, rest, left, rest)
         tensor = out.reshape(shape).transpose(1, 4, 0, 2, 3, 5)
         acc = np.zeros(shape, dtype=np.complex128)
-        for lo in range(0, len(table.shifts), group):
-            rolls = table.rolls[lo:lo + group]
-            terms = tensor[rolls[:, :, None], rolls[:, None, :]]
-            for term, mask in zip(terms, table.masks[lo:lo + group]):
-                term *= mask[:, :, None, None, None, None]
-                acc += term.transpose(2, 0, 3, 4, 1, 5)
+        for roll, mask in zip(rolls, table.masks):
+            term = tensor[roll[:, None], roll]
+            term *= mask[:, :, None, None, None, None]
+            acc += term.transpose(2, 0, 3, 4, 1, 5)
         out = acc.reshape(dim, dim)
     return out

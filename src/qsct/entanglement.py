@@ -9,13 +9,17 @@ correlations first:
 Every record takes the two tests and the concurrence-style level
 sqrt(2 (1 - tr rho_A^2)), the concurrence of a pure global state, from one
 routine per state form: register_measures of register density matrices and
-sector_measures of states on the vacuum plus single excitations. A ket there
-has at most two Schmidt coefficients, so one number, its concurrence in
-closed form, gives all three of its measures (sector_concurrence); no SVD is
-taken of it. A density matrix within _PURE_TOL of pure gives its level
-through its ket: rho times its column at its largest diagonal entry is that
-ket up to scale and phase (_pure_vector), an O(D^2) product, so no measure
-takes an eigh. Every measure takes a stack of states along leading axes and
+sector_measures of states on the vacuum plus single excitations. Of a
+density matrix, each gathers its realigned matrices, its marginals'
+realigned vectors and its reduced states, and one core (_measures) takes
+the test, subtracts the marginals' product in place and takes the margin,
+two stacked SVDs, then the level. A ket on the sector has at most two
+Schmidt coefficients, so one number, its concurrence in closed form, gives
+all three of its measures (sector_concurrence); no SVD is taken of it. A
+density matrix within _PURE_TOL of pure gives its level through its ket:
+rho times its column at its largest diagonal entry is that ket up to scale
+and phase (_pure_vector), an O(D^2) product, so no measure takes an eigh.
+Every measure takes a stack of states along leading axes and
 returns an array, one call for the whole stack. The printed closed-form
 transfer profiles of two-site chains, which only the conformance report
 evaluates, live in qsct.conformance.
@@ -31,7 +35,6 @@ from .linalg import (
     inner,
     partial_trace,
     realign,
-    realign_minus_product,
     sector_partial_trace,
     trace_norm,
 )
@@ -93,6 +96,38 @@ def concurrence_pure(psi: np.ndarray, part: Bipartition) -> float | np.ndarray:
     return (2.0 * np.sqrt(np.maximum(0.0, inner(q[..., :-1], tail[..., 1:]))))[()]
 
 
+def _measures(lead: tuple[int, ...], rho: np.ndarray, pure: np.ndarray, stack: np.ndarray,
+              vec_a: np.ndarray, vec_b: np.ndarray, reduced,
+              pure_level) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(ccnr, amplified ccnr margin, entanglement level), each an array of
+    shape lead, of a stack rho (K, ...) given by its realigned matrices
+    `stack` (K, m, k), overwritten here, its marginals' realigned vectors
+    vec_a (K, m) and vec_b (K, k), its reduced states, and the mask `pure` of
+    its states within _PURE_TOL of pure, whose levels pure_level gives from
+    their dominant vectors (_pure_vector).
+
+    vec_a vec_b^T is subtracted from the stack in place between its two trace
+    norms, one index of its shorter axis at a time across the stack (a
+    register cut near the chain's end has d^(2c) rows and few columns), so
+    no second array of its size is made.
+    """
+    norm = trace_norm(stack)
+    if stack.shape[1] <= stack.shape[2]:
+        for p in range(stack.shape[1]):
+            stack[:, p] -= vec_a[:, p, None] * vec_b
+    else:
+        for q in range(stack.shape[2]):
+            stack[:, :, q] -= vec_a * vec_b[:, q, None]
+    lhs = trace_norm(stack)
+    gap_a, gap_b = (_purity_gap(r) for r in reduced)
+    level = np.sqrt(2.0 * gap_a)
+    if pure.any():
+        # every state's vector, the pure ones kept: rho[pure] would copy them
+        # while the stack is alive
+        level[pure] = pure_level(_pure_vector(rho)[pure])
+    return tuple(x.reshape(lead) for x in (norm, lhs - np.sqrt(gap_a * gap_b), level))
+
+
 def register_measures(states: np.ndarray,
                       part: Bipartition) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(ccnr, amplified ccnr margin, entanglement level) across part of
@@ -103,9 +138,9 @@ def register_measures(states: np.ndarray,
     The margin is the left side minus the right side of the amplified test,
     positive flagging entanglement, strictly stronger than ccnr on states
     with mixed marginals: the realigned rho_A (x) rho_B is
-    vec rho_A vec rho_B^T, subtracted from the realigned rho as that outer
-    product. Each is one stacked SVD, and rho_A and rho_B one partial trace
-    each, which the margin and the level share. The level is
+    vec rho_A vec rho_B^T, subtracted in place from the one realigned copy
+    of rho that both trace norms read (_measures). rho_A and rho_B take one
+    partial trace each, which the margin and the level share. The level is
     sqrt(2 (1 - tr rho_A^2)), or for a globally pure rho, through the Schmidt
     form of its dominant eigenvector (the same number, stable near 0):
     rho times its column at its largest diagonal entry (_pure_vector),
@@ -115,16 +150,12 @@ def register_measures(states: np.ndarray,
     part.check(states.shape[-1])
     lead, dims = states.shape[:-2], [part.dim_a, part.dim_b]
     rho = states.reshape(-1, *states.shape[-2:])
-    rho_a, rho_b = (partial_trace(rho, dims, keep=[side]) for side in (0, 1))
-    gap_a, gap_b = _purity_gap(rho_a), _purity_gap(rho_b)
-    norm = trace_norm(realign(rho, part))
-    lhs = trace_norm(realign_minus_product(rho, part, rho_a, rho_b))
-    level = np.sqrt(2.0 * gap_a)
+    reduced = [partial_trace(rho, dims, keep=[side]) for side in (0, 1)]
+    vec_a, vec_b = (r.swapaxes(1, 2).reshape(len(rho), -1) for r in reduced)
+    # before the realigned copy exists: the purity gap copies the stack too
     pure = _purity_gap(rho) <= _PURE_TOL
-    if pure.any():
-        psi = _pure_vector(rho[pure])
-        level[pure] = concurrence_pure(psi / _norm(psi)[:, None], part)
-    return tuple(x.reshape(lead) for x in (norm, lhs - np.sqrt(gap_a * gap_b), level))
+    return _measures(lead, rho, pure, realign(rho, part), vec_a, vec_b, reduced,
+                     lambda psi: concurrence_pure(psi / _norm(psi)[:, None], part))
 
 
 def sector_concurrence(v: np.ndarray, cut: SectorCut) -> float | np.ndarray:
@@ -150,7 +181,8 @@ def sector_measures(states: np.ndarray, cut: SectorCut,
     or with kets=True kets (..., m), leading axes a stack; each measure is an
     array (...). The states are a chain's whole sector states across a chain
     cut, or the (2d-1)-state endpoint pair (sides 1..d-1 and d..2d-2) that a
-    partial trace leaves. A stack takes one stacked SVD; every block is an
+    partial trace leaves. A stack of density matrices takes two stacked SVDs
+    of its compressed realigned matrices (_measures); every block is an
     np.take from the cut's two sides, so each state of a stack is gathered
     contiguous and reduces as it would alone.
 
@@ -167,10 +199,11 @@ def sector_measures(states: np.ndarray, cut: SectorCut,
     norm, leaving a (2+2k_A) x (2+2k_B) matrix C with the register's
     singular values. Subtracting vec rho_A vec rho_B^T leaves both groups rank
     one again, meeting at -|x||z|, so the margin's matrix is C - a_c b_c^T
-    with the marginals collapsed the same way. The level is the purity
-    formula on rho_A, or for a globally pure rho the sector concurrence of
-    its dominant eigenvector: rho times its column at its largest diagonal
-    entry (_pure_vector), which sector_concurrence takes unnormalized.
+    with the marginals collapsed the same way, formed in C itself. The level
+    is the purity formula on rho_A, or for a globally pure rho the sector
+    concurrence of its dominant eigenvector: rho times its column at its
+    largest diagonal entry (_pure_vector), which sector_concurrence takes
+    unnormalized.
     """
     if kets:
         c = sector_concurrence(states, cut)
@@ -191,12 +224,7 @@ def sector_measures(states: np.ndarray, cut: SectorCut,
     # rho_A[0, a]) and (rho_B[0, 0], rho_B[0, b], rho_B[b, 0]), then the norm
     vec_a = np.concatenate((rho_a[:, :, 0], rho_a[:, 0, 1:], norm_a[:, None]), axis=1)
     vec_b = np.concatenate((rho_b[:, 0], rho_b[:, 1:, 0], norm_b[:, None]), axis=1)
-    gap_a, gap_b = (_purity_gap(r) for r in reduced)
-    # C and C - a_c b_c^T: one stacked SVD
-    norm_c, lhs = trace_norm(np.stack((c, c - vec_a[:, :, None] * vec_b[:, None, :])))
-    level = np.sqrt(2.0 * gap_a)
     pure = _purity_gap(rho) <= _PURE_TOL
-    if pure.any():
-        level[pure] = sector_concurrence(_pure_vector(rho[pure]), cut)
-    return tuple(x.reshape(lead) for x in (norm_c, lhs - np.sqrt(gap_a * gap_b), level))
+    return _measures(lead, rho, pure, c, vec_a, vec_b, reduced,
+                     lambda v: sector_concurrence(v, cut))
 

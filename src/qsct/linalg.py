@@ -4,7 +4,9 @@ a sector ket or density matrix).
 
 Everything works on plain numpy arrays (complex128, row-major, dense); the
 realignment map, the trace norm and both partial traces also take a stack
-of states along leading axes, one call for the whole stack. The
+of states along leading axes, one call for the whole stack. The realigned
+matrix is always a new array: the register measures subtract the product
+of the marginals from it in place, so it must never alias the state. The
 operating envelope is full-register dimensions up to a few thousand, where
 LAPACK through numpy is the only backend worth having. There are no matrix
 exponentials here: `qsct.chain.Spectrum` owns every evolution, the n x n
@@ -41,41 +43,18 @@ def realign(rho: np.ndarray, part: Bipartition) -> np.ndarray:
     A indices (i, j) with p = j * dim_a + i, so a product operator A (x) B
     realigns to the rank-one matrix vec(A) vec(B)^T, vec stacking columns.
     Leading axes are a stack: (..., D, D) realigns matrix by matrix to
-    (..., dim_a^2, dim_b^2).
+    (..., dim_a^2, dim_b^2). The result is a new array, never a view of rho,
+    so it may be written in place.
     """
     rho = np.asarray(rho)
-    da, db = part
-    return _realigned(rho, part).reshape(*rho.shape[:-2], da * da, db * db)
-
-
-def _realigned(rho: np.ndarray, part: Bipartition) -> np.ndarray:
-    """The entries of realign(rho) as a view (..., dim_a, dim_a, dim_b, dim_b)."""
     part.check(rho.shape[-2])
     if rho.shape[-2] != rho.shape[-1]:
         raise ValueError("realign expects a square matrix")
     da, db = part
     lead = rho.shape[:-2]
     k = len(lead)
-    return rho.reshape(*lead, da, db, da, db).transpose(*range(k), k + 2, k, k + 3, k + 1)
-
-
-def realign_minus_product(rho: np.ndarray, part: Bipartition, a: np.ndarray,
-                          b: np.ndarray) -> np.ndarray:
-    """realign(rho - a (x) b) = realign(rho) - vec(a) vec(b)^T, vec stacking
-    columns, for a dim_a x dim_a a and a dim_b x dim_b b; leading axes are a
-    stack. Formed matrix by matrix in the result, the one array of its size
-    allocated: a broadcast complex product of the whole stack would take
-    numpy iteration buffers as large again."""
-    rho = np.asarray(rho)
-    da, db = part
-    lead = rho.shape[:-2]
-    vec_a, vec_b = (x.swapaxes(-1, -2).reshape(-1, x.shape[-1] ** 2) for x in (a, b))
-    out = np.empty((len(vec_a), da, da, db, db), dtype=np.result_type(rho, a, b))
-    view = _realigned(rho.reshape(-1, *rho.shape[-2:]), part)
-    for o, r, x, y in zip(out, view, vec_a, vec_b):
-        np.multiply(x.reshape(da, da, 1, 1), y.reshape(1, 1, db, db), out=o)
-        np.subtract(r, o, out=o)
-    return out.reshape(*lead, da * da, db * db)
+    blocks = rho.reshape(*lead, da, db, da, db).transpose(*range(k), k + 2, k, k + 3, k + 1)
+    return blocks.copy().reshape(*lead, da * da, db * db)
 
 
 def trace_norm(a: np.ndarray) -> float | np.ndarray:

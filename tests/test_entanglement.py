@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -415,3 +416,51 @@ def test_pure_vector_is_the_same_whatever_stack_it_is_in():
             assert np.array_equal(_pure_vector(alone)[0], vectors[i])
             assert np.array_equal(_pure_vector(stack[i:])[0], vectors[i])
             assert level(alone)[0] == levels[i]
+
+
+def _random_density_stack(rng, dim, ranks):
+    """Density matrices (len(ranks), dim, dim) of the given ranks."""
+    stack = np.empty((len(ranks), dim, dim), dtype=complex)
+    for rho, rank in zip(stack, ranks):
+        g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+        rho[:] = g @ g.conj().T
+        rho /= np.trace(rho).real
+    return stack
+
+
+@pytest.mark.parametrize("dim", [1, 12])
+def test_register_measures_leave_their_input_unchanged(dim):
+    # the margin's matrix is formed in place in the realigned copy, which must
+    # never share memory with rho, not even where realigning moves nothing
+    # (Bipartition(1, 1))
+    stack = _random_density_stack(np.random.default_rng(dim), dim, (1, 2, dim))
+    before = stack.copy()
+    for da in [da for da in range(1, dim + 1) if dim % da == 0]:
+        register_measures(stack, Bipartition(da, dim // da))
+        assert np.array_equal(stack, before), da
+
+
+@pytest.mark.parametrize("d, n, cut", [(2, 3, 1), (3, 4, 2), (4, 3, 2)])
+def test_sector_measures_leave_their_input_unchanged(d, n, cut):
+    index = 1 + np.arange((d - 1) * n).reshape(d - 1, n)
+    sides = SectorCut(index[:, :cut].ravel(), index[:, cut:].ravel())
+    size = 1 + (d - 1) * n
+    stack = _random_density_stack(np.random.default_rng(size), size, (1, 2, size))
+    before = stack.copy()
+    sector_measures(stack, sides)
+    assert np.array_equal(stack, before)
+
+
+def test_register_measures_hold_one_realigned_matrix():
+    # one 1024 x 1024 state at the half cut: its realigned copy, 16 MiB, is
+    # the only array of its size alive at once. A second copy for the margin,
+    # or the purity gap's conjugate copy of rho taken while the realigned copy
+    # exists, doubles the peak.
+    rho = _random_density_stack(np.random.default_rng(1024), 1024, (2,))[0]
+    tracemalloc.start()
+    try:
+        register_measures(rho, Bipartition(32, 32))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * 16 * 2**20, peak
