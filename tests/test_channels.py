@@ -382,16 +382,32 @@ def _rolled_weyl_table(rho, table, dims):
     return out
 
 
+def _first_rows(pi, rows):
+    """pi with only its first `rows` weighted shift rows, renormalised; pi
+    itself for rows=None."""
+    if rows is None:
+        return pi
+    weighted = np.flatnonzero(pi.sum(axis=1))[:rows]
+    kept = np.zeros_like(pi)
+    kept[weighted] = pi[weighted]
+    return kept / kept.sum()
+
+
+@pytest.mark.parametrize("rows", [None, 1])
 @pytest.mark.parametrize("d, n", [(2, 3), (3, 3), (2, 5), (4, 2)])
-def test_weyl_table_gather_is_the_rolled_sum(d, n):
+def test_weyl_table_gather_is_the_rolled_sum(d, n, rows):
     # a gather per shift adds the same terms in the same order as a roll per
-    # shift: bit for bit
+    # shift: bit for bit, for each table as drawn and for its first weighted
+    # shift row alone (m = 0 only for "full" and "zero-rows", which moves no
+    # level; one m != 0 for "shift")
     rng = np.random.default_rng(10 * d + n)
     dims, dim = (d,) * n, d**n
     rho = _random_density(dim, rng)
     for size, factors in ((d, dims), (dim, (dim,))):
         for pi in _tables(size, rng).values():
-            table = weyl_table(pi)
+            table = weyl_table(_first_rows(pi, rows))
+            if rows is not None:
+                assert len(table.shifts) == rows
             assert np.array_equal(apply_weyl_table(rho, table, factors),
                                   _rolled_weyl_table(rho, table, factors))
 
